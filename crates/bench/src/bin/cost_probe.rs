@@ -65,7 +65,7 @@ fn main() {
     let threads = with_bench_threads(rayon::current_num_threads);
 
     // Raw fork cost: time a no-op rayon::join, the unit the cost model
-    // charges per spawned helper thread.
+    // charges per fork (a task push and pop on the work-stealing pool).
     let t0 = Instant::now();
     let reps = 200;
     for _ in 0..reps {

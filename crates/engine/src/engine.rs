@@ -398,13 +398,15 @@ type QueryItem<'a> = (usize, &'a SessionId, &'a QueryBatch);
 
 /// Ticks whose total estimated work stays under this many element-units
 /// run inline on the calling thread.  Each piece of the per-shard
-/// parallel spine costs a fork (tens of microseconds on this pool —
-/// every join spawns a scoped OS thread), which swamps light ticks: the
-/// query sweep lost 2x going from 1 to 4 shards before this gate
-/// existed.  Heavy ticks still take the spine, restricted to the shards
-/// that actually have work.  The gate reads only tick content — never
-/// pool width — so the inline/spine decision is identical at one thread
-/// and at the full pool.
+/// parallel spine costs a fork, which swamps light ticks: the query sweep
+/// lost 2x going from 1 to 4 shards before this gate existed, when every
+/// join spawned a scoped OS thread (tens of microseconds).  A fork on the
+/// work-stealing pool is cheaper, but waking a sleeping worker still costs
+/// microseconds, and the value is kept until a measured retune.  Heavy
+/// ticks still take the spine, restricted to the shards that actually
+/// have work.  The gate reads only tick content — never pool width — so
+/// the inline/spine decision is identical at one thread and at the full
+/// pool.
 const INLINE_TICK_WEIGHT: usize = 256;
 
 /// Estimated work of one tick slot, in ingest-element units: appends

@@ -17,6 +17,10 @@
 //! whole merge and accounted for by the engine's `allocs_per_elem`
 //! telemetry instead (asserted to floor to zero in the engine-level
 //! case below).
+//!
+//! The tally is process-wide, so a case running next to another one would
+//! count that case's allocations too: every case holds [`SERIAL`] while it
+//! runs.
 
 use plis_engine::{
     Backend, DominantMaxKind, Engine, EngineConfig, PathPolicy, SessionKind, StreamingLis, Tick,
@@ -24,9 +28,20 @@ use plis_engine::{
 };
 use plis_telemetry::alloc_tally;
 use plis_testalloc::CountingAlloc;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Serializes the cases of this file; see the module docs.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Hold [`SERIAL`] for the rest of the calling case.  A case that failed
+/// while holding it poisons it; the guard is recovered, so that failure
+/// does not fail the other cases.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 const UNIVERSE: u64 = 1 << 16;
 const BATCH: usize = 64;
@@ -106,6 +121,7 @@ fn drive_weighted(kind: DominantMaxKind, label: &str) {
 
 #[test]
 fn unweighted_steady_state_is_allocation_free_on_every_backend() {
+    let _serial = serial();
     for (backend, label) in
         [(Backend::Veb, "veb"), (Backend::SortedVec, "sorted-vec"), (Backend::Auto, "auto")]
     {
@@ -115,6 +131,7 @@ fn unweighted_steady_state_is_allocation_free_on_every_backend() {
 
 #[test]
 fn weighted_steady_state_is_allocation_free_on_both_stores() {
+    let _serial = serial();
     for (kind, label) in
         [(DominantMaxKind::RangeTree, "range-tree"), (DominantMaxKind::RangeVeb, "range-veb")]
     {
@@ -124,6 +141,7 @@ fn weighted_steady_state_is_allocation_free_on_both_stores() {
 
 #[test]
 fn steady_state_discipline_holds_at_one_thread_and_on_the_pool() {
+    let _serial = serial();
     with_pool(1, || drive_unweighted(Backend::Veb, "veb @ 1 thread"));
     with_pool(2, || drive_unweighted(Backend::Veb, "veb @ pool"));
     with_pool(1, || drive_weighted(DominantMaxKind::RangeTree, "range-tree @ 1 thread"));
@@ -139,6 +157,7 @@ fn steady_state_discipline_holds_at_one_thread_and_on_the_pool() {
 #[cfg(feature = "telemetry")]
 #[test]
 fn engine_allocs_per_elem_floors_to_zero() {
+    let _serial = serial();
     let config = EngineConfig {
         universe: UNIVERSE,
         shards: 2,

@@ -9,7 +9,7 @@
 //! The pool size for the "parallel" leg honors `PLIS_BENCH_THREADS` (the
 //! CI pin) and falls back to the hardware parallelism, but is always at
 //! least 2 so single-core machines still exercise the splitting scheduler
-//! (the vendored rayon spawns scoped threads independently of core count).
+//! (a vendored rayon pool spawns its workers independently of core count).
 
 use plis_baselines::wlis_dp_quadratic;
 use plis_lis::{wlis_rangetree, wlis_rangeveb, wlis_with, DominantMaxStore};

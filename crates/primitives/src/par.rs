@@ -11,12 +11,14 @@ use std::mem::MaybeUninit;
 
 /// Default granularity (sequential cutoff) for the divide-and-conquer
 /// primitives in this crate.  Chosen to amortize the cost of a rayon task
-/// spawn over a few microseconds of useful work.
+/// spawn over a few microseconds of useful work; a fork on the work-stealing
+/// pool is such a task push, so the reasoning still holds.
 pub const GRAIN: usize = 2048;
 
-/// Smallest piece the adaptive helpers will fork for.  The vendored rayon's
-/// `join` spawns a real scoped thread per fork, so pieces must amortize a
-/// thread spawn, not just a task push.
+/// Smallest piece the adaptive helpers will fork for.  Sized when the
+/// vendored rayon's `join` spawned a scoped thread per fork and pieces had
+/// to amortize that spawn.  A fork is now a task push on a persistent pool,
+/// so a finer floor may pay; the value is kept until a measured retune.
 pub const MIN_ADAPTIVE_GRAIN: usize = 512;
 
 /// Piece size for a parallel loop over `n` items: aim for a few pieces per

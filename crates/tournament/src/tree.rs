@@ -5,11 +5,13 @@ use plis_primitives::par::{maybe_join, GRAIN};
 
 /// Fork gate for the per-round frontier traversal, deliberately coarser
 /// than the build-time [`GRAIN`].  `PrefixMin` runs once per rank round —
-/// `k` times over the same tree — and on this pool every fork spawns a
-/// scoped OS thread (tens of microseconds), so a tree just above `GRAIN`
-/// leaves would otherwise pay one spawn per round for subtrees whose
-/// sequential walk costs a few microseconds.  The one-shot `build` keeps
-/// the finer grain: it forks `O(n / GRAIN)` times total, not per round.
+/// `k` times over the same tree — so a tree just above `GRAIN` leaves
+/// would pay one fork per round for subtrees whose sequential walk costs a
+/// few microseconds.  The gate was sized when every fork spawned a scoped
+/// OS thread (tens of microseconds); a fork on the work-stealing pool is a
+/// task push, and the value is kept until a measured retune.  The one-shot
+/// `build` keeps the finer grain: it forks `O(n / GRAIN)` times total, not
+/// per round.
 const ROUND_GRAIN: usize = 4 * GRAIN;
 
 /// Statistics reported by one frontier extraction, used by the work-bound
