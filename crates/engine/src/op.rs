@@ -252,6 +252,12 @@ impl Tick {
         &self.slots
     }
 
+    /// Take the slots out, in submission order (moves the ops; the
+    /// [`Tick::creates_missing`] flag is dropped).
+    pub fn into_slots(self) -> Vec<(SessionId, Op)> {
+        self.slots
+    }
+
     /// Number of ops in the tick.
     pub fn len(&self) -> usize {
         self.slots.len()
@@ -309,6 +315,11 @@ impl ReadTick {
     /// The slots, in submission order.
     pub fn slots(&self) -> &[(SessionId, QueryBatch)] {
         &self.slots
+    }
+
+    /// Take the slots out, in submission order (moves the query batches).
+    pub fn into_slots(self) -> Vec<(SessionId, QueryBatch)> {
+        self.slots
     }
 
     /// Number of query batches in the tick.

@@ -18,15 +18,20 @@
 //! telemetry instead (asserted to floor to zero in the engine-level
 //! case below).
 //!
-//! The tally is process-wide, so a case running next to another one would
-//! count that case's allocations too: every case holds [`SERIAL`] while it
-//! runs.
+//! The per-session cases read the calling thread's tally
+//! ([`thread_alloc_tally`]): the sequential path never forks, and
+//! `install` runs its closure on the caller, so every allocation of the
+//! measured ingest lands on that thread, while allocations by the test
+//! harness's own threads do not.  The engine-level case reads the
+//! process-wide tally through `metrics_snapshot()`, so a case running next
+//! to another one would count that case's allocations too: every case
+//! holds [`SERIAL`] while it runs.
 
 use plis_engine::{
     Backend, DominantMaxKind, Engine, EngineConfig, PathPolicy, SessionKind, StreamingLis, Tick,
     WeightedStreamingLis,
 };
-use plis_telemetry::alloc_tally;
+use plis_telemetry::thread_alloc_tally;
 use plis_testalloc::CountingAlloc;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -75,11 +80,11 @@ fn drive_unweighted(backend: Backend, label: &str) {
     }
     s.reserve(MEASURE);
     let lis_before = s.lis_length();
-    let before = alloc_tally();
+    let before = thread_alloc_tally();
     for chunk in data[WARMUP..].chunks(BATCH) {
         s.ingest(chunk);
     }
-    let delta = alloc_tally().since(before);
+    let delta = thread_alloc_tally().since(before);
     assert_eq!(
         delta.allocs, 0,
         "{label}: {} allocations ({} bytes) in a warm steady-state window",
@@ -105,11 +110,11 @@ fn drive_weighted(kind: DominantMaxKind, label: &str) {
         s.ingest(chunk);
     }
     s.reserve(MEASURE);
-    let before = alloc_tally();
+    let before = thread_alloc_tally();
     for chunk in pairs[WARMUP..].chunks(BATCH) {
         s.ingest(chunk);
     }
-    let delta = alloc_tally().since(before);
+    let delta = thread_alloc_tally().since(before);
     assert_eq!(
         delta.allocs, 0,
         "{label}: {} allocations ({} bytes) in a warm steady-state window",

@@ -6,16 +6,27 @@
 //! [`Client::send_read`] / [`Client::recv`] surface to keep many
 //! requests in flight on one socket; responses arrive in submission
 //! order and carry the echoed request id.
+//!
+//! # Batched I/O
+//!
+//! `send_*` only queue the framed request in the client; the socket
+//! write happens when [`Client::recv`] would otherwise block, when the
+//! caller calls [`Client::flush`], or before [`Client::finish_sending`]
+//! and [`Client::stream`].  So every request sent between two blocking
+//! receives leaves in one write.  Responses are read through a 64 KiB
+//! buffer, so one read serves every response that arrived together.
 
 use crate::protocol::{
-    message, parse_error_body, parse_message, read_frame, write_frame, FrameRead, ProtocolError,
-    DEFAULT_MAX_FRAME_BYTES, TAG_ERROR, TAG_READ, TAG_READ_OUTCOME, TAG_SUBMIT, TAG_TICK_OUTCOME,
+    append_frame, message, parse_error_body, parse_message, read_frame, FrameRead, ProtocolError,
+    DEFAULT_MAX_FRAME_BYTES, READ_BUF_BYTES, TAG_ERROR, TAG_READ, TAG_READ_OUTCOME, TAG_SUBMIT,
+    TAG_TICK_OUTCOME,
 };
 use plis_engine::{
     decode_read_outcome, decode_tick_outcome, encode_read_tick, encode_tick, ReadOutcome, ReadTick,
     SnapshotError, Tick, TickOutcome,
 };
-use std::io;
+use plis_telemetry::{decode_frame_header, FRAME_HEADER_BYTES};
+use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 
 /// Why a client call failed.
@@ -96,9 +107,15 @@ impl Response {
 }
 
 /// A blocking connection to a `plis-server`.
+///
+/// Requests are queued by `send_*` and written in batches (see the
+/// module docs); dropping the client writes whatever is still queued.
 #[derive(Debug)]
 pub struct Client {
-    stream: TcpStream,
+    /// The socket, read through a buffer; writes go to the inner stream.
+    reader: BufReader<TcpStream>,
+    /// Framed requests queued by `send_*`, not yet written.
+    unsent: Vec<u8>,
     next_id: u64,
     max_frame: u32,
 }
@@ -108,28 +125,71 @@ impl Client {
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
-        Ok(Client { stream, next_id: 1, max_frame: DEFAULT_MAX_FRAME_BYTES })
+        Ok(Client {
+            reader: BufReader::with_capacity(READ_BUF_BYTES, stream),
+            unsent: Vec::new(),
+            next_id: 1,
+            max_frame: DEFAULT_MAX_FRAME_BYTES,
+        })
     }
 
-    /// Send a write request without waiting; returns its request id.
+    /// Queue a write request; returns its request id.
+    ///
+    /// Nothing is written yet: the request goes out with every other
+    /// queued one when [`Client::recv`] would block, or on
+    /// [`Client::flush`], [`Client::finish_sending`] or
+    /// [`Client::stream`].  A caller that sends and then waits for the
+    /// answer some other way than `recv` must call `flush` first.
+    /// Queuing itself cannot fail; socket errors surface when the queue
+    /// is written.
     pub fn send_tick(&mut self, tick: &Tick) -> io::Result<u64> {
-        let id = self.next_id;
-        self.next_id += 1;
-        write_frame(&mut self.stream, &message(TAG_SUBMIT, id, &encode_tick(tick)))?;
-        Ok(id)
+        Ok(self.queue(TAG_SUBMIT, &encode_tick(tick)))
     }
 
-    /// Send a read request without waiting; returns its request id.
+    /// Queue a read request; returns its request id.  Written in batches
+    /// exactly like [`Client::send_tick`].
     pub fn send_read(&mut self, tick: &ReadTick) -> io::Result<u64> {
-        let id = self.next_id;
-        self.next_id += 1;
-        write_frame(&mut self.stream, &message(TAG_READ, id, &encode_read_tick(tick)))?;
-        Ok(id)
+        Ok(self.queue(TAG_READ, &encode_read_tick(tick)))
     }
 
-    /// Block for the next response on this connection.
+    fn queue(&mut self, tag: u8, body: &[u8]) -> u64 {
+        let id = self.next_id;
+        self.next_id += 1;
+        append_frame(&mut self.unsent, &message(tag, id, body));
+        id
+    }
+
+    /// Write every queued request now, in one write.
+    ///
+    /// On failure the queue is dropped: the socket is broken, and how
+    /// much of the queue reached the server is unknown.
+    pub fn flush(&mut self) -> io::Result<()> {
+        if self.unsent.is_empty() {
+            return Ok(());
+        }
+        let written = self.reader.get_mut().write_all(&self.unsent);
+        self.unsent.clear();
+        written
+    }
+
+    /// Whether a whole response frame is already buffered, so reading it
+    /// cannot block.
+    fn response_buffered(&self) -> bool {
+        let buffered = self.reader.buffer();
+        let Some(header) = buffered.first_chunk::<FRAME_HEADER_BYTES>() else {
+            return false;
+        };
+        let (len, _) = decode_frame_header(header);
+        buffered.len() - FRAME_HEADER_BYTES >= len as usize
+    }
+
+    /// Block for the next response on this connection.  Queued requests
+    /// are written first unless a whole response is already buffered.
     pub fn recv(&mut self) -> Result<Response, ClientError> {
-        let payload = match read_frame(&mut self.stream, self.max_frame)? {
+        if !self.response_buffered() {
+            self.flush()?;
+        }
+        let payload = match read_frame(&mut self.reader, self.max_frame)? {
             FrameRead::Payload(p) => p,
             FrameRead::Closed | FrameRead::Torn => return Err(ClientError::Closed),
             FrameRead::Rejected(e) => return Err(ClientError::Frame(e)),
@@ -180,15 +240,31 @@ impl Client {
         }
     }
 
-    /// Half-close the send side: the server sees EOF (a clean close)
-    /// while responses already in flight can still be received.
-    pub fn finish_sending(&self) -> io::Result<()> {
-        self.stream.shutdown(Shutdown::Write)
+    /// Write the queued requests, then half-close the send side: the
+    /// server sees EOF (a clean close) while responses already in flight
+    /// can still be received.
+    pub fn finish_sending(&mut self) -> io::Result<()> {
+        self.flush()?;
+        self.reader.get_ref().shutdown(Shutdown::Write)
     }
 
     /// Raw access to the underlying stream, for tests that need to write
-    /// deliberately damaged or partial frames.
+    /// deliberately damaged or partial frames.  Queued requests are
+    /// written first, so raw bytes follow them on the wire.  Read
+    /// responses through [`Client::recv`]: bytes it already buffered are
+    /// not visible on the raw stream.
     pub fn stream(&mut self) -> &mut TcpStream {
-        &mut self.stream
+        // A failed write means the socket is broken; the caller's next
+        // write or `recv` on it reports that.
+        let _ = self.flush();
+        self.reader.get_mut()
+    }
+}
+
+impl Drop for Client {
+    /// Write whatever is still queued, like a `BufWriter`; errors are
+    /// ignored because there is no caller left to report them to.
+    fn drop(&mut self) {
+        let _ = self.flush();
     }
 }

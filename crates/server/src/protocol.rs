@@ -11,7 +11,12 @@
 //! ```
 //!
 //! The CRC covers the payload, so a corrupted frame is detected before a
-//! single payload byte is interpreted.  Inside the payload:
+//! single payload byte is interpreted.  Frames carry their own length, so
+//! any number of them can share one socket write or one socket read:
+//! [`append_frame`] frames into a buffer that goes out in one
+//! `write_all`, and [`read_frame`] reads through a buffered reader.  Both
+//! ends batch their I/O this way; the bytes on the wire are the same as
+//! frame-at-a-time I/O would produce.  Inside the payload:
 //!
 //! ```text
 //! [message tag: u8][request_id: u64][body...]
@@ -54,6 +59,11 @@ pub const TAG_READ_OUTCOME: u8 = 0x82;
 /// Message tag: a typed protocol-error response; the server closes the
 /// connection after sending it.
 pub const TAG_ERROR: u8 = 0xEE;
+
+/// Capacity of the buffered reader each end of a connection reads its
+/// socket through: one `read` pulls in every frame that arrived together,
+/// up to this many bytes.
+pub(crate) const READ_BUF_BYTES: usize = 64 << 10;
 
 /// Default cap on a single frame's payload (64 MiB).  A frame announcing
 /// more is rejected *before* allocation with
@@ -145,6 +155,10 @@ pub enum FrameRead {
 /// Read one frame.  Blocks until a full frame arrives, the peer closes,
 /// or an I/O error occurs; a checksum failure or oversized announcement
 /// comes back as [`FrameRead::Rejected`], not `Err`.
+///
+/// `r` is read in small pieces (header, then payload), so hand it a
+/// buffered reader over a socket: then one `read` syscall serves every
+/// frame that arrived together.
 pub fn read_frame(r: &mut impl Read, max_payload: u32) -> io::Result<FrameRead> {
     let mut header = [0u8; FRAME_HEADER_BYTES];
     match read_exact_or_eof(r, &mut header)? {
@@ -191,10 +205,23 @@ fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> io::Result<Fill> {
     Ok(Fill::Full)
 }
 
-/// Frame `payload` and write it, flushed.
+/// Append `payload`, framed, to `out`.  Many frames appended to one
+/// buffer go out in one write: the batcher frames every reply a
+/// connection earned in a batch this way, and the client its queued
+/// requests.
+pub fn append_frame(out: &mut Vec<u8>, payload: &[u8]) {
+    out.reserve(FRAME_HEADER_BYTES + payload.len());
+    out.extend_from_slice(&encode_frame_header(payload));
+    out.extend_from_slice(payload);
+}
+
+/// Frame `payload` and write it with one `write_all`, flushed.  Header
+/// and payload leave together, so a frame never costs two syscalls and
+/// never straddles another writer's frame on a shared stream.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&encode_frame_header(payload))?;
-    w.write_all(payload)?;
+    let mut frame = Vec::new();
+    append_frame(&mut frame, payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 

@@ -5,17 +5,37 @@
 //!
 //! * One **accept thread** polls a non-blocking listener and spawns a
 //!   reader thread per connection.
-//! * Each **reader thread** blocks on its socket, reassembles frames
-//!   (partial TCP reads are the normal case, not an error), decodes the
-//!   sealed tick / read tick, and enqueues a work item.  Any protocol
-//!   violation earns a typed error frame and a clean close of that one
-//!   connection; the engine and every other connection are untouched.
+//! * Each **reader thread** reads its socket through a 64 KiB buffer, so
+//!   one `read` syscall serves every frame that arrived together.  It
+//!   reassembles frames (partial TCP reads are the normal case, not an
+//!   error), decodes the sealed tick / read tick, and enqueues a work
+//!   item.  Any protocol violation earns a typed error frame and a clean
+//!   close of that one connection; the engine and every other connection
+//!   are untouched.
 //! * One **batcher thread** owns the [`Engine`].  It drains the queue in
 //!   arrival order and coalesces items into engine ticks on a time/size
 //!   trigger: a batch closes as soon as it holds
 //!   [`ServerConfig::batch_max_ops`] ops, or
 //!   [`ServerConfig::batch_max_wait`] after its first op arrived,
-//!   whichever comes first.
+//!   whichever comes first.  Combined ticks take the requests' ops by
+//!   move, not by copy.
+//! * **Replies are coalesced per connection.**  While a batch executes,
+//!   the batcher frames each reply into its connection's buffer; after
+//!   the batch's last run it writes each buffer with one `write_all`
+//!   under that connection's write mutex.  A reader's error frame takes
+//!   the same mutex and closes the connection before releasing it, so it
+//!   never lands inside another frame and no reply follows it.  A failed
+//!   write marks the connection dead and is otherwise ignored.
+//!
+//! # Why buffering cannot deadlock
+//!
+//! A client may write a large burst of requests while the batcher's
+//! reply write to it waits for the client to read.  That resolves on its
+//! own: the connection's reader keeps draining the socket into the
+//! intake queue, which is unbounded, so a reader never waits for the
+//! batcher and the client's write always completes.  A bounded queue
+//! must keep this property: when full it rejects work, it never blocks
+//! the reader.
 //!
 //! # Ordering and read-your-writes
 //!
@@ -40,13 +60,16 @@
 //! connection's read side (queued responses still flush through the
 //! write side), joins the readers, then lets the batcher drain the
 //! remaining queue — every request that was fully received is executed
-//! and answered, then the engine is snapshotted and returned.  Nothing
-//! acked is lost; nothing is applied twice (the journal records each
-//! combined tick exactly once, before execution).
+//! and answered (a complete frame still sitting in a reader's buffer
+//! counts as received; a partial one is a torn frame), then the engine
+//! is snapshotted and returned.  Nothing acked is lost; nothing is
+//! applied twice (the journal records each combined tick exactly once,
+//! before execution).
 
 use crate::protocol::{
-    error_message, message, parse_message, read_frame, write_frame, FrameRead, ProtocolError,
-    DEFAULT_MAX_FRAME_BYTES, TAG_READ, TAG_READ_OUTCOME, TAG_SUBMIT, TAG_TICK_OUTCOME,
+    append_frame, error_message, message, parse_message, read_frame, FrameRead, ProtocolError,
+    DEFAULT_MAX_FRAME_BYTES, READ_BUF_BYTES, TAG_READ, TAG_READ_OUTCOME, TAG_SUBMIT,
+    TAG_TICK_OUTCOME,
 };
 use plis_engine::{
     decode_read_tick, decode_tick, encode_read_outcome, encode_tick, encode_tick_outcome, Engine,
@@ -55,7 +78,7 @@ use plis_engine::{
 use plis_telemetry::JournalWriter;
 use std::collections::{HashMap, VecDeque};
 use std::fs::File;
-use std::io::{self, BufWriter, Write};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -149,18 +172,53 @@ impl WorkItem {
 /// the batcher.  Send failures are remembered, not propagated: a peer
 /// that vanished mid-response must not take the batcher down.
 struct ConnWriter {
+    id: u64,
     stream: Mutex<TcpStream>,
     dead: AtomicBool,
 }
 
 impl ConnWriter {
-    fn send(&self, payload: &[u8]) {
+    /// Write whole frames with one `write_all` under the mutex, so two
+    /// writers' frames never interleave.
+    fn send_frames(&self, frames: &[u8]) {
         if self.dead.load(Ordering::Relaxed) {
             return;
         }
-        let mut stream = self.stream.lock().unwrap();
-        if write_frame(&mut *stream, payload).is_err() {
+        let mut stream = self.stream.lock().expect("a connection writer panicked mid-write");
+        if stream.write_all(frames).is_err() {
             self.dead.store(true, Ordering::Relaxed);
+        }
+    }
+
+    /// Write the connection's last frames and close it both ways, under
+    /// the mutex: no reply can follow them onto the wire.
+    fn close_with(&self, frames: &[u8]) {
+        let mut stream = self.stream.lock().expect("a connection writer panicked mid-write");
+        if !self.dead.swap(true, Ordering::Relaxed) {
+            let _ = stream.write_all(frames);
+        }
+        let _ = stream.shutdown(Shutdown::Both);
+    }
+}
+
+/// The reply frames one drained batch earned, one buffer per connection,
+/// each in queue order.
+#[derive(Default)]
+struct Outbox {
+    buffers: HashMap<u64, (Arc<ConnWriter>, Vec<u8>)>,
+}
+
+impl Outbox {
+    fn push(&mut self, to: &Arc<ConnWriter>, payload: &[u8]) {
+        let (_, frames) = self.buffers.entry(to.id).or_insert_with(|| (Arc::clone(to), Vec::new()));
+        append_frame(frames, payload);
+    }
+
+    /// One write per connection.  It may wait for a client that is busy
+    /// writing; see "Why buffering cannot deadlock" in the module docs.
+    fn send(self) {
+        for (conn, frames) in self.buffers.into_values() {
+            conn.send_frames(&frames);
         }
     }
 }
@@ -328,6 +386,7 @@ fn spawn_reader(
     stream.set_nonblocking(false)?;
     let _ = stream.set_nodelay(true);
     let writer = Arc::new(ConnWriter {
+        id: conn_id,
         stream: Mutex::new(stream.try_clone()?),
         dead: AtomicBool::new(false),
     });
@@ -347,37 +406,27 @@ fn spawn_reader(
 /// protocol.  Returns (and thereby closes the connection) on the first
 /// violation, after sending a typed error frame.
 fn reader_loop(stream: &TcpStream, writer: &Arc<ConnWriter>, shared: &Shared, max_frame: u32) {
-    let mut read_half = stream;
+    // The reader never waits for the batcher (the queue is unbounded):
+    // see "Why buffering cannot deadlock" in the module docs.
+    let mut reader = BufReader::with_capacity(READ_BUF_BYTES, stream);
     loop {
-        let payload = match read_frame(&mut read_half, max_frame) {
+        let payload = match read_frame(&mut reader, max_frame) {
             // Peer closed (cleanly or mid-frame): no protocol violation,
             // nothing to answer, nothing reached the engine.
             Ok(FrameRead::Closed) | Ok(FrameRead::Torn) => return,
-            Ok(FrameRead::Rejected(err)) => {
-                // Frame-level damage precedes the request id.
-                writer.send(&error_message(0, &err));
-                let _ = stream.shutdown(Shutdown::Both);
-                return;
-            }
+            // Frame-level damage precedes the request id.
+            Ok(FrameRead::Rejected(err)) => return reject(writer, 0, &err),
             Ok(FrameRead::Payload(payload)) => payload,
             Err(_) => return,
         };
         let msg = match parse_message(&payload) {
             Ok(msg) => msg,
-            Err(err) => {
-                writer.send(&error_message(0, &err));
-                let _ = stream.shutdown(Shutdown::Both);
-                return;
-            }
+            Err(err) => return reject(writer, 0, &err),
         };
         let request = match msg.tag {
             TAG_SUBMIT => decode_tick(msg.body).map(Request::Write),
             TAG_READ => decode_read_tick(msg.body).map(Request::Read),
-            other => {
-                writer.send(&error_message(msg.request_id, &ProtocolError::UnknownTag(other)));
-                let _ = stream.shutdown(Shutdown::Both);
-                return;
-            }
+            other => return reject(writer, msg.request_id, &ProtocolError::UnknownTag(other)),
         };
         match request {
             Ok(request) => shared.enqueue(WorkItem {
@@ -385,13 +434,17 @@ fn reader_loop(stream: &TcpStream, writer: &Arc<ConnWriter>, shared: &Shared, ma
                 request,
                 reply: Arc::clone(writer),
             }),
-            Err(e) => {
-                writer.send(&error_message(msg.request_id, &ProtocolError::BadPayload(e)));
-                let _ = stream.shutdown(Shutdown::Both);
-                return;
-            }
+            Err(e) => return reject(writer, msg.request_id, &ProtocolError::BadPayload(e)),
         }
     }
+}
+
+/// Answer a protocol violation with its typed error frame, then close the
+/// connection both ways.
+fn reject(writer: &ConnWriter, request_id: u64, error: &ProtocolError) {
+    let mut frame = Vec::new();
+    append_frame(&mut frame, &error_message(request_id, error));
+    writer.close_with(&frame);
 }
 
 fn batcher_loop(
@@ -465,44 +518,43 @@ fn collect_batch(shared: &Shared, config: &ServerConfig) -> Vec<WorkItem> {
 
 /// Execute one drained batch: coalesce compatible consecutive requests
 /// into combined ticks, journal each combined tick before running it,
-/// and route per-request outcome slices back to their connections.
-/// Returns the number of combined ticks executed.
+/// frame per-request outcome slices into their connections' buffers, and
+/// write each buffer once after the last run.  Returns the number of
+/// combined ticks executed.
 fn execute_batch(
     engine: &mut Engine,
     pool: Option<&rayon::ThreadPool>,
     mut journal: Option<&mut JournalWriter<JournalSink>>,
     batch: Vec<WorkItem>,
 ) -> usize {
+    let mut outbox = Outbox::default();
     let mut executed = 0usize;
     let mut items = batch.into_iter().peekable();
     while let Some(first) = items.next() {
-        match first.request {
-            Request::Write(_) => {
-                let creates = match &first.request {
-                    Request::Write(t) => t.creates_missing(),
-                    Request::Read(_) => unreachable!(),
-                };
-                let mut run = vec![first];
-                while matches!(
-                    items.peek(),
-                    Some(WorkItem { request: Request::Write(t), .. })
-                        if t.creates_missing() == creates
-                ) {
-                    run.push(items.next().unwrap());
-                }
-                execute_write_run(engine, pool, journal.as_deref_mut(), creates, run);
+        let key = run_key(&first.request);
+        let mut run = vec![first];
+        while let Some(item) = items.next_if(|item| run_key(&item.request) == key) {
+            run.push(item);
+        }
+        match key {
+            Some(creates) => {
+                execute_write_run(engine, pool, journal.as_deref_mut(), creates, run, &mut outbox)
             }
-            Request::Read(_) => {
-                let mut run = vec![first];
-                while matches!(items.peek(), Some(WorkItem { request: Request::Read(_), .. })) {
-                    run.push(items.next().unwrap());
-                }
-                execute_read_run(engine, pool, run);
-            }
+            None => execute_read_run(engine, pool, run, &mut outbox),
         }
         executed += 1;
     }
+    outbox.send();
     executed
+}
+
+/// Which combined tick a request may join: writes with writes of the same
+/// `create_missing` flag (`Some(flag)`), reads with reads (`None`).
+fn run_key(request: &Request) -> Option<bool> {
+    match request {
+        Request::Write(tick) => Some(tick.creates_missing()),
+        Request::Read(_) => None,
+    }
 }
 
 fn execute_write_run(
@@ -511,16 +563,15 @@ fn execute_write_run(
     journal: Option<&mut JournalWriter<JournalSink>>,
     creates_missing: bool,
     run: Vec<WorkItem>,
+    outbox: &mut Outbox,
 ) {
     let mut combined = if creates_missing { Tick::new().auto_create() } else { Tick::new() };
-    let mut ranges = Vec::with_capacity(run.len());
-    for item in &run {
-        let Request::Write(tick) = &item.request else { unreachable!("write run") };
-        let start = combined.slots().len();
-        for (id, op) in tick.slots() {
-            combined.push(id, op.clone());
-        }
-        ranges.push(start..combined.slots().len());
+    let mut routes = Vec::with_capacity(run.len());
+    for item in run {
+        let Request::Write(tick) = item.request else { unreachable!("write run") };
+        let start = combined.len();
+        combined.extend(tick.into_slots());
+        routes.push((item.request_id, item.reply, combined.len() - start));
     }
     if let Some(journal) = journal {
         // Before execution: the recovery contract replays journalled
@@ -532,37 +583,44 @@ fn execute_write_run(
         Some(pool) => pool.install(|| engine.execute(&combined)),
         None => engine.execute(&combined),
     };
-    for (item, range) in run.iter().zip(ranges) {
+    let mut results = outcome.outcomes.into_iter();
+    for (request_id, reply, slots) in routes {
         let part = TickOutcome::from_parts(
-            outcome.outcomes[range].to_vec(),
+            results.by_ref().take(slots).collect(),
             outcome.worker_threads,
             outcome.elapsed_ns,
         );
-        item.reply.send(&message(TAG_TICK_OUTCOME, item.request_id, &encode_tick_outcome(&part)));
+        outbox.push(&reply, &message(TAG_TICK_OUTCOME, request_id, &encode_tick_outcome(&part)));
     }
 }
 
-fn execute_read_run(engine: &mut Engine, pool: Option<&rayon::ThreadPool>, run: Vec<WorkItem>) {
+fn execute_read_run(
+    engine: &mut Engine,
+    pool: Option<&rayon::ThreadPool>,
+    run: Vec<WorkItem>,
+    outbox: &mut Outbox,
+) {
     let mut combined = ReadTick::new();
-    let mut ranges = Vec::with_capacity(run.len());
-    for item in &run {
-        let Request::Read(tick) = &item.request else { unreachable!("read run") };
-        let start = combined.slots().len();
-        for (id, batch) in tick.slots() {
-            combined.push(id, batch.clone());
+    let mut routes = Vec::with_capacity(run.len());
+    for item in run {
+        let Request::Read(tick) = item.request else { unreachable!("read run") };
+        let start = combined.len();
+        for (id, batch) in tick.into_slots() {
+            combined.push(id, batch);
         }
-        ranges.push(start..combined.slots().len());
+        routes.push((item.request_id, item.reply, combined.len() - start));
     }
     let outcome = match pool {
         Some(pool) => pool.install(|| engine.execute_read(&combined)),
         None => engine.execute_read(&combined),
     };
-    for (item, range) in run.iter().zip(ranges) {
+    let mut results = outcome.outcomes.into_iter();
+    for (request_id, reply, slots) in routes {
         let part = ReadOutcome::from_parts(
-            outcome.outcomes[range].to_vec(),
+            results.by_ref().take(slots).collect(),
             outcome.worker_threads,
             outcome.elapsed_ns,
         );
-        item.reply.send(&message(TAG_READ_OUTCOME, item.request_id, &encode_read_outcome(&part)));
+        outbox.push(&reply, &message(TAG_READ_OUTCOME, request_id, &encode_read_outcome(&part)));
     }
 }

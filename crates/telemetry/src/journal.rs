@@ -50,35 +50,65 @@ pub fn decode_frame_header(header: &[u8; FRAME_HEADER_BYTES]) -> (u32, u64) {
     (len, crc)
 }
 
-/// Nibble-at-a-time table for CRC-64/XZ (reflected polynomial
-/// `0xC96C_5795_D787_0F42`).  Sixteen entries keep the table in a cache
-/// line; the per-byte cost is two lookups.
-const CRC64_TABLE: [u64; 16] = {
+/// Slice-by-8 tables for CRC-64/XZ (reflected polynomial
+/// `0xC96C_5795_D787_0F42`), after Kounavis & Berry, *A Systematic
+/// Approach to Building High Performance Software-Based CRC Generators*
+/// (ISCC 2005).  `CRC64_TABLES[0]` is the classic byte-at-a-time table;
+/// `CRC64_TABLES[k][b]` is the CRC contribution of byte `b` followed by
+/// `k` zero bytes, so one 8-byte word folds in with eight independent
+/// lookups.  Built at compile time: 16 KiB of static data, no lazy init.
+static CRC64_TABLES: [[u64; 256]; 8] = {
     let poly: u64 = 0xC96C_5795_D787_0F42;
-    let mut table = [0u64; 16];
+    let mut tables = [[0u64; 256]; 8];
     let mut i = 0;
-    while i < 16 {
+    while i < 256 {
         let mut crc = i as u64;
         let mut bit = 0;
-        while bit < 4 {
+        while bit < 8 {
             crc = if crc & 1 == 1 { (crc >> 1) ^ poly } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// CRC-64/XZ of `bytes`.  Detects any single-bit or single-byte change and
 /// any error burst up to 64 bits, which is the property the snapshot and
 /// journal planes lean on: one flipped byte can never decode cleanly.
+///
+/// Slice-by-8: eight bytes per step through the `CRC64_TABLES`, then a
+/// byte-at-a-time tail.  The values are those of the textbook bitwise
+/// CRC-64/XZ, so journal records and snapshot containers written by any
+/// earlier build still verify.
 pub fn crc64(bytes: &[u8]) -> u64 {
+    let t = &CRC64_TABLES;
     let mut crc = !0u64;
-    for &b in bytes {
-        crc ^= b as u64;
-        crc = (crc >> 4) ^ CRC64_TABLE[(crc & 0xF) as usize];
-        crc = (crc >> 4) ^ CRC64_TABLE[(crc & 0xF) as usize];
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let x = crc ^ u64::from_le_bytes(word.try_into().expect("chunks_exact(8) yields 8 bytes"));
+        crc = t[7][(x & 0xFF) as usize]
+            ^ t[6][((x >> 8) & 0xFF) as usize]
+            ^ t[5][((x >> 16) & 0xFF) as usize]
+            ^ t[4][((x >> 24) & 0xFF) as usize]
+            ^ t[3][((x >> 32) & 0xFF) as usize]
+            ^ t[2][((x >> 40) & 0xFF) as usize]
+            ^ t[1][((x >> 48) & 0xFF) as usize]
+            ^ t[0][(x >> 56) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u64) & 0xFF) as usize];
     }
     !crc
 }
@@ -211,6 +241,58 @@ mod tests {
         // The standard check string for CRC-64/XZ.
         assert_eq!(crc64(b"123456789"), 0x995D_C9BB_DF19_39FA);
         assert_eq!(crc64(b""), 0);
+    }
+
+    /// CRC-64/XZ one bit at a time: the definition, with no tables.
+    fn crc64_bitwise(bytes: &[u8]) -> u64 {
+        let mut crc = !0u64;
+        for &b in bytes {
+            crc ^= b as u64;
+            for _ in 0..8 {
+                crc = if crc & 1 == 1 { (crc >> 1) ^ 0xC96C_5795_D787_0F42 } else { crc >> 1 };
+            }
+        }
+        !crc
+    }
+
+    fn noise(len: usize) -> Vec<u8> {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 32) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn crc64_equals_the_bitwise_reference_at_every_length_and_alignment() {
+        let buf = noise(4096);
+        // Every length across the word boundary and its byte tail.
+        for len in 0..=64 {
+            assert_eq!(crc64(&buf[..len]), crc64_bitwise(&buf[..len]), "length {len}");
+        }
+        // Unaligned sub-slices: every start offset within a word, lengths
+        // that leave every possible tail.
+        for offset in 0..8 {
+            for len in [1, 7, 8, 9, 63, 64, 65, 1000, 4096 - 8] {
+                let slice = &buf[offset..offset + len];
+                assert_eq!(crc64(slice), crc64_bitwise(slice), "offset {offset}, length {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn crc64_keeps_the_checksum_of_a_fixed_pattern() {
+        // The value the earlier nibble-table implementation gave this
+        // 1 KiB pattern.  Journal records and snapshot containers are
+        // sealed with `crc64`, so a change here would orphan every file
+        // already written.
+        let pattern: Vec<u8> =
+            (0..1024u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect();
+        assert_eq!(crc64(&pattern), 0xB9F6_6763_9BCC_3CAB);
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //!   atomic operations; snapshots merge associatively and answer
 //!   p50/p90/p99/max.
 //! * [`Counter`] — a relaxed [`AtomicU64`] event counter.
-//! * [`allocmeter`] — process-wide heap-allocation counters fed by a
-//!   counting global allocator (`plis-testalloc`), read by the engine's
-//!   allocations-per-element telemetry.
+//! * [`allocmeter`] — process-wide and per-thread heap-allocation
+//!   counters fed by a counting global allocator (`plis-testalloc`), read
+//!   by the engine's allocations-per-element telemetry and the
+//!   allocation-discipline tests.
 //! * [`TraceSink`] / [`MemorySink`] — a cloneable JSON-lines event writer
 //!   behind a shared handle, for per-tick trace events.
 //! * [`JournalWriter`] / [`read_journal`] — an append-only length-prefixed
@@ -38,7 +39,7 @@ mod journal;
 mod json;
 mod trace;
 
-pub use allocmeter::{alloc_tally, record_alloc, AllocTally};
+pub use allocmeter::{alloc_tally, record_alloc, thread_alloc_tally, AllocTally};
 pub use hist::{AtomicHistogram, HistogramSnapshot, BUCKETS};
 pub use journal::{
     crc64, decode_frame_header, encode_frame_header, read_journal, JournalContents, JournalCorrupt,
