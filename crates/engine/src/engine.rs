@@ -111,43 +111,6 @@ pub enum SessionKind {
     Weighted,
 }
 
-/// One batch of values, plain or weighted — the payload shape shared by
-/// [`Op::Append`] / [`Op::AppendWeighted`] and the legacy mixed ticks.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TickBatch {
-    /// Unweighted values.
-    Plain(Vec<u64>),
-    /// `(value, weight)` pairs.
-    Weighted(Vec<(u64, u64)>),
-}
-
-impl TickBatch {
-    /// Number of elements in the batch.
-    pub fn len(&self) -> usize {
-        match self {
-            TickBatch::Plain(b) => b.len(),
-            TickBatch::Weighted(b) => b.len(),
-        }
-    }
-
-    /// True when the batch holds no elements.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl From<Vec<u64>> for TickBatch {
-    fn from(b: Vec<u64>) -> Self {
-        TickBatch::Plain(b)
-    }
-}
-
-impl From<Vec<(u64, u64)>> for TickBatch {
-    fn from(b: Vec<(u64, u64)>) -> Self {
-        TickBatch::Weighted(b)
-    }
-}
-
 /// Borrowed view of one append batch (what the shard workers consume).
 #[derive(Debug, Clone, Copy)]
 enum BatchRef<'a> {
@@ -411,9 +374,9 @@ const INLINE_TICK_WEIGHT: usize = 256;
 
 /// Estimated work of one tick slot, in ingest-element units: appends
 /// charge their batch length, reads charge [`query_weight`], lifecycle
-/// ops charge 1.  A snapshot walks the session's whole maintained state
-/// (a certificate-weight read); a restore re-validates and rebuilds from
-/// the captured stream, so it charges the stream length.
+/// ops charge 1.  A snapshot copies the session's stream (a
+/// certificate-weight read); a restore re-ingests the captured stream, so
+/// it charges the stream length.
 fn op_weight(op: &OpRef<'_>) -> usize {
     match op {
         OpRef::Append(batch) => batch.len(),
@@ -772,7 +735,7 @@ impl Engine {
         self.weighted_session(id).map(WeightedStreamingLis::best_score)
     }
 
-    /// Snapshot one session's complete algorithmic state, if it exists.
+    /// Snapshot one session's ingested stream, if it exists.
     /// Convenience over [`Op::Snapshot`] for administrative callers
     /// outside a tick; use the op form when the checkpoint must be
     /// ordered against other traffic.
@@ -780,10 +743,11 @@ impl Engine {
         self.session_state(id).map(SessionSnapshot::capture)
     }
 
-    /// Restore a session from a snapshot under a fresh id.  Validates the
-    /// snapshot first and fails with a typed [`OpError`] — never a panic,
-    /// never a partially restored session — when the id is taken, the
-    /// universe disagrees, or the snapshot is internally inconsistent.
+    /// Restore a session from a snapshot under a fresh id by ingesting its
+    /// stream.  Validates the snapshot first and fails with a typed
+    /// [`OpError`] — never a panic, never a partially restored session —
+    /// when the id is taken, the universe disagrees, or the stream cannot
+    /// be ingested.
     /// Convenience over [`Op::Restore`] for administrative callers
     /// outside a tick.
     pub fn restore_session(

@@ -46,7 +46,8 @@
 //! * The **persistence plane** ([`snapshot`]) — versioned, checksummed
 //!   binary snapshots of session and engine state
 //!   ([`SessionSnapshot`] / [`EngineSnapshot`], hand-rolled codec, typed
-//!   [`SnapshotError`]s, never panics on foreign bytes), checkpoint ops
+//!   [`SnapshotError`]s, never panics on foreign bytes) that persist only
+//!   the ingested streams and restore by re-ingesting them, checkpoint ops
 //!   on the command plane ([`Op::Snapshot`] / [`Op::Restore`]) so
 //!   checkpoints are tick-ordered like every other command, and a tick
 //!   journal + replay driver ([`TickJournal`], [`replay_journal_from`])
@@ -58,10 +59,6 @@
 //!   [`Engine::metrics_snapshot`] as a typed [`MetricsSnapshot`], with an
 //!   optional JSON-lines trace sink ([`Engine::set_trace_sink`]).  Purely
 //!   observational: outcomes are bit-identical with telemetry on or off.
-//! * The **legacy surface** ([`legacy`]) — the historical tick entry
-//!   points (`ingest_tick` and friends), kept as one-line deprecated
-//!   wrappers over the executor, with a migration table in the module
-//!   docs.
 //!
 //! # Quick start
 //!
@@ -107,7 +104,6 @@
 
 pub mod cost;
 pub mod engine;
-pub mod legacy;
 pub mod metrics;
 pub mod op;
 pub mod query;
@@ -120,9 +116,7 @@ pub mod wire;
 pub mod wsession;
 
 pub use cost::{CostModel, PathPolicy};
-pub use engine::{
-    BatchReport, Engine, EngineConfig, SessionId, SessionKind, SessionState, TickBatch,
-};
+pub use engine::{BatchReport, Engine, EngineConfig, SessionId, SessionKind, SessionState};
 pub use metrics::{Metrics, MetricsSnapshot, TickDigest};
 pub use op::{Op, OpError, OpOutput, OpResult, ReadOutcome, ReadTick, Tick, TickOutcome};
 pub use plis_lis::DominantMaxKind;
@@ -138,6 +132,3 @@ pub use wire::{
     encode_read_tick, encode_tick, encode_tick_outcome,
 };
 pub use wsession::{WeightedIngestReport, WeightedStreamingLis};
-
-#[allow(deprecated)]
-pub use legacy::{MixedTickReport, OpReport, QueryTickReport, TickOp, TickReport};

@@ -1,13 +1,6 @@
 //! The engine's **command plane**: one typed submission API for every
 //! kind of traffic the engine serves.
 //!
-//! Historically the engine grew one entry point per feature —
-//! `ingest_tick`, `ingest_weighted_tick`, `ingest_tick_mixed`,
-//! `ingest_query_tick`, `query_tick`, each with its own report shape —
-//! and faults were handled inconsistently (a weighted batch aimed at an
-//! unweighted session panicked; an unknown session was silently
-//! skipped).  This module replaces all of that with a single vocabulary:
-//!
 //! * [`Op`] — one command: append a batch (plain or weighted), answer a
 //!   query batch, or an **explicit lifecycle step**
 //!   ([`Op::CreateSession`] / [`Op::RemoveSession`]), so session
@@ -28,12 +21,8 @@
 //!   [`OpError::UniverseOverflow`], [`OpError::UnknownSession`],
 //!   [`OpError::SessionExists`]) degrades *per op* instead of killing
 //!   the process or vanishing from the report.
-//!
-//! The legacy entry points survive as one-line deprecated wrappers over
-//! the executor (see [`crate::legacy`]); all in-repo traffic goes
-//! through [`Tick`] / [`ReadTick`].
 
-use crate::engine::{BatchReport, SessionId, SessionKind, TickBatch};
+use crate::engine::{BatchReport, SessionId, SessionKind};
 use crate::query::{Query, QueryBatch, QueryReport};
 use crate::snapshot::{SessionSnapshot, SnapshotError};
 
@@ -68,13 +57,15 @@ pub enum Op {
     /// tick addressed to this session and none after it.  Fails with
     /// [`OpError::UnknownSession`] if the id is not live.
     Snapshot,
-    /// Rebuild a session from a snapshot under this id (boxed: a snapshot
-    /// carries whole stream arrays and would otherwise dominate the size
-    /// of every `Op`).  Fails with [`OpError::SessionExists`] if the id is
-    /// already live, [`OpError::UniverseMismatch`] if the snapshot was
-    /// taken over a different universe, and
-    /// [`OpError::InvalidSnapshot`] if the snapshot state is internally
-    /// inconsistent; on any failure nothing is created.
+    /// Rebuild a session under this id by ingesting the snapshot's stream
+    /// (boxed: a snapshot carries a whole stream and would otherwise
+    /// dominate the size of every `Op`).  Fails with
+    /// [`OpError::SessionExists`] if the id is already live,
+    /// [`OpError::UniverseMismatch`] if the snapshot was taken over a
+    /// different universe, and [`OpError::InvalidSnapshot`] if its stream
+    /// could not be ingested (an empty universe, a value outside it, or an
+    /// unweighted stream too long to address); on any failure nothing is
+    /// created.
     Restore(Box<SessionSnapshot>),
 }
 
@@ -106,15 +97,6 @@ impl From<Vec<u64>> for Op {
 impl From<Vec<(u64, u64)>> for Op {
     fn from(batch: Vec<(u64, u64)>) -> Self {
         Op::AppendWeighted(batch)
-    }
-}
-
-impl From<TickBatch> for Op {
-    fn from(batch: TickBatch) -> Self {
-        match batch {
-            TickBatch::Plain(b) => Op::Append(b),
-            TickBatch::Weighted(b) => Op::AppendWeighted(b),
-        }
     }
 }
 
@@ -172,8 +154,8 @@ impl From<plis_workloads::streaming::ReadWriteOp<(u64, u64)>> for Op {
 /// By default the tick is **strict**: every op addressed to a session
 /// that does not exist fails with [`OpError::UnknownSession`], and
 /// sessions come into being only through [`Op::CreateSession`].
-/// [`Tick::auto_create`] restores the legacy convenience of appends
-/// creating their target on first contact (plain batches create the
+/// [`Tick::auto_create`] opts appends into creating their target on
+/// first contact (plain batches create the
 /// configured default kind, weighted batches create a weighted session);
 /// queries never create sessions under either policy.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -438,9 +420,9 @@ pub enum OpError {
         /// Universe the engine is configured with.
         universe: u64,
     },
-    /// [`Op::Restore`] offered a snapshot whose state is internally
-    /// inconsistent (hand-crafted or decoded from a damaged stream); the
-    /// embedded [`SnapshotError`] says how validation failed.  Nothing was
+    /// [`Op::Restore`] offered a snapshot built in code whose stream
+    /// cannot be ingested; the embedded [`SnapshotError`] names the check
+    /// of [`SessionSnapshot::validate`] that failed.  Nothing was
     /// restored.
     InvalidSnapshot(SnapshotError),
 }
@@ -474,8 +456,8 @@ impl std::error::Error for OpError {}
 pub type OpResult = Result<OpOutput, OpError>;
 
 /// What one [`Engine::execute`](crate::Engine::execute) call did: one
-/// [`OpResult`] per submitted op, in submission order, plus the
-/// aggregate counters every legacy report carried.
+/// [`OpResult`] per submitted op, in submission order, plus aggregate
+/// counters over them.
 ///
 /// # Equality is structural
 ///
@@ -776,7 +758,6 @@ mod tests {
         );
         let read: ReadWriteOp<u64> = ReadWriteOp::Read(vec![QuerySpec::TopK(2)]);
         assert_eq!(Op::from(read), Op::Query(Query::TopK(2).into()));
-        assert_eq!(Op::from(TickBatch::Plain(vec![1])), Op::Append(vec![1]));
         assert_eq!(Op::from(QueryBatch::from(Query::Certificate)).queries(), 1);
     }
 

@@ -129,31 +129,14 @@ pub enum QueryAnswer {
 
 /// What one [`QueryBatch`] returned, carried by
 /// [`OpOutput::Answered`](crate::OpOutput::Answered) and the read plane.
-///
-/// In the typed API a batch addressed to an absent session is an
-/// [`OpError::UnknownSession`](crate::OpError::UnknownSession), so `kind`
-/// is always present; [`QueryReport::missing`] survives for the legacy
-/// wrappers, which cannot express errors.
+/// A batch addressed to an absent session never gets a report: it fails
+/// with [`OpError::UnknownSession`](crate::OpError::UnknownSession).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryReport {
-    /// Kind of the session that answered, or `None` in the legacy
-    /// missing-session shape (`answers` is then empty).
-    pub kind: Option<SessionKind>,
+    /// Kind of the session that answered.
+    pub kind: SessionKind,
     /// One answer per query, in batch order.
     pub answers: Vec<QueryAnswer>,
-}
-
-impl QueryReport {
-    /// The legacy report for a query batch addressed to a session that
-    /// does not exist.
-    pub fn missing() -> Self {
-        QueryReport { kind: None, answers: Vec::new() }
-    }
-
-    /// True when the addressed session existed and answered.
-    pub fn answered(&self) -> bool {
-        self.kind.is_some()
-    }
 }
 
 impl SessionState {
@@ -187,7 +170,7 @@ impl SessionState {
     /// Answer a whole query batch, in batch order.
     pub fn answer_batch(&self, batch: &QueryBatch) -> QueryReport {
         QueryReport {
-            kind: Some(self.kind()),
+            kind: self.kind(),
             answers: batch.queries().iter().map(|&q| self.answer(q)).collect(),
         }
     }
@@ -237,10 +220,8 @@ mod tests {
         assert_eq!(batch.len(), 2);
         assert!(!batch.is_empty());
         let report = state.answer_batch(&batch);
-        assert_eq!(report.kind, Some(SessionKind::Unweighted));
-        assert!(report.answered());
+        assert_eq!(report.kind, SessionKind::Unweighted);
         assert_eq!(report.answers[0], QueryAnswer::Count(1));
         assert_eq!(report.answers[1], QueryAnswer::Rank(Some(1)));
-        assert!(!QueryReport::missing().answered());
     }
 }

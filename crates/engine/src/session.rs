@@ -302,49 +302,6 @@ impl<S: TailSet> StreamingLisOn<S> {
         }
     }
 
-    /// Rebuild a session from snapshot state: the captured stream, ranks
-    /// and tails, plus a freshly constructed store.  The rank index is
-    /// replayed from the rank array (pushing in arrival order reproduces
-    /// the exact frontier layout both ingest paths build), and the store
-    /// mirrors the tails via its bulk [`TailSet::import`].  The caller
-    /// (the snapshot codec) has already validated that `ranks`/`tails` are
-    /// exactly what ingesting `values` produces; this constructor assumes
-    /// it and does no checking of its own.
-    pub(crate) fn from_restored(
-        universe: u64,
-        values: Vec<u64>,
-        ranks: Vec<u32>,
-        tails: Vec<u64>,
-        mut store: S,
-        policy: PathPolicy,
-    ) -> Self {
-        assert!(universe > 0, "universe must be non-empty");
-        let mut by_rank = RankIndex::new();
-        by_rank.reserve(values.len(), tails.len());
-        for (i, &r) in ranks.iter().enumerate() {
-            by_rank.push((r - 1) as usize, i as u32);
-        }
-        store.import(&tails);
-        StreamingLisOn {
-            values,
-            ranks,
-            tails,
-            by_rank,
-            scratch: ScratchArena::default(),
-            store,
-            universe,
-            policy,
-        }
-    }
-
-    /// Append the current tails in increasing order to a caller-owned
-    /// buffer, extracted through the tail-set mirror's bulk export
-    /// ([`TailSet::export_into`]) — the vEB backend walks its structure
-    /// directly instead of materialising a fresh vector per key.
-    pub fn export_tails_into(&self, out: &mut Vec<u64>) {
-        self.store.export_into(&self.tails, out);
-    }
-
     /// Force a fixed batch-size threshold for the parallel merge path —
     /// shorthand for [`PathPolicy::Fixed`] (mainly for tests, benchmarks,
     /// and reproducing the historical behaviour).

@@ -20,47 +20,49 @@
 //! on foreign bytes.
 //!
 //! Inside a payload, integers are fixed-width little-endian and every
-//! array is length-prefixed with a `u64`.  A session payload is
+//! array is length-prefixed with a `u64`.  A session payload is the
+//! ingested stream and nothing else:
 //!
 //! ```text
-//! [session kind: u8]
-//! kind 0 (unweighted): [universe: u64][values][ranks (u32)][tails]
-//! kind 1 (weighted):   [universe: u64][values][weights][scores][frontier pairs]
+//! kind 0 (unweighted): [0][universe: u64][values]
+//! kind 1 (weighted):   [1][universe: u64][(value, weight) pairs]
 //! ```
 //!
-//! # Validation: decode implies restorable
+//! # Restore is ingest
 //!
-//! [`SessionSnapshot::decode`] (and [`SessionSnapshot::validate`], which
-//! the restore paths also run on programmatically built snapshots)
-//! re-derives the summary state from the captured stream — a sequential
-//! patience pass for ranks/tails, a sequential Algorithm-2 pass for
-//! scores/frontier — and rejects any disagreement.  A snapshot that
-//! decodes is therefore *exactly* the state ingesting its stream would
-//! produce, so restore can rebuild the derived structures (rank index,
-//! tail-set mirror, score multiplicities) without re-checking anything,
-//! and no later query can trip an internal invariant.  Restore is
-//! all-or-nothing: a rejected snapshot creates no session.
+//! Everything a session holds past its input — the dp values (ranks, or
+//! the weighted scores of Equation 2), the patience tails, the Pareto
+//! frontier and the indexes over them — is a pure function of the
+//! ingested stream.  So a snapshot persists the stream, and restore
+//! re-ingests it: one ingest on the sequential path into a session built
+//! from the engine's configured backend or dominant-max store.  Derived
+//! state is rebuilt, never stored, so there is nothing to forge and
+//! nothing to cross-check.  [`SessionSnapshot::validate`] keeps only the
+//! checks that stop that ingest from panicking on outside input: a
+//! non-empty universe, every value inside it, and at most `u32::MAX`
+//! elements in an unweighted stream.  Decode runs it, and the restore
+//! paths run it again on snapshots built in code, so a snapshot that
+//! decodes restores.  Restore is all-or-nothing: a rejected snapshot
+//! creates no session.
 //!
 //! # Snapshot + journal ≡ never stopped
 //!
 //! The engine is deterministic tick-for-tick (the `determinism.rs` layer
-//! pins this), so the recovery contract is compositional: a snapshot
-//! captures the complete algorithmic state of its sessions (values, ranks,
-//! tails / weights, scores, frontier — everything ingest reads), and
-//! replaying the journal suffix from that state applies the exact same
-//! per-session op sequences the uninterrupted engine saw.  The
-//! `snapshot_replay.rs` differential suite asserts the resulting outcomes,
-//! answers and certificates are bit-identical.
+//! pins this), and ingest is exact under any batching (the streaming
+//! correctness argument in `DESIGN.md`), so one sequential ingest of the
+//! captured stream reaches exactly the state the live session reached
+//! batch by batch.  Replaying the journal suffix from that state applies
+//! the exact same per-session op sequences the uninterrupted engine saw;
+//! the `snapshot_replay.rs` differential suite asserts the resulting
+//! outcomes, answers and certificates are bit-identical.
 
 use crate::engine::{Engine, EngineConfig, SessionKind, SessionState};
 use crate::op::{OpError, Tick, TickOutcome};
-use crate::session::StreamingLisOn;
+use crate::session::StreamingLis;
 use crate::wire::{
-    open, put_pairs, put_str, put_u32s, put_u64, put_u64s, seal, Reader, PAYLOAD_ENGINE,
-    PAYLOAD_SESSION,
+    open, put_pairs, put_str, put_u64, put_u64s, seal, Reader, PAYLOAD_ENGINE, PAYLOAD_SESSION,
 };
 use crate::wsession::WeightedStreamingLis;
-use plis_lis::DominantMaxKind;
 use plis_telemetry::{read_journal, JournalTail, JournalWriter};
 use std::io::{self, Write};
 
@@ -105,11 +107,9 @@ impl std::error::Error for SnapshotError {}
 // ---------------------------------------------------------------------------
 // Session snapshots.
 
-/// Point-in-time state of one session — everything its ingest and query
-/// paths read.  Derived structures (the flat rank index, the tail-set
-/// mirror, the score-multiplicity map) are *not* stored: they are pure
-/// functions of the fields here and are rebuilt on restore, which keeps
-/// the format small and the validation story airtight.
+/// Point-in-time state of one session: its universe and the stream it
+/// ingested.  Everything else a live session holds is a pure function of
+/// these and is rebuilt on restore by ingesting the stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SessionSnapshot {
     /// An unweighted (plain LIS) session.
@@ -118,48 +118,26 @@ pub enum SessionSnapshot {
         universe: u64,
         /// Every ingested value, in arrival order.
         values: Vec<u64>,
-        /// Exact per-element ranks (dp values), final on ingest.
-        ranks: Vec<u32>,
-        /// The patience tails, extracted through the tail-set mirror's
-        /// bulk export (strictly increasing).
-        tails: Vec<u64>,
     },
     /// A weighted (Algorithm-2) session.
     Weighted {
         /// Value universe the session runs over.
         universe: u64,
-        /// Every ingested value, in arrival order.
-        values: Vec<u64>,
-        /// Every ingested weight, in arrival order.
-        weights: Vec<u64>,
-        /// Exact per-element dp scores, final on ingest.
-        scores: Vec<u64>,
-        /// The Pareto frontier of `(value, score)` pairs (strictly
-        /// increasing in both coordinates).
-        frontier: Vec<(u64, u64)>,
+        /// Every ingested `(value, weight)` pair, in arrival order.
+        pairs: Vec<(u64, u64)>,
     },
 }
 
 impl SessionSnapshot {
-    /// Capture the complete algorithmic state of a live session.
+    /// Capture the ingested stream of a live session.
     pub fn capture(state: &SessionState) -> SessionSnapshot {
         match state {
             SessionState::Unweighted(s) => {
-                let mut tails = Vec::new();
-                s.export_tails_into(&mut tails);
-                SessionSnapshot::Unweighted {
-                    universe: s.universe(),
-                    values: s.values().to_vec(),
-                    ranks: s.ranks().to_vec(),
-                    tails,
-                }
+                SessionSnapshot::Unweighted { universe: s.universe(), values: s.values().to_vec() }
             }
             SessionState::Weighted(s) => SessionSnapshot::Weighted {
                 universe: s.universe(),
-                values: s.values().to_vec(),
-                weights: s.weights().to_vec(),
-                scores: s.scores().to_vec(),
-                frontier: s.frontier().to_vec(),
+                pairs: s.values().iter().copied().zip(s.weights().iter().copied()).collect(),
             },
         }
     }
@@ -183,8 +161,8 @@ impl SessionSnapshot {
     /// Number of stream elements the snapshot holds.
     pub fn len(&self) -> usize {
         match self {
-            SessionSnapshot::Unweighted { values, .. }
-            | SessionSnapshot::Weighted { values, .. } => values.len(),
+            SessionSnapshot::Unweighted { values, .. } => values.len(),
+            SessionSnapshot::Weighted { pairs, .. } => pairs.len(),
         }
     }
 
@@ -202,10 +180,9 @@ impl SessionSnapshot {
 
     /// Decode a sealed byte stream produced by [`SessionSnapshot::encode`].
     ///
-    /// Never panics: framing damage, version skew and semantic
-    /// inconsistencies all come back as typed [`SnapshotError`]s, and a
-    /// snapshot that decodes is guaranteed restorable (see the module
-    /// docs).
+    /// Never panics: framing damage, version skew and out-of-range
+    /// streams all come back as typed [`SnapshotError`]s, and a snapshot
+    /// that decodes is guaranteed restorable (see the module docs).
     pub fn decode(bytes: &[u8]) -> Result<SessionSnapshot, SnapshotError> {
         let mut r = Reader::new(open(bytes, PAYLOAD_SESSION)?);
         let snapshot = SessionSnapshot::decode_payload(&mut r)?;
@@ -217,20 +194,15 @@ impl SessionSnapshot {
     /// inside engine snapshots, tick records and outcome frames.
     pub(crate) fn encode_payload(&self, out: &mut Vec<u8>) {
         match self {
-            SessionSnapshot::Unweighted { universe, values, ranks, tails } => {
+            SessionSnapshot::Unweighted { universe, values } => {
                 out.push(0);
                 put_u64(out, *universe);
                 put_u64s(out, values);
-                put_u32s(out, ranks);
-                put_u64s(out, tails);
             }
-            SessionSnapshot::Weighted { universe, values, weights, scores, frontier } => {
+            SessionSnapshot::Weighted { universe, pairs } => {
                 out.push(1);
                 put_u64(out, *universe);
-                put_u64s(out, values);
-                put_u64s(out, weights);
-                put_u64s(out, scores);
-                put_pairs(out, frontier);
+                put_pairs(out, pairs);
             }
         }
     }
@@ -238,45 +210,48 @@ impl SessionSnapshot {
     /// Read one session payload (validated) from `r`.
     pub(crate) fn decode_payload(r: &mut Reader<'_>) -> Result<SessionSnapshot, SnapshotError> {
         let snapshot = match r.u8()? {
-            0 => SessionSnapshot::Unweighted {
-                universe: r.u64()?,
-                values: r.u64s()?,
-                ranks: r.u32s()?,
-                tails: r.u64s()?,
-            },
-            1 => SessionSnapshot::Weighted {
-                universe: r.u64()?,
-                values: r.u64s()?,
-                weights: r.u64s()?,
-                scores: r.u64s()?,
-                frontier: r.pairs()?,
-            },
+            0 => SessionSnapshot::Unweighted { universe: r.u64()?, values: r.u64s()? },
+            1 => SessionSnapshot::Weighted { universe: r.u64()?, pairs: r.pairs()? },
             _ => return Err(SnapshotError::Malformed("unknown session kind byte")),
         };
         snapshot.validate()?;
         Ok(snapshot)
     }
 
-    /// Check that the snapshot is internally consistent — i.e. that the
-    /// summary state (ranks/tails or scores/frontier) is exactly what
-    /// ingesting the captured stream produces.  [`SessionSnapshot::decode`]
-    /// runs this on every decode, and the restore paths run it again on
-    /// snapshots handed to them directly, so a hand-crafted inconsistent
-    /// snapshot is rejected instead of poisoning a session.
+    /// Check that ingesting the captured stream cannot panic: the
+    /// universe is non-empty, every value lies inside it, and an
+    /// unweighted stream fits the rank index's 32-bit element addressing.
+    /// [`SessionSnapshot::decode`] runs this on every decode, and the
+    /// restore paths run it again on snapshots handed to them directly.
     pub fn validate(&self) -> Result<(), SnapshotError> {
-        match self {
-            SessionSnapshot::Unweighted { universe, values, ranks, tails } => {
-                validate_unweighted(*universe, values, ranks, tails)
-            }
-            SessionSnapshot::Weighted { universe, values, weights, scores, frontier } => {
-                validate_weighted(*universe, values, weights, scores, frontier)
-            }
+        let universe = self.universe();
+        if universe == 0 {
+            return Err(SnapshotError::Malformed("universe must be non-empty"));
         }
+        let inside = match self {
+            SessionSnapshot::Unweighted { values, .. } => {
+                if values.len() > u32::MAX as usize {
+                    return Err(SnapshotError::Malformed("stream exceeds u32 element addressing"));
+                }
+                values.iter().all(|&v| v < universe)
+            }
+            SessionSnapshot::Weighted { pairs, .. } => pairs.iter().all(|&(v, _)| v < universe),
+        };
+        if !inside {
+            return Err(SnapshotError::Malformed("value outside the universe"));
+        }
+        Ok(())
     }
 
-    /// Build the live session state this snapshot describes, using the
-    /// engine's configured backend / dominant-max store / path policy for
-    /// the rebuilt derived structures.  Validates first; all-or-nothing.
+    /// Build the live session this snapshot describes by ingesting its
+    /// stream into a session built from the engine's configured backend /
+    /// dominant-max store.  Validates first; all-or-nothing.
+    ///
+    /// The one ingest is forced onto the sequential path: the parallel
+    /// merge would size the session's scratch arena to the whole stream,
+    /// and the sequential path keeps restore independent of the cost
+    /// model.  The configured path policy is set afterwards, for the
+    /// traffic that follows.
     pub(crate) fn restore_state(&self, config: &EngineConfig) -> Result<SessionState, OpError> {
         if self.universe() != config.universe {
             return Err(OpError::UniverseMismatch {
@@ -286,98 +261,20 @@ impl SessionSnapshot {
         }
         self.validate().map_err(OpError::InvalidSnapshot)?;
         Ok(match self {
-            SessionSnapshot::Unweighted { universe, values, ranks, tails } => {
-                SessionState::Unweighted(StreamingLisOn::from_restored(
-                    *universe,
-                    values.clone(),
-                    ranks.clone(),
-                    tails.clone(),
-                    config.backend.store(*universe),
-                    config.path_policy,
-                ))
+            SessionSnapshot::Unweighted { universe, values } => {
+                let mut s =
+                    StreamingLis::new(*universe, config.backend).with_par_threshold(usize::MAX);
+                s.ingest(values);
+                SessionState::Unweighted(s.with_path_policy(config.path_policy))
             }
-            SessionSnapshot::Weighted { universe, values, weights, scores, frontier } => {
-                SessionState::Weighted(WeightedStreamingLis::from_restored(
-                    *universe,
-                    values.clone(),
-                    weights.clone(),
-                    scores.clone(),
-                    frontier.clone(),
-                    config.dommax,
-                    config.path_policy,
-                ))
+            SessionSnapshot::Weighted { universe, pairs } => {
+                let mut s = WeightedStreamingLis::new(*universe, config.dommax)
+                    .with_par_threshold(usize::MAX);
+                s.ingest(pairs);
+                SessionState::Weighted(s.with_path_policy(config.path_policy))
             }
         })
     }
-}
-
-/// Re-run the sequential patience pass over `values` and require `ranks`
-/// and `tails` to match it exactly.
-fn validate_unweighted(
-    universe: u64,
-    values: &[u64],
-    ranks: &[u32],
-    tails: &[u64],
-) -> Result<(), SnapshotError> {
-    if universe == 0 {
-        return Err(SnapshotError::Malformed("universe must be non-empty"));
-    }
-    if values.len() != ranks.len() {
-        return Err(SnapshotError::Malformed("values and ranks differ in length"));
-    }
-    if values.len() > u32::MAX as usize {
-        return Err(SnapshotError::Malformed("stream exceeds u32 element addressing"));
-    }
-    if values.iter().any(|&v| v >= universe) {
-        return Err(SnapshotError::Malformed("value outside the universe"));
-    }
-    let mut t: Vec<u64> = Vec::with_capacity(tails.len());
-    for (&v, &r) in values.iter().zip(ranks) {
-        let pos = t.partition_point(|&x| x < v);
-        if r as usize != pos + 1 {
-            return Err(SnapshotError::Malformed("ranks inconsistent with the value stream"));
-        }
-        if pos == t.len() {
-            t.push(v);
-        } else if v < t[pos] {
-            t[pos] = v;
-        }
-    }
-    if t != tails {
-        return Err(SnapshotError::Malformed("tails inconsistent with the value stream"));
-    }
-    Ok(())
-}
-
-/// Re-run the sequential Algorithm-2 pass over the stream and require
-/// `scores` and `frontier` to match it exactly.
-fn validate_weighted(
-    universe: u64,
-    values: &[u64],
-    weights: &[u64],
-    scores: &[u64],
-    frontier: &[(u64, u64)],
-) -> Result<(), SnapshotError> {
-    if universe == 0 {
-        return Err(SnapshotError::Malformed("universe must be non-empty"));
-    }
-    if values.len() != weights.len() || values.len() != scores.len() {
-        return Err(SnapshotError::Malformed("values, weights and scores differ in length"));
-    }
-    if values.iter().any(|&v| v >= universe) {
-        return Err(SnapshotError::Malformed("value outside the universe"));
-    }
-    let mut probe =
-        WeightedStreamingLis::new(universe, DominantMaxKind::Auto).with_par_threshold(usize::MAX);
-    let pairs: Vec<(u64, u64)> = values.iter().zip(weights).map(|(&v, &w)| (v, w)).collect();
-    probe.ingest(&pairs);
-    if probe.scores() != scores {
-        return Err(SnapshotError::Malformed("scores inconsistent with the stream"));
-    }
-    if probe.frontier() != frontier {
-        return Err(SnapshotError::Malformed("frontier inconsistent with the stream"));
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -598,11 +495,11 @@ mod tests {
     fn validate_rejects_inconsistent_state() {
         let engine = warm_engine();
         let snapshot = engine.snapshot_session("plain").unwrap();
-        let SessionSnapshot::Unweighted { universe, values, mut ranks, tails } = snapshot else {
+        let SessionSnapshot::Unweighted { universe, mut values } = snapshot else {
             panic!("plain session must snapshot unweighted");
         };
-        ranks[0] = 3;
-        let forged = SessionSnapshot::Unweighted { universe, values, ranks, tails };
+        values[0] = universe;
+        let forged = SessionSnapshot::Unweighted { universe, values };
         assert!(matches!(forged.validate(), Err(SnapshotError::Malformed(_))));
         // And the restore paths reject it instead of building a session.
         let mut target = Engine::new(config());

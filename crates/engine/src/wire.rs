@@ -23,9 +23,10 @@
 //! [`SnapshotError`]; nothing in this module panics on foreign bytes.
 //! Payload kinds: `0` = one session, `1` = a whole engine, `2` = one tick,
 //! `3` = one read tick, `4` = one tick outcome, `5` = one read outcome.
-//! The version byte is bumped on any layout change; old readers reject new
-//! artifacts with [`SnapshotError::UnsupportedVersion`] instead of
-//! misparsing them.
+//! The version byte is bumped on any layout change, and a reader accepts
+//! exactly its own version: artifacts of any other version, older or
+//! newer, fail with [`SnapshotError::UnsupportedVersion`] instead of being
+//! misparsed.  There is no migration arm.
 //!
 //! Inside a payload, integers are fixed-width little-endian and every
 //! array is length-prefixed with a `u64`.  Outcome payloads carry every
@@ -48,7 +49,7 @@ use plis_telemetry::crc64;
 pub(crate) const MAGIC: &[u8; 8] = b"PLISSNAP";
 
 /// Current format version; bumped on any layout change.
-pub const FORMAT_VERSION: u8 = 1;
+pub const FORMAT_VERSION: u8 = 2;
 
 /// Sealed-container header length: magic + version + payload kind + CRC.
 pub(crate) const HEADER_LEN: usize = 8 + 1 + 1 + 8;
@@ -81,13 +82,6 @@ pub(crate) fn put_u64s(out: &mut Vec<u8>, xs: &[u64]) {
     put_u64(out, xs.len() as u64);
     for &x in xs {
         put_u64(out, x);
-    }
-}
-
-pub(crate) fn put_u32s(out: &mut Vec<u8>, xs: &[u32]) {
-    put_u64(out, xs.len() as u64);
-    for &x in xs {
-        put_u32(out, x);
     }
 }
 
@@ -169,11 +163,6 @@ impl<'a> Reader<'a> {
     pub(crate) fn u64s(&mut self) -> Result<Vec<u64>, SnapshotError> {
         let n = self.len(8)?;
         (0..n).map(|_| self.u64()).collect()
-    }
-
-    pub(crate) fn u32s(&mut self) -> Result<Vec<u32>, SnapshotError> {
-        let n = self.len(4)?;
-        (0..n).map(|_| self.u32()).collect()
     }
 
     pub(crate) fn pairs(&mut self) -> Result<Vec<(u64, u64)>, SnapshotError> {
@@ -394,33 +383,17 @@ fn decode_op(r: &mut Reader<'_>) -> Result<Op, SnapshotError> {
 // ---------------------------------------------------------------------------
 // The outcome codec.
 
-/// The closed set of [`SnapshotError::Malformed`] messages this build can
-/// produce, in a fixed order the wire codec indexes into.  `&'static str`
-/// cannot round-trip arbitrary remote strings, so the codec ships a table
-/// index instead; an index from a build with more messages decodes to
+/// The closed set of [`SnapshotError::Malformed`] messages an
+/// [`OpError::InvalidSnapshot`] can carry: those of
+/// [`SessionSnapshot::validate`], the error's only source, in a fixed
+/// order the wire codec indexes into.  `&'static str` cannot round-trip
+/// arbitrary remote strings, so the codec ships a table index instead; any
+/// other message, such as one from a build with more checks, decodes to
 /// [`UNKNOWN_MALFORMED`] rather than failing.
 const MALFORMED_MESSAGES: &[&str] = &[
-    "create_missing must be 0 or 1",
-    "flag byte must be 0 or 1",
-    "frontier inconsistent with the stream",
-    "rank-of index overflow",
-    "ranks inconsistent with the value stream",
-    "scores inconsistent with the stream",
-    "sealed payload is of a different kind",
-    "session id is not valid UTF-8",
-    "session ids must be sorted and unique",
-    "session universe differs from the engine universe",
     "stream exceeds u32 element addressing",
-    "tails inconsistent with the value stream",
-    "top-k overflow",
     "universe must be non-empty",
-    "unknown op tag",
-    "unknown query tag",
-    "unknown session kind byte",
-    "usize overflow",
     "value outside the universe",
-    "values and ranks differ in length",
-    "values, weights and scores differ in length",
 ];
 
 /// What a [`SnapshotError::Malformed`] message outside
@@ -593,11 +566,7 @@ fn decode_batch_report(r: &mut Reader<'_>) -> Result<BatchReport, SnapshotError>
 }
 
 fn encode_query_report(out: &mut Vec<u8>, report: &QueryReport) {
-    out.push(match report.kind {
-        None => 0,
-        Some(SessionKind::Unweighted) => 1,
-        Some(SessionKind::Weighted) => 2,
-    });
+    encode_kind(out, report.kind);
     put_u64(out, report.answers.len() as u64);
     for answer in &report.answers {
         match answer {
@@ -636,12 +605,7 @@ fn encode_query_report(out: &mut Vec<u8>, report: &QueryReport) {
 }
 
 fn decode_query_report(r: &mut Reader<'_>) -> Result<QueryReport, SnapshotError> {
-    let kind = match r.u8()? {
-        0 => None,
-        1 => Some(SessionKind::Unweighted),
-        2 => Some(SessionKind::Weighted),
-        _ => return Err(SnapshotError::Malformed("unknown session kind byte")),
-    };
+    let kind = decode_kind(r)?;
     let n = r.len(1)?;
     let mut answers = Vec::with_capacity(n);
     for _ in 0..n {
@@ -860,35 +824,47 @@ mod tests {
 
     #[test]
     fn invalid_snapshot_errors_round_trip_through_the_message_table() {
-        for inner in [
-            SnapshotError::Truncated,
-            SnapshotError::BadMagic,
-            SnapshotError::UnsupportedVersion(9),
-            SnapshotError::ChecksumMismatch,
-            SnapshotError::Malformed("ranks inconsistent with the value stream"),
-            SnapshotError::TrailingBytes,
-        ] {
+        let through_a_frame = |inner: SnapshotError| {
             let outcome = TickOutcome::from_parts(
                 vec![(SessionId::from("s"), Err(OpError::InvalidSnapshot(inner)))],
                 1,
                 0,
             );
             let decoded = decode_tick_outcome(&encode_tick_outcome(&outcome)).unwrap();
-            assert_eq!(decoded.outcomes, outcome.outcomes, "{inner:?}");
+            decoded.outcomes[0].1.clone()
+        };
+        for inner in [
+            SnapshotError::Truncated,
+            SnapshotError::BadMagic,
+            SnapshotError::UnsupportedVersion(9),
+            SnapshotError::ChecksumMismatch,
+            SnapshotError::Malformed("value outside the universe"),
+            SnapshotError::TrailingBytes,
+        ] {
+            assert_eq!(through_a_frame(inner), Err(OpError::InvalidSnapshot(inner)), "{inner:?}");
+        }
+        // Every table entry decodes to itself, never to the stand-in.
+        for &msg in MALFORMED_MESSAGES {
+            let inner = SnapshotError::Malformed(msg);
+            assert_eq!(through_a_frame(inner), Err(OpError::InvalidSnapshot(inner)), "{msg}");
+        }
+        // The table covers what `validate` returns.
+        for snapshot in [
+            SessionSnapshot::Unweighted { universe: 0, values: Vec::new() },
+            SessionSnapshot::Unweighted { universe: 8, values: vec![3, 8] },
+            SessionSnapshot::Weighted { universe: 8, pairs: vec![(9, 1)] },
+        ] {
+            match snapshot.validate() {
+                Err(SnapshotError::Malformed(msg)) => {
+                    assert!(MALFORMED_MESSAGES.contains(&msg), "{msg:?} missing from the table")
+                }
+                other => panic!("{snapshot:?} validated to {other:?}"),
+            }
         }
         // A message outside the table decodes to the forward-compat
         // stand-in instead of failing.
-        let alien = TickOutcome::from_parts(
-            vec![(
-                SessionId::from("s"),
-                Err(OpError::InvalidSnapshot(SnapshotError::Malformed("from the future"))),
-            )],
-            1,
-            0,
-        );
-        let decoded = decode_tick_outcome(&encode_tick_outcome(&alien)).unwrap();
         assert_eq!(
-            decoded.outcomes[0].1,
+            through_a_frame(SnapshotError::Malformed("from the future")),
             Err(OpError::InvalidSnapshot(SnapshotError::Malformed(UNKNOWN_MALFORMED)))
         );
     }

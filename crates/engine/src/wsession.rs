@@ -215,39 +215,6 @@ impl WeightedStreamingLis {
         }
     }
 
-    /// Rebuild a session from snapshot state: the captured stream, dp
-    /// scores and Pareto frontier.  The score-multiplicity map is recounted
-    /// from the score array (it is a pure function of it).  The caller
-    /// (the snapshot codec) has already validated that `scores`/`frontier`
-    /// are exactly what ingesting the stream produces; this constructor
-    /// assumes it and does no checking of its own.
-    pub(crate) fn from_restored(
-        universe: u64,
-        values: Vec<u64>,
-        weights: Vec<u64>,
-        scores: Vec<u64>,
-        frontier: Vec<(u64, u64)>,
-        kind: DominantMaxKind,
-        policy: PathPolicy,
-    ) -> Self {
-        assert!(universe > 0, "universe must be non-empty");
-        let mut score_counts = HashMap::with_capacity(scores.len());
-        for &s in &scores {
-            *score_counts.entry(s).or_default() += 1;
-        }
-        WeightedStreamingLis {
-            values,
-            weights,
-            scores,
-            frontier,
-            score_counts,
-            kind,
-            scratch: WScratchArena::default(),
-            universe,
-            policy,
-        }
-    }
-
     /// Force a fixed batch-size threshold for the parallel merge path —
     /// shorthand for [`PathPolicy::Fixed`] (mainly for tests, benchmarks,
     /// and reproducing the historical behaviour).

@@ -148,7 +148,7 @@ fn run_plain_checked(
                     ReadWriteOp::Read(specs) => {
                         let want = plain_oracle(prefix, specs);
                         let answered = got.as_answered().expect("read slot must report answers");
-                        assert_eq!(answered.kind, Some(SessionKind::Unweighted));
+                        assert_eq!(answered.kind, SessionKind::Unweighted);
                         assert_eq!(
                             answered.answers, want,
                             "session {id} diverged from the offline oracle ({threads} threads)"
@@ -193,7 +193,7 @@ fn run_weighted_checked(
                     ReadWriteOp::Read(specs) => {
                         let want = weighted_oracle(prefix, specs, dommax);
                         let answered = got.as_answered().expect("read slot must report answers");
-                        assert_eq!(answered.kind, Some(SessionKind::Weighted));
+                        assert_eq!(answered.kind, SessionKind::Weighted);
                         assert_eq!(
                             answered.answers, want,
                             "session {id} diverged from the offline oracle ({threads} threads)"

@@ -5,6 +5,9 @@
 //! differential: an engine fed invalid restore ops in between valid
 //! traffic ends in exactly the state of an engine that never saw them.
 
+mod common;
+
+use plis_engine::snapshot::FORMAT_VERSION;
 use plis_engine::{
     decode_read_outcome, decode_read_tick, decode_tick, decode_tick_outcome, encode_read_outcome,
     encode_read_tick, encode_tick, encode_tick_outcome, Engine, EngineConfig, EngineSnapshot,
@@ -218,6 +221,9 @@ fn header_damage_maps_to_the_right_variants() {
     let mut future = bytes.clone();
     future[8] = 200;
     assert_eq!(SessionSnapshot::decode(&future), Err(SnapshotError::UnsupportedVersion(200)));
+    let mut v1 = bytes.clone();
+    v1[8] = 1;
+    assert_eq!(SessionSnapshot::decode(&v1), Err(SnapshotError::UnsupportedVersion(1)));
     let mut flipped = bytes.clone();
     let last = flipped.len() - 1;
     flipped[last] ^= 1;
@@ -237,58 +243,65 @@ fn header_damage_maps_to_the_right_variants() {
     assert!(SessionSnapshot::decode(&engine_bytes).is_err());
 }
 
-/// Forged snapshots — structurally well-formed but semantically wrong —
-/// are rejected by validation, through decode and through restore alike.
+/// The format is the stream and nothing derived: a session snapshot is
+/// the 18-byte sealed header, the kind byte, the universe and the stream
+/// length, then 8 bytes per value or 16 per weighted pair.
+#[test]
+fn session_snapshot_size_is_pinned_to_the_stream() {
+    assert_eq!(FORMAT_VERSION, 2);
+    for n in [0usize, 1, 7, 100] {
+        let values: Vec<u64> = (0..n as u64).map(|i| i * 7919 % UNIVERSE).collect();
+        let pairs: Vec<(u64, u64)> = values.iter().map(|&v| (v, v % 5 + 1)).collect();
+        let plain = unweighted_snapshot(&values).encode();
+        assert_eq!(plain.len(), 35 + 8 * n, "unweighted, n = {n}");
+        assert_eq!(plain[8], FORMAT_VERSION);
+        assert_eq!(weighted_snapshot(&pairs).encode().len(), 35 + 16 * n, "weighted, n = {n}");
+    }
+}
+
+/// Snapshots whose streams leave their universe — structurally
+/// well-formed, but impossible to ingest — are rejected by validation and
+/// therefore by decode (`snapshot_replay.rs` covers the restore paths).
 #[test]
 fn inconsistent_snapshots_are_rejected() {
     let snapshot = unweighted_snapshot(&[10, 4, 12, 3, 20]);
-    let SessionSnapshot::Unweighted { universe, values, ranks, tails } = snapshot else {
+    let SessionSnapshot::Unweighted { universe, values } = snapshot else {
         panic!("unweighted expected");
     };
 
-    // Wrong rank.
-    let mut bad_ranks = ranks.clone();
-    bad_ranks[1] = 9;
-    let forged = SessionSnapshot::Unweighted {
-        universe,
-        values: values.clone(),
-        ranks: bad_ranks,
-        tails: tails.clone(),
-    };
+    // The last value at the universe bound.
+    let mut at_bound = values.clone();
+    at_bound[4] = universe;
+    let forged = SessionSnapshot::Unweighted { universe, values: at_bound };
     assert!(matches!(forged.validate(), Err(SnapshotError::Malformed(_))));
     assert!(SessionSnapshot::decode(&forged.encode()).is_err());
 
-    // Wrong tails.
-    let mut bad_tails = tails.clone();
-    bad_tails[0] += 1;
-    let forged = SessionSnapshot::Unweighted {
-        universe,
-        values: values.clone(),
-        ranks: ranks.clone(),
-        tails: bad_tails,
-    };
+    // A value far past it, mid-stream.
+    let mut far = values.clone();
+    far[2] = u64::MAX;
+    let forged = SessionSnapshot::Unweighted { universe, values: far };
     assert!(SessionSnapshot::decode(&forged.encode()).is_err());
 
     // Value outside the universe.
     let mut bad_values = values.clone();
     bad_values[0] = UNIVERSE;
-    let forged = SessionSnapshot::Unweighted { universe, values: bad_values, ranks, tails };
+    let forged = SessionSnapshot::Unweighted { universe, values: bad_values };
     assert!(SessionSnapshot::decode(&forged.encode()).is_err());
 
-    // Weighted: forged score.
+    // Weighted: a pair whose value leaves the universe.
     let snapshot = weighted_snapshot(&[(3, 5), (7, 2), (1, 9)]);
-    let SessionSnapshot::Weighted { universe, values, weights, mut scores, frontier } = snapshot
-    else {
+    let SessionSnapshot::Weighted { universe, mut pairs } = snapshot else {
         panic!("weighted expected");
     };
-    scores[2] += 1;
-    let forged = SessionSnapshot::Weighted { universe, values, weights, scores, frontier };
+    pairs[2].0 = universe + 1;
+    let forged = SessionSnapshot::Weighted { universe, pairs };
     assert!(SessionSnapshot::decode(&forged.encode()).is_err());
 }
 
-/// Clean-vs-dirty differential: interleaving invalid restore ops (forged
-/// snapshots, occupied ids) with valid traffic leaves the dirty engine in
-/// exactly the clean engine's state — rejected ops have no side effects.
+/// Clean-vs-dirty differential: interleaving invalid restore ops
+/// (out-of-universe streams, occupied ids) with valid traffic leaves the
+/// dirty engine in exactly the clean engine's state — rejected ops have no
+/// side effects.
 #[test]
 fn invalid_restores_leave_no_trace() {
     let mut state = 0x5EEDu64;
@@ -300,11 +313,11 @@ fn invalid_restores_leave_no_trace() {
     };
     let forged = {
         let snapshot = unweighted_snapshot(&[8, 3, 9]);
-        let SessionSnapshot::Unweighted { universe, values, mut ranks, tails } = snapshot else {
+        let SessionSnapshot::Unweighted { universe, mut values } = snapshot else {
             panic!("unweighted expected");
         };
-        ranks[0] = 2;
-        SessionSnapshot::Unweighted { universe, values, ranks, tails }
+        values[0] = universe;
+        SessionSnapshot::Unweighted { universe, values }
     };
     let valid = unweighted_snapshot(&[8, 3, 9]);
 
@@ -315,8 +328,8 @@ fn invalid_restores_leave_no_trace() {
         let good = Tick::new().append(format!("s{}", round % 3), batch.clone()).auto_create();
         let outcome = clean.execute(&good);
         // The dirty engine sees the same traffic plus poison ops that
-        // must all fail typed: a forged snapshot, and a restore onto an
-        // id occupied earlier in the same tick.
+        // must all fail typed: an out-of-universe stream, and a restore
+        // onto an id occupied earlier in the same tick.
         let poisoned = Tick::new()
             .append(format!("s{}", round % 3), batch)
             .restore("poison", forged.clone())
@@ -329,6 +342,7 @@ fn invalid_restores_leave_no_trace() {
     }
     assert!(!dirty.remove_session("poison"), "poison session must not exist");
     assert_eq!(clean.snapshot(), dirty.snapshot(), "dirty engine diverged from clean");
+    common::assert_same_derived_state(&clean, &dirty, "dirty vs clean");
     clean.check_invariants();
     dirty.check_invariants();
 }

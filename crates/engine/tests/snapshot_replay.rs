@@ -12,6 +12,8 @@
 //! artifacts survive reaches exactly the state of the uninterrupted run
 //! over the complete journal records.
 
+mod common;
+
 use plis_engine::{
     replay_journal_from, Backend, DominantMaxKind, Engine, EngineConfig, EngineSnapshot, OpError,
     PathPolicy, Query, SessionKind, SessionSnapshot, Tick, TickJournal,
@@ -95,8 +97,8 @@ fn config(backend: Backend, dommax: DominantMaxKind) -> EngineConfig {
 }
 
 /// Assert two engines are observationally identical: same sorted ids,
-/// same complete per-session state (streams, ranks, tails, scores,
-/// frontiers — via the full state snapshot), and the same answers
+/// same captured streams (via the full state snapshot), same derived
+/// state (ranks, tails, scores, frontiers), and the same answers
 /// (certificates included) to a common query tick.
 fn assert_engines_identical(never_stopped: &mut Engine, recovered: &mut Engine, label: &str) {
     assert_eq!(
@@ -105,6 +107,7 @@ fn assert_engines_identical(never_stopped: &mut Engine, recovered: &mut Engine, 
         "{label}: session ids diverged"
     );
     assert_eq!(never_stopped.snapshot(), recovered.snapshot(), "{label}: captured state diverged");
+    common::assert_same_derived_state(never_stopped, recovered, label);
     let mut probe = Tick::new();
     for id in never_stopped.session_ids() {
         probe.push(
@@ -251,8 +254,8 @@ fn op_plane_snapshot_and_restore_are_tick_ordered() {
 }
 
 /// Restore failure modes are typed, never partial: an occupied id, a
-/// universe mismatch, and an internally inconsistent snapshot all leave
-/// the target engine untouched.
+/// universe mismatch, and a stream that leaves its universe all leave the
+/// target engine untouched.
 #[test]
 fn restore_rejects_typed_without_side_effects() {
     let mut source = Engine::new(config(Backend::Auto, DominantMaxKind::Auto));
@@ -277,14 +280,14 @@ fn restore_rejects_typed_without_side_effects() {
     );
     assert_eq!(small.session_count(), 0);
 
-    // Inconsistent snapshot (forged ranks) fails validation through every
+    // A stream value outside the universe fails validation through every
     // restore path, and the op-level failure leaves its tick neighbours
     // untouched.
-    let SessionSnapshot::Unweighted { universe, values, mut ranks, tails } = snapshot else {
+    let SessionSnapshot::Unweighted { universe, mut values } = snapshot else {
         panic!("unweighted snapshot expected");
     };
-    ranks[2] = 1;
-    let forged = SessionSnapshot::Unweighted { universe, values, ranks, tails };
+    values[2] = universe;
+    let forged = SessionSnapshot::Unweighted { universe, values };
     let outcome = target.execute(
         &Tick::new().restore("forged", forged.clone()).append("ok", vec![1]).auto_create(),
     );
@@ -323,14 +326,14 @@ fn crash_at_every_boundary_recovers_to_the_uninterrupted_state() {
     }
     let journal_bytes = journal.into_inner();
 
-    // Reference states: the uninterrupted engine after every tick count.
-    let reference: Vec<EngineSnapshot> = (0..=ticks.len())
+    // Reference engines: the uninterrupted run after every tick count.
+    let reference: Vec<Engine> = (0..=ticks.len())
         .map(|n| {
             let mut e = Engine::new(cfg());
             for tick in &ticks[..n] {
                 e.execute(tick);
             }
-            e.snapshot()
+            e
         })
         .collect();
 
@@ -379,8 +382,13 @@ fn crash_at_every_boundary_recovers_to_the_uninterrupted_state() {
         );
         assert_eq!(
             recovered.snapshot(),
-            reference[complete_records],
+            reference[complete_records].snapshot(),
             "crash at byte {crash}: recovered state != uninterrupted state"
+        );
+        common::assert_same_derived_state(
+            &recovered,
+            &reference[complete_records],
+            &format!("crash at byte {crash}"),
         );
         recovered.check_invariants();
     }

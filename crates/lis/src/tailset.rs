@@ -21,6 +21,10 @@
 //!   the zero-cost factory behind the engine's `Backend` selector — while
 //!   the trait itself stays open: a new mirror structure plugs into
 //!   `StreamingLisOn` by implementing [`TailSet`] in its own file.
+//!
+//! A mirror is derived state.  Session snapshots persist only the ingested
+//! stream and restore rebuilds every mirror through ordinary ingest, so the
+//! trait has no export or import surface.
 
 use plis_veb::VebTree;
 
@@ -105,23 +109,6 @@ pub trait TailSet: std::fmt::Debug + Clone {
     fn reserve(&mut self, additional: usize) {
         let _ = additional;
     }
-    /// Append the mirrored keys in increasing order to a caller-owned
-    /// buffer — the snapshot plane's bulk export.  Stateful mirrors walk
-    /// their own structure (no per-key probing, no rebuild); the default
-    /// reads the canonical `tails`, which stateless backends mirror by
-    /// definition.
-    fn export_into(&self, tails: &[u64], out: &mut Vec<u64>) {
-        out.extend_from_slice(tails);
-    }
-    /// Rebuild the mirror so it represents exactly `tails` — the snapshot
-    /// plane's bulk import, called once on a freshly constructed store
-    /// during session restore.  The default applies one sorted batch
-    /// insert, which is correct for every backend whose empty state mirrors
-    /// an empty tail set; structures with a cheaper bulk construction
-    /// override it.
-    fn import(&mut self, tails: &[u64]) {
-        self.batch_insert(tails);
-    }
 }
 
 /// [`TailSet`] backed by a parallel van Emde Boas tree over the session
@@ -187,12 +174,6 @@ impl TailSet for VebTailSet {
     }
     fn route_parallel(&mut self, _route: Option<TailRoute>, _tails: &[u64]) -> TailRoute {
         TailRoute::Veb
-    }
-    fn export_into(&self, _tails: &[u64], out: &mut Vec<u64>) {
-        self.0.keys_into(out);
-    }
-    fn import(&mut self, tails: &[u64]) {
-        self.0 = VebTree::from_sorted(self.0.universe(), tails);
     }
 }
 
@@ -431,12 +412,6 @@ impl TailSet for AnyTailSet {
     fn reserve(&mut self, additional: usize) {
         dispatch!(self, s => s.reserve(additional))
     }
-    fn export_into(&self, tails: &[u64], out: &mut Vec<u64>) {
-        dispatch!(self, s => s.export_into(tails, out))
-    }
-    fn import(&mut self, tails: &[u64]) {
-        dispatch!(self, s => s.import(tails))
-    }
 }
 
 #[cfg(test)]
@@ -540,21 +515,6 @@ mod tests {
         let empty = veb.approx_bytes();
         veb.batch_insert(&[1, 100, 5_000, 40_000]);
         assert!(veb.approx_bytes() > empty, "populated mirror must account more bytes");
-    }
-
-    #[test]
-    fn export_and_import_round_trip_every_backend() {
-        let tails = [2u64, 5, 7, 11, 13];
-        let stores = [AnyTailSet::veb(16), AnyTailSet::sorted_vec(), AnyTailSet::auto(16)];
-        for mut store in stores {
-            // Import into a fresh store must reproduce exactly `tails`...
-            store.import(&tails);
-            store.check_invariants(&tails);
-            // ...and export must walk it back out, appending to the buffer.
-            let mut out = vec![99u64];
-            store.export_into(&tails, &mut out);
-            assert_eq!(out[1..], tails, "{}", store.name());
-        }
     }
 
     #[test]

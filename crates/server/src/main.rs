@@ -16,12 +16,16 @@
 //! The bound address is printed as `listening on <addr>` once the server
 //! is accepting — scripts (the CI smoke) parse that line.  On SIGTERM,
 //! SIGINT or stdin EOF the server stops accepting, drains in-flight
-//! ticks, optionally writes the final snapshot, and exits 0.
+//! ticks, optionally writes the final snapshot, and exits 0.  The snapshot
+//! is written to `<path>.tmp`, synced, then renamed over `<path>`, so a
+//! reader never sees a torn file; if any step fails the server prints
+//! `snapshot write failed: <error>` and exits 1.
 
 use plis_engine::EngineConfig;
 use plis_server::{JournalMode, ServerConfig, ServerHandle};
-use std::io::Read;
+use std::io::{Read, Write};
 use std::net::SocketAddr;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -50,6 +54,36 @@ fn install_signal_handlers() {}
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+}
+
+/// Write `bytes` to `path` atomically: into `<path>.tmp`, synced to disk,
+/// then renamed over `path`, with the directory synced so the rename
+/// survives a crash too.  A failed attempt removes its temporary file.
+fn write_atomically(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let result = std::fs::File::create(&tmp)
+        .and_then(|mut file| {
+            file.write_all(bytes)?;
+            file.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path))
+        .and_then(|()| sync_dir(path.parent().filter(|p| !p.as_os_str().is_empty())));
+    if result.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    result
+}
+
+/// Make a rename inside `dir` (the working directory if `None`) durable.
+#[cfg(unix)]
+fn sync_dir(dir: Option<&Path>) -> std::io::Result<()> {
+    std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
+}
+
+#[cfg(not(unix))]
+fn sync_dir(_dir: Option<&Path>) -> std::io::Result<()> {
+    Ok(())
 }
 
 fn main() {
@@ -98,10 +132,18 @@ fn main() {
 
     eprintln!("draining");
     let report = server.shutdown();
+    let mut snapshot_failed = false;
     if let Ok(path) = std::env::var("PLIS_SERVE_SNAPSHOT") {
         if !path.is_empty() {
-            std::fs::write(&path, report.snapshot.encode()).expect("snapshot write failed");
-            eprintln!("snapshot: {path} ({} sessions)", report.snapshot.session_count());
+            match write_atomically(Path::new(&path), &report.snapshot.encode()) {
+                Ok(()) => {
+                    eprintln!("snapshot: {path} ({} sessions)", report.snapshot.session_count())
+                }
+                Err(e) => {
+                    eprintln!("snapshot write failed: {e}");
+                    snapshot_failed = true;
+                }
+            }
         }
     }
     eprintln!(
@@ -109,4 +151,7 @@ fn main() {
         report.ticks_executed,
         report.snapshot.session_count()
     );
+    if snapshot_failed {
+        std::process::exit(1);
+    }
 }

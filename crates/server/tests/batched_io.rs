@@ -8,6 +8,8 @@
 //! submission order, each equal to direct library execution, and a
 //! damaged frame still earns its typed error.
 
+mod common;
+
 use plis_engine::{
     decode_read_outcome, decode_tick_outcome, encode_read_tick, encode_tick, Engine, EngineConfig,
     Query, ReadTick, SessionKind, Tick,
@@ -131,6 +133,7 @@ fn two_hundred_frames_in_one_write_reply_in_order_and_match_the_library() {
     let engine = assert_served_in_order(&server, &requests);
     let report = server.shutdown();
     assert_eq!(report.snapshot.encode(), engine.snapshot().encode());
+    common::assert_same_derived_state(&report.engine, &engine, "served vs direct");
 }
 
 #[test]
@@ -157,6 +160,7 @@ fn write_and_read_runs_of_one_batch_reply_in_submission_order() {
     let report = server.shutdown();
     assert_eq!(report.ticks_executed, 6, "one combined tick per run of the single batch");
     assert_eq!(report.snapshot.encode(), engine.snapshot().encode());
+    common::assert_same_derived_state(&report.engine, &engine, "served vs direct");
 }
 
 #[test]
@@ -211,6 +215,7 @@ fn pipelined_sends_then_receives_return_ids_in_order() {
     }
     let report = server.shutdown();
     assert_eq!(report.snapshot.encode(), engine.snapshot().encode());
+    common::assert_same_derived_state(&report.engine, &engine, "served vs direct");
 }
 
 #[test]

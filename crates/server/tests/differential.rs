@@ -12,10 +12,12 @@
 //! session id, so creation-order races don't leak into the encoding)
 //! must match the direct engine's byte for byte.
 
+mod common;
+
 use plis_engine::{
     Engine, EngineConfig, Op, Query, ReadOutcome, ReadTick, SessionKind, Tick, TickOutcome,
 };
-use plis_server::{Client, ServerConfig, ServerHandle};
+use plis_server::{Client, ServerConfig, ServerHandle, ShutdownReport};
 use plis_workloads::streaming::{mixed_session_fleet, weighted_session_fleet, ReadWriteOp};
 use std::time::Duration;
 
@@ -81,7 +83,7 @@ fn build_schedule(seed: u64) -> (Vec<(String, Vec<Request>)>, u64) {
 fn run_direct(
     schedule: &[(String, Vec<Request>)],
     config: EngineConfig,
-) -> (Vec<Vec<Outcome>>, Vec<u8>) {
+) -> (Vec<Vec<Outcome>>, Engine) {
     let mut engine = Engine::new(config);
     let outcomes = schedule
         .iter()
@@ -95,8 +97,7 @@ fn run_direct(
                 .collect()
         })
         .collect();
-    let snapshot = engine.snapshot().encode();
-    (outcomes, snapshot)
+    (outcomes, engine)
 }
 
 /// Serve the schedule over loopback: `clients` connections, sessions
@@ -108,7 +109,7 @@ fn run_served(
     config: EngineConfig,
     worker_threads: Option<usize>,
     clients: usize,
-) -> (Vec<Vec<Outcome>>, Vec<u8>) {
+) -> (Vec<Vec<Outcome>>, ShutdownReport) {
     let server = ServerHandle::start(ServerConfig {
         engine: config,
         batch_max_ops: 64,
@@ -182,7 +183,7 @@ fn run_served(
         .into_iter()
         .map(|row| row.into_iter().map(|o| o.expect("every request answered")).collect())
         .collect();
-    (served, report.snapshot.encode())
+    (served, report)
 }
 
 fn assert_differential(worker_threads: Option<usize>) {
@@ -191,8 +192,8 @@ fn assert_differential(worker_threads: Option<usize>) {
     let total_requests: usize = schedule.iter().map(|(_, r)| r.len()).sum();
     assert!(total_requests > 100, "schedule should be non-trivial");
 
-    let (direct, direct_snapshot) = run_direct(&schedule, config.clone());
-    let (served, served_snapshot) = run_served(&schedule, config, worker_threads, 4);
+    let (direct, direct_engine) = run_direct(&schedule, config.clone());
+    let (served, report) = run_served(&schedule, config, worker_threads, 4);
 
     for (session_idx, (name, _)) in schedule.iter().enumerate() {
         assert_eq!(
@@ -201,9 +202,11 @@ fn assert_differential(worker_threads: Option<usize>) {
         );
     }
     assert_eq!(
-        served_snapshot, direct_snapshot,
+        report.snapshot.encode(),
+        direct_engine.snapshot().encode(),
         "final engine snapshot must be byte-identical to direct execution"
     );
+    common::assert_same_derived_state(&report.engine, &direct_engine, "served vs direct");
 }
 
 #[test]
@@ -244,6 +247,7 @@ fn typed_errors_round_trip_the_socket() {
 
     let report = server.shutdown();
     assert_eq!(report.snapshot.encode(), engine.snapshot().encode());
+    common::assert_same_derived_state(&report.engine, &engine, "served vs direct");
 }
 
 /// `Op::Snapshot` / `Op::Restore` ride the wire inside ticks like any
@@ -278,4 +282,5 @@ fn snapshot_and_restore_ops_work_over_the_wire() {
 
     let report = server.shutdown();
     assert_eq!(report.snapshot.encode(), engine.snapshot().encode());
+    common::assert_same_derived_state(&report.engine, &engine, "served vs direct");
 }

@@ -12,6 +12,8 @@
 //! restoring the snapshot and replaying the journal suffix, both land on
 //! the drained engine byte for byte.
 
+mod common;
+
 use plis_engine::{replay_journal, replay_journal_from, Engine, EngineConfig, Tick};
 use plis_server::{Client, ClientError, JournalMode, ServerConfig, ServerHandle};
 use plis_workloads::streaming::session_fleet;
@@ -95,6 +97,7 @@ fn shutdown_mid_schedule_loses_no_acked_op_and_applies_none_twice() {
             direct.snapshot().encode(),
             "drained engine must hold exactly the acked ops, once each"
         );
+        common::assert_same_derived_state(&report.engine, &direct, "drained vs acked");
 
         // Invariant 2 — the journal is the same truth: replaying it from
         // scratch lands on the drained snapshot.
@@ -104,6 +107,7 @@ fn shutdown_mid_schedule_loses_no_acked_op_and_applies_none_twice() {
         assert_eq!(replay.truncated_bytes, 0, "drain flushes whole records");
         assert_eq!(replay.outcomes.len() as u64, report.ticks_executed);
         assert_eq!(replayed.snapshot().encode(), report.snapshot.encode());
+        common::assert_same_derived_state(&replayed, &report.engine, "replayed vs drained");
 
         // Invariant 3 — snapshot + journal-suffix recovery: restore from
         // the final snapshot, replay the journal from its covered prefix
@@ -115,6 +119,7 @@ fn shutdown_mid_schedule_loses_no_acked_op_and_applies_none_twice() {
                 .expect("suffix replays");
         assert!(suffix.outcomes.is_empty(), "snapshot already covers the whole journal");
         assert_eq!(restored.snapshot().encode(), report.snapshot.encode());
+        common::assert_same_derived_state(&restored, &report.engine, "restored vs drained");
 
         acked
     });

@@ -10,6 +10,8 @@
 //! connection submitting throughout must see the engine end up exactly
 //! where direct library execution puts it.
 
+mod common;
+
 use plis_engine::{
     decode_tick_outcome, encode_tick, Engine, EngineConfig, Query, SessionKind, Tick,
 };
@@ -98,6 +100,7 @@ fn every_strict_prefix_then_close_is_absorbed_silently() {
 
     let report = server.shutdown();
     assert_eq!(report.snapshot.encode(), engine.snapshot().encode());
+    common::assert_same_derived_state(&report.engine, &engine, "served vs direct");
 }
 
 #[test]
@@ -206,5 +209,6 @@ fn each_damage_class_gets_its_typed_error_and_other_connections_survive() {
 
     let report = server.shutdown();
     assert_eq!(report.snapshot.encode(), engine.snapshot().encode());
+    common::assert_same_derived_state(&report.engine, &engine, "served vs direct");
     assert_eq!(report.snapshot.session_count(), 1, "only the healthy session exists");
 }

@@ -166,23 +166,14 @@ impl VebTree {
         self.root.as_ref().and_then(|r| r.succ(key))
     }
 
-    /// All keys in increasing order (linear walk; mainly for tests, exports
-    /// and debugging).
+    /// All keys in increasing order (linear walk; mainly for tests and
+    /// debugging).
     pub fn iter_keys(&self) -> Vec<u64> {
         let mut out = Vec::with_capacity(self.len);
-        self.keys_into(&mut out);
-        out
-    }
-
-    /// Append all keys in increasing order to `out`.  This is the bulk
-    /// export the snapshot plane uses: one structural walk into a
-    /// caller-owned buffer, no intermediate tree or per-key query — the
-    /// read-side dual of [`from_sorted`](VebTree::from_sorted).
-    pub fn keys_into(&self, out: &mut Vec<u64>) {
-        out.reserve(self.len);
         if let Some(r) = &self.root {
-            r.collect_into(0, out);
+            r.collect_into(0, &mut out);
         }
+        out
     }
 
     /// Recount the stored keys by walking the structure (test helper that
@@ -213,17 +204,6 @@ mod tests {
         assert_eq!(v.succ(0), None);
         assert!(!v.contains(3));
         assert!(v.iter_keys().is_empty());
-    }
-
-    #[test]
-    fn keys_into_appends_in_order() {
-        let mut v = VebTree::new(1 << 10);
-        for k in [512u64, 3, 99, 700, 4] {
-            v.insert(k);
-        }
-        let mut out = vec![42u64];
-        v.keys_into(&mut out);
-        assert_eq!(out, vec![42, 3, 4, 99, 512, 700]);
     }
 
     #[test]

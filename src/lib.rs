@@ -63,14 +63,10 @@ pub mod prelude {
     pub use plis_engine::{
         Backend, BatchReport, Certificate, Engine, EngineConfig, IngestReport, Op, OpError,
         OpOutput, OpResult, Query, QueryAnswer, QueryBatch, QueryReport, ReadOutcome, ReadTick,
-        SessionId, SessionKind, StreamingLis, Tick, TickBatch, TickOutcome, WeightedIngestReport,
+        SessionId, SessionKind, StreamingLis, Tick, TickOutcome, WeightedIngestReport,
         WeightedStreamingLis,
     };
     pub use plis_engine::{HistogramSnapshot, MemorySink, Metrics, MetricsSnapshot, TraceSink};
-    // The legacy tick surface, kept importable for external callers of
-    // the deprecated wrappers (in-repo code uses the command plane).
-    #[allow(deprecated)]
-    pub use plis_engine::{MixedTickReport, OpReport, QueryTickReport, TickOp, TickReport};
     pub use plis_lis::{
         lis_indices, lis_length, lis_ranks, lis_ranks_u64, wlis_indices_from_scores, wlis_kind,
         wlis_rangetree, wlis_rangeveb, wlis_with, DominantMaxKind, DominantMaxStore, TailSet,
