@@ -3,12 +3,12 @@
 //! two dominant-max stores, at a grid of (batch, tails) points.
 //!
 //! This is the measurement tool behind `plis_engine::cost` — run it on a
-//! new machine to sanity-check the calibrated constants (`PLIS_COST_*`
-//! env overrides) against reality.  Human-readable output on stderr, one
-//! JSON line per cell on stdout (`bench: "cost-probe"`).
+//! new machine to sanity-check the calibrated constants against reality.
+//! Human-readable output on stderr, one JSON line per cell on stdout
+//! (`bench: "cost-probe"`).
 
 use plis_bench::{json_line, time_min, with_bench_threads};
-use plis_engine::{Backend, StreamingLis, WeightedStreamingLis};
+use plis_engine::{StreamingLis, WeightedStreamingLis};
 use plis_lis::DominantMaxKind;
 use std::time::Instant;
 
@@ -29,7 +29,7 @@ fn stream(n: usize, universe: u64, seed: u64) -> Vec<u64> {
 /// ns per element of one full-session replay at a fixed batch size.
 fn ns_per_elem(values: &[u64], universe: u64, batch: usize, threshold: usize) -> f64 {
     let (secs, _) = time_min(|| {
-        let mut s = StreamingLis::new(universe, Backend::Veb).with_par_threshold(threshold);
+        let mut s = StreamingLis::new(universe).with_par_threshold(threshold);
         for chunk in values.chunks(batch) {
             s.ingest(chunk);
         }

@@ -31,17 +31,15 @@
 //! sweep, default `0.25`; `0` alone skips it), and
 //! `PLIS_BENCH_PATH_POLICY` (comma-separated ingest path policies for the
 //! unweighted and weighted sweeps — `cost` or `fixed:N`, default `cost`;
-//! recorded as the `path_policy` field).  The calibration knobs the cost
-//! policy itself reads (`PLIS_COST_*`) pass straight through to the
-//! engine.
+//! recorded as the `path_policy` field).
 
 use plis_bench::{
     bench_repeats, effective_threads, env_f64_list, env_usize_list, json_line, time_min,
     with_bench_threads, JsonValue,
 };
 use plis_engine::{
-    Backend, DominantMaxKind, Engine, EngineConfig, EngineSnapshot, MetricsSnapshot, Op,
-    PathPolicy, SessionKind, Tick,
+    DominantMaxKind, Engine, EngineConfig, EngineSnapshot, MetricsSnapshot, Op, PathPolicy,
+    SessionKind, Tick,
 };
 use plis_workloads::streaming::{
     mixed_session_fleet, round_robin_ticks, session_fleet, weighted_session_fleet, ReadWriteOp,
@@ -65,8 +63,12 @@ static ALLOC: plis_testalloc::CountingAlloc = plis_testalloc::CountingAlloc;
 /// backend in the unweighted sweep.  Schema 4 = schema 3 plus the
 /// persistence columns on the ingest sweeps (`snapshot_bytes`,
 /// `snapshot_us`, `restore_us` — engine snapshot size and encode/restore
-/// wall time for the warm end-of-sweep fleet).
-const SCHEMA: u64 = 4;
+/// wall time for the warm end-of-sweep fleet).  Schema 5 = schema 4 minus
+/// the tail-set backend axis: unweighted lines lose their `backend` field
+/// (one cell per point where there were three), every line loses the
+/// `tailset_veb_picks` / `tailset_sorted_picks` columns, and the weighted
+/// sweep loses its `auto` cell.
+const SCHEMA: u64 = 5;
 
 fn n_per_session() -> usize {
     std::env::var("PLIS_BENCH_N").ok().and_then(|s| s.parse().ok()).unwrap_or(100_000)
@@ -124,7 +126,7 @@ fn replay(config: &EngineConfig, setup: &Tick, ticks: &[Tick]) -> Engine {
     engine
 }
 
-/// The telemetry columns shared by every sweep's JSON line (schema 3).
+/// The telemetry columns shared by every sweep's JSON line.
 /// All-zero when the engine was built with `--no-default-features`.
 fn telemetry_fields(snap: &MetricsSnapshot) -> Vec<(&'static str, JsonValue)> {
     vec![
@@ -135,8 +137,6 @@ fn telemetry_fields(snap: &MetricsSnapshot) -> Vec<(&'static str, JsonValue)> {
         ("veb_delta_elems", snap.veb_delta_elems.into()),
         ("inline_ticks", snap.inline_ticks.into()),
         ("session_bytes", snap.session_bytes.into()),
-        ("tailset_veb_picks", snap.tailset_veb_picks.into()),
-        ("tailset_sorted_picks", snap.tailset_sorted_picks.into()),
         ("alloc_count", snap.alloc_count.into()),
         ("allocs_per_elem", snap.allocs_per_elem.into()),
         ("arena_bytes", snap.arena_bytes.into()),
@@ -228,58 +228,43 @@ fn unweighted_sweep(
 
             for &shard_spec in shard_counts {
                 for &policy in policies {
-                    for backend in [Backend::Veb, Backend::SortedVec, Backend::Auto] {
-                        let backend_name = match backend {
-                            Backend::Veb => "veb",
-                            Backend::SortedVec => "sorted-vec",
-                            Backend::Auto => "auto",
-                        };
-                        let mut config = EngineConfig {
-                            universe,
-                            backend,
-                            path_policy: policy,
-                            ..EngineConfig::default()
-                        };
-                        if shard_spec > 0 {
-                            config.shards = shard_spec;
-                        }
-                        let shards = config.shards;
-                        let (secs, (final_lis_sum, snap)) = with_bench_threads(|| {
-                            time_min(|| {
-                                let engine = replay(&config, &setup, &ticks);
-                                let lis_sum = engine
-                                    .session_ids()
-                                    .iter()
-                                    .filter_map(|id| engine.lis_length(id.as_str()))
-                                    .map(|k| k as u64)
-                                    .sum::<u64>();
-                                (lis_sum, engine.metrics_snapshot())
-                            })
-                        });
-                        reconcile(&snap, ticks.len(), total_elems);
-                        let mut fields = vec![
-                            ("bench", "streaming".into()),
-                            ("schema", SCHEMA.into()),
-                            ("sessions", sessions.into()),
-                            ("mean_batch", mean_batch.into()),
-                            ("n_per_session", n.into()),
-                            ("backend", backend_name.into()),
-                            ("path_policy", policy.name().into()),
-                            ("shards", shards.into()),
-                            ("threads", threads.into()),
-                            ("ticks", ticks.len().into()),
-                            ("total_elems", total_elems.into()),
-                            ("secs", secs.into()),
-                            ("elems_per_sec", (total_elems as f64 / secs.max(1e-12)).into()),
-                            (
-                                "mean_final_lis",
-                                (final_lis_sum as f64 / sessions.max(1) as f64).into(),
-                            ),
-                        ];
-                        fields.extend(telemetry_fields(&snap));
-                        fields.extend(persistence_fields(&config, &setup, &ticks));
-                        println!("{}", json_line(&fields));
+                    let mut config =
+                        EngineConfig { universe, path_policy: policy, ..EngineConfig::default() };
+                    if shard_spec > 0 {
+                        config.shards = shard_spec;
                     }
+                    let shards = config.shards;
+                    let (secs, (final_lis_sum, snap)) = with_bench_threads(|| {
+                        time_min(|| {
+                            let engine = replay(&config, &setup, &ticks);
+                            let lis_sum = engine
+                                .session_ids()
+                                .iter()
+                                .filter_map(|id| engine.lis_length(id.as_str()))
+                                .map(|k| k as u64)
+                                .sum::<u64>();
+                            (lis_sum, engine.metrics_snapshot())
+                        })
+                    });
+                    reconcile(&snap, ticks.len(), total_elems);
+                    let mut fields = vec![
+                        ("bench", "streaming".into()),
+                        ("schema", SCHEMA.into()),
+                        ("sessions", sessions.into()),
+                        ("mean_batch", mean_batch.into()),
+                        ("n_per_session", n.into()),
+                        ("path_policy", policy.name().into()),
+                        ("shards", shards.into()),
+                        ("threads", threads.into()),
+                        ("ticks", ticks.len().into()),
+                        ("total_elems", total_elems.into()),
+                        ("secs", secs.into()),
+                        ("elems_per_sec", (total_elems as f64 / secs.max(1e-12)).into()),
+                        ("mean_final_lis", (final_lis_sum as f64 / sessions.max(1) as f64).into()),
+                    ];
+                    fields.extend(telemetry_fields(&snap));
+                    fields.extend(persistence_fields(&config, &setup, &ticks));
+                    println!("{}", json_line(&fields));
                 }
             }
         }
@@ -287,8 +272,7 @@ fn unweighted_sweep(
 }
 
 /// The weighted sweep: same fleet shape, weighted session kind, both
-/// dominant-max stores plus the `Auto` selector that picks one per
-/// parallel ingest from the merged run size.
+/// dominant-max stores.
 fn weighted_sweep(
     n: usize,
     session_counts: &[usize],
@@ -311,11 +295,7 @@ fn weighted_sweep(
 
             for &shard_spec in shard_counts {
                 for &policy in policies {
-                    for dommax in [
-                        DominantMaxKind::RangeTree,
-                        DominantMaxKind::RangeVeb,
-                        DominantMaxKind::Auto,
-                    ] {
+                    for dommax in [DominantMaxKind::RangeTree, DominantMaxKind::RangeVeb] {
                         let mut config = EngineConfig {
                             universe,
                             dommax,

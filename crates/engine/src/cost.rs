@@ -2,8 +2,8 @@
 //!
 //! The session types have two exact ways to apply a batch: the sequential
 //! per-element path (`O(m log k)` with a tiny constant — one binary search
-//! and at most one point insert/delete per element) and the parallel merge
-//! path (Algorithm 1 over `tails ++ batch`, then a batched store delta —
+//! and at most one summary update per element) and the parallel merge
+//! path (Algorithm 1 or 2 over `summary ++ batch`, then a summary rebuild —
 //! asymptotically work-efficient, but it rebuilds a tournament tree over
 //! `m + k` elements and pays fork/join and batch write-back constants).
 //! Which one is faster depends on the batch size `m`, the summary size `k`
@@ -37,14 +37,8 @@
 //! paths and produces identical [`crate::IngestReport`]s.  Calibration can
 //! differ *between* processes (it is a timing measurement); both paths are
 //! exact, so only timing, never outcomes, depends on the decision.
-//!
-//! Env knobs (read once, at first use): `PLIS_COST_CALIBRATE=off` skips
-//! the measurement and uses baked-in defaults; `PLIS_COST_SEQ_NS`,
-//! `PLIS_COST_PAR_NS`, `PLIS_COST_PAR_FIXED_NS` (and the `PLIS_COST_W*`
-//! variants for weighted sessions) pin individual constants.
 
 use crate::session::IngestPath;
-use plis_lis::TailRoute;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -62,42 +56,8 @@ pub struct CostModel {
     pub par_fixed_ns: f64,
 }
 
-/// Baked-in fallback for unweighted sessions (used when calibration is
-/// disabled): measured on a 1-core container, where the merge path never
-/// wins — `par_ns > seq_ns` makes [`CostModel::choose`] always sequential.
-pub const DEFAULT_UNWEIGHTED: CostModel =
-    CostModel { seq_ns: 14.0, par_ns: 30.0, par_fixed_ns: 2_000.0 };
-
-/// Baked-in fallback for weighted sessions: the merge path additionally
-/// rebuilds a dominant-max store per call, so its constant is far larger.
-pub const DEFAULT_WEIGHTED: CostModel =
-    CostModel { seq_ns: 14.0, par_ns: 250.0, par_fixed_ns: 20_000.0 };
-
 fn log2p2(n: usize) -> f64 {
     ((n + 2) as f64).log2()
-}
-
-/// Fraction of a parallel ingest's predicted merge cost that maintaining
-/// the vEB tail-set mirror may add before `Backend::Auto` drops the mirror
-/// and falls back to binary-searching the tails array.  The mirror only
-/// speeds up value-domain *probes*; ingest itself never needs it, so it is
-/// kept exactly when it is cheap insurance relative to the work the batch
-/// already does.
-const MIRROR_SLACK: f64 = 0.10;
-
-/// Amortised nanoseconds per vEB delta element per `log2` of the universe
-/// bit width (`PLIS_COST_VEB_DELTA_NS` pins it; read once).  Not measured
-/// by calibration: unlike the path constants it only scales a single term
-/// against the already-calibrated merge cost.
-fn veb_delta_ns() -> f64 {
-    static NS: OnceLock<f64> = OnceLock::new();
-    *NS.get_or_init(|| {
-        std::env::var("PLIS_COST_VEB_DELTA_NS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .filter(|v: &f64| v.is_finite() && *v > 0.0)
-            .unwrap_or(64.0)
-    })
 }
 
 impl CostModel {
@@ -120,29 +80,6 @@ impl CostModel {
             IngestPath::ParallelMerge
         } else {
             IngestPath::Sequential
-        }
-    }
-
-    /// Tail-set route for a parallel ingest of `batch` elements against
-    /// `tails` current tails over `[0, universe)` — the decision behind
-    /// `Backend::Auto`, mirroring how `DominantMaxKind::Auto` resolves per
-    /// call from the merged size.
-    ///
-    /// The tail-set delta of one ingest is bounded by the smaller merge
-    /// side, and each delta element costs `O(log log U)` vEB work with a
-    /// large constant; the mirror is kept exactly when that predicted work
-    /// stays within `MIRROR_SLACK` of the merge work the batch performs
-    /// anyway.  Like [`CostModel::choose`], the decision is a pure function
-    /// of `(universe, tails, batch)` — never the pool width — so outcomes
-    /// stay bit-identical across thread counts.
-    pub fn tail_route(&self, universe: u64, tails: usize, batch: usize) -> TailRoute {
-        let delta = (tails.min(batch) + 1) as f64;
-        let bits = 64 - universe.saturating_sub(1).leading_zeros() as usize;
-        let mirror_ns = delta * veb_delta_ns() * log2p2(bits);
-        if mirror_ns <= MIRROR_SLACK * self.par_cost_ns(batch, tails) {
-            TailRoute::Veb
-        } else {
-            TailRoute::SortedVec
         }
     }
 
@@ -242,59 +179,21 @@ impl PathPolicy {
 /// session code on synthetic streams.
 pub mod calibration {
     use super::*;
-    use crate::session::{Backend, StreamingLis};
+    use crate::session::StreamingLis;
     use crate::wsession::WeightedStreamingLis;
     use plis_lis::DominantMaxKind;
 
     /// The calibrated unweighted model (memoised per process).
     pub fn unweighted() -> &'static CostModel {
         static MODEL: OnceLock<CostModel> = OnceLock::new();
-        MODEL.get_or_init(|| {
-            resolve("PLIS_COST_SEQ_NS", "PLIS_COST_PAR_NS", "PLIS_COST_PAR_FIXED_NS", || {
-                measure_unweighted()
-            })
-            .unwrap_or(DEFAULT_UNWEIGHTED)
-        })
+        MODEL.get_or_init(measure_unweighted)
     }
 
     /// The calibrated weighted model (memoised per process, lazily — an
     /// unweighted-only workload never pays the weighted probe).
     pub fn weighted() -> &'static CostModel {
         static MODEL: OnceLock<CostModel> = OnceLock::new();
-        MODEL.get_or_init(|| {
-            resolve("PLIS_COST_WSEQ_NS", "PLIS_COST_WPAR_NS", "PLIS_COST_WPAR_FIXED_NS", || {
-                measure_weighted()
-            })
-            .unwrap_or(DEFAULT_WEIGHTED)
-        })
-    }
-
-    fn env_f64(key: &str) -> Option<f64> {
-        std::env::var(key).ok().and_then(|s| s.parse().ok()).filter(|v: &f64| v.is_finite())
-    }
-
-    fn calibration_off() -> bool {
-        matches!(std::env::var("PLIS_COST_CALIBRATE").as_deref(), Ok("off") | Ok("0") | Ok("false"))
-    }
-
-    /// Measurement, with every constant individually overridable from the
-    /// environment; `None` means "use the baked default".
-    fn resolve(
-        seq_key: &str,
-        par_key: &str,
-        fixed_key: &str,
-        measure: impl FnOnce() -> CostModel,
-    ) -> Option<CostModel> {
-        let mut model = if calibration_off() { None } else { Some(measure()) };
-        if let (Some(seq), Some(par)) = (env_f64(seq_key), env_f64(par_key)) {
-            let base = model.unwrap_or(DEFAULT_UNWEIGHTED);
-            model = Some(CostModel { seq_ns: seq, par_ns: par, ..base });
-        }
-        if let Some(fixed) = env_f64(fixed_key) {
-            let base = model.unwrap_or(DEFAULT_UNWEIGHTED);
-            model = Some(CostModel { par_fixed_ns: fixed, ..base });
-        }
-        model
+        MODEL.get_or_init(measure_weighted)
     }
 
     /// Deterministic synthetic stream with a mildly increasing bias, so
@@ -346,8 +245,7 @@ pub mod calibration {
     fn measure_unweighted() -> CostModel {
         let values = stream(PROBE_N, PROBE_UNIVERSE);
         let replay = |threshold: usize| {
-            let mut s =
-                StreamingLis::new(PROBE_UNIVERSE, Backend::Veb).with_par_threshold(threshold);
+            let mut s = StreamingLis::new(PROBE_UNIVERSE).with_par_threshold(threshold);
             for chunk in values.chunks(PROBE_BATCH) {
                 s.ingest(chunk);
             }
@@ -448,22 +346,6 @@ mod tests {
         // And the boundary is consistent with choose() everywhere nearby.
         for probe in (cross.saturating_sub(32))..cross {
             assert_eq!(m.choose(probe, 1_000), IngestPath::Sequential);
-        }
-    }
-
-    #[test]
-    fn tail_route_tracks_delta_versus_merge_work() {
-        let m = DEFAULT_UNWEIGHTED;
-        let universe = 1u64 << 32;
-        // Small batch against comparable tails: the delta is as large as
-        // the batch itself, the mirror costs more than its slack — drop it.
-        assert_eq!(m.tail_route(universe, 300, 256), TailRoute::SortedVec);
-        // Large batch against few tails: the delta is bounded by the tails
-        // and the merge dwarfs it — keep the mirror.
-        assert_eq!(m.tail_route(universe, 100, 4_096), TailRoute::Veb);
-        // The decision is a pure function: stable across calls.
-        for _ in 0..3 {
-            assert_eq!(m.tail_route(universe, 300, 256), TailRoute::SortedVec);
         }
     }
 

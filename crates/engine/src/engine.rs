@@ -38,9 +38,9 @@ use crate::cost::PathPolicy;
 use crate::metrics::{Metrics, MetricsSnapshot, TickDigest};
 use crate::op::{Op, OpError, OpOutput, OpResult, ReadOutcome, ReadTick, Tick, TickOutcome};
 use crate::query::{QueryBatch, QueryReport};
-use crate::session::{Backend, IngestReport, StreamingLis};
+use crate::session::{IngestReport, StreamingLis};
 use crate::snapshot::{EngineSnapshot, SessionSnapshot};
-use crate::wsession::{WeightedIngestReport, WeightedStreamingLis};
+use crate::wsession::{weight_sum, WeightedIngestReport, WeightedStreamingLis};
 use plis_lis::DominantMaxKind;
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -144,6 +144,15 @@ impl BatchRef<'_> {
             BatchRef::Weighted(b) => b.iter().map(|&(v, _)| v).find(|&v| v >= universe),
         }
     }
+
+    /// Sum of the batch's weights (1 per element of a plain batch), or
+    /// `None` if it overflows `u64`.
+    fn weight_sum(self) -> Option<u64> {
+        match self {
+            BatchRef::Plain(b) => Some(b.len() as u64),
+            BatchRef::Weighted(b) => weight_sum(b),
+        }
+    }
 }
 
 /// Borrowed view of one tick slot (the executor's working shape).
@@ -177,8 +186,6 @@ impl Op {
 pub struct EngineConfig {
     /// Value universe `[0, universe)` for every session.
     pub universe: u64,
-    /// Tail-set backend for every unweighted session.
-    pub backend: Backend,
     /// Dominant-max store for every weighted session.
     pub dommax: DominantMaxKind,
     /// Kind given to sessions created without an explicit kind (by
@@ -199,8 +206,7 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             universe: 1 << 32,
-            backend: Backend::Auto,
-            dommax: DominantMaxKind::Auto,
+            dommax: DominantMaxKind::RangeTree,
             default_kind: SessionKind::Unweighted,
             // The cached pool width, NOT std::thread::available_parallelism:
             // the latter re-reads cgroup state on every call (~10µs), which
@@ -216,7 +222,7 @@ impl EngineConfig {
     fn new_session(&self, kind: SessionKind) -> SessionState {
         match kind {
             SessionKind::Unweighted => SessionState::Unweighted(
-                StreamingLis::new(self.universe, self.backend).with_path_policy(self.path_policy),
+                StreamingLis::new(self.universe).with_path_policy(self.path_policy),
             ),
             SessionKind::Weighted => SessionState::Weighted(
                 WeightedStreamingLis::new(self.universe, self.dommax)
@@ -261,7 +267,7 @@ impl SessionState {
     }
 
     /// Rough heap footprint of the session in bytes, whatever the kind
-    /// (see `StreamingLisOn::approx_bytes` /
+    /// (see `StreamingLis::approx_bytes` /
     /// `WeightedStreamingLis::approx_bytes`).  Used by the telemetry
     /// plane's per-shard memory accounting at snapshot time.
     pub fn approx_bytes(&self) -> usize {
@@ -478,8 +484,9 @@ impl Shard {
             .collect()
     }
 
-    /// One append op: validate the batch against the universe, resolve
-    /// (or create) the target session, check the kind axis, ingest.
+    /// One append op: validate the batch against the universe and the
+    /// `u64` score range, resolve (or create) the target session, check
+    /// the kind axis, ingest.
     fn append(
         &mut self,
         id: &SessionId,
@@ -487,14 +494,15 @@ impl Shard {
         config: &EngineConfig,
         create_missing: bool,
     ) -> OpResult {
-        // Deliberately redundant with the per-element asserts inside the
-        // session ingest paths: this pre-scan is what makes a rejected
-        // batch *atomic* (a typed error before any element mutates the
-        // session), while the session-level asserts keep guarding callers
-        // that drive StreamingLis/WeightedStreamingLis directly.
+        // Deliberately redundant with the asserts inside the session
+        // ingest paths: these pre-scans are what make a rejected batch
+        // *atomic* (a typed error before any element mutates the session),
+        // while the session-level asserts keep guarding callers that drive
+        // StreamingLis/WeightedStreamingLis directly.
         if let Some(value) = batch.overflow(config.universe) {
             return Err(OpError::UniverseOverflow { value, universe: config.universe });
         }
+        let weight_sum = batch.weight_sum().ok_or(OpError::ScoreOverflow)?;
         let state = match self.sessions.entry(id.key()) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
             std::collections::hash_map::Entry::Vacant(e) if create_missing => {
@@ -505,6 +513,11 @@ impl Shard {
         let report = match (state, batch) {
             (SessionState::Unweighted(s), BatchRef::Plain(b)) => {
                 BatchReport::Unweighted(s.ingest(b))
+            }
+            // The best score plus the batch's weights bounds every new dp
+            // value, so neither ingest path needs its own check.
+            (SessionState::Weighted(s), _) if s.best_score().checked_add(weight_sum).is_none() => {
+                return Err(OpError::ScoreOverflow)
             }
             (SessionState::Weighted(s), BatchRef::Plain(b)) => {
                 BatchReport::Weighted(s.ingest_plain(b))
@@ -783,9 +796,9 @@ impl Engine {
 
     /// Build a fresh engine from an engine snapshot under the given
     /// configuration.  `config.universe` must match the snapshot's;
-    /// sharding, backend and path policy are free to differ (outcomes are
-    /// deterministic across all of them).  All-or-nothing: any rejected
-    /// session means no engine.
+    /// sharding, dominant-max store and path policy are free to differ
+    /// (outcomes are deterministic across all of them).  All-or-nothing:
+    /// any rejected session means no engine.
     pub fn restore(config: EngineConfig, snapshot: &EngineSnapshot) -> Result<Engine, OpError> {
         if config.universe != snapshot.universe {
             return Err(OpError::UniverseMismatch {
@@ -1024,7 +1037,7 @@ mod tests {
         });
         let mut reference: HashMap<&str, StreamingLis> = session_names
             .iter()
-            .map(|&name| (name, StreamingLis::new(universe, Backend::Auto).with_par_threshold(64)))
+            .map(|&name| (name, StreamingLis::new(universe).with_par_threshold(64)))
             .collect();
         for &name in &session_names {
             assert!(engine.create_session(name));

@@ -1,21 +1,17 @@
-//! `plis-engine` — an online/streaming LIS engine on top of the
-//! batch-parallel vEB machinery.
+//! `plis-engine` — an online/streaming LIS engine on top of the paper's
+//! parallel LIS and weighted-LIS algorithms.
 //!
 //! The offline algorithms of the paper answer "what is the LIS of this
 //! array" one-shot.  This crate turns them into a *service*: data arrives
 //! continuously in batches, and LIS state is maintained incrementally
 //! instead of recomputed from scratch.
 //!
-//! * [`StreamingLisOn`] — a single unweighted session, **generic over the
-//!   [`plis_lis::TailSet`] trait**.  It keeps the classic *tails* array
-//!   `B[r]` = smallest value ending an increasing subsequence of length
-//!   `r + 1` over everything ingested so far, mirrored in a pluggable
-//!   value-domain store; [`Backend`] is the enum-dispatch factory over the
-//!   built-in mirrors (vEB, kept in sync with the paper's parallel
-//!   `batch_insert` / `batch_delete`, Theorems 5.1/5.2; or a stateless
-//!   sorted-vec probe), and [`StreamingLis`] is the non-generic alias the
-//!   engine serves.  [`StreamingLisOn::ingest`] appends a batch and returns
-//!   an [`IngestReport`]; large batches take a parallel merge path that
+//! * [`StreamingLis`] — a single unweighted session.  It keeps the classic
+//!   *tails* array `B[r]` = smallest value ending an increasing
+//!   subsequence of length `r + 1` over everything ingested so far, and
+//!   answers value-domain probes by binary search over it.
+//!   [`StreamingLis::ingest`] appends a batch and returns an
+//!   [`IngestReport`]; large batches take a parallel merge path that
 //!   runs Algorithm 1 (the tournament-tree LIS) over `tails ++ batch` —
 //!   see the module docs of [`session`] for why that is exact.
 //! * [`WeightedStreamingLis`] — a single *weighted* session serving
@@ -122,7 +118,7 @@ pub use op::{Op, OpError, OpOutput, OpResult, ReadOutcome, ReadTick, Tick, TickO
 pub use plis_lis::DominantMaxKind;
 pub use plis_telemetry::{HistogramSnapshot, MemorySink, TraceSink};
 pub use query::{Certificate, Query, QueryAnswer, QueryBatch, QueryReport};
-pub use session::{Backend, IngestPath, IngestReport, StreamingLis, StreamingLisOn};
+pub use session::{IngestPath, IngestReport, StreamingLis};
 pub use snapshot::{
     replay_journal, replay_journal_from, EngineSnapshot, ReplayReport, SessionSnapshot,
     SnapshotError, TickJournal,

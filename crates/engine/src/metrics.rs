@@ -42,21 +42,13 @@ pub struct TickDigest {
     /// Total size of the parallel merge runs (`tails ++ batch` /
     /// `frontier ++ batch`) in this tick.
     pub par_merge_elems: u64,
-    /// Elements moved through the vEB tail-set batch delta
-    /// (`batch_insert` + `batch_delete` sizes) in this tick.
+    /// Tail-set churn of the unweighted parallel ingests in this tick:
+    /// tails inserted plus tails removed.
     pub veb_delta_elems: u64,
-    /// Weighted parallel ingests whose dominant-max store resolved to the
-    /// range tree (counts `Auto` picks and forced kinds alike).
+    /// Weighted parallel ingests that ran on the range tree.
     pub dommax_tree_picks: u64,
-    /// Weighted parallel ingests whose dominant-max store resolved to the
-    /// range vEB.
+    /// Weighted parallel ingests that ran on the range vEB.
     pub dommax_veb_picks: u64,
-    /// Unweighted parallel ingests whose tail-set delta went to the vEB
-    /// mirror (counts `Backend::Auto` picks and the forced backend alike).
-    pub tailset_veb_picks: u64,
-    /// Unweighted parallel ingests whose tail-set delta resolved to the
-    /// stateless sorted-vec probe.
-    pub tailset_sorted_picks: u64,
 }
 
 #[cfg(feature = "telemetry")]
@@ -83,11 +75,6 @@ mod real {
                         // The merge run is `tails ++ batch`.
                         d.par_merge_elems += u64::from(r.lis_before) + r.ingested as u64;
                         d.veb_delta_elems += (r.tail_inserts + r.tail_removals) as u64;
-                        match r.tail_store {
-                            Some(plis_lis::TailRoute::Veb) => d.tailset_veb_picks += 1,
-                            Some(plis_lis::TailRoute::SortedVec) => d.tailset_sorted_picks += 1,
-                            None => {}
-                        }
                     }
                 },
                 crate::BatchReport::Weighted(r) => match r.path {
@@ -136,8 +123,6 @@ mod real {
         dommax_writeback_elems: Counter,
         dommax_tree_picks: Counter,
         dommax_veb_picks: Counter,
-        tailset_veb_picks: Counter,
-        tailset_sorted_picks: Counter,
         inline_ticks: Counter,
         inline_read_ticks: Counter,
         tick_ns: AtomicHistogram,
@@ -232,8 +217,6 @@ mod real {
             self.veb_delta_elems.add(digest.veb_delta_elems);
             self.dommax_tree_picks.add(digest.dommax_tree_picks);
             self.dommax_veb_picks.add(digest.dommax_veb_picks);
-            self.tailset_veb_picks.add(digest.tailset_veb_picks);
-            self.tailset_sorted_picks.add(digest.tailset_sorted_picks);
             digest
         }
 
@@ -283,8 +266,8 @@ mod real {
                 dommax_writeback_elems: self.dommax_writeback_elems.get(),
                 dommax_tree_picks: self.dommax_tree_picks.get(),
                 dommax_veb_picks: self.dommax_veb_picks.get(),
-                tailset_veb_picks: self.tailset_veb_picks.get(),
-                tailset_sorted_picks: self.tailset_sorted_picks.get(),
+                tailset_veb_picks: 0,
+                tailset_sorted_picks: 0,
                 inline_ticks: self.inline_ticks.get(),
                 inline_read_ticks: self.inline_read_ticks.get(),
                 tick_latency: self.tick_ns.snapshot(),
@@ -392,22 +375,24 @@ pub struct MetricsSnapshot {
     /// Total size of the parallel merge runs (`tails ++ batch` /
     /// `frontier ++ batch`).
     pub par_merge_elems: u64,
-    /// Elements moved through the vEB tail-set batch delta
-    /// (`batch_insert` + `batch_delete` sizes).
+    /// Tail-set churn of the unweighted parallel ingests: tails inserted
+    /// plus tails removed (the historical name is kept for the readers of
+    /// this field).
     pub veb_delta_elems: u64,
     /// Dominant-max point queries issued by weighted parallel ingests.
     pub dommax_queries: u64,
     /// Elements written back to dominant-max stores by those ingests.
     pub dommax_writeback_elems: u64,
-    /// Weighted parallel ingests that resolved to the range-tree store.
+    /// Weighted parallel ingests that ran on the range-tree store.
     pub dommax_tree_picks: u64,
-    /// Weighted parallel ingests that resolved to the range-vEB store.
+    /// Weighted parallel ingests that ran on the range-vEB store.
     pub dommax_veb_picks: u64,
-    /// Unweighted parallel ingests whose tail-set delta went to the vEB
-    /// mirror.
+    /// Always 0: sessions keep no vEB tail mirror, so no ingest picks one.
+    /// The field remains because the repository's benchmark harness
+    /// (`perfbench`) reads it.
     pub tailset_veb_picks: u64,
-    /// Unweighted parallel ingests whose tail-set delta resolved to the
-    /// sorted-vec probe.
+    /// Always 0, for the same reason as
+    /// [`MetricsSnapshot::tailset_veb_picks`].
     pub tailset_sorted_picks: u64,
     /// Write ticks light enough to run inline on the calling thread,
     /// skipping the per-shard parallel spine.
@@ -473,8 +458,6 @@ impl MetricsSnapshot {
         self.dommax_writeback_elems += other.dommax_writeback_elems;
         self.dommax_tree_picks += other.dommax_tree_picks;
         self.dommax_veb_picks += other.dommax_veb_picks;
-        self.tailset_veb_picks += other.tailset_veb_picks;
-        self.tailset_sorted_picks += other.tailset_sorted_picks;
         self.inline_ticks += other.inline_ticks;
         self.inline_read_ticks += other.inline_read_ticks;
         self.tick_latency.merge(&other.tick_latency);
@@ -520,8 +503,6 @@ impl MetricsSnapshot {
             ("dommax_writeback_elems", JsonValue::from(self.dommax_writeback_elems)),
             ("dommax_tree_picks", JsonValue::from(self.dommax_tree_picks)),
             ("dommax_veb_picks", JsonValue::from(self.dommax_veb_picks)),
-            ("tailset_veb_picks", JsonValue::from(self.tailset_veb_picks)),
-            ("tailset_sorted_picks", JsonValue::from(self.tailset_sorted_picks)),
             ("inline_ticks", JsonValue::from(self.inline_ticks)),
             ("inline_read_ticks", JsonValue::from(self.inline_read_ticks)),
             ("tick_p50_us", JsonValue::from(us(self.tick_latency.p50()))),

@@ -407,6 +407,10 @@ pub enum OpError {
         /// The configured universe bound.
         universe: u64,
     },
+    /// A weighted append whose weights (1 per element of a plain batch),
+    /// added to the session's best score, overflow `u64`: some dp score
+    /// could not be represented.  The whole batch is rejected atomically.
+    ScoreOverflow,
     /// [`Op::CreateSession`] addressed an id that is already live.
     SessionExists {
         /// Kind of the session already holding the id.
@@ -437,6 +441,7 @@ impl std::fmt::Display for OpError {
             OpError::UniverseOverflow { value, universe } => {
                 write!(f, "value {value} outside the universe [0, {universe})")
             }
+            OpError::ScoreOverflow => write!(f, "batch weights would overflow the u64 dp scores"),
             OpError::SessionExists { kind } => {
                 write!(f, "session already exists (kind {kind:?})")
             }

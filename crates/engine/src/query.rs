@@ -17,13 +17,13 @@
 //! Algorithm-2 score in a weighted one, so the same [`Query`] values work
 //! against both kinds and answers carry dp values as `u64` either way.
 //! Certificate answers are full reconstructions
-//! ([`StreamingLisOn::reconstruct_lis`] /
+//! ([`StreamingLis::reconstruct_lis`] /
 //! [`WeightedStreamingLis::reconstruct_wlis`]) and are deterministic:
 //! bit-identical to the offline Appendix-A walk on the same prefix, which
 //! is what `crates/engine/tests/query_oracle.rs` asserts.
 //!
 //! [`Op::Query`]: crate::Op::Query
-//! [`StreamingLisOn::reconstruct_lis`]: crate::StreamingLisOn::reconstruct_lis
+//! [`StreamingLis::reconstruct_lis`]: crate::StreamingLis::reconstruct_lis
 //! [`WeightedStreamingLis::reconstruct_wlis`]: crate::WeightedStreamingLis::reconstruct_wlis
 
 use crate::engine::{SessionKind, SessionState};
@@ -179,13 +179,13 @@ impl SessionState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::{Backend, StreamingLis};
+    use crate::session::StreamingLis;
     use crate::wsession::WeightedStreamingLis;
     use plis_lis::DominantMaxKind;
 
     #[test]
     fn answers_agree_with_the_session_accessors() {
-        let mut plain = StreamingLis::new(100, Backend::Auto);
+        let mut plain = StreamingLis::new(100);
         plain.ingest(&[10, 20, 5, 30]);
         let state = SessionState::Unweighted(plain.clone());
         assert_eq!(state.answer(Query::RankOf(3)), QueryAnswer::Rank(Some(3)));
@@ -199,7 +199,7 @@ mod tests {
         assert_eq!(cert.claimed, 3);
         assert_eq!(cert.indices, plain.reconstruct_lis());
 
-        let mut weighted = WeightedStreamingLis::new(100, DominantMaxKind::Auto);
+        let mut weighted = WeightedStreamingLis::new(100, DominantMaxKind::RangeTree);
         weighted.ingest(&[(10, 4), (20, 6)]);
         let state = SessionState::Weighted(weighted);
         assert_eq!(state.answer(Query::RankOf(1)), QueryAnswer::Rank(Some(10)));
@@ -213,7 +213,7 @@ mod tests {
 
     #[test]
     fn batch_reports_carry_kind_and_order() {
-        let mut plain = StreamingLis::new(100, Backend::Auto);
+        let mut plain = StreamingLis::new(100);
         plain.ingest(&[1, 2, 3]);
         let state = SessionState::Unweighted(plain);
         let batch = QueryBatch::from(vec![Query::CountAt(1), Query::RankOf(0)]);

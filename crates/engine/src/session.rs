@@ -38,7 +38,7 @@
 //! `tails`, the flat rank index replacing per-rank `Vec`s) or in a
 //! per-session scratch arena of reusable staging buffers, all of which
 //! grow to a high-water mark and are then only ever cleared, never freed.
-//! [`StreamingLisOn::reserve`] pre-sizes everything for a known workload;
+//! [`StreamingLis::reserve`] pre-sizes everything for a known workload;
 //! the `alloc_discipline` integration test pins the zero-allocation claim
 //! with a counting global allocator.  See `DESIGN.md` ("Memory & allocation
 //! discipline").
@@ -51,52 +51,24 @@
 //! elements, in arrival order (which is increasing-index order, because
 //! ranks never change) — packed into one flat block pool:
 //! `O(batch)` upkeep per ingest, and every read is output-sensitive —
-//! [`StreamingLisOn::count_at_rank`] is `O(1)`,
-//! [`StreamingLisOn::top_k`] is `O(k)`, and
-//! [`StreamingLisOn::reconstruct_lis`] walks the frontiers directly
+//! [`StreamingLis::count_at_rank`] is `O(1)`,
+//! [`StreamingLis::top_k`] is `O(k)`, and
+//! [`StreamingLis::reconstruct_lis`] walks the frontiers directly
 //! (`O(k log n)`, Appendix A) instead of re-grouping the rank array per
 //! query.
 //!
-//! # Backends
+//! # Value-domain probes
 //!
-//! The session type [`StreamingLisOn`] is **generic over the
-//! [`TailSet`] trait** of `plis-lis`: the value-domain mirror of the tails
-//! array is pluggable, and the ingest paths speak only the trait surface —
-//! there is no per-backend branching in the hot path.  [`Backend`] is the
-//! runtime-facing factory over the built-in mirrors (enum dispatch through
-//! [`AnyTailSet`], so the non-generic [`StreamingLis`] alias keeps the
-//! original public API):
-//!
-//! * [`Backend::Veb`] — a [`plis_lis::VebTailSet`] over the session
-//!   universe, kept in sync with the paper's parallel `batch_insert` /
-//!   `batch_delete` (Theorems 5.1/5.2).  Value-domain queries
-//!   ([`StreamingLisOn::tail_pred`], [`StreamingLisOn::tail_succ`]) cost
-//!   `O(log log U)`.
-//! * [`Backend::SortedVec`] — the stateless
-//!   [`plis_lis::SortedVecTailSet`]: no mirror, probes binary-search
-//!   `tails` — the right choice for small universes where the vEB constant
-//!   factors dominate.
-//! * [`Backend::Auto`] — tiny universes get the sorted-vec probe outright;
-//!   larger ones get [`plis_lis::AutoTailSet`], which keeps or drops its
-//!   vEB mirror **per parallel ingest** under the engine's cost model
-//!   ([`crate::CostModel::tail_route`]): the mirror only accelerates
-//!   value-domain probes, so it is maintained exactly while its predicted
-//!   delta cost is small next to the merge work the batch already pays.
-//!   The pick is recorded on [`IngestReport::tail_store`] and counted by
-//!   telemetry.  Probes answer identically on both routes, so outcomes
-//!   stay bit-identical with the fixed backends.
+//! [`StreamingLis::tail_pred`], [`StreamingLis::tail_succ`] and
+//! [`StreamingLis::lis_length_below`] binary-search `tails` itself
+//! (`O(log k)`).  The session keeps no value-domain mirror of the tails:
+//! Algorithm 1 and the patience tails need none (the paper's vEB tree
+//! serves Algorithm 2's Range-vEB store).
 
-use crate::cost::{calibration, PathPolicy};
+use crate::cost::PathPolicy;
 use crate::rankindex::RankIndex;
 use plis_lis::lis_ranks_u64;
-use plis_lis::tailset::{AnyTailSet, TailRoute, TailSet};
 use plis_primitives::sorted_diff_into;
-
-/// Universe size at or below which [`Backend::Auto`] resolves to
-/// [`Backend::SortedVec`] outright: tiny universes mean short tail arrays,
-/// and a binary search beats the vEB constant factors at any batch size,
-/// so there is nothing left for the per-ingest cost model to route.
-pub const AUTO_VEB_UNIVERSE_THRESHOLD: u64 = 1 << 12;
 
 /// The historical fixed batch-size threshold at which ingestion switched
 /// to the parallel merge path.  Sessions now default to cost-based
@@ -105,56 +77,18 @@ pub const AUTO_VEB_UNIVERSE_THRESHOLD: u64 = 1 << 12;
 /// bench sweeps that reproduce the old behaviour.
 pub const DEFAULT_PAR_THRESHOLD: usize = 512;
 
-/// Which value-domain structure mirrors the tail set of a session — the
-/// enum-dispatch factory over the open [`TailSet`] trait.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Decide from the universe size and then per ingest: sorted vector at
-    /// or below [`AUTO_VEB_UNIVERSE_THRESHOLD`], the cost-routed
-    /// [`plis_lis::AutoTailSet`] above it.
-    Auto,
-    /// Tails mirrored in a vEB tree, maintained with the paper's batch
-    /// insert / delete.
-    Veb,
-    /// No mirror; value-domain queries binary-search the tails array.
-    SortedVec,
-}
-
-impl Backend {
-    /// Construct the tail-set store this backend selects for `universe` —
-    /// the factory step; everything after it is generic over [`TailSet`].
-    pub fn store(self, universe: u64) -> AnyTailSet {
-        match self {
-            Backend::Auto => {
-                if universe > AUTO_VEB_UNIVERSE_THRESHOLD {
-                    AnyTailSet::auto(universe)
-                } else {
-                    AnyTailSet::sorted_vec()
-                }
-            }
-            Backend::Veb => AnyTailSet::veb(universe),
-            Backend::SortedVec => AnyTailSet::sorted_vec(),
-        }
-    }
-}
-
 /// Which code path an ingest took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IngestPath {
     /// Per-element binary search + point updates.
     Sequential,
-    /// Algorithm 1 over `tails ++ batch`, delta applied with vEB batch ops.
+    /// Algorithm 1 over `tails ++ batch`, then a per-rank min rebuild of
+    /// the tails.
     ParallelMerge,
 }
 
-/// What one [`StreamingLisOn::ingest`] call did.
-///
-/// Equality ignores [`IngestReport::tail_store`]: the tail-set route is an
-/// execution detail (fixed backends always report their own kind, and
-/// [`Backend::Auto`] may legitimately route differently from a forced
-/// backend), so comparing reports across backends — as the cross-backend
-/// determinism tests do — must not see it.
-#[derive(Debug, Clone, Copy)]
+/// What one [`StreamingLis::ingest`] call did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IngestReport {
     /// Number of elements appended by this call.
     pub ingested: usize,
@@ -168,24 +102,7 @@ pub struct IngestReport {
     pub tail_inserts: usize,
     /// Values removed from the tail set (tails displaced by better ones).
     pub tail_removals: usize,
-    /// Which store served the tail-set delta of a parallel-merge ingest
-    /// (`None` on the sequential path, which applies point updates).
-    /// Excluded from equality; counted by the engine's telemetry plane.
-    pub tail_store: Option<TailRoute>,
 }
-
-impl PartialEq for IngestReport {
-    fn eq(&self, other: &Self) -> bool {
-        self.ingested == other.ingested
-            && self.lis_before == other.lis_before
-            && self.lis_after == other.lis_after
-            && self.path == other.path
-            && self.tail_inserts == other.tail_inserts
-            && self.tail_removals == other.tail_removals
-    }
-}
-
-impl Eq for IngestReport {}
 
 impl IngestReport {
     fn empty(k: u32, path: IngestPath) -> Self {
@@ -196,7 +113,6 @@ impl IngestReport {
             path,
             tail_inserts: 0,
             tail_removals: 0,
-            tail_store: None,
         }
     }
 }
@@ -241,12 +157,10 @@ impl ScratchArena {
     }
 }
 
-/// Incremental LIS over an append-only stream, generic over the tail-set
-/// mirror.  See the module docs for the algorithm; see [`crate::Engine`]
-/// for multiplexing many sessions.  Most callers use the [`StreamingLis`]
-/// alias, which dispatches over the built-in backends via [`Backend`].
+/// Incremental LIS over an append-only stream.  See the module docs for
+/// the algorithm; see [`crate::Engine`] for multiplexing many sessions.
 #[derive(Debug, Clone)]
-pub struct StreamingLisOn<S: TailSet> {
+pub struct StreamingLis {
     /// Every ingested value, in arrival order.
     values: Vec<u64>,
     /// `ranks[i]` = dp value of `values[i]` (length of the LIS ending there).
@@ -260,43 +174,24 @@ pub struct StreamingLisOn<S: TailSet> {
     by_rank: RankIndex,
     /// Reusable staging buffers for the parallel merge path.
     scratch: ScratchArena,
-    /// Value-domain mirror of `tails`.
-    store: S,
     universe: u64,
     /// How ingest picks between the sequential and parallel merge path.
     policy: PathPolicy,
 }
 
-/// The engine-facing session type: [`StreamingLisOn`] over the built-in
-/// enum-dispatch store, keeping the original non-generic public API.
-pub type StreamingLis = StreamingLisOn<AnyTailSet>;
-
 impl StreamingLis {
-    /// Create a session over the value universe `[0, universe)` with the
-    /// mirror selected by `backend`.
+    /// Create a session over the value universe `[0, universe)`.
     ///
     /// # Panics
     /// Panics if `universe == 0`.
-    pub fn new(universe: u64, backend: Backend) -> Self {
-        StreamingLisOn::with_store(universe, backend.store(universe))
-    }
-}
-
-impl<S: TailSet> StreamingLisOn<S> {
-    /// Create a session over `[0, universe)` with an explicit tail-set
-    /// store — the generic entry point new backends plug into.
-    ///
-    /// # Panics
-    /// Panics if `universe == 0`.
-    pub fn with_store(universe: u64, store: S) -> Self {
+    pub fn new(universe: u64) -> Self {
         assert!(universe > 0, "universe must be non-empty");
-        StreamingLisOn {
+        StreamingLis {
             values: Vec::new(),
             ranks: Vec::new(),
             tails: Vec::new(),
             by_rank: RankIndex::new(),
             scratch: ScratchArena::default(),
-            store,
             universe,
             policy: PathPolicy::default(),
         }
@@ -331,7 +226,6 @@ impl<S: TailSet> StreamingLisOn<S> {
         self.tails.reserve(additional);
         self.by_rank.reserve(additional, additional);
         self.scratch.reserve(additional);
-        self.store.reserve(additional);
     }
 
     /// Number of elements ingested so far.
@@ -352,11 +246,6 @@ impl<S: TailSet> StreamingLisOn<S> {
     /// The universe this session was created over.
     pub fn universe(&self) -> u64 {
         self.universe
-    }
-
-    /// Which backend the session resolved to.
-    pub fn backend_name(&self) -> &'static str {
-        self.store.name()
     }
 
     /// Every ingested value, in arrival order.
@@ -389,16 +278,17 @@ impl<S: TailSet> StreamingLisOn<S> {
         self.tails.partition_point(|&t| t < x) as u32
     }
 
-    /// Largest tail value strictly below `x`, if any.  `O(log log U)` on the
-    /// vEB backend, `O(log k)` on the sorted-vec backend.
+    /// Largest tail value strictly below `x`, if any.  `O(log k)`.
     pub fn tail_pred(&self, x: u64) -> Option<u64> {
-        self.store.pred(&self.tails, x)
+        let p = self.tails.partition_point(|&t| t < x);
+        p.checked_sub(1).map(|i| self.tails[i])
     }
 
-    /// Smallest tail value at or above `x`, if any.  Probes at or beyond the
-    /// universe return `None` (all tails are inside the universe).
+    /// Smallest tail value at or above `x`, if any.  `O(log k)`.  Probes at
+    /// or beyond the universe return `None` (all tails are inside the
+    /// universe).
     pub fn tail_succ(&self, x: u64) -> Option<u64> {
-        self.store.succ(&self.tails, x)
+        self.tails.get(self.tails.partition_point(|&t| t < x)).copied()
     }
 
     /// Number of ingested elements whose rank (dp value) is exactly
@@ -506,12 +396,9 @@ impl<S: TailSet> StreamingLisOn<S> {
             self.by_rank.push(pos, (base + offset) as u32);
             if pos == self.tails.len() {
                 self.tails.push(x);
-                self.store.insert(x);
                 inserts += 1;
             } else if x < self.tails[pos] {
-                let displaced = std::mem::replace(&mut self.tails[pos], x);
-                self.store.delete(displaced);
-                self.store.insert(x);
+                self.tails[pos] = x;
                 inserts += 1;
                 removals += 1;
             }
@@ -524,30 +411,16 @@ impl<S: TailSet> StreamingLisOn<S> {
             path: IngestPath::Sequential,
             tail_inserts: inserts,
             tail_removals: removals,
-            tail_store: None,
         }
     }
 
     /// The parallel merge path: Algorithm 1 over `tails ++ batch`, then a
-    /// per-rank min rebuild of the tails and a batch delta on the
-    /// cost-routed mirror.  All staging goes through the session's
-    /// [`ScratchArena`] — steady state performs no heap allocation here
-    /// beyond what [`lis_ranks_u64`] needs internally.
+    /// per-rank min rebuild of the tails.  All staging goes through the
+    /// session's [`ScratchArena`] — steady state performs no heap
+    /// allocation here beyond what [`lis_ranks_u64`] needs internally.
     fn ingest_parallel(&mut self, batch: &[u64]) -> IngestReport {
         let lis_before = self.lis_length();
         let k = self.tails.len();
-
-        // Route the tail-set delta before touching the store: Auto keeps
-        // or drops its vEB mirror per the cost model; fixed backends
-        // never look at the hint, and must not trigger its computation —
-        // cost calibration drives fixed-backend sessions from inside the
-        // model's own one-time initialisation, where asking for the model
-        // again would deadlock.
-        let hint = self
-            .store
-            .wants_route_hint()
-            .then(|| calibration::unweighted().tail_route(self.universe, k, batch.len()));
-        let route = self.store.route_parallel(hint, &self.tails);
 
         self.scratch.merged.clear();
         self.scratch.merged.reserve(k + batch.len());
@@ -590,13 +463,10 @@ impl<S: TailSet> StreamingLisOn<S> {
             "tails must stay strictly increasing"
         );
 
-        // Apply the tail-set delta through the paper's batch operations.
-        // After the swap `scratch.new_tails` holds the *old* tails (and its
-        // buffer is reused next ingest).
+        // Account the tail-set delta.  After the swap `scratch.new_tails`
+        // holds the *old* tails (and its buffer is reused next ingest).
         std::mem::swap(&mut self.tails, &mut scratch.new_tails);
         sorted_diff_into(&scratch.new_tails, &self.tails, &mut scratch.removed, &mut scratch.added);
-        self.store.batch_delete(&scratch.removed);
-        self.store.batch_insert(&scratch.added);
 
         IngestReport {
             ingested: batch.len(),
@@ -605,14 +475,12 @@ impl<S: TailSet> StreamingLisOn<S> {
             path: IngestPath::ParallelMerge,
             tail_inserts: self.scratch.added.len(),
             tail_removals: self.scratch.removed.len(),
-            tail_store: Some(route),
         }
     }
 
     /// Rough heap footprint of the session in bytes: the value/rank/tail
-    /// arrays, the flat rank index, the scratch arena, and the tail-set
-    /// mirror ([`TailSet::approx_bytes`]).  `O(1)` plus the mirror walk —
-    /// intended for occasional telemetry snapshots, not the hot path.
+    /// arrays, the flat rank index and the scratch arena.  Intended for
+    /// occasional telemetry snapshots, not the hot path.
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.values.capacity() * std::mem::size_of::<u64>()
@@ -620,7 +488,6 @@ impl<S: TailSet> StreamingLisOn<S> {
             + self.tails.capacity() * std::mem::size_of::<u64>()
             + self.by_rank.approx_bytes()
             + self.scratch.approx_bytes()
-            + self.store.approx_bytes()
     }
 
     /// Heap bytes held by the reusable staging buffers (the scratch arena
@@ -648,7 +515,6 @@ impl<S: TailSet> StreamingLisOn<S> {
                 "frontier {r} holds a wrong-rank element"
             );
         }
-        self.store.check_invariants(&self.tails);
     }
 }
 
@@ -656,55 +522,31 @@ impl<S: TailSet> StreamingLisOn<S> {
 mod tests {
     use super::*;
     use crate::testutil::xorshift;
-    use plis_lis::tailset::VebTailSet;
 
     #[test]
     fn paper_example_one_batch() {
         let input = [52u64, 31, 45, 26, 61, 10, 39, 44];
-        for backend in [Backend::Veb, Backend::SortedVec] {
-            let mut s = StreamingLis::new(64, backend);
-            let report = s.ingest(&input);
-            assert_eq!(report.ingested, 8);
-            assert_eq!(report.lis_after, 3);
-            assert_eq!(s.ranks(), &[1, 1, 2, 1, 3, 1, 2, 3]);
-            assert_eq!(s.lis_length(), 3);
-            s.check_invariants();
-        }
-    }
-
-    #[test]
-    fn generic_session_over_a_concrete_store_matches_enum_dispatch() {
-        // The trait layer is open: a session instantiated directly over
-        // VebTailSet (no enum) behaves identically to the Backend factory.
-        let mut state = 0xD15EA5Eu64;
-        let input: Vec<u64> = (0..2_000).map(|_| xorshift(&mut state) % 8_192).collect();
-        let mut direct =
-            StreamingLisOn::with_store(8_192, VebTailSet::new(8_192)).with_par_threshold(100);
-        let mut fronted = StreamingLis::new(8_192, Backend::Veb).with_par_threshold(100);
-        for chunk in input.chunks(77) {
-            direct.ingest(chunk);
-            fronted.ingest(chunk);
-        }
-        assert_eq!(direct.ranks(), fronted.ranks());
-        assert_eq!(direct.tails(), fronted.tails());
-        assert_eq!(direct.backend_name(), fronted.backend_name());
-        direct.check_invariants();
+        let mut s = StreamingLis::new(64);
+        let report = s.ingest(&input);
+        assert_eq!(report.ingested, 8);
+        assert_eq!(report.lis_after, 3);
+        assert_eq!(s.ranks(), &[1, 1, 2, 1, 3, 1, 2, 3]);
+        assert_eq!(s.lis_length(), 3);
+        s.check_invariants();
     }
 
     #[test]
     fn sequential_and_parallel_paths_agree() {
         let mut state = 0x5DEECE66Du64;
         let input: Vec<u64> = (0..3_000).map(|_| xorshift(&mut state) % 10_000).collect();
-        let mut seq = StreamingLis::new(10_000, Backend::Veb).with_par_threshold(usize::MAX);
-        let mut par = StreamingLis::new(10_000, Backend::Veb).with_par_threshold(1);
+        let mut seq = StreamingLis::new(10_000).with_par_threshold(usize::MAX);
+        let mut par = StreamingLis::new(10_000).with_par_threshold(1);
         for chunk in input.chunks(97) {
             let rs = seq.ingest(chunk);
             let rp = par.ingest(chunk);
             assert_eq!(rs.path, IngestPath::Sequential);
             assert_eq!(rp.path, IngestPath::ParallelMerge);
             assert_eq!(rs.lis_after, rp.lis_after);
-            assert_eq!(rs.tail_store, None);
-            assert_eq!(rp.tail_store, Some(TailRoute::Veb), "fixed veb reports itself");
         }
         assert_eq!(seq.ranks(), par.ranks());
         assert_eq!(seq.tails(), par.tails());
@@ -720,14 +562,14 @@ mod tests {
         let mut state = 0xA5A5_1234u64;
         let input: Vec<u64> = (0..4_000).map(|_| xorshift(&mut state) % 20_000).collect();
         let reference = {
-            let mut s = StreamingLis::new(20_000, Backend::Veb).with_par_threshold(usize::MAX);
+            let mut s = StreamingLis::new(20_000).with_par_threshold(usize::MAX);
             for chunk in input.chunks(113) {
                 s.ingest(chunk);
             }
             s
         };
         for threshold in [1usize, 2, 7, 32, 64, 100, 113, 114, 512, 4_096] {
-            let mut s = StreamingLis::new(20_000, Backend::Veb).with_par_threshold(threshold);
+            let mut s = StreamingLis::new(20_000).with_par_threshold(threshold);
             for chunk in input.chunks(113) {
                 s.ingest(chunk);
             }
@@ -745,8 +587,8 @@ mod tests {
     fn cost_policy_state_matches_fixed_policies() {
         let mut state = 0xDEAD_10CCu64;
         let input: Vec<u64> = (0..3_500).map(|_| xorshift(&mut state) % 9_000).collect();
-        let mut cost = StreamingLis::new(9_000, Backend::Veb).with_path_policy(PathPolicy::Cost);
-        let mut fixed = StreamingLis::new(9_000, Backend::Veb).with_par_threshold(256);
+        let mut cost = StreamingLis::new(9_000).with_path_policy(PathPolicy::Cost);
+        let mut fixed = StreamingLis::new(9_000).with_par_threshold(256);
         assert_eq!(cost.path_policy(), PathPolicy::Cost);
         for chunk in input.chunks(301) {
             let rc = cost.ingest(chunk);
@@ -763,101 +605,20 @@ mod tests {
 
         // And the cost decision is deterministic: replaying the same
         // stream takes the same path at every batch.
-        let mut replay = StreamingLis::new(9_000, Backend::Veb).with_path_policy(PathPolicy::Cost);
+        let mut replay = StreamingLis::new(9_000).with_path_policy(PathPolicy::Cost);
         let mut paths = Vec::new();
         for chunk in input.chunks(301) {
             paths.push(replay.ingest(chunk).path);
         }
-        let mut replay2 = StreamingLis::new(9_000, Backend::Veb).with_path_policy(PathPolicy::Cost);
+        let mut replay2 = StreamingLis::new(9_000).with_path_policy(PathPolicy::Cost);
         for (i, chunk) in input.chunks(301).enumerate() {
             assert_eq!(replay2.ingest(chunk).path, paths[i], "batch {i}");
         }
     }
 
     #[test]
-    fn backends_agree_and_answer_value_queries() {
-        let mut state = 0xBADC0FFEu64;
-        let input: Vec<u64> = (0..2_000).map(|_| xorshift(&mut state) % 4_096).collect();
-        let mut veb = StreamingLis::new(4_096, Backend::Veb);
-        let mut vec = StreamingLis::new(4_096, Backend::SortedVec);
-        for chunk in input.chunks(333) {
-            veb.ingest(chunk);
-            vec.ingest(chunk);
-        }
-        assert_eq!(veb.ranks(), vec.ranks());
-        assert_eq!(veb.tails(), vec.tails());
-        // Probes include the universe boundary and beyond: both backends
-        // must agree there too, not just on in-universe keys.
-        for probe in [0u64, 1, 17, 1_000, 4_095, 4_096, 10_000, u64::MAX] {
-            assert_eq!(veb.tail_pred(probe), vec.tail_pred(probe), "pred {probe}");
-            assert_eq!(veb.tail_succ(probe), vec.tail_succ(probe), "succ {probe}");
-            assert_eq!(veb.lis_length_below(probe), vec.lis_length_below(probe));
-        }
-        veb.check_invariants();
-        vec.check_invariants();
-    }
-
-    /// The cost-routed auto store must be invisible in outcomes: state and
-    /// probe answers match both fixed backends on the same stream, whatever
-    /// mix of routes the model picked along the way.
-    #[test]
-    fn auto_store_matches_fixed_backends_bit_for_bit() {
-        let mut state = 0xFEED_F00Du64;
-        let universe = 1u64 << 20;
-        let input: Vec<u64> = (0..3_000).map(|_| xorshift(&mut state) % universe).collect();
-        // Mixed batch sizes push the router both ways.
-        let sizes = [40usize, 700, 64, 1_200, 96, 900];
-        let mut auto = StreamingLis::new(universe, Backend::Auto).with_par_threshold(256);
-        let mut veb = StreamingLis::new(universe, Backend::Veb).with_par_threshold(256);
-        let mut vec = StreamingLis::new(universe, Backend::SortedVec).with_par_threshold(256);
-        let mut rest = input.as_slice();
-        let mut i = 0usize;
-        while !rest.is_empty() {
-            let take = sizes[i % sizes.len()].min(rest.len());
-            let (chunk, tail) = rest.split_at(take);
-            let ra = auto.ingest(chunk);
-            let rv = veb.ingest(chunk);
-            let rs = vec.ingest(chunk);
-            // Reports compare equal across backends (equality ignores the
-            // tail_store route by design).
-            assert_eq!(ra, rv);
-            assert_eq!(ra, rs);
-            rest = tail;
-            i += 1;
-        }
-        assert_eq!(auto.ranks(), veb.ranks());
-        assert_eq!(auto.tails(), veb.tails());
-        for probe in [0u64, 13, 4_096, universe - 1, universe, u64::MAX] {
-            assert_eq!(auto.tail_pred(probe), veb.tail_pred(probe), "pred {probe}");
-            assert_eq!(auto.tail_succ(probe), veb.tail_succ(probe), "succ {probe}");
-        }
-        auto.check_invariants();
-    }
-
-    #[test]
-    fn auto_backend_resolves_by_universe() {
-        let small = StreamingLis::new(256, Backend::Auto);
-        assert_eq!(small.backend_name(), "sorted-vec");
-        let large = StreamingLis::new(1 << 20, Backend::Auto);
-        assert_eq!(large.backend_name(), "auto");
-    }
-
-    #[test]
-    fn parallel_ingests_record_their_tail_route() {
-        // Force the parallel path; the cost model decides the route from
-        // (universe, tails, batch) — whatever it picks must be recorded.
-        let mut s = StreamingLis::new(1 << 20, Backend::Auto).with_par_threshold(1);
-        let batch: Vec<u64> = (0..512u64).map(|i| (i * 37) % (1 << 20)).collect();
-        let r = s.ingest(&batch);
-        assert_eq!(r.path, IngestPath::ParallelMerge);
-        let route = r.tail_store.expect("parallel ingest must record a route");
-        assert!(matches!(route, TailRoute::Veb | TailRoute::SortedVec));
-        s.check_invariants();
-    }
-
-    #[test]
     fn reports_track_tail_churn() {
-        let mut s = StreamingLis::new(1 << 10, Backend::Veb);
+        let mut s = StreamingLis::new(1 << 10);
         let r = s.ingest(&[10, 20, 30]);
         assert_eq!(r.tail_inserts, 3);
         assert_eq!(r.tail_removals, 0);
@@ -873,7 +634,7 @@ mod tests {
 
     #[test]
     fn empty_batch_is_a_noop() {
-        let mut s = StreamingLis::new(100, Backend::Auto);
+        let mut s = StreamingLis::new(100);
         s.ingest(&[3, 1, 4]);
         let before = s.tails().to_vec();
         let r = s.ingest(&[]);
@@ -886,7 +647,7 @@ mod tests {
     fn reconstruction_is_valid_and_optimal() {
         let mut state = 0x1234_5678u64;
         let input: Vec<u64> = (0..1_500).map(|_| xorshift(&mut state) % 2_000).collect();
-        let mut s = StreamingLis::new(2_000, Backend::Auto).with_par_threshold(200);
+        let mut s = StreamingLis::new(2_000).with_par_threshold(200);
         for chunk in input.chunks(170) {
             s.ingest(chunk);
         }
@@ -903,8 +664,8 @@ mod tests {
     fn reserve_changes_capacity_not_outcomes() {
         let mut state = 0xCAFE_D00Du64;
         let input: Vec<u64> = (0..2_000).map(|_| xorshift(&mut state) % 5_000).collect();
-        let mut plain = StreamingLis::new(5_000, Backend::Veb).with_par_threshold(150);
-        let mut sized = StreamingLis::new(5_000, Backend::Veb).with_par_threshold(150);
+        let mut plain = StreamingLis::new(5_000).with_par_threshold(150);
+        let mut sized = StreamingLis::new(5_000).with_par_threshold(150);
         sized.reserve(input.len());
         for chunk in input.chunks(123) {
             assert_eq!(plain.ingest(chunk), sized.ingest(chunk));
@@ -919,7 +680,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside session universe")]
     fn out_of_universe_value_panics() {
-        let mut s = StreamingLis::new(16, Backend::SortedVec);
+        let mut s = StreamingLis::new(16);
         s.ingest(&[16]);
     }
 
@@ -927,7 +688,7 @@ mod tests {
     fn rank_queries_match_the_rank_array() {
         let mut state = 0xFACEB00Cu64;
         let input: Vec<u64> = (0..2_500).map(|_| xorshift(&mut state) % 3_000).collect();
-        let mut s = StreamingLis::new(3_000, Backend::Auto).with_par_threshold(150);
+        let mut s = StreamingLis::new(3_000).with_par_threshold(150);
         for chunk in input.chunks(130) {
             s.ingest(chunk);
         }
@@ -956,7 +717,7 @@ mod tests {
 
     #[test]
     fn queries_on_an_empty_session_are_well_defined() {
-        let s = StreamingLis::new(64, Backend::Auto);
+        let s = StreamingLis::new(64);
         assert_eq!(s.count_at_rank(0), 0);
         assert_eq!(s.count_at_rank(1), 0);
         assert!(s.top_k(5).is_empty());

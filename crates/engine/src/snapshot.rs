@@ -35,14 +35,14 @@
 //! frontier and the indexes over them — is a pure function of the
 //! ingested stream.  So a snapshot persists the stream, and restore
 //! re-ingests it: one ingest on the sequential path into a session built
-//! from the engine's configured backend or dominant-max store.  Derived
-//! state is rebuilt, never stored, so there is nothing to forge and
-//! nothing to cross-check.  [`SessionSnapshot::validate`] keeps only the
-//! checks that stop that ingest from panicking on outside input: a
-//! non-empty universe, every value inside it, and at most `u32::MAX`
-//! elements in an unweighted stream.  Decode runs it, and the restore
-//! paths run it again on snapshots built in code, so a snapshot that
-//! decodes restores.  Restore is all-or-nothing: a rejected snapshot
+//! from the engine's configuration (its dominant-max store for weighted
+//! sessions).  Derived state is rebuilt, never stored, so there is nothing
+//! to forge and nothing to cross-check.  [`SessionSnapshot::validate`]
+//! keeps only the checks that stop that ingest from panicking on outside
+//! input: a non-empty universe, every value inside it, at most `u32::MAX`
+//! elements in an unweighted stream, and weights that sum within `u64` in
+//! a weighted one.  Decode runs it, and the restore paths run it again on
+//! snapshots built in code, so a snapshot that decodes restores.  Restore is all-or-nothing: a rejected snapshot
 //! creates no session.
 //!
 //! # Snapshot + journal ≡ never stopped
@@ -62,7 +62,7 @@ use crate::session::StreamingLis;
 use crate::wire::{
     open, put_pairs, put_str, put_u64, put_u64s, seal, Reader, PAYLOAD_ENGINE, PAYLOAD_SESSION,
 };
-use crate::wsession::WeightedStreamingLis;
+use crate::wsession::{weight_sum, WeightedStreamingLis};
 use plis_telemetry::{read_journal, JournalTail, JournalWriter};
 use std::io::{self, Write};
 
@@ -219,8 +219,10 @@ impl SessionSnapshot {
     }
 
     /// Check that ingesting the captured stream cannot panic: the
-    /// universe is non-empty, every value lies inside it, and an
-    /// unweighted stream fits the rank index's 32-bit element addressing.
+    /// universe is non-empty, every value lies inside it, an unweighted
+    /// stream fits the rank index's 32-bit element addressing, and a
+    /// weighted stream's weights sum within `u64` (which bounds every dp
+    /// score).
     /// [`SessionSnapshot::decode`] runs this on every decode, and the
     /// restore paths run it again on snapshots handed to them directly.
     pub fn validate(&self) -> Result<(), SnapshotError> {
@@ -235,7 +237,12 @@ impl SessionSnapshot {
                 }
                 values.iter().all(|&v| v < universe)
             }
-            SessionSnapshot::Weighted { pairs, .. } => pairs.iter().all(|&(v, _)| v < universe),
+            SessionSnapshot::Weighted { pairs, .. } => {
+                if weight_sum(pairs).is_none() {
+                    return Err(SnapshotError::Malformed("weights sum past u64::MAX"));
+                }
+                pairs.iter().all(|&(v, _)| v < universe)
+            }
         };
         if !inside {
             return Err(SnapshotError::Malformed("value outside the universe"));
@@ -244,8 +251,8 @@ impl SessionSnapshot {
     }
 
     /// Build the live session this snapshot describes by ingesting its
-    /// stream into a session built from the engine's configured backend /
-    /// dominant-max store.  Validates first; all-or-nothing.
+    /// stream into a session built from the engine's configuration.
+    /// Validates first; all-or-nothing.
     ///
     /// The one ingest is forced onto the sequential path: the parallel
     /// merge would size the session's scratch arena to the whole stream,
@@ -262,8 +269,7 @@ impl SessionSnapshot {
         self.validate().map_err(OpError::InvalidSnapshot)?;
         Ok(match self {
             SessionSnapshot::Unweighted { universe, values } => {
-                let mut s =
-                    StreamingLis::new(*universe, config.backend).with_par_threshold(usize::MAX);
+                let mut s = StreamingLis::new(*universe).with_par_threshold(usize::MAX);
                 s.ingest(values);
                 SessionState::Unweighted(s.with_path_policy(config.path_policy))
             }
@@ -284,10 +290,11 @@ impl SessionSnapshot {
 /// keyed by id and sorted by it (the same order `session_ids()` reports),
 /// plus the configured universe.
 ///
-/// Sharding, path policy and backend selection are *not* stored: they are
-/// configuration, not state, and a snapshot may legitimately be restored
-/// into an engine with a different shard count or backend — outcomes are
-/// bit-identical either way (the determinism layers pin this).
+/// Sharding, path policy and the dominant-max store are *not* stored: they
+/// are configuration, not state, and a snapshot may legitimately be
+/// restored into an engine with a different shard count or store —
+/// outcomes are bit-identical either way (the determinism layers pin
+/// this).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineSnapshot {
     /// The engine's value universe.

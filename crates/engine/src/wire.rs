@@ -42,14 +42,13 @@ use crate::session::{IngestPath, IngestReport};
 use crate::snapshot::{SessionSnapshot, SnapshotError};
 use crate::wsession::WeightedIngestReport;
 use crate::{BatchReport, DominantMaxKind};
-use plis_lis::TailRoute;
 use plis_telemetry::crc64;
 
 /// Leading magic of every sealed artifact.
 pub(crate) const MAGIC: &[u8; 8] = b"PLISSNAP";
 
 /// Current format version; bumped on any layout change.
-pub const FORMAT_VERSION: u8 = 2;
+pub const FORMAT_VERSION: u8 = 3;
 
 /// Sealed-container header length: magic + version + payload kind + CRC.
 pub(crate) const HEADER_LEN: usize = 8 + 1 + 1 + 8;
@@ -394,6 +393,7 @@ const MALFORMED_MESSAGES: &[&str] = &[
     "stream exceeds u32 element addressing",
     "universe must be non-empty",
     "value outside the universe",
+    "weights sum past u64::MAX",
 ];
 
 /// What a [`SnapshotError::Malformed`] message outside
@@ -464,6 +464,7 @@ fn encode_op_error(out: &mut Vec<u8>, e: &OpError) {
             out.push(5);
             encode_snapshot_error(out, inner);
         }
+        OpError::ScoreOverflow => out.push(6),
     }
 }
 
@@ -475,6 +476,7 @@ fn decode_op_error(r: &mut Reader<'_>) -> Result<OpError, SnapshotError> {
         3 => OpError::SessionExists { kind: decode_kind(r)? },
         4 => OpError::UniverseMismatch { snapshot: r.u64()?, universe: r.u64()? },
         5 => OpError::InvalidSnapshot(decode_snapshot_error(r)?),
+        6 => OpError::ScoreOverflow,
         _ => return Err(SnapshotError::Malformed("unknown op-error tag")),
     })
 }
@@ -504,11 +506,6 @@ fn encode_batch_report(out: &mut Vec<u8>, report: &BatchReport) {
             encode_ingest_path(out, r.path);
             put_u64(out, r.tail_inserts as u64);
             put_u64(out, r.tail_removals as u64);
-            out.push(match r.tail_store {
-                None => 0,
-                Some(TailRoute::Veb) => 1,
-                Some(TailRoute::SortedVec) => 2,
-            });
         }
         BatchReport::Weighted(r) => {
             out.push(1);
@@ -517,9 +514,9 @@ fn encode_batch_report(out: &mut Vec<u8>, report: &BatchReport) {
             put_u64(out, r.score_after);
             encode_ingest_path(out, r.path);
             put_u64(out, r.frontier_len as u64);
+            // Value 1 is retired: it decodes as malformed.
             out.push(match r.dommax_used {
                 None => 0,
-                Some(DominantMaxKind::Auto) => 1,
                 Some(DominantMaxKind::RangeTree) => 2,
                 Some(DominantMaxKind::RangeVeb) => 3,
             });
@@ -538,12 +535,6 @@ fn decode_batch_report(r: &mut Reader<'_>) -> Result<BatchReport, SnapshotError>
             path: decode_ingest_path(r)?,
             tail_inserts: r.usize()?,
             tail_removals: r.usize()?,
-            tail_store: match r.u8()? {
-                0 => None,
-                1 => Some(TailRoute::Veb),
-                2 => Some(TailRoute::SortedVec),
-                _ => return Err(SnapshotError::Malformed("unknown tail-route byte")),
-            },
         }),
         1 => BatchReport::Weighted(WeightedIngestReport {
             ingested: r.usize()?,
@@ -553,7 +544,6 @@ fn decode_batch_report(r: &mut Reader<'_>) -> Result<BatchReport, SnapshotError>
             frontier_len: r.usize()?,
             dommax_used: match r.u8()? {
                 0 => None,
-                1 => Some(DominantMaxKind::Auto),
                 2 => Some(DominantMaxKind::RangeTree),
                 3 => Some(DominantMaxKind::RangeVeb),
                 _ => return Err(SnapshotError::Malformed("unknown dominant-max byte")),
@@ -815,9 +805,11 @@ mod tests {
             .append("ghost", vec![1])
             .append_weighted("plain", vec![(1, 2)])
             .append("plain", vec![u64::MAX])
-            .create("plain", SessionKind::Unweighted);
+            .create("plain", SessionKind::Unweighted)
+            .append_weighted("heavy", vec![(5, u64::MAX)]);
         let outcome = engine.execute(&bad);
-        assert_eq!(outcome.failed_ops, 4);
+        assert_eq!(outcome.failed_ops, 5);
+        assert_eq!(outcome.outcomes[4].1, Err(OpError::ScoreOverflow));
         let decoded = decode_tick_outcome(&encode_tick_outcome(&outcome)).unwrap();
         assert_eq!(decoded, outcome);
     }
@@ -853,6 +845,7 @@ mod tests {
             SessionSnapshot::Unweighted { universe: 0, values: Vec::new() },
             SessionSnapshot::Unweighted { universe: 8, values: vec![3, 8] },
             SessionSnapshot::Weighted { universe: 8, pairs: vec![(9, 1)] },
+            SessionSnapshot::Weighted { universe: 8, pairs: vec![(1, u64::MAX), (2, 1)] },
         ] {
             match snapshot.validate() {
                 Err(SnapshotError::Malformed(msg)) => {

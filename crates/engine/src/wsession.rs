@@ -20,6 +20,11 @@
 //! LIS (where it degenerates to `tails`: the `r`-th tail is the smallest
 //! value with score `≥ r + 1`).
 //!
+//! Scores are `u64`, and no new score exceeds the best score so far plus
+//! the batch's weights, so [`WeightedStreamingLis::ingest`] refuses a
+//! batch whose weights push that sum past `u64::MAX` (the engine turns it
+//! into a typed `OpError::ScoreOverflow` before ingest).
+//!
 //! # Batch ingestion
 //!
 //! Small batches take the sequential path: each element binary-searches the
@@ -119,10 +124,9 @@ pub struct WeightedIngestReport {
     pub path: IngestPath,
     /// Pareto-frontier size after the batch.
     pub frontier_len: usize,
-    /// The concrete dominant-max store the parallel path ran with (what
-    /// [`DominantMaxKind::Auto`] resolved to for this call's merged size;
-    /// `None` on the sequential path, which uses no store).  Telemetry
-    /// only — excluded from `==`.
+    /// The dominant-max store the parallel path ran with (the session's
+    /// kind; `None` on the sequential path, which uses no store).
+    /// Telemetry only — excluded from `==`.
     pub dommax_used: Option<DominantMaxKind>,
     /// Dominant-max point queries the parallel path issued (one per
     /// element of the `frontier ++ batch` run; 0 on the sequential
@@ -181,11 +185,8 @@ pub struct WeightedStreamingLis {
     /// Multiplicity of every dp score seen so far (`score → count`),
     /// maintained on ingest so count-at-score queries are `O(1)`.
     score_counts: HashMap<u64, usize>,
-    /// Dominant-max store selector for the parallel merge path, as
-    /// configured.  [`DominantMaxKind::Auto`] is kept un-resolved so each
-    /// parallel ingest can pick per merged size — the store is built
-    /// fresh inside every merge run, so the choice is free to vary call
-    /// to call.
+    /// Dominant-max store for the parallel merge path (built fresh inside
+    /// every merge run).
     kind: DominantMaxKind,
     /// Reusable staging buffers for the parallel merge path.
     scratch: WScratchArena,
@@ -264,15 +265,12 @@ impl WeightedStreamingLis {
         self.universe
     }
 
-    /// Name of the dominant-max store selector serving the parallel path
-    /// (`"auto"` for [`DominantMaxKind::Auto`], which picks a concrete
-    /// store per ingest — see [`WeightedIngestReport::dommax_used`]).
+    /// Name of the dominant-max store serving the parallel path.
     pub fn backend_name(&self) -> &'static str {
         self.kind.name()
     }
 
-    /// The configured dominant-max store selector (possibly
-    /// [`DominantMaxKind::Auto`]).
+    /// The configured dominant-max store.
     pub fn dommax_kind(&self) -> DominantMaxKind {
         self.kind
     }
@@ -367,11 +365,17 @@ impl WeightedStreamingLis {
     /// Append a batch of `(value, weight)` pairs and update all state.
     ///
     /// # Panics
-    /// Panics if any value is outside the session universe.
+    /// Panics if any value is outside the session universe, or if the
+    /// best score plus the batch's weights overflows `u64` (no new score
+    /// exceeds that sum, so below it none can overflow).
     pub fn ingest(&mut self, batch: &[(u64, u64)]) -> WeightedIngestReport {
         for &(v, _) in batch {
             assert!(v < self.universe, "value {v} outside session universe {}", self.universe);
         }
+        assert!(
+            weight_sum(batch).and_then(|w| self.best_score().checked_add(w)).is_some(),
+            "batch weights would overflow the u64 dp scores"
+        );
         if batch.is_empty() {
             return WeightedIngestReport::empty(self.best_score(), self.frontier.len());
         }
@@ -474,11 +478,8 @@ impl WeightedStreamingLis {
             scratch.merged_values.push(v);
             scratch.merged_weights.push(w);
         }
-        // Resolve `Auto` per call: the store is built fresh over the
-        // merged run, so the routing can follow the merged size.
-        let used = self.kind.resolve_for(scratch.merged_values.len());
         let (dp, dommax_stats) =
-            wlis_kind_stats(used, &scratch.merged_values, &scratch.merged_weights);
+            wlis_kind_stats(self.kind, &scratch.merged_values, &scratch.merged_weights);
         debug_assert!(
             dp[..k].iter().zip(&self.frontier).all(|(&d, &(_, s))| d == s),
             "the encoded frontier must reproduce its own scores"
@@ -507,7 +508,7 @@ impl WeightedStreamingLis {
             score_after: self.best_score(),
             path: IngestPath::ParallelMerge,
             frontier_len: self.frontier.len(),
-            dommax_used: Some(used),
+            dommax_used: Some(self.kind),
             dommax_queries: dommax_stats.queries,
             dommax_writeback_elems: dommax_stats.writeback_elems,
         }
@@ -564,6 +565,11 @@ impl WeightedStreamingLis {
 /// value keep the best score, then keep only entries whose score strictly
 /// exceeds every entry at a smaller value.  Zero scores are dropped (the
 /// `max(0, ·)` in the recurrence makes them vacuous).
+/// Sum of the weights of `batch`, or `None` if it overflows `u64`.
+pub(crate) fn weight_sum(batch: &[(u64, u64)]) -> Option<u64> {
+    batch.iter().try_fold(0u64, |acc, &(_, w)| acc.checked_add(w))
+}
+
 fn pareto_staircase(mut pairs: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
     pareto_staircase_inplace(&mut pairs);
     pairs
@@ -626,7 +632,7 @@ mod tests {
     #[test]
     fn unit_weights_track_the_unweighted_session() {
         let input = [52u64, 31, 45, 26, 61, 10, 39, 44];
-        let mut s = WeightedStreamingLis::new(64, DominantMaxKind::Auto);
+        let mut s = WeightedStreamingLis::new(64, DominantMaxKind::RangeTree);
         let report = s.ingest_plain(&input);
         assert_eq!(report.ingested, 8);
         assert_eq!(report.score_after, 3);
@@ -647,7 +653,7 @@ mod tests {
 
     #[test]
     fn duplicates_do_not_chain() {
-        let mut s = WeightedStreamingLis::new(10, DominantMaxKind::Auto);
+        let mut s = WeightedStreamingLis::new(10, DominantMaxKind::RangeTree);
         s.ingest(&[(5, 2), (5, 3), (5, 4)]);
         assert_eq!(s.scores(), &[2, 3, 4]);
         assert_eq!(s.frontier(), &[(5, 4)]);
@@ -656,7 +662,7 @@ mod tests {
 
     #[test]
     fn zero_weights_are_handled() {
-        let mut s = WeightedStreamingLis::new(10, DominantMaxKind::Auto);
+        let mut s = WeightedStreamingLis::new(10, DominantMaxKind::RangeTree);
         s.ingest(&[(3, 0), (1, 0), (4, 5), (5, 0)]);
         assert_eq!(s.scores(), &[0, 0, 5, 5]);
         assert_eq!(s.frontier(), &[(4, 5)]);
@@ -666,9 +672,10 @@ mod tests {
     #[test]
     fn sequential_and_parallel_paths_agree() {
         let pairs = random_pairs(1_200, 700, 40, 0xFEED5EED);
-        let mut seq =
-            WeightedStreamingLis::new(700, DominantMaxKind::Auto).with_par_threshold(usize::MAX);
-        let mut par = WeightedStreamingLis::new(700, DominantMaxKind::Auto).with_par_threshold(1);
+        let mut seq = WeightedStreamingLis::new(700, DominantMaxKind::RangeTree)
+            .with_par_threshold(usize::MAX);
+        let mut par =
+            WeightedStreamingLis::new(700, DominantMaxKind::RangeTree).with_par_threshold(1);
         for chunk in pairs.chunks(83) {
             let rs = seq.ingest(chunk);
             let rp = par.ingest(chunk);
@@ -689,7 +696,7 @@ mod tests {
     fn any_forced_threshold_yields_identical_state() {
         let pairs = random_pairs(1_500, 900, 35, 0x0DDBA11);
         let reference = {
-            let mut s = WeightedStreamingLis::new(900, DominantMaxKind::Auto)
+            let mut s = WeightedStreamingLis::new(900, DominantMaxKind::RangeTree)
                 .with_par_threshold(usize::MAX);
             for chunk in pairs.chunks(91) {
                 s.ingest(chunk);
@@ -697,8 +704,8 @@ mod tests {
             s
         };
         for threshold in [1usize, 3, 16, 64, 90, 91, 92, 512] {
-            let mut s =
-                WeightedStreamingLis::new(900, DominantMaxKind::Auto).with_par_threshold(threshold);
+            let mut s = WeightedStreamingLis::new(900, DominantMaxKind::RangeTree)
+                .with_par_threshold(threshold);
             for chunk in pairs.chunks(91) {
                 s.ingest(chunk);
             }
@@ -713,10 +720,10 @@ mod tests {
     #[test]
     fn cost_policy_state_matches_fixed_policies() {
         let pairs = random_pairs(1_000, 700, 20, 0xBEEFCAFE);
-        let mut cost = WeightedStreamingLis::new(700, DominantMaxKind::Auto)
+        let mut cost = WeightedStreamingLis::new(700, DominantMaxKind::RangeTree)
             .with_path_policy(PathPolicy::Cost);
         let mut fixed =
-            WeightedStreamingLis::new(700, DominantMaxKind::Auto).with_par_threshold(128);
+            WeightedStreamingLis::new(700, DominantMaxKind::RangeTree).with_par_threshold(128);
         assert_eq!(cost.path_policy(), PathPolicy::Cost);
         for chunk in pairs.chunks(77) {
             let rc = cost.ingest(chunk);
@@ -731,34 +738,32 @@ mod tests {
         cost.check_invariants();
     }
 
-    /// Auto sessions record which concrete store each parallel ingest ran
-    /// with; sequential ingests record none.  The record is observational:
-    /// reports differing only in it still compare equal.
+    /// Parallel ingests record the store they ran with; sequential
+    /// ingests record none.  The record is observational: reports
+    /// differing only in it still compare equal.
     #[test]
-    fn auto_records_the_store_each_parallel_ingest_used() {
+    fn parallel_ingests_record_the_store_they_used() {
         let pairs = random_pairs(400, 300, 15, 0x5EED);
-        let mut auto =
-            WeightedStreamingLis::new(300, DominantMaxKind::Auto).with_par_threshold(100);
+        let mut tree =
+            WeightedStreamingLis::new(300, DominantMaxKind::RangeTree).with_par_threshold(100);
         let mut veb =
             WeightedStreamingLis::new(300, DominantMaxKind::RangeVeb).with_par_threshold(100);
         for chunk in pairs.chunks(200) {
-            let ra = auto.ingest(chunk);
+            let rt = tree.ingest(chunk);
             let rv = veb.ingest(chunk);
-            assert_eq!(ra.path, IngestPath::ParallelMerge);
-            // Below the points threshold Auto must route around the
-            // Range-vEB write-back and pick the range tree.
-            assert_eq!(ra.dommax_used, Some(DominantMaxKind::RangeTree));
+            assert_eq!(rt.path, IngestPath::ParallelMerge);
+            assert_eq!(rt.dommax_used, Some(DominantMaxKind::RangeTree));
             assert_eq!(rv.dommax_used, Some(DominantMaxKind::RangeVeb));
             // dommax_used is excluded from structural equality.
-            assert_eq!(ra, rv);
+            assert_eq!(rt, rv);
         }
-        let seq_report = auto.ingest(&[(5, 1)]);
+        let seq_report = tree.ingest(&[(5, 1)]);
         veb.ingest(&[(5, 1)]);
         assert_eq!(seq_report.path, IngestPath::Sequential);
         assert_eq!(seq_report.dommax_used, None);
-        assert_eq!(auto.backend_name(), "auto");
-        assert_eq!(auto.dommax_kind(), DominantMaxKind::Auto);
-        assert_eq!(auto.scores(), veb.scores());
+        assert_eq!(tree.backend_name(), "range-tree");
+        assert_eq!(tree.dommax_kind(), DominantMaxKind::RangeTree);
+        assert_eq!(tree.scores(), veb.scores());
     }
 
     #[test]
@@ -774,7 +779,8 @@ mod tests {
     #[test]
     fn increasing_stream_keeps_full_frontier() {
         let pairs: Vec<(u64, u64)> = (0..300u64).map(|v| (v, 2)).collect();
-        let mut s = WeightedStreamingLis::new(300, DominantMaxKind::Auto).with_par_threshold(50);
+        let mut s =
+            WeightedStreamingLis::new(300, DominantMaxKind::RangeTree).with_par_threshold(50);
         for chunk in pairs.chunks(70) {
             s.ingest(chunk);
         }
@@ -785,7 +791,7 @@ mod tests {
 
     #[test]
     fn empty_batch_is_a_noop() {
-        let mut s = WeightedStreamingLis::new(50, DominantMaxKind::Auto);
+        let mut s = WeightedStreamingLis::new(50, DominantMaxKind::RangeTree);
         s.ingest(&[(3, 2), (1, 7)]);
         let frontier = s.frontier().to_vec();
         let r = s.ingest(&[]);
@@ -795,16 +801,25 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "would overflow the u64 dp scores")]
+    fn overflowing_weights_panic() {
+        let mut s = WeightedStreamingLis::new(16, DominantMaxKind::RangeTree);
+        s.ingest(&[(1, u64::MAX - 5)]);
+        s.ingest(&[(2, 10)]);
+    }
+
+    #[test]
     #[should_panic(expected = "outside session universe")]
     fn out_of_universe_value_panics() {
-        let mut s = WeightedStreamingLis::new(16, DominantMaxKind::Auto);
+        let mut s = WeightedStreamingLis::new(16, DominantMaxKind::RangeTree);
         s.ingest(&[(16, 1)]);
     }
 
     #[test]
     fn score_queries_match_the_score_array() {
         let pairs = random_pairs(1_000, 600, 25, 0xC0DE);
-        let mut s = WeightedStreamingLis::new(600, DominantMaxKind::Auto).with_par_threshold(90);
+        let mut s =
+            WeightedStreamingLis::new(600, DominantMaxKind::RangeTree).with_par_threshold(90);
         for chunk in pairs.chunks(75) {
             s.ingest(chunk);
         }
@@ -835,7 +850,7 @@ mod tests {
 
     #[test]
     fn queries_on_an_empty_weighted_session_are_well_defined() {
-        let s = WeightedStreamingLis::new(64, DominantMaxKind::Auto);
+        let s = WeightedStreamingLis::new(64, DominantMaxKind::RangeTree);
         assert_eq!(s.count_at_score(0), 0);
         assert_eq!(s.count_at_score(1), 0);
         assert!(s.top_k(5).is_empty());

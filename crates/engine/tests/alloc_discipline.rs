@@ -6,10 +6,9 @@
 //! `plis_telemetry::allocmeter`.  Each case warms a session past its
 //! growth phase, calls `reserve` for the measurement window, snapshots
 //! the allocation tally, ingests the window, and asserts the tally did
-//! not move — on both session kinds, across the tail-set backends, at
-//! one thread and on an oversubscribed pool (this container has one
-//! core, so `num_threads(2)` is the "full pool" leg; the sequential
-//! path never forks, which is exactly why it can be allocation-free).
+//! not move — on both session kinds and both dominant-max stores, at one
+//! thread and on a 2-thread pool (the sequential path never forks, which
+//! is exactly why it can be allocation-free).
 //!
 //! The parallel merge path is *excluded* by pinning
 //! `PathPolicy::Fixed(usize::MAX)`: Algorithm 1 rebuilds a tournament
@@ -28,7 +27,7 @@
 //! holds [`SERIAL`] while it runs.
 
 use plis_engine::{
-    Backend, DominantMaxKind, Engine, EngineConfig, PathPolicy, SessionKind, StreamingLis, Tick,
+    DominantMaxKind, Engine, EngineConfig, PathPolicy, SessionKind, StreamingLis, Tick,
     WeightedStreamingLis,
 };
 use plis_telemetry::thread_alloc_tally;
@@ -69,12 +68,11 @@ fn with_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
     rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap().install(f)
 }
 
-/// Warm an unweighted session on `backend`, then assert the measurement
-/// window allocates nothing.
-fn drive_unweighted(backend: Backend, label: &str) {
+/// Warm an unweighted session, then assert the measurement window
+/// allocates nothing.
+fn drive_unweighted(label: &str) {
     let data = stream(WARMUP + MEASURE, 0x5EED_0001);
-    let mut s =
-        StreamingLis::new(UNIVERSE, backend).with_path_policy(PathPolicy::Fixed(usize::MAX));
+    let mut s = StreamingLis::new(UNIVERSE).with_path_policy(PathPolicy::Fixed(usize::MAX));
     for chunk in data[..WARMUP].chunks(BATCH) {
         s.ingest(chunk);
     }
@@ -125,13 +123,9 @@ fn drive_weighted(kind: DominantMaxKind, label: &str) {
 }
 
 #[test]
-fn unweighted_steady_state_is_allocation_free_on_every_backend() {
+fn unweighted_steady_state_is_allocation_free() {
     let _serial = serial();
-    for (backend, label) in
-        [(Backend::Veb, "veb"), (Backend::SortedVec, "sorted-vec"), (Backend::Auto, "auto")]
-    {
-        drive_unweighted(backend, label);
-    }
+    drive_unweighted("unweighted");
 }
 
 #[test]
@@ -147,8 +141,8 @@ fn weighted_steady_state_is_allocation_free_on_both_stores() {
 #[test]
 fn steady_state_discipline_holds_at_one_thread_and_on_the_pool() {
     let _serial = serial();
-    with_pool(1, || drive_unweighted(Backend::Veb, "veb @ 1 thread"));
-    with_pool(2, || drive_unweighted(Backend::Veb, "veb @ pool"));
+    with_pool(1, || drive_unweighted("unweighted @ 1 thread"));
+    with_pool(2, || drive_unweighted("unweighted @ pool"));
     with_pool(1, || drive_weighted(DominantMaxKind::RangeTree, "range-tree @ 1 thread"));
     with_pool(2, || drive_weighted(DominantMaxKind::RangeTree, "range-tree @ pool"));
 }

@@ -1,7 +1,8 @@
 //! The acceptance property of the **error surface**: every malformed op
 //! in a well-formed [`Tick`] / [`ReadTick`] — unknown sessions, weighted
 //! batches aimed at unweighted sessions, double creation, out-of-universe
-//! values — resolves to a typed `Err(OpError)` without panicking, without
+//! values, weights that would overflow the `u64` dp scores — resolves to a
+//! typed `Err(OpError)` without panicking, without
 //! touching any session, and without disturbing its tick neighbours; and
 //! the full per-op outcome stream is bit-identical at 1 thread and at the
 //! full pool.
@@ -11,6 +12,8 @@ use plis_engine::{
     SessionKind, Tick, TickOutcome,
 };
 use plis_workloads::streaming::{round_robin_ticks, session_fleet};
+
+mod common;
 
 /// Pool size for the parallel leg: `PLIS_BENCH_THREADS`, else the hardware
 /// parallelism, floored at 2 so single-core machines still split.
@@ -228,4 +231,100 @@ fn execute_and_execute_read_agree_on_the_error_surface() {
     }
     // Neither plane created the missing sessions.
     assert_eq!(engine.session_count(), 2);
+}
+
+/// Run `good` on both engines and `good` followed by `bad` on `engine`:
+/// every op of `bad` must fail with [`OpError::ScoreOverflow`] and leave
+/// `engine` in the state of `reference`.
+fn overflow_step(
+    engine: &mut Engine,
+    reference: &mut Engine,
+    good: Tick,
+    bad: Tick,
+    auto: bool,
+    label: &str,
+) {
+    let mut tick = good.clone();
+    for (id, op) in bad.slots() {
+        tick.push(id.clone(), op.clone());
+    }
+    let (tick, good) = if auto { (tick.auto_create(), good.auto_create()) } else { (tick, good) };
+    let outcome = engine.execute(&tick);
+    let want = reference.execute(&good);
+    assert_eq!(outcome.failed_ops, bad.len(), "{label}");
+    assert_eq!(outcome.outcomes[..good.len()], want.outcomes[..], "{label}");
+    for (id, result) in &outcome.outcomes[good.len()..] {
+        assert_eq!(*result, Err(OpError::ScoreOverflow), "{label}: {id}");
+    }
+    common::assert_same_derived_state(engine, reference, label);
+}
+
+/// Weighted dp scores are `u64`: a batch whose weights (1 per element of
+/// a plain batch), added to the session's best score, overflow `u64` is
+/// rejected whole with [`OpError::ScoreOverflow`] — at 1 thread and on the
+/// pool, whichever ingest path the policy picks.  The session then equals
+/// one that never saw the op, no session is auto-created for it, and its
+/// tick neighbours apply.
+#[test]
+fn score_overflow_is_typed_and_atomic() {
+    const MAX: u64 = u64::MAX;
+    for threads in [1, parallel_threads()] {
+        for policy in [PathPolicy::Fixed(1), PathPolicy::Fixed(usize::MAX)] {
+            let label = format!("{threads}t/{}", policy.name());
+            on_pool(threads, || {
+                let config = EngineConfig {
+                    universe: 1 << 10,
+                    shards: 4,
+                    path_policy: policy,
+                    ..EngineConfig::default()
+                };
+                let (mut engine, mut reference) =
+                    (Engine::new(config.clone()), Engine::new(config));
+                let (e, r, l) = (&mut engine, &mut reference, label.as_str());
+                // The reported case: the second score would wrap to 4.
+                overflow_step(
+                    e,
+                    r,
+                    Tick::new()
+                        .create("w", SessionKind::Weighted)
+                        .create("plain", SessionKind::Unweighted)
+                        .create("ok", SessionKind::Weighted)
+                        .append("plain", vec![5, 1, 7])
+                        .append_weighted("ok", vec![(3, 4), (9, 2)]),
+                    Tick::new().append_weighted("w", vec![(1, MAX - 5), (2, 10)]),
+                    false,
+                    l,
+                );
+                // Overflow against the best score so far: weighted, and a
+                // plain batch counting 1 per element.
+                let good = Tick::new().append_weighted("w", vec![(1, MAX - 5)]);
+                overflow_step(e, r, good, Tick::new(), false, l);
+                overflow_step(
+                    e,
+                    r,
+                    Tick::new().append("plain", vec![2]),
+                    Tick::new()
+                        .append_weighted("w", vec![(2, 10)])
+                        .append("w", vec![3, 4, 5, 6, 7, 8]),
+                    false,
+                    l,
+                );
+                // A rejected batch leaves no auto-created session behind.
+                overflow_step(
+                    e,
+                    r,
+                    Tick::new().append_weighted("ok", vec![(10, 1)]),
+                    Tick::new().append_weighted("fresh", vec![(1, MAX), (2, 1)]),
+                    true,
+                    l,
+                );
+                assert!(engine.weighted_session("fresh").is_none(), "{label}");
+                // A batch that lands exactly on u64::MAX is accepted.
+                let good = Tick::new().append("w", vec![3, 4, 5, 6, 7]);
+                overflow_step(&mut engine, &mut reference, good, Tick::new(), false, &label);
+                assert_eq!(engine.best_score("w"), Some(MAX), "{label}");
+                engine.check_invariants();
+            });
+        }
+    }
 }

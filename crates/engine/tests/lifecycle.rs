@@ -6,8 +6,8 @@
 //! never disturb their neighbours.
 
 use plis_engine::{
-    Backend, DominantMaxKind, Engine, EngineConfig, Op, PathPolicy, SessionKind, StreamingLis,
-    Tick, WeightedStreamingLis,
+    DominantMaxKind, Engine, EngineConfig, Op, PathPolicy, SessionKind, StreamingLis, Tick,
+    WeightedStreamingLis,
 };
 use plis_workloads::streaming::{stream, weighted_stream, StreamPattern};
 
@@ -30,7 +30,7 @@ fn removed_session_recreated_by_ingest_restarts_from_scratch() {
     let mut engine = Engine::new(config(universe));
     // A neighbour that lives through the churn and must be unaffected.
     let neighbour = stream(StreamPattern::Permutation, 3_000, 90, 0xD0D0);
-    let mut neighbour_reference = StreamingLis::new(universe, Backend::Auto).with_par_threshold(32);
+    let mut neighbour_reference = StreamingLis::new(universe).with_par_threshold(32);
 
     for (round, batch) in batches.iter().enumerate() {
         let mut tick = Tick::new().auto_create();
@@ -53,7 +53,7 @@ fn removed_session_recreated_by_ingest_restarts_from_scratch() {
 
     // The re-created session must equal a fresh session fed only the
     // post-removal batches — no state leaks across the removal.
-    let mut fresh = StreamingLis::new(universe, Backend::Auto).with_par_threshold(32);
+    let mut fresh = StreamingLis::new(universe).with_par_threshold(32);
     for batch in &batches[cut..] {
         fresh.ingest(batch);
     }

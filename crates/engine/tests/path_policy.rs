@@ -6,8 +6,7 @@
 //! within a process (calibration runs once; after that the choice is a
 //! pure function of batch and summary size).
 
-use plis_engine::{Backend, Engine, EngineConfig, IngestPath, Op, PathPolicy, SessionId, Tick};
-use plis_lis::DominantMaxKind;
+use plis_engine::{Engine, EngineConfig, IngestPath, Op, PathPolicy, SessionId, Tick};
 use plis_workloads::streaming::{round_robin_ticks, session_fleet, weighted_session_fleet};
 
 /// A mixed schedule: the unweighted fleet's ticks followed by the
@@ -77,8 +76,6 @@ fn cost_policy_matches_every_forced_threshold() {
     let (ticks, universe) = mixed_schedule();
     let base = EngineConfig {
         universe,
-        backend: Backend::Auto,
-        dommax: DominantMaxKind::Auto,
         shards: 4,
         path_policy: PathPolicy::Cost,
         ..EngineConfig::default()
@@ -101,8 +98,6 @@ fn cost_decisions_are_deterministic_within_a_process() {
     let (ticks, universe) = mixed_schedule();
     let config = EngineConfig {
         universe,
-        backend: Backend::Auto,
-        dommax: DominantMaxKind::Auto,
         shards: 3,
         path_policy: PathPolicy::Cost,
         ..EngineConfig::default()

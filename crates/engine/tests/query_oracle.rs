@@ -4,15 +4,15 @@
 //! oracles (`lis_ranks_u64` + `lis_indices_from_ranks` for plain
 //! sessions, `wlis_kind` + `wlis_indices_from_scores` for weighted ones)
 //! run on the exact prefix the query observed, including queries that land
-//! *between* writes inside one mixed tick.  Checked for both tail-set
-//! backends and both dominant-max stores, at 1 thread and at the full
-//! pool, with the two runs bit-identical to each other; certificates are
+//! *between* writes inside one mixed tick.  Checked for both dominant-max
+//! stores, at 1 thread and at the full pool, with the two runs
+//! bit-identical to each other; certificates are
 //! additionally verified to be strictly increasing (indices and values)
 //! with their claimed length/score.
 
 use plis_engine::{
-    Backend, DominantMaxKind, Engine, EngineConfig, Op, OpOutput, PathPolicy, Query, QueryAnswer,
-    ReadTick, SessionId, SessionKind, Tick, TickOutcome,
+    DominantMaxKind, Engine, EngineConfig, Op, OpOutput, PathPolicy, Query, QueryAnswer, ReadTick,
+    SessionId, SessionKind, Tick, TickOutcome,
 };
 use plis_lis::{lis_indices_from_ranks, lis_ranks_u64, wlis_indices_from_scores, wlis_kind};
 use plis_workloads::streaming::{
@@ -116,13 +116,11 @@ type WeightedSchedule = (String, Vec<ReadWriteOp<(u64, u64)>>);
 fn run_plain_checked(
     ticks: &[Vec<(SessionId, ReadWriteOp<u64>)>],
     universe: u64,
-    backend: Backend,
     threads: usize,
 ) -> Vec<TickOutcome> {
     on_pool(threads, || {
         let mut engine = Engine::new(EngineConfig {
             universe,
-            backend,
             shards: 4,
             path_policy: PathPolicy::Fixed(48),
             ..EngineConfig::default()
@@ -177,7 +175,6 @@ fn run_weighted_checked(
             default_kind: SessionKind::Weighted,
             shards: 4,
             path_policy: PathPolicy::Fixed(48),
-            ..EngineConfig::default()
         });
         let mut prefixes: HashMap<String, Vec<(u64, u64)>> = HashMap::new();
         let mut outcomes = Vec::new();
@@ -219,22 +216,16 @@ fn assert_identical(a: &[TickOutcome], b: &[TickOutcome], label: &str) {
 }
 
 #[test]
-fn plain_queries_match_offline_oracles_on_both_backends_and_pools() {
+fn plain_queries_match_offline_oracles_on_both_pools() {
     let (fleet, universe) = mixed_session_fleet(4, 1_000, 64, 0.35, 5, 0xACE);
     let ticks = round_robin_ticks(&fleet, |s| SessionId::from(s));
     assert!(ticks.len() > 8, "schedule should span many ticks");
     let queries: usize = fleet.iter().flat_map(|(_, ops)| ops.iter().map(|o| o.queries())).sum();
     assert!(queries > 50, "schedule should carry real read traffic, got {queries}");
 
-    let mut per_backend = Vec::new();
-    for backend in [Backend::Veb, Backend::SortedVec] {
-        let seq = run_plain_checked(&ticks, universe, backend, 1);
-        let par = run_plain_checked(&ticks, universe, backend, parallel_threads());
-        assert_identical(&seq, &par, &format!("{backend:?}: 1-thread vs full pool"));
-        per_backend.push(seq);
-    }
-    // Tail-set backends must serve bit-identical answers.
-    assert_identical(&per_backend[0], &per_backend[1], "veb vs sorted-vec");
+    let seq = run_plain_checked(&ticks, universe, 1);
+    let par = run_plain_checked(&ticks, universe, parallel_threads());
+    assert_identical(&seq, &par, "1-thread vs full pool");
 }
 
 #[test]

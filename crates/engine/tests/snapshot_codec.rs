@@ -224,6 +224,9 @@ fn header_damage_maps_to_the_right_variants() {
     let mut v1 = bytes.clone();
     v1[8] = 1;
     assert_eq!(SessionSnapshot::decode(&v1), Err(SnapshotError::UnsupportedVersion(1)));
+    let mut v2 = bytes.clone();
+    v2[8] = 2;
+    assert_eq!(SessionSnapshot::decode(&v2), Err(SnapshotError::UnsupportedVersion(2)));
     let mut flipped = bytes.clone();
     let last = flipped.len() - 1;
     flipped[last] ^= 1;
@@ -248,7 +251,7 @@ fn header_damage_maps_to_the_right_variants() {
 /// length, then 8 bytes per value or 16 per weighted pair.
 #[test]
 fn session_snapshot_size_is_pinned_to_the_stream() {
-    assert_eq!(FORMAT_VERSION, 2);
+    assert_eq!(FORMAT_VERSION, 3);
     for n in [0usize, 1, 7, 100] {
         let values: Vec<u64> = (0..n as u64).map(|i| i * 7919 % UNIVERSE).collect();
         let pairs: Vec<(u64, u64)> = values.iter().map(|&v| (v, v % 5 + 1)).collect();
@@ -259,9 +262,10 @@ fn session_snapshot_size_is_pinned_to_the_stream() {
     }
 }
 
-/// Snapshots whose streams leave their universe — structurally
-/// well-formed, but impossible to ingest — are rejected by validation and
-/// therefore by decode (`snapshot_replay.rs` covers the restore paths).
+/// Snapshots whose streams leave their universe, or whose weights sum
+/// past `u64::MAX` — structurally well-formed, but impossible to ingest —
+/// are rejected by validation and therefore by decode
+/// (`snapshot_replay.rs` covers the restore paths).
 #[test]
 fn inconsistent_snapshots_are_rejected() {
     let snapshot = unweighted_snapshot(&[10, 4, 12, 3, 20]);
@@ -293,9 +297,18 @@ fn inconsistent_snapshots_are_rejected() {
     let SessionSnapshot::Weighted { universe, mut pairs } = snapshot else {
         panic!("weighted expected");
     };
-    pairs[2].0 = universe + 1;
-    let forged = SessionSnapshot::Weighted { universe, pairs };
+    let mut far = pairs.clone();
+    far[2].0 = universe + 1;
+    let forged = SessionSnapshot::Weighted { universe, pairs: far };
     assert!(SessionSnapshot::decode(&forged.encode()).is_err());
+
+    // Weighted: weights that sum past u64::MAX, so some dp score would
+    // overflow on restore.
+    pairs[1].1 = u64::MAX - 10;
+    let forged = SessionSnapshot::Weighted { universe, pairs };
+    let overflow = SnapshotError::Malformed("weights sum past u64::MAX");
+    assert_eq!(forged.validate(), Err(overflow));
+    assert_eq!(SessionSnapshot::decode(&forged.encode()), Err(overflow));
 }
 
 /// Clean-vs-dirty differential: interleaving invalid restore ops

@@ -3,8 +3,8 @@
 //! codec is on the proven path), replay the journal suffix, and require
 //! everything observable — per-op outcomes, `session_ids()`, query
 //! answers, certificates — to be bit-identical to an engine that never
-//! stopped.  Runs across both session kinds, every tail-set backend, both
-//! dominant-max stores, and at one thread and the full pool.
+//! stopped.  Runs across both session kinds, both dominant-max stores,
+//! and at one thread and the full pool.
 //!
 //! Also proves the crash-recovery story: a scripted
 //! journal-append/snapshot-write schedule is killed at *every* boundary
@@ -15,7 +15,7 @@
 mod common;
 
 use plis_engine::{
-    replay_journal_from, Backend, DominantMaxKind, Engine, EngineConfig, EngineSnapshot, OpError,
+    replay_journal_from, DominantMaxKind, Engine, EngineConfig, EngineSnapshot, OpError,
     PathPolicy, Query, SessionKind, SessionSnapshot, Tick, TickJournal,
 };
 
@@ -83,10 +83,9 @@ fn schedule(ticks: usize, seed: u64) -> Vec<Tick> {
     out
 }
 
-fn config(backend: Backend, dommax: DominantMaxKind) -> EngineConfig {
+fn config(dommax: DominantMaxKind) -> EngineConfig {
     EngineConfig {
         universe: UNIVERSE,
-        backend,
         dommax,
         shards: 4,
         // Low fixed threshold so the parallel merge path runs for most
@@ -128,14 +127,14 @@ fn assert_engines_identical(never_stopped: &mut Engine, recovered: &mut Engine, 
 /// The tentpole differential: journal every tick, snapshot mid-stream,
 /// restore through the encoded bytes, replay the suffix, compare against
 /// the engine that never stopped — per config axis and thread count.
-fn snapshot_restore_replay_differential(threads: usize, backend: Backend, dommax: DominantMaxKind) {
+fn snapshot_restore_replay_differential(threads: usize, dommax: DominantMaxKind) {
     on_pool(threads, || {
-        let label = format!("{backend:?}/{dommax:?}/{threads}t");
+        let label = format!("{dommax:?}/{threads}t");
         let ticks = schedule(14, 0xC0FFEE ^ threads as u64);
         let cut = ticks.len() / 2 + 1;
 
         // The engine that never stops, with per-tick outcomes kept.
-        let mut live = Engine::new(config(backend, dommax));
+        let mut live = Engine::new(config(dommax));
         let mut journal = TickJournal::new(Vec::new());
         let mut live_outcomes = Vec::new();
         let mut checkpoint = None;
@@ -154,7 +153,7 @@ fn snapshot_restore_replay_differential(threads: usize, backend: Backend, dommax
         let snapshot = EngineSnapshot::decode(&snapshot_bytes).unwrap_or_else(|e| {
             panic!("{label}: snapshot failed to decode: {e}");
         });
-        let mut recovered = Engine::restore(config(backend, dommax), &snapshot)
+        let mut recovered = Engine::restore(config(dommax), &snapshot)
             .unwrap_or_else(|e| panic!("{label}: restore failed: {e:?}"));
         let report = replay_journal_from(&mut recovered, &journal_bytes, covered)
             .unwrap_or_else(|e| panic!("{label}: replay failed: {e}"));
@@ -170,38 +169,20 @@ fn snapshot_restore_replay_differential(threads: usize, backend: Backend, dommax
 }
 
 #[test]
-fn differential_across_backends_single_thread() {
-    for backend in [Backend::Veb, Backend::SortedVec, Backend::Auto] {
-        snapshot_restore_replay_differential(1, backend, DominantMaxKind::RangeTree);
-    }
-}
-
-#[test]
-fn differential_across_backends_full_pool() {
-    for backend in [Backend::Veb, Backend::SortedVec, Backend::Auto] {
-        snapshot_restore_replay_differential(
-            parallel_threads(),
-            backend,
-            DominantMaxKind::RangeTree,
-        );
-    }
-}
-
-#[test]
 fn differential_across_dommax_stores() {
     for dommax in [DominantMaxKind::RangeTree, DominantMaxKind::RangeVeb] {
-        snapshot_restore_replay_differential(1, Backend::Auto, dommax);
-        snapshot_restore_replay_differential(parallel_threads(), Backend::Auto, dommax);
+        snapshot_restore_replay_differential(1, dommax);
+        snapshot_restore_replay_differential(parallel_threads(), dommax);
     }
 }
 
 /// A snapshot taken under one configuration restores under a different
-/// backend / shard count / path policy with identical observable state —
-/// configuration is not state.
+/// dominant-max store / shard count / path policy with identical
+/// observable state — configuration is not state.
 #[test]
 fn restore_is_config_portable() {
     let ticks = schedule(10, 0xBEEF);
-    let mut source = Engine::new(config(Backend::Veb, DominantMaxKind::RangeTree));
+    let mut source = Engine::new(config(DominantMaxKind::RangeTree));
     for tick in &ticks {
         source.execute(tick);
     }
@@ -209,7 +190,6 @@ fn restore_is_config_portable() {
     let snapshot = EngineSnapshot::decode(&bytes).unwrap();
     let target_config = EngineConfig {
         universe: UNIVERSE,
-        backend: Backend::SortedVec,
         dommax: DominantMaxKind::RangeVeb,
         shards: 9,
         path_policy: PathPolicy::Fixed(64),
@@ -224,7 +204,7 @@ fn restore_is_config_portable() {
 /// in another engine with identical state.
 #[test]
 fn op_plane_snapshot_and_restore_are_tick_ordered() {
-    let mut engine = Engine::new(config(Backend::Auto, DominantMaxKind::Auto));
+    let mut engine = Engine::new(config(DominantMaxKind::RangeTree));
     let outcome = engine.execute(
         &Tick::new()
             .create("s", SessionKind::Unweighted)
@@ -242,7 +222,7 @@ fn op_plane_snapshot_and_restore_are_tick_ordered() {
 
     // Restore both into a second engine through the op plane and compare
     // against the source session's prefix states.
-    let mut other = Engine::new(config(Backend::Auto, DominantMaxKind::Auto));
+    let mut other = Engine::new(config(DominantMaxKind::RangeTree));
     let outcome = other.execute(&Tick::new().restore("mid", mid).restore("end", end));
     assert!(outcome.fully_applied());
     assert_eq!(outcome.sessions_restored, 2);
@@ -258,12 +238,12 @@ fn op_plane_snapshot_and_restore_are_tick_ordered() {
 /// target engine untouched.
 #[test]
 fn restore_rejects_typed_without_side_effects() {
-    let mut source = Engine::new(config(Backend::Auto, DominantMaxKind::Auto));
+    let mut source = Engine::new(config(DominantMaxKind::RangeTree));
     source.execute(&Tick::new().create("s", SessionKind::Unweighted).append("s", vec![7, 2, 9]));
     let snapshot = source.snapshot_session("s").unwrap();
 
     // Occupied id (both via the op plane and the direct API).
-    let mut target = Engine::new(config(Backend::Auto, DominantMaxKind::Auto));
+    let mut target = Engine::new(config(DominantMaxKind::RangeTree));
     target.create_session_kind("taken", SessionKind::Weighted);
     assert_eq!(
         target.restore_session("taken", &snapshot),
@@ -307,7 +287,7 @@ fn restore_rejects_typed_without_side_effects() {
 /// uninterrupted run over the complete records.
 #[test]
 fn crash_at_every_boundary_recovers_to_the_uninterrupted_state() {
-    let cfg = || config(Backend::Auto, DominantMaxKind::Auto);
+    let cfg = || config(DominantMaxKind::RangeTree);
     let ticks = schedule(9, 0xDEAD);
 
     // Dry run: the full journal, the byte offset after each append, and
@@ -407,7 +387,7 @@ fn corrupt_complete_journal_record_fails_replay_typed() {
     let mut bytes = journal.into_inner();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x40;
-    let mut engine = Engine::new(config(Backend::Auto, DominantMaxKind::Auto));
+    let mut engine = Engine::new(config(DominantMaxKind::RangeTree));
     let err = replay_journal_from(&mut engine, &bytes, 0);
     assert!(err.is_err(), "a flipped byte in a complete record must fail replay");
 }

@@ -1,10 +1,10 @@
 //! The acceptance property of the streaming engine: after every ingested
 //! batch, a session's state agrees with the offline oracle
 //! (`plis_lis::lis_ranks_u64`, Algorithm 1 of the paper) run on the
-//! concatenated prefix — for multiple workload patterns, random batch
-//! sizes, and both backends.
+//! concatenated prefix — for multiple workload patterns and random batch
+//! sizes.
 
-use plis_engine::{Backend, Engine, EngineConfig, PathPolicy, SessionId, StreamingLis, Tick};
+use plis_engine::{Engine, EngineConfig, PathPolicy, SessionId, StreamingLis, Tick};
 use plis_lis::lis_ranks_u64;
 use plis_workloads::{line_pattern, random_permutation, range_pattern};
 use rand::rngs::StdRng;
@@ -23,13 +23,13 @@ fn random_batches(values: &[u64], max_batch: usize, rng: &mut StdRng) -> Vec<Vec
     batches
 }
 
-fn check_stream_against_oracle(values: &[u64], universe: u64, backend: Backend, seed: u64) {
+fn check_stream_against_oracle(values: &[u64], universe: u64, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     // A small parallel threshold so the ParallelMerge path is exercised by
     // most batches; a second session pinned to the sequential path
     // cross-checks it.
-    let mut session = StreamingLis::new(universe, backend).with_par_threshold(32);
-    let mut sequential = StreamingLis::new(universe, backend).with_par_threshold(usize::MAX);
+    let mut session = StreamingLis::new(universe).with_par_threshold(32);
+    let mut sequential = StreamingLis::new(universe).with_par_threshold(usize::MAX);
     let mut prefix: Vec<u64> = Vec::new();
     for batch in random_batches(values, 500, &mut rng) {
         session.ingest(&batch);
@@ -55,8 +55,9 @@ fn range_pattern_matches_oracle_under_random_batching() {
     for (trial, &k_prime) in [4u64, 64, 900].iter().enumerate() {
         let values = range_pattern(4_000, k_prime, 0xAA + trial as u64);
         let universe = k_prime + 1;
-        check_stream_against_oracle(&values, universe, Backend::Veb, 17 + trial as u64);
-        check_stream_against_oracle(&values, universe, Backend::SortedVec, 18 + trial as u64);
+        for seed in [17, 18] {
+            check_stream_against_oracle(&values, universe, seed + trial as u64);
+        }
     }
 }
 
@@ -65,8 +66,9 @@ fn line_pattern_matches_oracle_under_random_batching() {
     for (trial, &noise) in [3u64, 500, 5_000].iter().enumerate() {
         let values = line_pattern(4_000, 1, noise, 0xBB + trial as u64);
         let universe = values.iter().max().unwrap() + 1;
-        check_stream_against_oracle(&values, universe, Backend::Veb, 27 + trial as u64);
-        check_stream_against_oracle(&values, universe, Backend::SortedVec, 28 + trial as u64);
+        for seed in [27, 28] {
+            check_stream_against_oracle(&values, universe, seed + trial as u64);
+        }
     }
 }
 
@@ -75,8 +77,9 @@ fn random_permutation_matches_oracle_under_random_batching() {
     for trial in 0..3u64 {
         let n = 3_000 + 500 * trial as usize;
         let values = random_permutation(n, 0xCC + trial);
-        check_stream_against_oracle(&values, n as u64, Backend::Veb, 37 + trial);
-        check_stream_against_oracle(&values, n as u64, Backend::Auto, 38 + trial);
+        for seed in [37, 38] {
+            check_stream_against_oracle(&values, n as u64, seed + trial);
+        }
     }
 }
 
@@ -92,7 +95,7 @@ fn adversarial_patterns_match_oracle() {
     ] {
         let universe = values.iter().max().unwrap() + 1;
         let mut rng = StdRng::seed_from_u64(0xD0D0);
-        let mut session = StreamingLis::new(universe, Backend::Auto).with_par_threshold(64);
+        let mut session = StreamingLis::new(universe).with_par_threshold(64);
         let mut prefix = Vec::new();
         for batch in random_batches(&values, 333, &mut rng) {
             session.ingest(&batch);
@@ -111,7 +114,6 @@ fn engine_fleet_matches_oracle_per_session() {
     let mut rng = StdRng::seed_from_u64(0xE3E3);
     let mut engine = Engine::new(EngineConfig {
         universe,
-        backend: Backend::Auto,
         shards: 4,
         path_policy: PathPolicy::Fixed(64),
         ..EngineConfig::default()

@@ -18,8 +18,8 @@
 #![cfg(feature = "telemetry")]
 
 use plis_engine::{
-    Backend, Engine, EngineConfig, MemorySink, PathPolicy, Query, ReadTick, SessionId, SessionKind,
-    Tick, TickOutcome, TraceSink,
+    Engine, EngineConfig, MemorySink, PathPolicy, Query, ReadTick, SessionId, SessionKind, Tick,
+    TickOutcome, TraceSink,
 };
 use plis_telemetry::AtomicHistogram;
 use plis_workloads::streaming::{round_robin_ticks, session_fleet};
@@ -151,7 +151,6 @@ fn outcomes_are_bit_identical_with_telemetry_on_or_off() {
     let ticks = command_ticks(&fleet);
     let config = EngineConfig {
         universe,
-        backend: Backend::Auto,
         shards: 6,
         path_policy: PathPolicy::Fixed(48),
         ..EngineConfig::default()

@@ -57,7 +57,6 @@ fn run_checked(
             // Low threshold so the parallel merge (frontier ++ batch) path
             // carries most of the traffic.
             path_policy: PathPolicy::Fixed(48),
-            ..EngineConfig::default()
         });
         let mut prefixes: HashMap<String, Vec<(u64, u64)>> = HashMap::new();
         let mut tick_outcomes = Vec::new();
@@ -179,7 +178,7 @@ fn mixed_ticks_serve_both_kinds_against_their_oracles() {
         let pairs: Vec<(u64, u64)> = batches.iter().flatten().copied().collect();
         let values: Vec<u64> = pairs.iter().map(|&(v, _)| v).collect();
         let weights: Vec<u64> = pairs.iter().map(|&(_, w)| w).collect();
-        let want = wlis_kind(DominantMaxKind::Auto, &values, &weights);
+        let want = wlis_kind(DominantMaxKind::RangeTree, &values, &weights);
         let session = engine.weighted_session(name).expect("weighted session");
         assert_eq!(session.scores(), want.as_slice(), "session {name}");
     }

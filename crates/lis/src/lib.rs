@@ -18,9 +18,6 @@
 //!   through the [`DominantMaxKind`] factory, and [`wlis_rangetree`] /
 //!   [`wlis_rangeveb`] pin the practical (Theorem 4.1, `O(n log² n)` work)
 //!   and theoretical (Theorem 1.2) stores respectively.
-//! * [`tailset`] — the [`TailSet`] trait: value-domain mirrors of patience
-//!   tail arrays (vEB or stateless sorted-vec), consumed generically by the
-//!   streaming sessions of `plis-engine`.
 //!
 //! # Quick start
 //!
@@ -47,7 +44,6 @@
 mod compress;
 mod ranks;
 mod reconstruct;
-pub mod tailset;
 mod wlis;
 
 pub use compress::compress_to_ranks;
@@ -56,8 +52,7 @@ pub use ranks::{lis_length, lis_ranks, lis_ranks_u64, lis_ranks_u64_with_stats, 
 pub use reconstruct::{
     lis_indices, lis_indices_from_frontiers, lis_indices_from_ranks, wlis_indices_from_scores,
 };
-pub use tailset::{AnyTailSet, AutoTailSet, SortedVecTailSet, TailRoute, TailSet, VebTailSet};
 pub use wlis::{
     wlis_kind, wlis_kind_stats, wlis_rangetree, wlis_rangeveb, wlis_with, wlis_with_stats,
-    DominantMaxKind, AUTO_RANGEVEB_POINTS_THRESHOLD,
+    DominantMaxKind,
 };

@@ -21,26 +21,10 @@ use crate::compress::compress_to_ranks;
 use plis_primitives::{group_by_rank, par_map_collect, DomMaxStats, DominantMaxStore};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Point count at which [`DominantMaxKind::Auto`] switches from the range
-/// tree to the Range-vEB tree.  The vEB store's asymptotic edge
-/// (`O(n log n log log n)` vs `O(n log² n)` work) is swamped by its batch
-/// write-back constants at practical sizes — measured on the reference
-/// container the range tree wins at every point count up to 2^18, with the
-/// ratio narrowing from ~2x to ~1.4x — so the crossover is placed where
-/// the extrapolated ratio reaches parity.  Below it (i.e. at every size
-/// the streaming engine's `frontier ++ batch` runs actually reach) Auto
-/// routes around the Range-vEB write-back entirely.
-pub const AUTO_RANGEVEB_POINTS_THRESHOLD: usize = 1 << 22;
-
 /// Which dominant-max store backs a weighted-LIS run — the runtime-facing
-/// factory over the open [`DominantMaxStore`] trait (mirroring how the
-/// engine's `Backend` enum fronts the `TailSet` trait).
+/// factory over the open [`DominantMaxStore`] trait.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DominantMaxKind {
-    /// Pick per run from the input size: the range tree below
-    /// [`AUTO_RANGEVEB_POINTS_THRESHOLD`] points, the Range-vEB tree at or
-    /// above it.
-    Auto,
     /// Parallel range tree (Theorem 4.1): `O(n log² n)` work — the
     /// configuration the paper's own evaluation uses.
     RangeTree,
@@ -50,35 +34,9 @@ pub enum DominantMaxKind {
 }
 
 impl DominantMaxKind {
-    /// Resolve [`DominantMaxKind::Auto`] to a concrete backend without a
-    /// size in hand — the range tree, the practical configuration.
-    /// Size-aware callers should prefer [`DominantMaxKind::resolve_for`].
-    pub fn resolve(self) -> DominantMaxKind {
-        self.resolve_for(0)
-    }
-
-    /// Resolve [`DominantMaxKind::Auto`] to a concrete backend for a run
-    /// over `points` points (see [`AUTO_RANGEVEB_POINTS_THRESHOLD`]).
-    /// Concrete kinds return themselves.  A pure function of `points`, so
-    /// routing decisions are deterministic across thread counts.
-    pub fn resolve_for(self, points: usize) -> DominantMaxKind {
-        match self {
-            DominantMaxKind::Auto => {
-                if points >= AUTO_RANGEVEB_POINTS_THRESHOLD {
-                    DominantMaxKind::RangeVeb
-                } else {
-                    DominantMaxKind::RangeTree
-                }
-            }
-            other => other,
-        }
-    }
-
-    /// Short human-readable backend name; [`DominantMaxKind::Auto`] names
-    /// itself (its concrete store varies per run).
+    /// Short human-readable backend name.
     pub fn name(self) -> &'static str {
         match self {
-            DominantMaxKind::Auto => "auto",
             DominantMaxKind::RangeTree => {
                 <plis_rangetree::RangeMaxTree as DominantMaxStore>::name()
             }
@@ -160,12 +118,11 @@ pub fn wlis_kind_stats<T: Ord + Sync>(
     values: &[T],
     weights: &[u64],
 ) -> (Vec<u64>, DomMaxStats) {
-    match kind.resolve_for(values.len()) {
+    match kind {
         DominantMaxKind::RangeTree => {
             wlis_with_stats::<T, plis_rangetree::RangeMaxTree>(values, weights)
         }
         DominantMaxKind::RangeVeb => wlis_with_stats::<T, plis_rangeveb::RangeVeb>(values, weights),
-        DominantMaxKind::Auto => unreachable!("resolve_for() never returns Auto"),
     }
 }
 
@@ -275,25 +232,11 @@ mod tests {
         let a = [9u64, 2, 7, 4, 8, 1, 6];
         let w = [3u64, 5, 2, 9, 1, 4, 7];
         let want = oracle_wdp(&a, &w);
-        for kind in [DominantMaxKind::Auto, DominantMaxKind::RangeTree, DominantMaxKind::RangeVeb] {
+        for kind in [DominantMaxKind::RangeTree, DominantMaxKind::RangeVeb] {
             assert_eq!(wlis_kind(kind, &a, &w), want, "{:?}", kind);
         }
-        assert_eq!(DominantMaxKind::Auto.name(), "auto");
         assert_eq!(DominantMaxKind::RangeTree.name(), "range-tree");
         assert_eq!(DominantMaxKind::RangeVeb.name(), "range-veb");
-        // Size-aware resolution: range tree below the threshold, Range-vEB
-        // at or above it; concrete kinds are fixed points.
-        assert_eq!(DominantMaxKind::Auto.resolve(), DominantMaxKind::RangeTree);
-        assert_eq!(DominantMaxKind::Auto.resolve_for(0), DominantMaxKind::RangeTree);
-        assert_eq!(
-            DominantMaxKind::Auto.resolve_for(AUTO_RANGEVEB_POINTS_THRESHOLD - 1),
-            DominantMaxKind::RangeTree
-        );
-        assert_eq!(
-            DominantMaxKind::Auto.resolve_for(AUTO_RANGEVEB_POINTS_THRESHOLD),
-            DominantMaxKind::RangeVeb
-        );
-        assert_eq!(DominantMaxKind::RangeVeb.resolve_for(0), DominantMaxKind::RangeVeb);
     }
 
     #[test]

@@ -104,7 +104,7 @@ pub enum JournalMode {
 pub struct ServerConfig {
     /// Address to bind; use port 0 for an ephemeral port.
     pub addr: SocketAddr,
-    /// Engine configuration (universe, backend, shards, …).
+    /// Engine configuration (universe, dominant-max store, shards, …).
     pub engine: EngineConfig,
     /// Size trigger: a batch closes once it holds this many ops.
     pub batch_max_ops: usize,

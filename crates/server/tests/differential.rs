@@ -15,7 +15,7 @@
 mod common;
 
 use plis_engine::{
-    Engine, EngineConfig, Op, Query, ReadOutcome, ReadTick, SessionKind, Tick, TickOutcome,
+    Engine, EngineConfig, Op, OpError, Query, ReadOutcome, ReadTick, SessionKind, Tick, TickOutcome,
 };
 use plis_server::{Client, ServerConfig, ServerHandle, ShutdownReport};
 use plis_workloads::streaming::{mixed_session_fleet, weighted_session_fleet, ReadWriteOp};
@@ -220,7 +220,9 @@ fn served_fleet_matches_direct_execution_full_pool() {
 }
 
 /// Strict-mode errors round-trip the socket too: an op aimed at a missing
-/// session must come back as the same typed `OpError` the library returns.
+/// session, or a weighted batch that would overflow the `u64` dp scores,
+/// must come back as the same typed `OpError` the library returns, with
+/// the connection and the other sessions still serving.
 #[test]
 fn typed_errors_round_trip_the_socket() {
     let config = EngineConfig { universe: 1 << 16, ..EngineConfig::default() };
@@ -244,6 +246,22 @@ fn typed_errors_round_trip_the_socket() {
     let read = ReadTick::new().query("missing", Query::Certificate);
     let served_read = client.submit_read(&read).expect("submit_read");
     assert_eq!(served_read, engine.execute_read(&read));
+
+    let overflow = Tick::new()
+        .create("heavy", SessionKind::Weighted)
+        .create("bystander", SessionKind::Weighted)
+        .append_weighted("heavy", vec![(1, u64::MAX - 5), (2, 10)])
+        .append_weighted("bystander", vec![(3, 7)]);
+    let served = client.submit(&overflow).expect("submit");
+    assert_eq!(served, engine.execute(&overflow));
+    assert_eq!(served.failed_ops, 1);
+    assert_eq!(served.outcomes[2].1, Err(OpError::ScoreOverflow));
+    let after = Tick::new()
+        .append_weighted("bystander", vec![(9, 1)])
+        .append_weighted("heavy", vec![(4, 2)]);
+    let served = client.submit(&after).expect("the connection keeps serving");
+    assert_eq!(served, engine.execute(&after));
+    assert!(served.fully_applied());
 
     let report = server.shutdown();
     assert_eq!(report.snapshot.encode(), engine.snapshot().encode());

@@ -97,21 +97,6 @@ impl Node {
         }
     }
 
-    /// Rough heap footprint of this subtree in bytes: every boxed internal
-    /// node plus its cluster-slot vector, recursively.  `O(nodes)` — meant
-    /// for occasional memory-accounting snapshots, not hot paths.
-    pub(crate) fn approx_bytes(&self) -> usize {
-        match self {
-            Node::Leaf(_) => 0, // inline in the parent's enum slot
-            Node::Internal(n) => {
-                std::mem::size_of::<Internal>()
-                    + n.clusters.capacity() * std::mem::size_of::<Option<Node>>()
-                    + n.summary.as_ref().map_or(0, Node::approx_bytes)
-                    + n.clusters.iter().flatten().map(Node::approx_bytes).sum::<usize>()
-            }
-        }
-    }
-
     /// Smallest key in this subtree.
     pub(crate) fn min(&self) -> u64 {
         match self {
@@ -262,13 +247,10 @@ impl Node {
 }
 
 impl Internal {
-    /// Ensure the cluster slot vector is allocated (all `None`), preferring
-    /// a pooled spare so a reserved session's steady state stays off the
-    /// allocator even when a header-only node gains its third key.
+    /// Ensure the cluster slot vector is allocated (all `None`).
     fn ensure_clusters(&mut self) {
         if self.clusters.is_empty() {
-            self.clusters = crate::pool::take_clusters(self.hi_bits)
-                .unwrap_or_else(|| (0..(1usize << self.hi_bits)).map(|_| None).collect());
+            self.clusters = (0..(1usize << self.hi_bits)).map(|_| None).collect();
         }
     }
 

@@ -1,12 +1,13 @@
 //! Thread-local recycling pool for emptied internal vEB nodes.
 //!
-//! The sequential point operations of [`crate::node`] create and drop boxed
-//! [`Internal`] nodes every time a cluster gains its first key or loses its
-//! last one.  Under the streaming engine's steady-state ingest pattern
-//! (insert the new tail, delete the displaced one, every element) that is a
-//! malloc/free pair per tick — the dominant cost of the vEB backend on
-//! small batches, and allocator churn that gets dramatically worse when
-//! many sessions interleave on one heap.
+//! The point operations of [`crate::node`] and the batch operations of
+//! [`crate::batch`] create and drop boxed [`Internal`] nodes every time a
+//! cluster gains its first key or loses its last one.  Under key churn
+//! (insert one key, delete another, in a loop — or a batch delete followed
+//! by a batch insert into the same clusters) that is a malloc/free pair
+//! per cluster touched, and allocator churn that gets worse when many
+//! threads share one heap.  Whether the pool still pays for today's users
+//! (the offline batch jobs, Mono-vEB and Range-vEB) is unmeasured.
 //!
 //! Instead of handing emptied nodes back to the allocator, every drop site
 //! pushes them here and every creation site pops first.  The pool is
@@ -41,17 +42,10 @@ struct Pool {
     /// The `Box` IS the recycled allocation, so `Vec<Box<_>>` is the point.
     #[allow(clippy::vec_box)]
     classes: Vec<(u32, Vec<Box<Internal>>)>,
-    /// `(hi_bits, vectors)` — spare all-`None` cluster-slot vectors for
-    /// [`Internal::ensure_clusters`].  A node that has only ever held its
-    /// `min`/`max` header keys carries no slot vector (the vEB lazy
-    /// optimisation); when such a node gains a third key in a reserved
-    /// steady state, the vector comes from here instead of the allocator.
-    cluster_vecs: Vec<(u32, Vec<Vec<Option<crate::node::Node>>>)>,
 }
 
 thread_local! {
-    static POOL: RefCell<Pool> =
-        const { RefCell::new(Pool { classes: Vec::new(), cluster_vecs: Vec::new() }) };
+    static POOL: RefCell<Pool> = const { RefCell::new(Pool { classes: Vec::new() }) };
 }
 
 /// Pop a recycled node of universe width `bits`, if one is pooled on this
@@ -95,84 +89,6 @@ pub(crate) fn recycle(slot: Option<crate::node::Node>) {
     if let Some(crate::node::Node::Internal(node)) = slot {
         put(node);
     }
-}
-
-/// Stock this thread's pool of width-`bits` nodes up to `count` (clamped
-/// by the class cap).  Fresh nodes are built with their cluster-slot
-/// vector already allocated, so a later take-and-fill touches the
-/// allocator zero times — this is what makes a *reserved* session's
-/// steady state allocation-free even while its key set keeps spreading
-/// into new clusters (cluster churn only recycles nodes that were freed
-/// first; a net-new cluster needs a node from somewhere).
-pub(crate) fn prewarm(bits: u32, count: usize) {
-    let cap = if bits <= NARROW_BITS { CAP_NARROW } else { CAP_WIDE };
-    let target = count.min(cap);
-    let (hi_bits, lo_bits) = crate::node::split_bits(bits);
-    POOL.with(|p| {
-        let mut p = p.borrow_mut();
-        let nodes = match p.classes.iter_mut().find(|(b, _)| *b == bits) {
-            Some((_, nodes)) => nodes,
-            None => {
-                p.classes.push((bits, Vec::new()));
-                &mut p.classes.last_mut().expect("just pushed").1
-            }
-        };
-        while nodes.len() < target {
-            nodes.push(Box::new(Internal {
-                lo_bits,
-                hi_bits,
-                min: 0,
-                max: 0,
-                summary: None,
-                clusters: (0..(1usize << hi_bits)).map(|_| None).collect(),
-            }));
-        }
-    });
-}
-
-/// Retained spare cluster-slot vectors per `hi_bits` class.
-const CLUSTER_VEC_CAP: usize = 256;
-/// Spare cluster vectors are pooled only for `hi_bits` up to this.  Wider
-/// vectors belong to near-root nodes, which acquire theirs once per tree
-/// lifetime during warm-up — pooling them would pin megabytes to save an
-/// allocation that never recurs in steady state.
-const CLUSTER_VEC_MAX_HI_BITS: u32 = 8;
-
-/// Pop a spare all-`None` cluster-slot vector of `1 << hi_bits` slots, if
-/// one is pooled on this thread.
-pub(crate) fn take_clusters(hi_bits: u32) -> Option<Vec<Option<crate::node::Node>>> {
-    if hi_bits > CLUSTER_VEC_MAX_HI_BITS {
-        return None;
-    }
-    POOL.with(|p| {
-        let mut p = p.borrow_mut();
-        p.cluster_vecs.iter_mut().find(|(b, _)| *b == hi_bits).and_then(|(_, vecs)| vecs.pop())
-    })
-}
-
-/// Stock this thread's pool of `hi_bits`-class cluster vectors up to
-/// `count` (clamped by [`CLUSTER_VEC_CAP`]).  Complements [`prewarm`]:
-/// prewarmed *nodes* carry their vector already, but a node that entered
-/// the tree holding only header keys has none, and its third key arrives
-/// on the hot path long after any reserve call created it.
-pub(crate) fn prewarm_clusters(hi_bits: u32, count: usize) {
-    if hi_bits > CLUSTER_VEC_MAX_HI_BITS {
-        return;
-    }
-    let target = count.min(CLUSTER_VEC_CAP);
-    POOL.with(|p| {
-        let mut p = p.borrow_mut();
-        let vecs = match p.cluster_vecs.iter_mut().find(|(b, _)| *b == hi_bits) {
-            Some((_, vecs)) => vecs,
-            None => {
-                p.cluster_vecs.push((hi_bits, Vec::new()));
-                &mut p.cluster_vecs.last_mut().expect("just pushed").1
-            }
-        };
-        while vecs.len() < target {
-            vecs.push((0..(1usize << hi_bits)).map(|_| None).collect());
-        }
-    });
 }
 
 #[cfg(test)]

@@ -52,41 +52,6 @@ impl VebTree {
         self.root.is_none()
     }
 
-    /// Rough heap footprint of the tree in bytes (the recursive node
-    /// structure; `O(nodes)`, intended for occasional memory-accounting
-    /// snapshots by the engine's telemetry plane).
-    pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.root.as_ref().map_or(0, Node::approx_bytes)
-    }
-
-    /// Stock this thread's node pool for up to `additional` net-new keys,
-    /// so subsequent point inserts never touch the allocator (per pool
-    /// class cap).  Key churn (delete one, insert another) recycles
-    /// through the pool on its own; what it cannot cover is *growth* —
-    /// every key that spreads into an untouched cluster consumes a node
-    /// the pool must already hold.  One prewarmed node per internal
-    /// recursion width covers the deepest possible new path of one key.
-    pub fn reserve_nodes(&self, additional: usize) {
-        let mut widths: Vec<u32> = Vec::new();
-        let mut stack = vec![self.bits];
-        while let Some(bits) = stack.pop() {
-            let (hi_bits, lo_bits) = crate::node::split_bits(bits);
-            for w in [hi_bits, lo_bits] {
-                if w > crate::node::LEAF_BITS && !widths.contains(&w) {
-                    widths.push(w);
-                    stack.push(w);
-                }
-            }
-        }
-        for &w in &widths {
-            crate::pool::prewarm(w, additional);
-            // Nodes already in the tree that only ever held their min/max
-            // header carry no slot vector; their third key allocates one on
-            // the hot path unless a spare is pooled.
-            crate::pool::prewarm_clusters(crate::node::split_bits(w).0, additional);
-        }
-    }
-
     /// Insert `key`; returns `true` if it was not already present.
     ///
     /// # Panics

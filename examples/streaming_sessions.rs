@@ -10,7 +10,7 @@ fn main() {
     // --- One session, step by step -------------------------------------
     // A sensor emits readings in small bursts; we keep the LIS of the whole
     // history live, without ever recomputing from scratch.
-    let mut session = StreamingLis::new(1 << 16, Backend::Veb);
+    let mut session = StreamingLis::new(1 << 16);
     for (day, burst) in
         [&[520u64, 310, 450][..], &[260, 610, 100][..], &[390, 440, 700][..]].iter().enumerate()
     {
@@ -26,7 +26,7 @@ fn main() {
     println!("one LIS of the stream: {lis:?}");
     assert_eq!(lis.len(), 4);
 
-    // Value-domain queries go straight to the vEB tail set.
+    // Value-domain queries binary-search the tails array.
     println!("longest run strictly below 450: {}", session.lis_length_below(450));
 
     // --- A fleet of sessions, tick by tick ------------------------------
@@ -34,8 +34,7 @@ fn main() {
     // parallel `execute` call per tick.  Lifecycle is explicit — the
     // first tick creates every session, the rest are strict appends.
     let (fleet, universe) = session_fleet(6, 30_000, 512, 7);
-    let mut engine =
-        Engine::new(EngineConfig { universe, backend: Backend::Auto, ..EngineConfig::default() });
+    let mut engine = Engine::new(EngineConfig { universe, ..EngineConfig::default() });
     let setup: Tick = fleet
         .iter()
         .fold(Tick::new(), |tick, (name, _)| tick.create(name.as_str(), SessionKind::Unweighted));
@@ -54,12 +53,7 @@ fn main() {
     println!("fleet after {rounds} ticks:");
     for id in engine.session_ids() {
         let session = engine.session(id.as_str()).unwrap();
-        println!(
-            "  {id:<16} n = {:>6}  LIS = {:>5}  backend = {}",
-            session.len(),
-            session.lis_length(),
-            session.backend_name()
-        );
+        println!("  {id:<16} n = {:>6}  LIS = {:>5}", session.len(), session.lis_length());
     }
 
     // The streaming answer equals the offline oracle on the full history.

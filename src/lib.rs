@@ -61,15 +61,14 @@ pub mod prelude {
         SnapshotError, TickJournal,
     };
     pub use plis_engine::{
-        Backend, BatchReport, Certificate, Engine, EngineConfig, IngestReport, Op, OpError,
-        OpOutput, OpResult, Query, QueryAnswer, QueryBatch, QueryReport, ReadOutcome, ReadTick,
-        SessionId, SessionKind, StreamingLis, Tick, TickOutcome, WeightedIngestReport,
-        WeightedStreamingLis,
+        BatchReport, Certificate, Engine, EngineConfig, IngestReport, Op, OpError, OpOutput,
+        OpResult, Query, QueryAnswer, QueryBatch, QueryReport, ReadOutcome, ReadTick, SessionId,
+        SessionKind, StreamingLis, Tick, TickOutcome, WeightedIngestReport, WeightedStreamingLis,
     };
     pub use plis_engine::{HistogramSnapshot, MemorySink, Metrics, MetricsSnapshot, TraceSink};
     pub use plis_lis::{
         lis_indices, lis_length, lis_ranks, lis_ranks_u64, wlis_indices_from_scores, wlis_kind,
-        wlis_rangetree, wlis_rangeveb, wlis_with, DominantMaxKind, DominantMaxStore, TailSet,
+        wlis_rangetree, wlis_rangeveb, wlis_with, DominantMaxKind, DominantMaxStore,
     };
     pub use plis_rangetree::RangeMaxTree;
     pub use plis_rangeveb::RangeVeb;

@@ -188,8 +188,7 @@ fn streaming_engine_agrees_with_every_offline_algorithm() {
         ("perm", workloads::random_permutation(n, 13)),
     ];
     let universe = cases.iter().flat_map(|(_, v)| v.iter().copied()).max().unwrap() + 1;
-    let mut engine =
-        Engine::new(EngineConfig { universe, backend: Backend::Auto, ..EngineConfig::default() });
+    let mut engine = Engine::new(EngineConfig { universe, ..EngineConfig::default() });
     let mut state = 0xA5A5_5A5A_1234_4321u64;
     let mut cursors = [0usize; 3];
     while cursors.iter().zip(&cases).any(|(&c, (_, v))| c < v.len()) {
