@@ -484,9 +484,9 @@ impl Shard {
             .collect()
     }
 
-    /// One append op: validate the batch against the universe and the
-    /// `u64` score range, resolve (or create) the target session, check
-    /// the kind axis, ingest.
+    /// One append op: validate the batch against the universe and a
+    /// weighted session's `u64` weight total, resolve (or create) the
+    /// target session, check the kind axis, ingest.
     fn append(
         &mut self,
         id: &SessionId,
@@ -514,9 +514,9 @@ impl Shard {
             (SessionState::Unweighted(s), BatchRef::Plain(b)) => {
                 BatchReport::Unweighted(s.ingest(b))
             }
-            // The best score plus the batch's weights bounds every new dp
-            // value, so neither ingest path needs its own check.
-            (SessionState::Weighted(s), _) if s.best_score().checked_add(weight_sum).is_none() => {
+            // The weight total bounds every dp score, so neither ingest
+            // path needs its own check.
+            (SessionState::Weighted(s), _) if !s.admits(weight_sum) => {
                 return Err(OpError::ScoreOverflow)
             }
             (SessionState::Weighted(s), BatchRef::Plain(b)) => {

@@ -407,9 +407,10 @@ pub enum OpError {
         /// The configured universe bound.
         universe: u64,
     },
-    /// A weighted append whose weights (1 per element of a plain batch),
-    /// added to the session's best score, overflow `u64`: some dp score
-    /// could not be represented.  The whole batch is rejected atomically.
+    /// A weighted append whose weights (1 per element of a plain batch)
+    /// would push the session's weight total past `u64::MAX`.  The total
+    /// bounds every dp score, so below it no score can overflow.  The
+    /// whole batch is rejected atomically.
     ScoreOverflow,
     /// [`Op::CreateSession`] addressed an id that is already live.
     SessionExists {
@@ -441,7 +442,9 @@ impl std::fmt::Display for OpError {
             OpError::UniverseOverflow { value, universe } => {
                 write!(f, "value {value} outside the universe [0, {universe})")
             }
-            OpError::ScoreOverflow => write!(f, "batch weights would overflow the u64 dp scores"),
+            OpError::ScoreOverflow => {
+                write!(f, "batch weights would push the weight total past u64::MAX")
+            }
             OpError::SessionExists { kind } => {
                 write!(f, "session already exists (kind {kind:?})")
             }

@@ -68,7 +68,7 @@
 use crate::cost::PathPolicy;
 use crate::rankindex::RankIndex;
 use plis_lis::lis_ranks_u64;
-use plis_primitives::sorted_diff_into;
+use plis_primitives::sorted_diff_counts;
 
 /// The historical fixed batch-size threshold at which ingestion switched
 /// to the parallel merge path.  Sessions now default to cost-based
@@ -131,10 +131,6 @@ struct ScratchArena {
     /// Per-rank minimum of the batch values (`u64::MAX` where the batch
     /// has no element of that rank).
     rank_min: Vec<u64>,
-    /// Tails removed by this ingest (`sorted_diff_into` output).
-    removed: Vec<u64>,
-    /// Tails added by this ingest (`sorted_diff_into` output).
-    added: Vec<u64>,
 }
 
 impl ScratchArena {
@@ -142,17 +138,11 @@ impl ScratchArena {
         self.merged.reserve(additional);
         self.new_tails.reserve(additional);
         self.rank_min.reserve(additional);
-        self.removed.reserve(additional);
-        self.added.reserve(additional);
     }
 
     /// Heap bytes currently held across all staging buffers (capacity).
     fn approx_bytes(&self) -> usize {
-        (self.merged.capacity()
-            + self.new_tails.capacity()
-            + self.rank_min.capacity()
-            + self.removed.capacity()
-            + self.added.capacity())
+        (self.merged.capacity() + self.new_tails.capacity() + self.rank_min.capacity())
             * std::mem::size_of::<u64>()
     }
 }
@@ -463,18 +453,18 @@ impl StreamingLis {
             "tails must stay strictly increasing"
         );
 
-        // Account the tail-set delta.  After the swap `scratch.new_tails`
-        // holds the *old* tails (and its buffer is reused next ingest).
+        // Count the tail delta.  After the swap `scratch.new_tails` holds
+        // the *old* tails (and its buffer is reused next ingest).
         std::mem::swap(&mut self.tails, &mut scratch.new_tails);
-        sorted_diff_into(&scratch.new_tails, &self.tails, &mut scratch.removed, &mut scratch.added);
+        let (tail_removals, tail_inserts) = sorted_diff_counts(&scratch.new_tails, &self.tails);
 
         IngestReport {
             ingested: batch.len(),
             lis_before,
             lis_after: self.lis_length(),
             path: IngestPath::ParallelMerge,
-            tail_inserts: self.scratch.added.len(),
-            tail_removals: self.scratch.removed.len(),
+            tail_inserts,
+            tail_removals,
         }
     }
 

@@ -221,8 +221,10 @@ impl SessionSnapshot {
     /// Check that ingesting the captured stream cannot panic: the
     /// universe is non-empty, every value lies inside it, an unweighted
     /// stream fits the rank index's 32-bit element addressing, and a
-    /// weighted stream's weights sum within `u64` (which bounds every dp
-    /// score).
+    /// weighted stream's weight total fits `u64` — the bound every live
+    /// append is held to ([`WeightedStreamingLis::admits`]), so any
+    /// stream the engine accepted validates, and restore's one ingest of
+    /// it into an empty session passes the same check.
     /// [`SessionSnapshot::decode`] runs this on every decode, and the
     /// restore paths run it again on snapshots handed to them directly.
     pub fn validate(&self) -> Result<(), SnapshotError> {

@@ -20,10 +20,12 @@
 //! LIS (where it degenerates to `tails`: the `r`-th tail is the smallest
 //! value with score `≥ r + 1`).
 //!
-//! Scores are `u64`, and no new score exceeds the best score so far plus
-//! the batch's weights, so [`WeightedStreamingLis::ingest`] refuses a
-//! batch whose weights push that sum past `u64::MAX` (the engine turns it
-//! into a typed `OpError::ScoreOverflow` before ingest).
+//! Scores are `u64`, and no score exceeds the sum of the stream's weights,
+//! so a session keeps that *weight total* within `u64`:
+//! [`WeightedStreamingLis::ingest`] refuses a batch that would push it past
+//! `u64::MAX` (the engine turns that into a typed `OpError::ScoreOverflow`
+//! before ingest, and snapshot validation holds a captured stream, which
+//! restore ingests as one batch, to the same bound).
 //!
 //! # Batch ingestion
 //!
@@ -185,6 +187,9 @@ pub struct WeightedStreamingLis {
     /// Multiplicity of every dp score seen so far (`score → count`),
     /// maintained on ingest so count-at-score queries are `O(1)`.
     score_counts: HashMap<u64, usize>,
+    /// Sum of every ingested weight; bounds every dp score and is kept
+    /// within `u64` (see [`WeightedStreamingLis::admits`]).
+    weight_total: u64,
     /// Dominant-max store for the parallel merge path (built fresh inside
     /// every merge run).
     kind: DominantMaxKind,
@@ -209,6 +214,7 @@ impl WeightedStreamingLis {
             scores: Vec::new(),
             frontier: Vec::new(),
             score_counts: HashMap::new(),
+            weight_total: 0,
             kind,
             scratch: WScratchArena::default(),
             universe,
@@ -303,6 +309,23 @@ impl WeightedStreamingLis {
         self.frontier.last().map_or(0, |&(_, s)| s)
     }
 
+    /// Sum of every ingested weight (0 for an empty stream): an upper
+    /// bound on every dp score.
+    pub fn weight_total(&self) -> u64 {
+        self.weight_total
+    }
+
+    /// Whether a batch whose weights sum to `batch_weight` keeps the
+    /// stream's weight total within `u64`, so that no dp score can
+    /// overflow.  This is the one bound a weighted stream is held to: the
+    /// engine checks it before an append, [`WeightedStreamingLis::ingest`]
+    /// asserts it, and snapshot validation checks the whole captured
+    /// stream against an empty session's total of 0 (restore ingests it as
+    /// one batch).
+    pub fn admits(&self, batch_weight: u64) -> bool {
+        self.weight_total.checked_add(batch_weight).is_some()
+    }
+
     /// The current Pareto frontier of `(value, score)` pairs (strictly
     /// increasing in both coordinates).
     pub fn frontier(&self) -> &[(u64, u64)] {
@@ -366,19 +389,19 @@ impl WeightedStreamingLis {
     ///
     /// # Panics
     /// Panics if any value is outside the session universe, or if the
-    /// best score plus the batch's weights overflows `u64` (no new score
-    /// exceeds that sum, so below it none can overflow).
+    /// batch would push the stream's weight total past `u64::MAX` (see
+    /// [`WeightedStreamingLis::admits`]).
     pub fn ingest(&mut self, batch: &[(u64, u64)]) -> WeightedIngestReport {
         for &(v, _) in batch {
             assert!(v < self.universe, "value {v} outside session universe {}", self.universe);
         }
-        assert!(
-            weight_sum(batch).and_then(|w| self.best_score().checked_add(w)).is_some(),
-            "batch weights would overflow the u64 dp scores"
-        );
+        let Some(batch_weight) = weight_sum(batch).filter(|&w| self.admits(w)) else {
+            panic!("batch weights would push the weight total past u64::MAX");
+        };
         if batch.is_empty() {
             return WeightedIngestReport::empty(self.best_score(), self.frontier.len());
         }
+        self.weight_total += batch_weight;
         match self.policy.choose_weighted(batch.len(), self.frontier.len()) {
             IngestPath::ParallelMerge => self.ingest_parallel(batch),
             IngestPath::Sequential => self.ingest_sequential(batch),
@@ -555,21 +578,26 @@ impl WeightedStreamingLis {
             *want_counts.entry(s).or_default() += 1;
         }
         assert_eq!(self.score_counts, want_counts, "score multiplicities out of sync");
+        assert_eq!(
+            Some(self.weight_total),
+            self.weights.iter().try_fold(0u64, |acc, &w| acc.checked_add(w)),
+            "weight total out of sync"
+        );
         let expect =
             pareto_staircase(self.values.iter().zip(&self.scores).map(|(&v, &s)| (v, s)).collect());
         assert_eq!(self.frontier, expect, "frontier must be the Pareto staircase of the stream");
     }
 }
 
-/// The Pareto staircase of a bag of `(value, score)` pairs: for every
-/// value keep the best score, then keep only entries whose score strictly
-/// exceeds every entry at a smaller value.  Zero scores are dropped (the
-/// `max(0, ·)` in the recurrence makes them vacuous).
 /// Sum of the weights of `batch`, or `None` if it overflows `u64`.
 pub(crate) fn weight_sum(batch: &[(u64, u64)]) -> Option<u64> {
     batch.iter().try_fold(0u64, |acc, &(_, w)| acc.checked_add(w))
 }
 
+/// The Pareto staircase of a bag of `(value, score)` pairs: for every
+/// value keep the best score, then keep only entries whose score strictly
+/// exceeds every entry at a smaller value.  Zero scores are dropped (the
+/// `max(0, ·)` in the recurrence makes them vacuous).
 fn pareto_staircase(mut pairs: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
     pareto_staircase_inplace(&mut pairs);
     pairs
@@ -801,11 +829,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "would overflow the u64 dp scores")]
+    #[should_panic(expected = "would push the weight total past u64::MAX")]
     fn overflowing_weights_panic() {
+        // The elements do not chain, so the best score stays at 2^63; the
+        // weight total reaches u64::MAX exactly, and one more unit is refused.
         let mut s = WeightedStreamingLis::new(16, DominantMaxKind::RangeTree);
-        s.ingest(&[(1, u64::MAX - 5)]);
-        s.ingest(&[(2, 10)]);
+        s.ingest(&[(10, 1 << 63)]);
+        s.ingest(&[(5, (1 << 63) - 1)]);
+        assert_eq!((s.best_score(), s.weight_total()), (1 << 63, u64::MAX));
+        s.check_invariants();
+        s.ingest(&[(4, 1)]);
     }
 
     #[test]

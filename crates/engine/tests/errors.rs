@@ -1,15 +1,16 @@
 //! The acceptance property of the **error surface**: every malformed op
 //! in a well-formed [`Tick`] / [`ReadTick`] — unknown sessions, weighted
 //! batches aimed at unweighted sessions, double creation, out-of-universe
-//! values, weights that would overflow the `u64` dp scores — resolves to a
+//! values, weights that would push a weighted session's `u64` weight total
+//! past `u64::MAX` — resolves to a
 //! typed `Err(OpError)` without panicking, without
 //! touching any session, and without disturbing its tick neighbours; and
 //! the full per-op outcome stream is bit-identical at 1 thread and at the
 //! full pool.
 
 use plis_engine::{
-    Engine, EngineConfig, Op, OpError, OpOutput, PathPolicy, Query, ReadOutcome, ReadTick,
-    SessionKind, Tick, TickOutcome,
+    Engine, EngineConfig, EngineSnapshot, Op, OpError, OpOutput, PathPolicy, Query, ReadOutcome,
+    ReadTick, SessionKind, Tick, TickOutcome,
 };
 use plis_workloads::streaming::{round_robin_ticks, session_fleet};
 
@@ -259,12 +260,13 @@ fn overflow_step(
     common::assert_same_derived_state(engine, reference, label);
 }
 
-/// Weighted dp scores are `u64`: a batch whose weights (1 per element of
-/// a plain batch), added to the session's best score, overflow `u64` is
-/// rejected whole with [`OpError::ScoreOverflow`] — at 1 thread and on the
-/// pool, whichever ingest path the policy picks.  The session then equals
-/// one that never saw the op, no session is auto-created for it, and its
-/// tick neighbours apply.
+/// Weighted dp scores are `u64` and bounded by the session's weight
+/// total: a batch whose weights (1 per element of a plain batch) would
+/// push that total past `u64::MAX` is rejected whole with
+/// [`OpError::ScoreOverflow`] — at 1 thread and on the pool, whichever
+/// ingest path the policy picks.  The session then equals one that never
+/// saw the op, no session is auto-created for it, its tick neighbours
+/// apply, and every stream the engine accepted snapshots and restores.
 #[test]
 fn score_overflow_is_typed_and_atomic() {
     const MAX: u64 = u64::MAX;
@@ -318,12 +320,30 @@ fn score_overflow_is_typed_and_atomic() {
                     true,
                     l,
                 );
-                assert!(engine.weighted_session("fresh").is_none(), "{label}");
+                // Elements that do not chain keep the best score at 2^63
+                // while the weight total reaches u64::MAX, so the third
+                // append is refused although none of its scores would wrap:
+                // the whole stream must stay restorable as one batch.
+                let half = 1u64 << 63;
+                let good = Tick::new()
+                    .create("flat", SessionKind::Weighted)
+                    .append_weighted("flat", vec![(10, half)]);
+                overflow_step(e, r, good, Tick::new(), false, l);
+                let good = Tick::new().append_weighted("flat", vec![(5, half - 1)]);
+                overflow_step(e, r, good, Tick::new(), false, l);
+                let bad = Tick::new().append_weighted("flat", vec![(4, half - 1)]);
+                overflow_step(e, r, Tick::new(), bad, false, l);
                 // A batch that lands exactly on u64::MAX is accepted.
                 let good = Tick::new().append("w", vec![3, 4, 5, 6, 7]);
                 overflow_step(&mut engine, &mut reference, good, Tick::new(), false, &label);
                 assert_eq!(engine.best_score("w"), Some(MAX), "{label}");
+                assert_eq!(engine.best_score("flat"), Some(half), "{label}");
                 engine.check_invariants();
+                let snapshot = EngineSnapshot::decode(&engine.snapshot().encode())
+                    .unwrap_or_else(|e| panic!("{label}: accepted streams must decode: {e}"));
+                let restored = Engine::restore(engine.config().clone(), &snapshot)
+                    .unwrap_or_else(|e| panic!("{label}: accepted streams must restore: {e:?}"));
+                common::assert_same_derived_state(&engine, &restored, &label);
             });
         }
     }

@@ -302,8 +302,8 @@ fn inconsistent_snapshots_are_rejected() {
     let forged = SessionSnapshot::Weighted { universe, pairs: far };
     assert!(SessionSnapshot::decode(&forged.encode()).is_err());
 
-    // Weighted: weights that sum past u64::MAX, so some dp score would
-    // overflow on restore.
+    // Weighted: weights that sum past u64::MAX, a stream no engine accepts
+    // (the weight total every append is held to would overflow).
     pairs[1].1 = u64::MAX - 10;
     let forged = SessionSnapshot::Weighted { universe, pairs };
     let overflow = SnapshotError::Malformed("weights sum past u64::MAX");

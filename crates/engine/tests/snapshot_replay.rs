@@ -46,16 +46,22 @@ const UNIVERSE: u64 = 1 << 20;
 /// A mixed multi-session schedule: plain and weighted appends (batch sizes
 /// straddling the forced parallel threshold), interleaved queries
 /// (certificates included), and a mid-schedule remove/recreate so session
-/// lifecycle rides the journal too.
+/// lifecycle rides the journal too.  The weighted session `flat` sits at
+/// the weight-total bound: its elements do not chain, so its best score
+/// stays at 2^63 while its weights sum to exactly `u64::MAX`.
 fn schedule(ticks: usize, seed: u64) -> Vec<Tick> {
     let mut state = seed;
     let mut out = Vec::with_capacity(ticks + 1);
+    let half = 1u64 << 63;
     out.push(
         Tick::new()
             .create("alpha", SessionKind::Unweighted)
             .create("bravo", SessionKind::Unweighted)
             .create("orders", SessionKind::Weighted)
-            .create("bids", SessionKind::Weighted),
+            .create("bids", SessionKind::Weighted)
+            .create("flat", SessionKind::Weighted)
+            .append_weighted("flat", vec![(10, half)])
+            .append_weighted("flat", vec![(5, half - 1)]),
     );
     for round in 0..ticks {
         let mut tick = Tick::new();

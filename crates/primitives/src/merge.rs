@@ -87,37 +87,26 @@ where
     }
 }
 
-/// Two-finger difference of two sorted, duplicate-free slices: after the
-/// call `only_a` holds the elements of `a` not in `b` and `only_b` the
-/// elements of `b` not in `a`, both sorted.  The output buffers are cleared
-/// first but keep their capacity, so a caller that reuses them across calls
-/// (the streaming sessions' tail-delta computation every ingest) stays off
-/// the allocator once the buffers have grown to steady-state size.
-/// `O(|a| + |b|)`.
-pub fn sorted_diff_into(a: &[u64], b: &[u64], only_a: &mut Vec<u64>, only_b: &mut Vec<u64>) {
+/// Two-finger difference count of two sorted, duplicate-free slices:
+/// `(|a \ b|, |b \ a|)`, the number of elements only in `a` and only in
+/// `b` (the streaming session counts its tail removals and inserts this
+/// way every parallel ingest).  Allocation-free, `O(|a| + |b|)`.
+pub fn sorted_diff_counts(a: &[u64], b: &[u64]) -> (usize, usize) {
     debug_assert!(a.windows(2).all(|w| w[0] < w[1]));
     debug_assert!(b.windows(2).all(|w| w[0] < w[1]));
-    only_a.clear();
-    only_b.clear();
-    let (mut i, mut j) = (0, 0);
+    let (mut i, mut j, mut common) = (0, 0, 0);
     while i < a.len() && j < b.len() {
         match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                only_a.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                only_b.push(b[j]);
-                j += 1;
-            }
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
+                common += 1;
                 i += 1;
                 j += 1;
             }
         }
     }
-    only_a.extend_from_slice(&a[i..]);
-    only_b.extend_from_slice(&b[j..]);
+    (a.len() - common, b.len() - common)
 }
 
 /// `slice.partition_point` for a generic predicate (first index where the
@@ -219,17 +208,12 @@ mod tests {
     }
 
     #[test]
-    fn sorted_diff_into_basics() {
-        let (mut only_a, mut only_b) = (Vec::new(), Vec::new());
-        sorted_diff_into(&[1, 3, 5, 9], &[3, 4, 9, 12], &mut only_a, &mut only_b);
-        assert_eq!(only_a, vec![1, 5]);
-        assert_eq!(only_b, vec![4, 12]);
-        // Reuse the buffers: contents are replaced, not appended.
-        sorted_diff_into(&[], &[7], &mut only_a, &mut only_b);
-        assert_eq!(only_a, Vec::<u64>::new());
-        assert_eq!(only_b, vec![7]);
-        sorted_diff_into(&[2, 4], &[2, 4], &mut only_a, &mut only_b);
-        assert!(only_a.is_empty() && only_b.is_empty());
+    fn sorted_diff_counts_basics() {
+        assert_eq!(sorted_diff_counts(&[1, 3, 5, 9], &[3, 4, 9, 12]), (2, 2));
+        assert_eq!(sorted_diff_counts(&[], &[7]), (0, 1));
+        assert_eq!(sorted_diff_counts(&[7, 8], &[]), (2, 0));
+        assert_eq!(sorted_diff_counts(&[2, 4], &[2, 4]), (0, 0));
+        assert_eq!(sorted_diff_counts(&[1, 2, 3], &[4, 5]), (3, 2));
     }
 
     #[test]

@@ -220,9 +220,10 @@ fn served_fleet_matches_direct_execution_full_pool() {
 }
 
 /// Strict-mode errors round-trip the socket too: an op aimed at a missing
-/// session, or a weighted batch that would overflow the `u64` dp scores,
-/// must come back as the same typed `OpError` the library returns, with
-/// the connection and the other sessions still serving.
+/// session, or a weighted batch that would push a session's weight total
+/// past `u64::MAX`, must come back as the same typed `OpError` the library
+/// returns, with the connection and the other sessions still serving; a
+/// session at the bound still snapshots over the wire.
 #[test]
 fn typed_errors_round_trip_the_socket() {
     let config = EngineConfig { universe: 1 << 16, ..EngineConfig::default() };
@@ -262,6 +263,21 @@ fn typed_errors_round_trip_the_socket() {
     let served = client.submit(&after).expect("the connection keeps serving");
     assert_eq!(served, engine.execute(&after));
     assert!(served.fully_applied());
+
+    // Elements that do not chain keep the best score at 2^63 while the
+    // weight total reaches u64::MAX: the third append is refused, and the
+    // served snapshot of the session decodes at the client.
+    let half = 1u64 << 63;
+    let flat = Tick::new()
+        .create("flat", SessionKind::Weighted)
+        .append_weighted("flat", vec![(10, half)])
+        .append_weighted("flat", vec![(5, half - 1)])
+        .append_weighted("flat", vec![(4, half - 1)])
+        .snapshot("flat");
+    let served = client.submit(&flat).expect("the snapshot reply decodes");
+    assert_eq!(served, engine.execute(&flat));
+    assert_eq!(served.outcomes[3].1, Err(OpError::ScoreOverflow));
+    assert!(served.outcomes[4].1.is_ok());
 
     let report = server.shutdown();
     assert_eq!(report.snapshot.encode(), engine.snapshot().encode());
