@@ -98,7 +98,8 @@ pub trait DominantMaxStore: Sized + Sync {
     /// Maximum score among points with `x < qx` and `y < qy`, or 0.
     fn dominant_max(&self, qx: u64, qy: u64) -> u64;
     /// Set the scores of a batch of `(x, y, score)` entries.  Scores are
-    /// monotone in the WLIS algorithm: a write never lowers a score.
+    /// monotone in the WLIS algorithm: a write never lowers a score.  A
+    /// point named more than once in one batch keeps its maximum score.
     fn update_batch(&mut self, updates: &[(u64, u64, u64)]);
     /// Short human-readable name used by benchmark and engine reports.
     fn name() -> &'static str;

@@ -26,6 +26,14 @@
 use plis_primitives::par::{maybe_join, GRAIN};
 use plis_primitives::{DomMaxCounters, DomMaxStats};
 use plis_veb::{MonoVeb, ScoredPoint};
+use std::cmp::Reverse;
+
+/// `distribute` forks only on at least this many routed updates.  Every
+/// `offline-lis` write-back counted has at most 22, so it never forks (the
+/// old grain, 2, forked at every outer node and was slower); 64 keeps
+/// Algorithm 3's parallel span for larger frontiers, a side no benchmark
+/// workload measures (DESIGN.md, "Granularity in the vEB family").
+const DISTRIBUTE_GRAIN: usize = 64;
 
 /// A 2D point (same convention as `plis_rangetree::Point2`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -153,7 +161,8 @@ impl RangeVeb {
     /// points.  Every point is routed to the `O(log n)` outer nodes that
     /// contain it; each affected inner Mono-vEB tree then performs one
     /// staircase update (refine → `CoveredBy` → batch delete → batch
-    /// insert), with different inner trees processed in parallel.
+    /// insert), with different inner trees processed in parallel.  A point
+    /// named more than once keeps its highest score.
     ///
     /// # Panics
     /// Panics if an update refers to a point not present in the structure.
@@ -261,13 +270,13 @@ fn distribute(nodes: &mut [VNode], updates: &[(usize, u64, u64)]) {
     let (upd_l, upd_r) = updates.split_at(cut);
     let (left, right) = rest.split_at_mut(2 * half - 1);
     maybe_join(
-        updates.len().max(2),
-        2,
+        updates.len(),
+        DISTRIBUTE_GRAIN,
         || apply_to_node(this, updates),
         || {
             maybe_join(
-                updates.len().max(2),
-                2,
+                updates.len(),
+                DISTRIBUTE_GRAIN,
                 || distribute(left, upd_l),
                 || distribute(right, upd_r),
             );
@@ -276,7 +285,8 @@ fn distribute(nodes: &mut [VNode], updates: &[(usize, u64, u64)]) {
 }
 
 /// Relabel the updates into the node's local key space and perform one
-/// staircase update on its inner Mono-vEB tree.
+/// staircase update on its inner Mono-vEB tree.  A point named more than
+/// once keeps its highest score.
 fn apply_to_node(node: &mut VNode, updates: &[(usize, u64, u64)]) {
     let mut batch: Vec<ScoredPoint> = updates
         .iter()
@@ -285,7 +295,7 @@ fn apply_to_node(node: &mut VNode, updates: &[(usize, u64, u64)]) {
             ScoredPoint { key: label, score }
         })
         .collect();
-    batch.sort_unstable_by_key(|p| p.key);
+    batch.sort_unstable_by_key(|p| (p.key, Reverse(p.score)));
     batch.dedup_by_key(|p| p.key);
     node.inner.insert_staircase(&batch);
 }
@@ -355,6 +365,8 @@ mod tests {
 
     #[test]
     fn incremental_rounds_match_brute_force() {
+        // Every round updates about a third of the points, more than
+        // `distribute`'s grain, on one thread and on a 2-thread pool.
         let mut state = 0xA24BAED4963EE407u64;
         let mut rng = move || {
             state ^= state << 13;
@@ -369,11 +381,10 @@ mod tests {
             ys.swap(i, (rng() as usize) % (i + 1));
         }
         let points: Vec<Point2> = (0..n).map(|i| Point2 { x: rng() % 150, y: ys[i] }).collect();
-        let points: Vec<Point2> = {
-            // Make (x, y) pairs unique by construction (y already unique).
-            points
-        };
-        let mut tree = RangeVeb::new(&points);
+        let one = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+        let two = rayon::ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        let mut seq = RangeVeb::new(&points);
+        let mut par = RangeVeb::new(&points);
         let mut scored: Vec<(Point2, Option<u64>)> = points.iter().map(|&p| (p, None)).collect();
         for round in 0..8 {
             let mut updates = Vec::new();
@@ -384,15 +395,62 @@ mod tests {
                     updates.push(ScoreUpdate { point: entry.0, score: new_score });
                 }
             }
-            tree.update_batch(&updates);
+            assert!(updates.len() > DISTRIBUTE_GRAIN, "round {round}: frontier below the grain");
+            one.install(|| seq.update_batch(&updates));
+            two.install(|| par.update_batch(&updates));
             for _ in 0..60 {
                 let qx = rng() % 160;
-                let qy = rng() % 160;
-                assert_eq!(
-                    tree.dominant_max(qx, qy),
-                    brute(&scored, qx, qy),
-                    "round {round} query ({qx},{qy})"
-                );
+                let qy = rng() % (n as u64 + 10);
+                let want = brute(&scored, qx, qy);
+                assert_eq!(seq.dominant_max(qx, qy), want, "round {round}, 1 thread ({qx},{qy})");
+                assert_eq!(par.dominant_max(qx, qy), want, "round {round}, 2 threads ({qx},{qy})");
+            }
+        }
+    }
+
+    #[test]
+    fn repeated_points_keep_their_highest_score() {
+        // Each chosen point is named twice in one batch with two new scores,
+        // the higher one first or second at random; like the range tree's
+        // `fetch_max`, the point must keep the higher one.
+        let mut state = 0xBB67AE8584CAA73Bu64;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for trial in 0..20u64 {
+            let n = 40 + 7 * trial;
+            let points: Vec<Point2> = (0..n).map(|y| Point2 { x: rng() % 30, y }).collect();
+            let mut r = RangeVeb::new(&points);
+            let mut scored: Vec<(Point2, Option<u64>)> =
+                points.iter().map(|&p| (p, None)).collect();
+            for round in 0..4 {
+                let mut updates = Vec::new();
+                for entry in scored.iter_mut() {
+                    if rng() % 3 != 0 {
+                        continue;
+                    }
+                    let low = entry.1.unwrap_or(0) + 1 + rng() % 20;
+                    let high = low + 1 + rng() % 20;
+                    entry.1 = Some(high);
+                    let pair = [low, high];
+                    let first = (rng() % 2) as usize;
+                    for score in [pair[first], pair[1 - first]] {
+                        updates.push(ScoreUpdate { point: entry.0, score });
+                    }
+                }
+                r.update_batch(&updates);
+                for qx in 0..=31 {
+                    for qy in 0..=n {
+                        assert_eq!(
+                            r.dominant_max(qx, qy),
+                            brute(&scored, qx, qy),
+                            "trial {trial} round {round} query ({qx},{qy})"
+                        );
+                    }
+                }
             }
         }
     }

@@ -16,11 +16,28 @@
 //!
 //! Both operations recurse into distinct clusters in parallel by splitting
 //! the cluster slot vector with `split_at_mut`, so no locks are needed.
+//!
+//! Below [`POINT_OP_CUTOFF`] keys, a batch (at the root or at any node of
+//! the recursion) is applied with the sequential point operations instead.
+//! The result is the same tree: a vEB node's header, clusters and summary
+//! are a function of its key set, not of the order the keys arrived in.
+//! Each point operation is `O(log log U)`, so the work bounds still hold.
 
 use crate::node::{high, low, split_bits, Internal, Node, LEAF_BITS};
 use crate::tree::VebTree;
 use plis_primitives::par::maybe_join;
 use rayon::prelude::*;
+
+/// Batches (and per-node sub-batches) smaller than this run as loops of
+/// point operations.  On the `offline-lis` vEB job only the ~65,500-key
+/// root batch reaches it; the root's clusters get 16 keys on average and
+/// at most 33 on the seeds counted.  16, which sent about half of them
+/// down the batch path, was slower; 64, 256 and 1024 all run every
+/// cluster as point operations and measured alike (DESIGN.md,
+/// "Granularity in the vEB family").
+pub const POINT_OP_CUTOFF: usize = 64;
+// The batch paths below rely on batches of three or more keys.
+const _: () = assert!(POINT_OP_CUTOFF > 2);
 
 impl VebTree {
     /// Build a tree directly from a sorted, duplicate-free slice of keys.
@@ -51,6 +68,9 @@ impl VebTree {
         }
         assert_sorted_unique(batch);
         self.check(*batch.last().unwrap());
+        if batch.len() < POINT_OP_CUTOFF {
+            return batch.iter().filter(|&&k| self.insert(k)).count();
+        }
         // The paper assumes B ∩ V = ∅; enforce it by filtering (parallel
         // lookups, O(m log log U)).
         let fresh: Vec<u64> = match &self.root {
@@ -77,6 +97,9 @@ impl VebTree {
         }
         assert_sorted_unique(batch);
         self.check(*batch.last().unwrap());
+        if batch.len() < POINT_OP_CUTOFF {
+            return batch.iter().filter(|&&k| self.delete(k)).count();
+        }
         let root = self.root.as_mut().expect("checked non-empty");
         let present: Vec<u64> = {
             let r = &*root;
@@ -112,10 +135,17 @@ fn from_sorted_node(bits: u32, keys: &[u64]) -> Node {
         }
         return Node::Leaf(mask);
     }
+    if keys.len() < POINT_OP_CUTOFF {
+        let mut node = Node::singleton(bits, keys[0]);
+        for &k in &keys[1..] {
+            node.insert(k);
+        }
+        return node;
+    }
     let (hi_bits, lo_bits) = split_bits(bits);
     let min = keys[0];
     let max = *keys.last().unwrap();
-    let mid: &[u64] = if keys.len() <= 2 { &[] } else { &keys[1..keys.len() - 1] };
+    let mid = &keys[1..keys.len() - 1];
     let mut node = match crate::pool::take(bits) {
         Some(mut n) => {
             n.min = min;
@@ -126,25 +156,23 @@ fn from_sorted_node(bits: u32, keys: &[u64]) -> Node {
             Box::new(Internal { lo_bits, hi_bits, min, max, summary: None, clusters: Vec::new() })
         }
     };
-    if !mid.is_empty() {
-        if node.clusters.is_empty() {
-            node.clusters = (0..(1usize << hi_bits)).map(|_| None).collect();
-        }
-        let groups = group_by_high(mid, lo_bits);
-        let hs: Vec<u64> = groups.iter().map(|g| g.0).collect();
-        let clusters = &mut node.clusters;
-        let (summary, ()) = maybe_join(
-            mid.len(),
-            plis_primitives::par::GRAIN,
-            || Some(from_sorted_node(hi_bits, &hs)),
-            || {
-                par_for_groups(clusters, 0, &groups, &|slot, (_, lows)| {
-                    *slot = Some(from_sorted_node(lo_bits, lows));
-                });
-            },
-        );
-        node.summary = summary;
+    if node.clusters.is_empty() {
+        node.clusters = (0..(1usize << hi_bits)).map(|_| None).collect();
     }
+    let groups = group_by_high(mid, lo_bits);
+    let hs: Vec<u64> = groups.iter().map(|g| g.0).collect();
+    let clusters = &mut node.clusters;
+    let (summary, ()) = maybe_join(
+        mid.len(),
+        plis_primitives::par::GRAIN,
+        || Some(from_sorted_node(hi_bits, &hs)),
+        || {
+            par_for_groups(clusters, 0, &groups, &|slot, (_, lows)| {
+                *slot = Some(from_sorted_node(lo_bits, lows));
+            });
+        },
+    );
+    node.summary = summary;
     Node::Internal(node)
 }
 
@@ -239,6 +267,11 @@ fn node_batch_insert(node: &mut Node, bits: u32, b: Vec<u64>) {
                 *mask |= 1u64 << k;
             }
         }
+        Node::Internal(_) if b.len() < POINT_OP_CUTOFF => {
+            for k in b {
+                node.insert(k);
+            }
+        }
         Node::Internal(n) => {
             debug_assert!(bits > LEAF_BITS);
             // Lines 2–5 of Alg. 4: fold the old header keys into the batch,
@@ -266,9 +299,6 @@ fn node_batch_insert(node: &mut Node, bits: u32, b: Vec<u64>) {
             }
             n.min = merged[0];
             n.max = *merged.last().unwrap();
-            if merged.len() <= 2 {
-                return;
-            }
             let mid = &merged[1..merged.len() - 1];
             // Lines 6–16: group the remaining keys by high half, initialise
             // brand-new clusters, insert the rest recursively, and insert the
@@ -329,14 +359,23 @@ fn survivor_maps(root: &Node, batch: &[u64]) -> (Vec<Option<u64>>, Vec<Option<u6
         value: Option<u64>,
         resolved: bool,
     }
-    let raw = |neighbor: Option<u64>| -> Entry {
+    // `batch ⊆ root` and is sorted, so a neighbour that is a batch key is
+    // the adjacent batch key: pred(batch[i]) >= batch[i - 1] and
+    // succ(batch[i]) <= batch[i + 1].
+    let raw = |neighbor: Option<u64>, adjacent: Option<u64>| -> Entry {
         match neighbor {
-            Some(x) if batch.binary_search(&x).is_ok() => Entry { value: None, resolved: false },
+            Some(x) if Some(x) == adjacent => Entry { value: None, resolved: false },
             other => Entry { value: other, resolved: true },
         }
     };
-    let p_raw: Vec<Entry> = (0..m).into_par_iter().map(|i| raw(root.pred(batch[i]))).collect();
-    let s_raw: Vec<Entry> = (0..m).into_par_iter().map(|i| raw(root.succ(batch[i]))).collect();
+    let p_raw: Vec<Entry> = (0..m)
+        .into_par_iter()
+        .map(|i| raw(root.pred(batch[i]), i.checked_sub(1).map(|j| batch[j])))
+        .collect();
+    let s_raw: Vec<Entry> = (0..m)
+        .into_par_iter()
+        .map(|i| raw(root.succ(batch[i]), batch.get(i + 1).copied()))
+        .collect();
     // Propagate resolved values across unresolved runs with a prefix scan
     // (the paper's "compute prefix-max of P"): left-to-right for P,
     // right-to-left for S.  The first element's predecessor can never be in
@@ -391,6 +430,10 @@ fn node_batch_delete(
             }
             *mask == 0
         }
+        // `b ⊆ node`, so only the last point delete can empty the node.
+        Node::Internal(_) if b.len() < POINT_OP_CUTOFF => {
+            b.iter().fold(false, |_, &k| node.delete(k).1)
+        }
         Node::Internal(n) => internal_batch_delete(n, b, p, s),
     }
 }
@@ -401,13 +444,10 @@ fn internal_batch_delete(
     p: &mut [Option<u64>],
     s: &mut [Option<u64>],
 ) -> bool {
+    // `b ⊆ node` has at least `POINT_OP_CUTOFF` keys, so the node holds
+    // more than one key and `b` more than its two header keys.
     let vmin = n.min;
     let vmax = n.max;
-    if vmin == vmax {
-        // Exactly one key; b ⊆ node forces b = {vmin}.
-        debug_assert!(b.len() == 1 && b[0] == vmin);
-        return true;
-    }
     let min_deleted = b[0] == vmin;
     let max_deleted = *b.last().unwrap() == vmax;
 
@@ -452,9 +492,6 @@ fn internal_batch_delete(
     }
 
     let b_mid = &b[lo_trim..hi_trim];
-    if b_mid.is_empty() {
-        return false;
-    }
     let p_mid = &p[lo_trim..hi_trim];
     let s_mid = &s[lo_trim..hi_trim];
 

@@ -32,7 +32,9 @@
 //! lazily.  Everything is safe Rust: the tree is an owned recursive
 //! structure, and the parallel batch operations split the cluster vector
 //! with `split_at_mut` so disjoint clusters can be processed by
-//! [`rayon::join`] without locks or atomics.
+//! [`rayon::join`] without locks or atomics.  Batches (and per-node
+//! sub-batches) below [`POINT_OP_CUTOFF`] keys run as point operations,
+//! which build the same tree.
 //!
 //! # Example
 //!
@@ -62,6 +64,7 @@ mod pool;
 mod range;
 mod tree;
 
+pub use crate::batch::POINT_OP_CUTOFF;
 pub use crate::mono::{MonoVeb, ScoredPoint};
 pub use crate::node::LEAF_BITS;
 pub use crate::tree::VebTree;

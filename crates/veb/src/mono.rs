@@ -14,7 +14,11 @@
 //! the `Update` function of Algorithm 3 prescribes for a single inner tree:
 //! refine the incoming list, find the existing points that the new points
 //! cover (`CoveredBy`), batch-delete them, batch-insert the new points.
+//! A batch below [`POINT_OP_CUTOFF`] is inserted one point at a time
+//! instead; the staircase is a function of its point set, so the result is
+//! the same.
 
+use crate::batch::POINT_OP_CUTOFF;
 use crate::tree::VebTree;
 use plis_primitives::par::GRAIN;
 use rayon::prelude::*;
@@ -238,10 +242,20 @@ impl MonoVeb {
     /// One staircase update (the per-inner-tree part of `Update` in
     /// Algorithm 3): refine `batch`, remove the stored points the refined
     /// batch covers, insert the refined batch and record its scores.
-    /// Returns the number of points actually inserted.
+    /// Returns the number of points actually inserted.  A batch below
+    /// [`POINT_OP_CUTOFF`] points is inserted one point at a time instead,
+    /// with the same result.
     ///
     /// `batch` must be sorted by key with unique keys.
     pub fn insert_staircase(&mut self, batch: &[ScoredPoint]) -> usize {
+        // Every `offline-lis` write-back batch counted is below the cutoff
+        // (at most 22 points), so no benchmark workload times the batch
+        // path below; it is kept for Algorithm 3's parallel span on large
+        // frontiers.
+        if batch.len() < POINT_OP_CUTOFF {
+            assert_sorted(batch);
+            return batch.iter().filter(|p| self.insert_point(**p)).count();
+        }
         let refined = self.refine_batch(batch);
         if refined.is_empty() {
             return 0;
@@ -257,6 +271,26 @@ impl MonoVeb {
             self.scores[p.key as usize] = p.score;
         }
         refined.len()
+    }
+
+    /// Insert one point: reject it if the nearest stored key at or below
+    /// its key already scores at least as much, otherwise delete the run of
+    /// keys above it that it covers and store it.  Returns whether it was
+    /// stored.
+    fn insert_point(&mut self, p: ScoredPoint) -> bool {
+        if self.veb.pred(p.key + 1).is_some_and(|k| self.scores[k as usize] >= p.score) {
+            return false;
+        }
+        // Scores increase along the staircase, so the covered keys are the
+        // successors of `p.key` up to the first one scoring above `p`.
+        let mut next = self.veb.succ(p.key);
+        while let Some(k) = next.filter(|&k| self.scores[k as usize] <= p.score) {
+            next = self.veb.succ(k);
+            self.veb.delete(k);
+        }
+        self.veb.insert(p.key);
+        self.scores[p.key as usize] = p.score;
+        true
     }
 
     /// Direct access to the underlying key set (read-only).
@@ -412,5 +446,42 @@ mod tests {
                 assert_eq!(m.points(), naive.as_vec(), "trial {trial}: staircase mismatch");
             }
         }
+    }
+
+    #[test]
+    fn staircase_matches_naive_across_the_cutoff() {
+        // Batch sizes from 1 to 4x the cutoff, so both the point path and
+        // the refine / CoveredBy / batch path run.  Scores track the key,
+        // so the staircase is long; every third round raises the base past
+        // every stored score, and a few points jump ahead, so one batch
+        // can cover far more than a cutoff's worth of stored keys.
+        let mut state = 0x2F8B3C1D4E5A6978u64;
+        let mut rng = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let universe = 4096u64;
+        let mut m = MonoVeb::new(universe);
+        let mut naive = NaiveStaircase::default();
+        let mut most_removed = 0;
+        for round in 0..60u64 {
+            let size = 1 + (round * 37 + rng()) % (4 * POINT_OP_CUTOFF as u64);
+            let mut batch: Vec<ScoredPoint> = (0..size)
+                .map(|_| {
+                    let key = rng() % universe;
+                    let jump = if rng() % 64 == 0 { 8 * (64 + rng() % 512) } else { 0 };
+                    ScoredPoint { key, score: 8 * key + 100_000 * (round / 3) + rng() % 8 + jump }
+                })
+                .collect();
+            batch.sort_by_key(|p| p.key);
+            batch.dedup_by_key(|p| p.key);
+            let before = m.len();
+            let inserted = m.insert_staircase(&batch);
+            naive.insert_batch(&batch);
+            assert!(m.is_staircase(), "round {round}: staircase invariant broken");
+            assert_eq!(m.points(), naive.as_vec(), "round {round}: staircase mismatch");
+            most_removed = most_removed.max(before + inserted - m.len());
+        }
+        assert!(most_removed >= POINT_OP_CUTOFF, "no batch covered a cutoff's worth of keys");
     }
 }

@@ -8,32 +8,26 @@
 //! call performs `O(1)` predecessor/successor queries and either emits a key
 //! or terminates a branch, so the work is `O((1 + m) log log U)` for output
 //! size `m`, and the key-space halving bounds the span by
-//! `O(log U · log log U)`.
+//! `O(log U · log log U)`.  A sub-range narrower than [`GRAIN`] keys of the
+//! universe is collected by the sequential `Succ` walk instead: it reports
+//! at most `GRAIN` keys with one query each, so the bounds still hold.
 
 use crate::node::Node;
 use crate::tree::VebTree;
 use plis_primitives::par::{maybe_join, GRAIN};
 
-/// Result tree built by `BuildTree` (Alg. 6) before flattening.
+/// Result tree built by `BuildTree` (Alg. 6) before flattening.  A range
+/// narrower than [`GRAIN`] keys of the universe is one flat `Run`.
 enum ResTree {
-    Empty,
+    Run(Vec<u64>),
     Node { size: usize, value: u64, left: Box<ResTree>, right: Box<ResTree> },
 }
 
 impl ResTree {
     fn size(&self) -> usize {
         match self {
-            ResTree::Empty => 0,
+            ResTree::Run(keys) => keys.len(),
             ResTree::Node { size, .. } => *size,
-        }
-    }
-
-    fn leaf(value: u64) -> ResTree {
-        ResTree::Node {
-            size: 1,
-            value,
-            left: Box::new(ResTree::Empty),
-            right: Box::new(ResTree::Empty),
         }
     }
 
@@ -41,7 +35,7 @@ impl ResTree {
     /// the two children; `out` is pre-sized to `self.size()`).
     fn flatten_into(&self, out: &mut [u64]) {
         match self {
-            ResTree::Empty => debug_assert!(out.is_empty()),
+            ResTree::Run(keys) => out.copy_from_slice(keys),
             ResTree::Node { value, left, right, .. } => {
                 let ls = left.size();
                 let (l_out, rest) = out.split_at_mut(ls);
@@ -86,25 +80,27 @@ impl VebTree {
         out
     }
 
-    /// Number of keys in the closed range `[lo, hi]` (reported via the same
-    /// divide-and-conquer, without materialising the keys).
+    /// Number of keys in the closed range `[lo, hi]`: the length of
+    /// [`range`](Self::range)`(lo, hi)`, so it materialises the keys.
     pub fn range_count(&self, lo: u64, hi: u64) -> usize {
-        // For the sizes used in this workspace the simplest correct
-        // implementation is to reuse `range`; a count-only traversal would
-        // save the flatten step only.
         self.range(lo, hi).len()
     }
 }
 
 /// `BuildTree` (Alg. 6 lines 7–17).  `lo` and `hi` are keys known to be in
 /// the tree with `lo <= hi`; returns a result tree over every key in
-/// `[lo, hi]`.
+/// `[lo, hi]`.  Below [`GRAIN`] keys of the universe the range is a run
+/// collected by walking `succ` from `lo`.
 fn build_tree(root: &Node, lo: u64, hi: u64) -> ResTree {
-    if lo > hi {
-        return ResTree::Empty;
-    }
-    if lo == hi {
-        return ResTree::leaf(lo);
+    debug_assert!(lo <= hi);
+    if hi - lo < GRAIN as u64 {
+        let mut run = vec![lo];
+        let mut cur = lo;
+        while cur < hi {
+            cur = root.succ(cur).expect("hi is a key above cur");
+            run.push(cur);
+        }
+        return ResTree::Run(run);
     }
     // The predecessor of the midpoint is in [lo, hi): hi > mid_point - 1 >= lo.
     let mid_point = lo + (hi - lo).div_ceil(2); // = ceil((lo + hi) / 2) without overflow
@@ -121,11 +117,11 @@ fn build_tree(root: &Node, lo: u64, hi: u64) -> ResTree {
         GRAIN,
         || match left_hi {
             Some(lh) if lh >= lo => build_tree(root, lo, lh),
-            _ => ResTree::Empty,
+            _ => ResTree::Run(Vec::new()),
         },
         || match right_lo {
             Some(rl) if rl <= hi => build_tree(root, rl, hi),
-            _ => ResTree::Empty,
+            _ => ResTree::Run(Vec::new()),
         },
     );
     let size = left.size() + right.size() + 1;

@@ -1,7 +1,12 @@
 //! Integration tests for the parallel batch operations of the vEB tree
 //! (Algorithms 4–6 of the paper), checked against `BTreeSet` oracles.
+//!
+//! Batches below `POINT_OP_CUTOFF` run as point operations, so the cases
+//! that must reach Algorithms 4 and 5 use batches at and above the cutoff,
+//! and the dense cases put at least that many keys into clusters two
+//! levels below the root.
 
-use plis_veb::VebTree;
+use plis_veb::{VebTree, POINT_OP_CUTOFF};
 use std::collections::BTreeSet;
 
 fn xorshift(state: &mut u64) -> u64 {
@@ -237,4 +242,182 @@ fn delta_churn_large_universe_matches_btreeset() {
             assert_eq!(tree.succ(probe), oracle.range(probe + 1..).next().copied());
         }
     }
+}
+
+/// `size` distinct keys of `[0, universe)`, sorted.
+fn exact_sorted_batch(state: &mut u64, universe: u64, size: usize) -> Vec<u64> {
+    let mut keys = BTreeSet::new();
+    while keys.len() < size {
+        keys.insert(xorshift(state) % universe);
+    }
+    keys.into_iter().collect()
+}
+
+/// `tree` and `reference` hold the same keys and answer `pred`/`succ` alike
+/// at every probe.
+fn assert_same_tree(tree: &VebTree, reference: &VebTree, probes: &[u64], context: &str) {
+    assert_eq!(tree.len(), reference.len(), "{context}: length mismatch");
+    assert_eq!(tree.iter_keys(), reference.iter_keys(), "{context}: key set mismatch");
+    assert_eq!(tree.min(), reference.min(), "{context}: min mismatch");
+    assert_eq!(tree.max(), reference.max(), "{context}: max mismatch");
+    assert_eq!(tree.recount(), reference.recount(), "{context}: structural count mismatch");
+    for &q in probes {
+        assert_eq!(tree.pred(q), reference.pred(q), "{context}: pred({q})");
+        assert_eq!(tree.succ(q), reference.succ(q), "{context}: succ({q})");
+    }
+}
+
+#[test]
+fn batches_around_the_cutoff_match_point_operations() {
+    let c = POINT_OP_CUTOFF;
+    let mut state = 0x5DEECE66D1234567u64;
+    for universe in [1u64 << 12, 1 << 20, 1 << 32] {
+        for size in [c - 1, c, c + 1, 2 * c, 3 * c + 7, 8 * c, 16 * c] {
+            let context = format!("universe {universe}, batch {size}");
+            // Bulk build against point inserts.
+            let resident = exact_sorted_batch(&mut state, universe, size);
+            let mut tree = VebTree::from_sorted(universe, &resident);
+            let mut reference = VebTree::new(universe);
+            for &k in &resident {
+                reference.insert(k);
+            }
+            let mut probes = exact_sorted_batch(&mut state, universe, 32);
+            probes.extend(resident.iter().step_by(7));
+            assert_same_tree(&tree, &reference, &probes, &format!("{context}, from_sorted"));
+
+            // A batch insert of `size` keys, a quarter of them resident.
+            let mut batch: BTreeSet<u64> = resident.iter().copied().step_by(4).collect();
+            while batch.len() < size {
+                batch.insert(xorshift(&mut state) % universe);
+            }
+            let batch: Vec<u64> = batch.into_iter().collect();
+            let fresh = batch.iter().filter(|&&k| reference.insert(k)).count();
+            assert_eq!(tree.batch_insert(&batch), fresh, "{context}: inserted count");
+            assert_same_tree(&tree, &reference, &probes, &format!("{context}, batch_insert"));
+
+            // A batch delete of `size` keys, all present but the last few.
+            let keys = tree.iter_keys();
+            let mut batch: BTreeSet<u64> = BTreeSet::new();
+            while batch.len() < size - 3 {
+                batch.insert(keys[xorshift(&mut state) as usize % keys.len()]);
+            }
+            while batch.len() < size {
+                batch.insert(xorshift(&mut state) % universe);
+            }
+            let batch: Vec<u64> = batch.into_iter().collect();
+            let gone = batch.iter().filter(|&&k| reference.delete(k)).count();
+            assert_eq!(tree.batch_delete(&batch), gone, "{context}: deleted count");
+            assert_same_tree(&tree, &reference, &probes, &format!("{context}, batch_delete"));
+
+            // Deleting every remaining key empties the tree.
+            let rest = tree.iter_keys();
+            assert_eq!(tree.batch_delete(&rest), rest.len(), "{context}: delete all");
+            assert!(tree.is_empty(), "{context}: not empty after deleting all");
+        }
+    }
+}
+
+#[test]
+fn dense_batches_reach_inner_clusters() {
+    // A 2^28 universe splits 14/14 at the root and 7/7 one level down, so
+    // the clusters two levels below the root are internal nodes over 128
+    // keys.  Dense blocks give each of them far more than the cutoff.
+    const LEVEL1: u64 = 1 << 14;
+    const LEVEL2: u64 = 1 << 7;
+    assert!(LEVEL2 as usize > POINT_OP_CUTOFF + 2);
+    let universe = 1u64 << 28;
+    let mut state = 0x0DDB1A5E5BAD5EEDu64;
+    let mut tree = VebTree::new(universe);
+    let mut oracle: BTreeSet<u64> = BTreeSet::new();
+    let bases: Vec<u64> = (0..4).map(|i| (3 + 1000 * i) * LEVEL1).collect();
+    let probes: Vec<u64> = bases
+        .iter()
+        .flat_map(|&b| (0..4 * LEVEL1).step_by(LEVEL2 as usize / 2).map(move |o| b + o))
+        .chain([0, universe / 2, universe - 1])
+        .collect();
+    let check = |tree: &VebTree, oracle: &BTreeSet<u64>, context: &str| {
+        assert_same(tree, oracle, context);
+        for &q in &probes {
+            assert_eq!(
+                tree.pred(q),
+                oracle.range(..q).next_back().copied(),
+                "{context}: pred({q})"
+            );
+            assert_eq!(tree.succ(q), oracle.range(q + 1..).next().copied(), "{context}: succ({q})");
+        }
+    };
+
+    // Three dense level-1 clusters per base, about 60% full, plus sparse
+    // keys across the universe so the root summary also gets a batch.
+    let mut dense = BTreeSet::new();
+    for &base in &bases {
+        for k in base..base + 3 * LEVEL1 {
+            if xorshift(&mut state) % 10 < 6 {
+                dense.insert(k);
+            }
+        }
+    }
+    dense.extend(exact_sorted_batch(&mut state, universe, 4 * POINT_OP_CUTOFF));
+    let batch: Vec<u64> = dense.iter().copied().collect();
+    assert_eq!(tree.batch_insert(&batch), batch.len());
+    oracle.extend(batch.iter().copied());
+    check(&tree, &oracle, "dense insert");
+
+    // Delete whole level-2 clusters, a whole level-1 cluster, the min and
+    // max of many level-2 and level-1 clusters, and the global min and max.
+    let mut doomed = BTreeSet::new();
+    let block = |oracle: &BTreeSet<u64>, lo: u64, len: u64| -> Vec<u64> {
+        oracle.range(lo..lo + len).copied().collect()
+    };
+    for &base in &bases {
+        for j in [0u64, 5, 6, 7, 40, 127] {
+            doomed.extend(block(&oracle, base + j * LEVEL2, LEVEL2));
+        }
+        doomed.extend(block(&oracle, base + LEVEL1, LEVEL1));
+        for j in (0..3 * LEVEL1 / LEVEL2).step_by(3) {
+            let keys = block(&oracle, base + j * LEVEL2, LEVEL2);
+            doomed.extend(keys.first().copied());
+            doomed.extend(keys.last().copied());
+        }
+        for j in [0u64, 2] {
+            let keys = block(&oracle, base + j * LEVEL1, LEVEL1);
+            doomed.extend(keys.first().copied());
+            doomed.extend(keys.last().copied());
+        }
+    }
+    doomed.extend(oracle.first().copied());
+    doomed.extend(oracle.last().copied());
+    let batch: Vec<u64> = doomed.iter().copied().collect();
+    assert_eq!(tree.batch_delete(&batch), batch.len());
+    for k in &batch {
+        oracle.remove(k);
+    }
+    check(&tree, &oracle, "dense delete");
+
+    // Refill: new keys below and above the surviving cluster headers and
+    // into the emptied clusters.
+    let mut refill = BTreeSet::new();
+    for &base in &bases {
+        for k in base..base + 3 * LEVEL1 {
+            if !oracle.contains(&k) && xorshift(&mut state) % 10 < 3 {
+                refill.insert(k);
+            }
+        }
+    }
+    let batch: Vec<u64> = refill.iter().copied().collect();
+    assert_eq!(tree.batch_insert(&batch), batch.len());
+    oracle.extend(batch.iter().copied());
+    check(&tree, &oracle, "dense refill");
+
+    // Delete every key but one per level-1 cluster, then everything.
+    let keep: BTreeSet<u64> =
+        bases.iter().filter_map(|&b| block(&oracle, b + LEVEL1 / 2, LEVEL1).pop()).collect();
+    let batch: Vec<u64> = oracle.iter().copied().filter(|k| !keep.contains(k)).collect();
+    assert_eq!(tree.batch_delete(&batch), batch.len());
+    oracle.retain(|k| keep.contains(k));
+    check(&tree, &oracle, "delete all but a few");
+    let batch: Vec<u64> = oracle.iter().copied().collect();
+    tree.batch_delete(&batch);
+    oracle.clear();
+    check(&tree, &oracle, "delete all");
 }
