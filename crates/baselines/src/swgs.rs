@@ -315,11 +315,19 @@ mod tests {
     #[test]
     fn wlis_matches_oracle_on_random_inputs() {
         let mut state = 0x2545F4914F6CDD1Du64;
-        for trial in 0..8 {
-            let n = 150 + trial * 60;
-            let a: Vec<u64> = (0..n).map(|_| xorshift(&mut state) % 300).collect();
+        // The last input has three distinct values, so each round's ready
+        // set (over a thousand points) is written back in parallel chunks
+        // on the 2-thread pool.
+        let shapes = (0..8).map(|trial| (150 + trial * 60, 300)).chain([(4000, 3)]);
+        for (trial, (n, distinct)) in shapes.enumerate() {
+            let a: Vec<u64> = (0..n).map(|_| xorshift(&mut state) % distinct).collect();
             let w: Vec<u64> = (0..n).map(|_| 1 + xorshift(&mut state) % 40).collect();
-            assert_eq!(swgs_wlis(&a, &w), wlis_dp_quadratic(&a, &w), "trial {trial}");
+            let want = wlis_dp_quadratic(&a, &w);
+            for threads in [1, 2] {
+                let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+                let got = pool.install(|| swgs_wlis(&a, &w));
+                assert_eq!(got, want, "trial {trial}, {threads} thread(s)");
+            }
         }
     }
 

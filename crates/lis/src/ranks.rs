@@ -10,14 +10,15 @@
 use plis_tournament::TournamentTree;
 
 /// Instrumentation returned by [`lis_ranks_u64_with_stats`]: per-round
-/// frontier sizes and the total number of tournament-tree nodes visited,
-/// used by the work-bound experiment (E7 in `DESIGN.md`).
+/// frontier sizes and the total tournament-tree work (nodes visited plus
+/// leaf slots scanned), used by the work-bound experiment (E7 in
+/// `DESIGN.md`).
 #[derive(Debug, Clone, Default)]
 pub struct LisStats {
     /// `frontier_sizes[r]` is the number of objects with rank `r + 1`.
     pub frontier_sizes: Vec<usize>,
-    /// Total tournament-tree nodes visited across all rounds (Theorem 3.1
-    /// bounds this by `O(n log k)`).
+    /// Total tournament-tree work across all rounds: nodes visited plus
+    /// leaf slots scanned (Theorem 3.2 bounds this by `O(n log k)`).
     pub nodes_visited: usize,
 }
 

@@ -13,26 +13,37 @@
 //!
 //! # Layout
 //!
-//! Instead of the paper's power-of-two heap layout (`T[2i]`, `T[2i+1]`), this
-//! implementation stores every subtree *contiguously*: a subtree over `m`
-//! leaves occupies exactly `2m − 1` consecutive slots, with the root first,
-//! the left subtree (over `⌈m/2⌉` leaves) next, and the right subtree after
-//! it.  The leaves of a subtree are exactly the original positions of the
-//! objects it covers, in order.  Two things follow:
+//! The `n` objects sit in one flat array in input order, and the min-tree is
+//! built over *blocks* of `BLOCK` = 32 consecutive objects (the last block
+//! may be short).  Instead of the paper's power-of-two heap layout (`T[2i]`,
+//! `T[2i+1]`), the min-tree stores every subtree *contiguously*: a subtree
+//! over `m` blocks occupies exactly `2m − 1` consecutive slots, with the
+//! root first, the left subtree (over the first `⌈m/2⌉` blocks) next, and
+//! the right subtree after it.  Three things follow:
 //!
-//! * no padding to a power of two is needed (the tree has exactly `2n − 1`
-//!   nodes for any `n`), and
-//! * the recursion of `PrefixMin` can split the tree slice (and the rank
-//!   slice) with `split_at_mut` and hand disjoint halves to [`rayon::join`],
-//!   so the whole traversal is safe Rust with no atomics and no `unsafe`.
+//! * no padding to a power of two is needed (the tree has exactly
+//!   `2·⌈n / BLOCK⌉ − 1` nodes for any `n`);
+//! * the recursion of `PrefixMin` can split the tree slice, the object
+//!   slice and the rank slice with `split_at_mut` and hand disjoint halves
+//!   to [`rayon::join`], so the whole traversal is safe Rust with no atomics
+//!   and no `unsafe`; and
+//! * `PrefixMin` stops at each block it reaches and takes the block's
+//!   prefix-min objects with one linear scan against `LMin`, instead of
+//!   descending `log2 BLOCK` more levels of nodes one leaf at a time.
 //!
-//! The asymptotics are identical to the paper's layout.
+//! A block is reached only if its minimum is at most `LMin`, and then its
+//! first minimum is a prefix-min object, so every scan pays for itself with
+//! an extraction.  The scans add `O(n · BLOCK)` = `O(n)` work over a whole
+//! run, and the `O(n log k)` work bound of Theorem 3.2 is unchanged.
 //!
 //! # Counters
 //!
-//! Every extraction reports how many tree nodes it visited, which the
-//! benchmark harness uses to validate the `O(n log k)` work bound of
-//! Theorem 3.2 empirically (experiment E7 in `DESIGN.md`).
+//! Every extraction reports its work as the number of tree nodes it visited
+//! plus the number of object slots it scanned in the blocks it reached
+//! ([`FrontierStats::nodes_visited`]), so the count stays an upper bound on
+//! the traversal's work.  The benchmark harness uses it to validate the
+//! `O(n log k)` work bound of Theorem 3.2 empirically (experiment E7 in
+//! `DESIGN.md`).
 //!
 //! # Example
 //!

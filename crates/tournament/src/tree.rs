@@ -3,15 +3,21 @@
 
 use plis_primitives::par::{maybe_join, GRAIN};
 
-/// Fork gate for the per-round frontier traversal, deliberately coarser
-/// than the build-time [`GRAIN`].  `PrefixMin` runs once per rank round —
-/// `k` times over the same tree — so a tree just above `GRAIN` leaves
-/// would pay one fork per round for subtrees whose sequential walk costs a
-/// few microseconds.  The gate was sized when every fork spawned a scoped
-/// OS thread (tens of microseconds); a fork on the work-stealing pool is a
-/// task push, and the value is kept until a measured retune.  The one-shot
-/// `build` keeps the finer grain: it forks `O(n / GRAIN)` times total, not
-/// per round.
+/// Leaves per block: the min-tree stops at blocks of this many consecutive
+/// leaves, and `PrefixMin` takes a block's prefix-min objects with one
+/// linear scan.  Every block the traversal reaches yields at least one
+/// extraction, so the scans add `O(n · BLOCK)` = `O(n)` work over a whole
+/// run.  Sized by a sweep of 16, 32 and 64 on the benchmark's Algorithm 1
+/// jobs (DESIGN.md, "Offline tree layouts").
+const BLOCK: usize = 32;
+
+/// Fork gate for the per-round frontier traversal, in leaves, deliberately
+/// coarser than the build-time [`GRAIN`].  `PrefixMin` runs once per rank
+/// round — `k` times over the same tree — so a fork must buy more than the
+/// few microseconds a small subtree's sequential walk costs.  Re-measured
+/// on the work-stealing pool with the blocked leaves (DESIGN.md, "Offline
+/// tree layouts").  The one-shot `build` keeps the finer grain: it forks
+/// `O(n / GRAIN)` times total, not per round.
 const ROUND_GRAIN: usize = 4 * GRAIN;
 
 /// Statistics reported by one frontier extraction, used by the work-bound
@@ -21,9 +27,11 @@ const ROUND_GRAIN: usize = 4 * GRAIN;
 pub struct FrontierStats {
     /// Number of leaves extracted in this round (`m_r = |F_r|`).
     pub frontier_size: usize,
-    /// Number of tree nodes visited by the traversal (relevant nodes plus
-    /// their skipped children); Theorem 3.1 bounds this by
-    /// `O(m_r · log(n / m_r))`.
+    /// Work of the traversal: every tree node it visited (relevant nodes
+    /// plus their skipped children) plus every leaf slot it scanned in the
+    /// blocks it reached.  Each reached block yields an extraction, so this
+    /// stays within `O(m_r · (log(n / m_r) + BLOCK))` and remains an upper
+    /// bound on the round's work.
     pub nodes_visited: usize,
 }
 
@@ -36,10 +44,11 @@ pub struct FrontierStats {
 /// which marks removed leaves and empty subtrees.
 #[derive(Debug, Clone)]
 pub struct TournamentTree<T> {
-    /// Contiguous-subtree layout, `2n − 1` slots (see crate docs).
+    /// The `n` objects in input order; a removed object holds `inf`.
+    leaves: Vec<T>,
+    /// Min-tree over the blocks of [`BLOCK`] consecutive leaves, in the
+    /// contiguous-subtree layout (`2·⌈n / BLOCK⌉ − 1` slots, see crate docs).
     tree: Vec<T>,
-    /// Number of leaves (original input length).
-    n: usize,
     /// The `+∞` sentinel.
     inf: T,
     /// Number of leaves not yet removed.
@@ -57,23 +66,22 @@ impl<T: Ord + Copy + Send + Sync> TournamentTree<T> {
             "every value must be strictly smaller than the +infinity sentinel"
         );
         let n = values.len();
-        if n == 0 {
-            return Self { tree: Vec::new(), n, inf, remaining: 0 };
+        let mut tree = vec![inf; (2 * n.div_ceil(BLOCK)).saturating_sub(1)];
+        if n > 0 {
+            build(&mut tree, values);
         }
-        let mut tree = vec![inf; 2 * n - 1];
-        build(&mut tree, values);
-        Self { tree, n, inf, remaining: n }
+        Self { leaves: values.to_vec(), tree, inf, remaining: n }
     }
 
     /// Number of objects the tree was built over.
     pub fn len(&self) -> usize {
-        self.n
+        self.leaves.len()
     }
 
     /// True if the tree was built over an empty sequence *or* every object
     /// has been removed (`T[1] = +∞` in the paper's notation).
     pub fn is_empty(&self) -> bool {
-        self.n == 0 || self.tree[0] == self.inf
+        self.tree.first().is_none_or(|&min| min == self.inf)
     }
 
     /// Number of objects not yet extracted.
@@ -93,8 +101,8 @@ impl<T: Ord + Copy + Send + Sync> TournamentTree<T> {
     /// The current value stored at leaf `i` (the original object, or the
     /// sentinel if it has been removed).
     pub fn leaf(&self, i: usize) -> T {
-        assert!(i < self.n, "leaf index out of range");
-        leaf_value(&self.tree, i)
+        assert!(i < self.leaves.len(), "leaf index out of range");
+        self.leaves[i]
     }
 
     /// `ProcessFrontier` (Alg. 1 lines 10–11): find every current prefix-min
@@ -106,15 +114,7 @@ impl<T: Ord + Copy + Send + Sync> TournamentTree<T> {
     /// # Panics
     /// Panics if `rank.len()` differs from the input length.
     pub fn process_frontier(&mut self, round: u32, rank: &mut [u32]) -> FrontierStats {
-        assert_eq!(rank.len(), self.n, "rank array length mismatch");
-        if self.is_empty() {
-            return FrontierStats::default();
-        }
-        let inf = self.inf;
-        let mut out = NoCollect;
-        let stats = prefix_min(&mut self.tree, rank, self.n, inf, round, inf, &mut out);
-        self.remaining -= stats.frontier_size;
-        stats
+        self.extract(round, rank, &mut NoCollect)
     }
 
     /// Like [`process_frontier`](Self::process_frontier) but also returns the
@@ -126,15 +126,20 @@ impl<T: Ord + Copy + Send + Sync> TournamentTree<T> {
         round: u32,
         rank: &mut [u32],
     ) -> (FrontierStats, Vec<usize>) {
-        assert_eq!(rank.len(), self.n, "rank array length mismatch");
+        let mut out = Collect(Vec::new());
+        let stats = self.extract(round, rank, &mut out);
+        (stats, out.0)
+    }
+
+    fn extract<S: Sink>(&mut self, round: u32, rank: &mut [u32], out: &mut S) -> FrontierStats {
+        assert_eq!(rank.len(), self.leaves.len(), "rank array length mismatch");
         if self.is_empty() {
-            return (FrontierStats::default(), Vec::new());
+            return FrontierStats::default();
         }
         let inf = self.inf;
-        let mut out = Collect(Vec::new());
-        let stats = prefix_min(&mut self.tree, rank, self.n, inf, round, inf, &mut out);
+        let stats = prefix_min(&mut self.tree, &mut self.leaves, rank, 0, inf, round, inf, out);
         self.remaining -= stats.frontier_size;
-        (stats, out.0)
+        stats
     }
 
     /// Extract every frontier until the tree is empty, returning all ranks
@@ -142,7 +147,7 @@ impl<T: Ord + Copy + Send + Sync> TournamentTree<T> {
     /// Algorithm 1 packaged as a convenience; the `plis-lis` crate wraps it
     /// with input preprocessing.
     pub fn extract_all_ranks(mut self) -> (Vec<u32>, u32) {
-        let mut rank = vec![0u32; self.n];
+        let mut rank = vec![0u32; self.leaves.len()];
         let mut round = 0u32;
         while !self.is_empty() {
             round += 1;
@@ -191,70 +196,33 @@ impl Sink for Collect {
     }
 }
 
-/// Build the contiguous-layout tree over `values`; `tree.len() == 2·values.len() − 1`.
-fn build<T: Ord + Copy + Send + Sync>(tree: &mut [T], values: &[T]) {
-    let m = values.len();
-    debug_assert_eq!(tree.len(), 2 * m - 1);
-    if m == 1 {
-        tree[0] = values[0];
+/// Build the min-tree over the blocks of `leaves`; `tree.len()` is
+/// `2·⌈leaves.len() / BLOCK⌉ − 1`.  The left subtree takes the first
+/// `⌈m/2⌉` of the subtree's `m` blocks, which are all full, so only the
+/// last block of the whole tree can be short.
+fn build<T: Ord + Copy + Send + Sync>(tree: &mut [T], leaves: &[T]) {
+    if tree.len() == 1 {
+        tree[0] = *leaves.iter().min().expect("a block holds at least one leaf");
         return;
     }
-    let half = m.div_ceil(2);
+    let half = tree.len().div_ceil(2).div_ceil(2);
     let (root, rest) = tree.split_first_mut().expect("non-empty tree");
     let (left, right) = rest.split_at_mut(2 * half - 1);
-    let ((), ()) =
-        maybe_join(m, GRAIN, || build(left, &values[..half]), || build(right, &values[half..]));
+    let (leaves_l, leaves_r) = leaves.split_at(half * BLOCK);
+    maybe_join(leaves.len(), GRAIN, || build(left, leaves_l), || build(right, leaves_r));
     *root = left[0].min(right[0]);
 }
 
-/// Read the current value of original leaf `i` by walking down the layout.
-fn leaf_value<T: Copy>(tree: &[T], mut i: usize) -> T {
-    let mut m = tree.len().div_ceil(2);
-    let mut off = 0usize;
-    loop {
-        if m == 1 {
-            return tree[off];
-        }
-        let half = m.div_ceil(2);
-        if i < half {
-            off += 1;
-            m = half;
-        } else {
-            off += 2 * half; // skip root (1) + left subtree (2·half − 1)
-            i -= half;
-            m -= half;
-        }
-    }
-}
-
-/// `PrefixMin` (Alg. 1 lines 12–21) over the contiguous layout.
+/// `PrefixMin` (Alg. 1 lines 12–21) over the blocked layout.
 ///
-/// `tree` is the subtree slice (2m−1 slots), `rank` the matching slice of the
-/// rank array (m slots), `base` the original index of the first leaf in this
-/// subtree... — actually the original index is recovered from the rank-slice
-/// offset, so we pass `base` explicitly.  Returns the visit statistics.
+/// `tree` is the subtree's slice of the min-tree, `leaves` and `rank` the
+/// matching slices of the leaf and rank arrays, and `base` the original
+/// index of `leaves[0]`.  `lmin` is the minimum of every object before the
+/// subtree, taken before this round's removals.
 #[allow(clippy::too_many_arguments)]
 fn prefix_min<T, S>(
     tree: &mut [T],
-    rank: &mut [u32],
-    base_len: usize,
-    inf: T,
-    round: u32,
-    lmin: T,
-    out: &mut S,
-) -> FrontierStats
-where
-    T: Ord + Copy + Send + Sync,
-    S: Sink,
-{
-    // The recursion below threads the original index through the slice
-    // offsets, so wrap the real worker with base = 0.
-    debug_assert_eq!(rank.len(), base_len);
-    go(tree, rank, 0, inf, round, lmin, out)
-}
-
-fn go<T, S>(
-    tree: &mut [T],
+    leaves: &mut [T],
     rank: &mut [u32],
     base: usize,
     inf: T,
@@ -266,8 +234,6 @@ where
     T: Ord + Copy + Send + Sync,
     S: Sink,
 {
-    let m = rank.len();
-    debug_assert_eq!(tree.len(), 2 * m - 1);
     // Line 13: if the subtree minimum exceeds LMin, nothing here can be a
     // prefix-min object; skip the subtree (still counts as one visited node).
     // A subtree whose minimum is the +∞ sentinel is empty (all removed) and
@@ -276,21 +242,39 @@ where
     if tree[0] > lmin || tree[0] == inf {
         return FrontierStats { frontier_size: 0, nodes_visited: 1 };
     }
-    if m == 1 {
-        // Lines 14–16: a leaf that passed the check is a prefix-min object.
-        rank[0] = round;
-        tree[0] = inf;
-        out.push(base);
-        return FrontierStats { frontier_size: 1, nodes_visited: 1 };
+    if tree.len() == 1 {
+        // Lines 14–16 for every leaf of the block, in order: a leaf no
+        // larger than LMin and every earlier leaf of the block is a
+        // prefix-min object.  Only an extraction can lower that running
+        // minimum, since a kept leaf is larger than it.
+        let mut cur = lmin;
+        let mut kept_min = inf;
+        let mut extracted = 0;
+        for (i, (leaf, r)) in leaves.iter_mut().zip(rank.iter_mut()).enumerate() {
+            let v = *leaf;
+            if v <= cur && v != inf {
+                cur = v;
+                *r = round;
+                *leaf = inf;
+                out.push(base + i);
+                extracted += 1;
+            } else {
+                kept_min = kept_min.min(v);
+            }
+        }
+        // Line 21 for the block.
+        tree[0] = kept_min;
+        return FrontierStats { frontier_size: extracted, nodes_visited: 1 + leaves.len() };
     }
-    let half = m.div_ceil(2);
+    let half = tree.len().div_ceil(2).div_ceil(2);
+    let size = leaves.len();
     let (root, rest) = tree.split_first_mut().expect("internal node");
     let (left, right) = rest.split_at_mut(2 * half - 1);
-    let (rank_l, rank_r) = rank.split_at_mut(half);
+    let (leaves_l, leaves_r) = leaves.split_at_mut(half * BLOCK);
+    let (rank_l, rank_r) = rank.split_at_mut(half * BLOCK);
     // Line 20: the right child's LMin additionally accounts for the minimum
     // of the left subtree *before* this round's removals.
-    let left_min_before = left[0];
-    let rmin = lmin.min(left_min_before);
+    let rmin = lmin.min(left[0]);
 
     let mut out_l = out.split();
     let mut out_r = out.split();
@@ -302,12 +286,12 @@ where
     // large-k inputs where Algorithm 1 runs thousands of tiny rounds.
     let left_pruned = left[0] > lmin || left[0] == inf;
     let right_pruned = right[0] > rmin || right[0] == inf;
-    let fork_size = if left_pruned || right_pruned { 0 } else { m };
+    let fork_size = if left_pruned || right_pruned { 0 } else { size };
     let (stats_l, stats_r) = maybe_join(
         fork_size,
         ROUND_GRAIN,
-        || go(left, rank_l, base, inf, round, lmin, &mut out_l),
-        || go(right, rank_r, base + half, inf, round, rmin, &mut out_r),
+        || prefix_min(left, leaves_l, rank_l, base, inf, round, lmin, &mut out_l),
+        || prefix_min(right, leaves_r, rank_r, base + half * BLOCK, inf, round, rmin, &mut out_r),
     );
     out.absorb(out_l);
     out.absorb(out_r);
@@ -394,6 +378,8 @@ mod tests {
         let mut tree = tree;
         let stats = tree.process_frontier(1, &mut rank);
         assert_eq!(stats.frontier_size, 1000);
+        // The round reaches every node and scans every leaf slot.
+        assert_eq!(stats.nodes_visited, 2 * 1000usize.div_ceil(BLOCK) - 1 + 1000);
         assert!(tree.is_empty());
         assert!(rank.iter().all(|&r| r == 1));
     }
@@ -408,6 +394,23 @@ mod tests {
         assert_eq!(rounds, 1);
         assert!(rank.iter().all(|&r| r == 1));
     }
+
+    /// `n` pseudo-random values below `range` from an LCG seeded by `seed`.
+    fn lcg_values(n: usize, range: u64, seed: u64) -> Vec<u64> {
+        let mut state = seed;
+        (0..n)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (state >> 24) % range
+            })
+            .collect()
+    }
+
+    /// Lengths on both sides of every block boundary the layout has: one
+    /// short block, exactly one block, one leaf into the second and third
+    /// blocks, and a few thousand leaves a leaf short of / past a block.
+    const BLOCK_EDGE_SIZES: [usize; 7] =
+        [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 100 * BLOCK - 1, 100 * BLOCK + 1];
 
     #[test]
     fn ranks_match_oracle_on_random_inputs() {
@@ -425,12 +428,20 @@ mod tests {
             let (rank, _rounds) = tree.extract_all_ranks();
             assert_eq!(rank, oracle_ranks(&a), "mismatch on trial {trial} (n={n})");
         }
+        // Block-edge lengths, with wide values and with many duplicates.
+        for n in BLOCK_EDGE_SIZES {
+            for range in [1u64 << 40, 16] {
+                let a = lcg_values(n, range, n as u64 ^ range);
+                let (rank, _rounds) = TournamentTree::new(&a, u64::MAX).extract_all_ranks();
+                assert_eq!(rank, oracle_ranks(&a), "mismatch at n={n}, values below {range}");
+            }
+        }
     }
 
     #[test]
     fn collect_returns_sorted_indices_with_nonincreasing_values() {
         let mut state = 0x9E3779B97F4A7C15u64;
-        let a: Vec<u64> = (0..5000)
+        let xorshift: Vec<u64> = (0..5000)
             .map(|_| {
                 state ^= state << 13;
                 state ^= state >> 7;
@@ -438,23 +449,55 @@ mod tests {
                 state % 10_000
             })
             .collect();
-        let mut tree = TournamentTree::new(&a, u64::MAX);
-        let mut rank = vec![0u32; a.len()];
-        let mut round = 0;
-        let mut total = 0usize;
-        while !tree.is_empty() {
-            round += 1;
-            let (stats, frontier) = tree.process_frontier_collect(round, &mut rank);
-            assert_eq!(stats.frontier_size, frontier.len());
-            total += frontier.len();
-            // Indices strictly increasing.
-            assert!(frontier.windows(2).all(|w| w[0] < w[1]));
-            // Lemma A.2: values along a frontier are non-increasing.
-            assert!(frontier.windows(2).all(|w| a[w[0]] >= a[w[1]]));
-            // All extracted objects carry this round's rank.
-            assert!(frontier.iter().all(|&i| rank[i] == round));
+        let inputs = std::iter::once(xorshift)
+            .chain(BLOCK_EDGE_SIZES.iter().map(|&n| lcg_values(n, 1_000, 0xC011EC7 + n as u64)));
+        for a in inputs {
+            let mut tree = TournamentTree::new(&a, u64::MAX);
+            let mut rank = vec![0u32; a.len()];
+            let mut round = 0;
+            let mut total = 0usize;
+            while !tree.is_empty() {
+                round += 1;
+                let (stats, frontier) = tree.process_frontier_collect(round, &mut rank);
+                assert_eq!(stats.frontier_size, frontier.len());
+                total += frontier.len();
+                // Indices strictly increasing.
+                assert!(frontier.windows(2).all(|w| w[0] < w[1]));
+                // Lemma A.2: values along a frontier are non-increasing.
+                assert!(frontier.windows(2).all(|w| a[w[0]] >= a[w[1]]));
+                // All extracted objects carry this round's rank.
+                assert!(frontier.iter().all(|&i| rank[i] == round));
+            }
+            assert_eq!(total, a.len());
+            assert_eq!(rank, oracle_ranks(&a), "n = {}", a.len());
         }
-        assert_eq!(total, a.len());
+    }
+
+    #[test]
+    fn one_and_two_thread_pools_agree() {
+        // Large enough, with few enough distinct values, that every
+        // frontier spans both children of subtrees above ROUND_GRAIN
+        // leaves, so the 2-thread pool really forks.
+        let n = 6 * ROUND_GRAIN + BLOCK / 2;
+        let a = lcg_values(n, 64, 0x7A0);
+        let run = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            pool.install(|| {
+                let mut tree = TournamentTree::new(&a, u64::MAX);
+                let mut rank = vec![0u32; n];
+                let mut rounds = Vec::new();
+                while !tree.is_empty() {
+                    let round = rounds.len() as u32 + 1;
+                    rounds.push(tree.process_frontier_collect(round, &mut rank));
+                }
+                (rank, rounds)
+            })
+        };
+        let (rank1, rounds1) = run(1);
+        let (rank2, rounds2) = run(2);
+        assert_eq!(rank1, oracle_ranks(&a));
+        assert_eq!(rank1, rank2);
+        assert_eq!(rounds1, rounds2, "per-round stats and frontiers differ across pools");
     }
 
     #[test]
