@@ -2,9 +2,8 @@
 //! [`plis_engine::Engine`] as a function of mean batch size and session
 //! count, over a heterogeneous fleet of workload streams — plus a
 //! *weighted* sweep driving the engine's weighted session kind (Algorithm
-//! 2 served as live traffic) over both dominant-max stores, and a *query*
-//! sweep driving mixed read/write ticks over a read/write-mixed fleet at
-//! every requested read fraction.
+//! 2 served as live traffic), and a *query* sweep driving mixed read/write
+//! ticks over a read/write-mixed fleet at every requested read fraction.
 //!
 //! All three sweeps drive the engine through its command plane: schedules
 //! are pre-built once as [`Tick`]s (explicit `CreateSession` ops up
@@ -27,20 +26,14 @@
 //! `PLIS_BENCH_WEIGHTED_N` (elements per weighted session, default
 //! `PLIS_BENCH_N / 5`; `0` skips the weighted sweep),
 //! `PLIS_BENCH_MAX_WEIGHT` (uniform weight bound, default 1,000),
-//! `PLIS_BENCH_QUERY_MIX` (comma-separated read fractions for the query
-//! sweep, default `0.25`; `0` alone skips it), and
-//! `PLIS_BENCH_PATH_POLICY` (comma-separated ingest path policies for the
-//! unweighted and weighted sweeps — `cost` or `fixed:N`, default `cost`;
-//! recorded as the `path_policy` field).
+//! and `PLIS_BENCH_QUERY_MIX` (comma-separated read fractions for the
+//! query sweep, default `0.25`; `0` alone skips it).
 
 use plis_bench::{
     bench_repeats, effective_threads, env_f64_list, env_usize_list, json_line, time_min,
     with_bench_threads, JsonValue,
 };
-use plis_engine::{
-    DominantMaxKind, Engine, EngineConfig, EngineSnapshot, MetricsSnapshot, Op, PathPolicy,
-    SessionKind, Tick,
-};
+use plis_engine::{Engine, EngineConfig, EngineSnapshot, MetricsSnapshot, Op, SessionKind, Tick};
 use plis_workloads::streaming::{
     mixed_session_fleet, round_robin_ticks, session_fleet, weighted_session_fleet, ReadWriteOp,
 };
@@ -67,16 +60,20 @@ static ALLOC: plis_testalloc::CountingAlloc = plis_testalloc::CountingAlloc;
 /// the tail-set backend axis: unweighted lines lose their `backend` field
 /// (one cell per point where there were three), every line loses the
 /// `tailset_veb_picks` / `tailset_sorted_picks` columns, and the weighted
-/// sweep loses its `auto` cell.
-const SCHEMA: u64 = 5;
+/// sweep loses its `auto` cell.  Schema 6 = schema 5 minus the ingest
+/// path axes, because sessions have one ingest path: every line loses its
+/// `path_policy` field and the `par_merge_ticks` / `veb_delta_elems`
+/// columns, and weighted lines lose their `backend` field (one cell per
+/// point where there were two).
+const SCHEMA: u64 = 6;
 
 fn n_per_session() -> usize {
     std::env::var("PLIS_BENCH_N").ok().and_then(|s| s.parse().ok()).unwrap_or(100_000)
 }
 
 /// Elements per weighted session (`PLIS_BENCH_WEIGHTED_N`, default
-/// `PLIS_BENCH_N / 5`): the weighted path rebuilds a dominant-max store
-/// over `frontier ++ batch` per ingest, so cells are denser per element.
+/// `PLIS_BENCH_N / 5`): a weighted ingest repairs the Pareto frontier and
+/// a score-multiplicity map per element, so cells are denser per element.
 /// `0` disables the weighted sweep.
 fn weighted_n_per_session() -> usize {
     std::env::var("PLIS_BENCH_WEIGHTED_N")
@@ -88,24 +85,6 @@ fn weighted_n_per_session() -> usize {
 /// Uniform weight bound for the weighted sweep (`PLIS_BENCH_MAX_WEIGHT`).
 fn max_weight() -> u64 {
     std::env::var("PLIS_BENCH_MAX_WEIGHT").ok().and_then(|s| s.parse().ok()).unwrap_or(1_000)
-}
-
-/// Ingest path policies to sweep (`PLIS_BENCH_PATH_POLICY`, comma list of
-/// `cost` / `fixed:N`, default just `cost`).  Unparsable entries abort:
-/// a silently dropped policy would make a sweep look complete when it
-/// is not.
-fn path_policies() -> Vec<PathPolicy> {
-    match std::env::var("PLIS_BENCH_PATH_POLICY") {
-        Err(_) => vec![PathPolicy::Cost],
-        Ok(raw) => raw
-            .split(',')
-            .filter(|s| !s.trim().is_empty())
-            .map(|s| {
-                PathPolicy::parse(s)
-                    .unwrap_or_else(|| panic!("bad PLIS_BENCH_PATH_POLICY entry {s:?}"))
-            })
-            .collect(),
-    }
 }
 
 /// One explicit-lifecycle tick creating every fleet session up front —
@@ -133,8 +112,6 @@ fn telemetry_fields(snap: &MetricsSnapshot) -> Vec<(&'static str, JsonValue)> {
         ("tick_p50_us", (snap.tick_latency.p50() as f64 / 1_000.0).into()),
         ("tick_p99_us", (snap.tick_latency.p99() as f64 / 1_000.0).into()),
         ("seq_ticks", snap.seq_ingests.into()),
-        ("par_merge_ticks", snap.par_merge_ingests.into()),
-        ("veb_delta_elems", snap.veb_delta_elems.into()),
         ("inline_ticks", snap.inline_ticks.into()),
         ("session_bytes", snap.session_bytes.into()),
         ("alloc_count", snap.alloc_count.into()),
@@ -212,7 +189,6 @@ fn unweighted_sweep(
     session_counts: &[usize],
     batch_sizes: &[usize],
     shard_counts: &[usize],
-    policies: &[PathPolicy],
     threads: usize,
 ) {
     for &sessions in session_counts {
@@ -227,58 +203,52 @@ fn unweighted_sweep(
                 fleet.iter().map(|(_, bs)| bs.iter().map(Vec::len).sum::<usize>()).sum();
 
             for &shard_spec in shard_counts {
-                for &policy in policies {
-                    let mut config =
-                        EngineConfig { universe, path_policy: policy, ..EngineConfig::default() };
-                    if shard_spec > 0 {
-                        config.shards = shard_spec;
-                    }
-                    let shards = config.shards;
-                    let (secs, (final_lis_sum, snap)) = with_bench_threads(|| {
-                        time_min(|| {
-                            let engine = replay(&config, &setup, &ticks);
-                            let lis_sum = engine
-                                .session_ids()
-                                .iter()
-                                .filter_map(|id| engine.lis_length(id.as_str()))
-                                .map(|k| k as u64)
-                                .sum::<u64>();
-                            (lis_sum, engine.metrics_snapshot())
-                        })
-                    });
-                    reconcile(&snap, ticks.len(), total_elems);
-                    let mut fields = vec![
-                        ("bench", "streaming".into()),
-                        ("schema", SCHEMA.into()),
-                        ("sessions", sessions.into()),
-                        ("mean_batch", mean_batch.into()),
-                        ("n_per_session", n.into()),
-                        ("path_policy", policy.name().into()),
-                        ("shards", shards.into()),
-                        ("threads", threads.into()),
-                        ("ticks", ticks.len().into()),
-                        ("total_elems", total_elems.into()),
-                        ("secs", secs.into()),
-                        ("elems_per_sec", (total_elems as f64 / secs.max(1e-12)).into()),
-                        ("mean_final_lis", (final_lis_sum as f64 / sessions.max(1) as f64).into()),
-                    ];
-                    fields.extend(telemetry_fields(&snap));
-                    fields.extend(persistence_fields(&config, &setup, &ticks));
-                    println!("{}", json_line(&fields));
+                let mut config = EngineConfig { universe, ..EngineConfig::default() };
+                if shard_spec > 0 {
+                    config.shards = shard_spec;
                 }
+                let shards = config.shards;
+                let (secs, (final_lis_sum, snap)) = with_bench_threads(|| {
+                    time_min(|| {
+                        let engine = replay(&config, &setup, &ticks);
+                        let lis_sum = engine
+                            .session_ids()
+                            .iter()
+                            .filter_map(|id| engine.lis_length(id.as_str()))
+                            .map(|k| k as u64)
+                            .sum::<u64>();
+                        (lis_sum, engine.metrics_snapshot())
+                    })
+                });
+                reconcile(&snap, ticks.len(), total_elems);
+                let mut fields = vec![
+                    ("bench", "streaming".into()),
+                    ("schema", SCHEMA.into()),
+                    ("sessions", sessions.into()),
+                    ("mean_batch", mean_batch.into()),
+                    ("n_per_session", n.into()),
+                    ("shards", shards.into()),
+                    ("threads", threads.into()),
+                    ("ticks", ticks.len().into()),
+                    ("total_elems", total_elems.into()),
+                    ("secs", secs.into()),
+                    ("elems_per_sec", (total_elems as f64 / secs.max(1e-12)).into()),
+                    ("mean_final_lis", (final_lis_sum as f64 / sessions.max(1) as f64).into()),
+                ];
+                fields.extend(telemetry_fields(&snap));
+                fields.extend(persistence_fields(&config, &setup, &ticks));
+                println!("{}", json_line(&fields));
             }
         }
     }
 }
 
-/// The weighted sweep: same fleet shape, weighted session kind, both
-/// dominant-max stores.
+/// The weighted sweep: same fleet shape, weighted session kind.
 fn weighted_sweep(
     n: usize,
     session_counts: &[usize],
     batch_sizes: &[usize],
     shard_counts: &[usize],
-    policies: &[PathPolicy],
     threads: usize,
 ) {
     let max_w = max_weight();
@@ -294,56 +264,45 @@ fn weighted_sweep(
                 fleet.iter().map(|(_, bs)| bs.iter().map(Vec::len).sum::<usize>()).sum();
 
             for &shard_spec in shard_counts {
-                for &policy in policies {
-                    for dommax in [DominantMaxKind::RangeTree, DominantMaxKind::RangeVeb] {
-                        let mut config = EngineConfig {
-                            universe,
-                            dommax,
-                            default_kind: SessionKind::Weighted,
-                            path_policy: policy,
-                            ..EngineConfig::default()
-                        };
-                        if shard_spec > 0 {
-                            config.shards = shard_spec;
-                        }
-                        let shards = config.shards;
-                        let (secs, (final_score_sum, snap)) = with_bench_threads(|| {
-                            time_min(|| {
-                                let engine = replay(&config, &setup, &ticks);
-                                let score_sum = engine
-                                    .session_ids()
-                                    .iter()
-                                    .filter_map(|id| engine.best_score(id.as_str()))
-                                    .sum::<u64>();
-                                (score_sum, engine.metrics_snapshot())
-                            })
-                        });
-                        reconcile(&snap, ticks.len(), total_elems);
-                        let mut fields = vec![
-                            ("bench", "streaming-weighted".into()),
-                            ("schema", SCHEMA.into()),
-                            ("sessions", sessions.into()),
-                            ("mean_batch", mean_batch.into()),
-                            ("n_per_session", n.into()),
-                            ("backend", dommax.name().into()),
-                            ("path_policy", policy.name().into()),
-                            ("max_weight", max_w.into()),
-                            ("shards", shards.into()),
-                            ("threads", threads.into()),
-                            ("ticks", ticks.len().into()),
-                            ("total_elems", total_elems.into()),
-                            ("secs", secs.into()),
-                            ("elems_per_sec", (total_elems as f64 / secs.max(1e-12)).into()),
-                            (
-                                "mean_final_score",
-                                (final_score_sum as f64 / sessions.max(1) as f64).into(),
-                            ),
-                        ];
-                        fields.extend(telemetry_fields(&snap));
-                        fields.extend(persistence_fields(&config, &setup, &ticks));
-                        println!("{}", json_line(&fields));
-                    }
+                let mut config = EngineConfig {
+                    universe,
+                    default_kind: SessionKind::Weighted,
+                    ..EngineConfig::default()
+                };
+                if shard_spec > 0 {
+                    config.shards = shard_spec;
                 }
+                let shards = config.shards;
+                let (secs, (final_score_sum, snap)) = with_bench_threads(|| {
+                    time_min(|| {
+                        let engine = replay(&config, &setup, &ticks);
+                        let score_sum = engine
+                            .session_ids()
+                            .iter()
+                            .filter_map(|id| engine.best_score(id.as_str()))
+                            .sum::<u64>();
+                        (score_sum, engine.metrics_snapshot())
+                    })
+                });
+                reconcile(&snap, ticks.len(), total_elems);
+                let mut fields = vec![
+                    ("bench", "streaming-weighted".into()),
+                    ("schema", SCHEMA.into()),
+                    ("sessions", sessions.into()),
+                    ("mean_batch", mean_batch.into()),
+                    ("n_per_session", n.into()),
+                    ("max_weight", max_w.into()),
+                    ("shards", shards.into()),
+                    ("threads", threads.into()),
+                    ("ticks", ticks.len().into()),
+                    ("total_elems", total_elems.into()),
+                    ("secs", secs.into()),
+                    ("elems_per_sec", (total_elems as f64 / secs.max(1e-12)).into()),
+                    ("mean_final_score", (final_score_sum as f64 / sessions.max(1) as f64).into()),
+                ];
+                fields.extend(telemetry_fields(&snap));
+                fields.extend(persistence_fields(&config, &setup, &ticks));
+                println!("{}", json_line(&fields));
             }
         }
     }
@@ -417,7 +376,6 @@ fn query_sweep(
                         ("sessions", sessions.into()),
                         ("mean_batch", mean_batch.into()),
                         ("n_per_session", n.into()),
-                        ("path_policy", PathPolicy::default().name().into()),
                         ("query_mix", mix.into()),
                         ("queries_per_read", QUERIES_PER_READ.into()),
                         ("shards", shards.into()),
@@ -451,19 +409,17 @@ fn main() {
         .collect();
     // `0` = keep the engine's default shard count (the pool width).
     let shard_counts = env_usize_list("PLIS_BENCH_SHARDS", &[0]);
-    let policies = path_policies();
     let threads = effective_threads();
-    let policy_names: Vec<String> = policies.iter().map(|p| p.name()).collect();
     eprintln!(
         "streaming sweep: n_per_session = {n}, weighted n = {wn}, sessions = {session_counts:?}, \
          mean batch = {batch_sizes:?}, query mix = {query_mixes:?}, shards = {shard_counts:?}, \
-         policies = {policy_names:?}, repeats = {}, threads = {threads}",
+         repeats = {}, threads = {threads}",
         bench_repeats()
     );
 
-    unweighted_sweep(n, &session_counts, &batch_sizes, &shard_counts, &policies, threads);
+    unweighted_sweep(n, &session_counts, &batch_sizes, &shard_counts, threads);
     if wn > 0 {
-        weighted_sweep(wn, &session_counts, &batch_sizes, &shard_counts, &policies, threads);
+        weighted_sweep(wn, &session_counts, &batch_sizes, &shard_counts, threads);
     }
     if !query_mixes.is_empty() {
         query_sweep(n, &session_counts, &batch_sizes, &query_mixes, &shard_counts, threads);

@@ -34,14 +34,12 @@
 //! [`OpError::KindMismatch`] — a malformed tick degrades per op, it never
 //! panics.
 
-use crate::cost::PathPolicy;
 use crate::metrics::{Metrics, MetricsSnapshot, TickDigest};
 use crate::op::{Op, OpError, OpOutput, OpResult, ReadOutcome, ReadTick, Tick, TickOutcome};
 use crate::query::{QueryBatch, QueryReport};
 use crate::session::{IngestReport, StreamingLis};
 use crate::snapshot::{EngineSnapshot, SessionSnapshot};
 use crate::wsession::{weight_sum, WeightedIngestReport, WeightedStreamingLis};
-use plis_lis::DominantMaxKind;
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -186,8 +184,6 @@ impl Op {
 pub struct EngineConfig {
     /// Value universe `[0, universe)` for every session.
     pub universe: u64,
-    /// Dominant-max store for every weighted session.
-    pub dommax: DominantMaxKind,
     /// Kind given to sessions created without an explicit kind (by
     /// [`Engine::create_session`] or implicitly by a plain batch under
     /// [`Tick::auto_create`]).
@@ -195,24 +191,17 @@ pub struct EngineConfig {
     /// Number of shards sessions are spread over.  Defaults to the
     /// hardware parallelism.
     pub shards: usize,
-    /// How every session decides between the sequential and the parallel
-    /// merge ingest path.  Defaults to [`PathPolicy::Cost`]; use
-    /// [`PathPolicy::Fixed`] to reproduce the historical fixed-threshold
-    /// behaviour.
-    pub path_policy: PathPolicy,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             universe: 1 << 32,
-            dommax: DominantMaxKind::RangeTree,
             default_kind: SessionKind::Unweighted,
             // The cached pool width, NOT std::thread::available_parallelism:
             // the latter re-reads cgroup state on every call (~10µs), which
             // is exactly the cost the vendored rayon caches away.
             shards: rayon::current_num_threads(),
-            path_policy: PathPolicy::default(),
         }
     }
 }
@@ -221,13 +210,10 @@ impl EngineConfig {
     /// Build a fresh session of the given kind under this configuration.
     fn new_session(&self, kind: SessionKind) -> SessionState {
         match kind {
-            SessionKind::Unweighted => SessionState::Unweighted(
-                StreamingLis::new(self.universe).with_path_policy(self.path_policy),
-            ),
-            SessionKind::Weighted => SessionState::Weighted(
-                WeightedStreamingLis::new(self.universe, self.dommax)
-                    .with_path_policy(self.path_policy),
-            ),
+            SessionKind::Unweighted => SessionState::Unweighted(StreamingLis::new(self.universe)),
+            SessionKind::Weighted => {
+                SessionState::Weighted(WeightedStreamingLis::new(self.universe))
+            }
         }
     }
 }
@@ -643,7 +629,7 @@ impl Engine {
 
     /// Install (or clear) a JSON-lines trace sink: after every
     /// [`Engine::execute`] / [`Engine::execute_read`] the engine emits one
-    /// event with the tick's latency, op counts, and ingest-path digest.
+    /// event with the tick's latency, op counts, and ingest count.
     /// Emission follows the runtime [`Metrics::set_enabled`] toggle.  A
     /// no-op when the `telemetry` feature is off.
     pub fn set_trace_sink(&mut self, sink: Option<plis_telemetry::TraceSink>) {
@@ -795,10 +781,10 @@ impl Engine {
     }
 
     /// Build a fresh engine from an engine snapshot under the given
-    /// configuration.  `config.universe` must match the snapshot's;
-    /// sharding, dominant-max store and path policy are free to differ
-    /// (outcomes are deterministic across all of them).  All-or-nothing:
-    /// any rejected session means no engine.
+    /// configuration.  `config.universe` must match the snapshot's; the
+    /// shard count and the default kind are free to differ (outcomes are
+    /// deterministic across shard counts).  All-or-nothing: any rejected
+    /// session means no engine.
     pub fn restore(config: EngineConfig, snapshot: &EngineSnapshot) -> Result<Engine, OpError> {
         if config.universe != snapshot.universe {
             return Err(OpError::UniverseMismatch {
@@ -912,9 +898,6 @@ impl Engine {
             ("queries", JsonValue::from(outcome.total_queries)),
             ("failed", JsonValue::from(outcome.failed_ops)),
             ("seq_ingests", JsonValue::from(digest.seq_ingests)),
-            ("par_merge_ingests", JsonValue::from(digest.par_merge_ingests)),
-            ("par_merge_elems", JsonValue::from(digest.par_merge_elems)),
-            ("veb_delta_elems", JsonValue::from(digest.veb_delta_elems)),
             ("worker_threads", JsonValue::from(outcome.worker_threads)),
         ]);
     }
@@ -1029,16 +1012,10 @@ mod tests {
         let mut state = 0xFEED_BEEFu64;
         let universe = 1u64 << 14;
         let session_names = ["alpha", "bravo", "charlie", "delta", "echo"];
-        let mut engine = Engine::new(EngineConfig {
-            universe,
-            shards: 3,
-            path_policy: PathPolicy::Fixed(64),
-            ..EngineConfig::default()
-        });
-        let mut reference: HashMap<&str, StreamingLis> = session_names
-            .iter()
-            .map(|&name| (name, StreamingLis::new(universe).with_par_threshold(64)))
-            .collect();
+        let mut engine =
+            Engine::new(EngineConfig { universe, shards: 3, ..EngineConfig::default() });
+        let mut reference: HashMap<&str, StreamingLis> =
+            session_names.iter().map(|&name| (name, StreamingLis::new(universe))).collect();
         for &name in &session_names {
             assert!(engine.create_session(name));
         }

@@ -10,16 +10,20 @@
 //!   *tails* array `B[r]` = smallest value ending an increasing
 //!   subsequence of length `r + 1` over everything ingested so far, and
 //!   answers value-domain probes by binary search over it.
-//!   [`StreamingLis::ingest`] appends a batch and returns an
-//!   [`IngestReport`]; large batches take a parallel merge path that
-//!   runs Algorithm 1 (the tournament-tree LIS) over `tails ++ batch` —
-//!   see the module docs of [`session`] for why that is exact.
+//!   [`StreamingLis::ingest`] appends a batch by seeded patience (one
+//!   binary search over the tails per element) and returns an
+//!   [`IngestReport`] — see the module docs of [`session`].
 //! * [`WeightedStreamingLis`] — a single *weighted* session serving
 //!   Algorithm 2 as live traffic: per-element dp scores (Equation 2) over
 //!   `(value, weight)` streams.  Its summary structure is the Pareto
-//!   frontier of `(value, score)` pairs, and large batches re-run the one
-//!   generic WLIS driver over `frontier ++ batch`, with the dominant-max
-//!   store chosen by [`DominantMaxKind`] — see [`wsession`].
+//!   frontier of `(value, score)` pairs, which answers each element's
+//!   predecessor probe by binary search — see [`wsession`].
+//!
+//! Both session kinds have one ingest path, the sequential one: no
+//! recorded benchmark cell shows rerunning the paper's Algorithm 1 or 2
+//! over `summary ++ batch` beating it (`DESIGN.md`, "Why sessions ingest
+//! sequentially").  The paper's algorithms meet the engine in its oracle
+//! suites, which check every ingest against offline Algorithm 1 and 2.
 //! * [`Engine`] — a front that multiplexes many independent named sessions
 //!   ([`SessionId`]) of **both kinds** ([`SessionKind`]), shards them
 //!   across the fork-join pool, and executes whole command ticks in
@@ -98,7 +102,6 @@
 
 #![warn(missing_docs)]
 
-pub mod cost;
 pub mod engine;
 pub mod metrics;
 pub mod op;
@@ -111,14 +114,12 @@ mod testutil;
 pub mod wire;
 pub mod wsession;
 
-pub use cost::{CostModel, PathPolicy};
 pub use engine::{BatchReport, Engine, EngineConfig, SessionId, SessionKind, SessionState};
 pub use metrics::{Metrics, MetricsSnapshot, TickDigest};
 pub use op::{Op, OpError, OpOutput, OpResult, ReadOutcome, ReadTick, Tick, TickOutcome};
-pub use plis_lis::DominantMaxKind;
 pub use plis_telemetry::{HistogramSnapshot, MemorySink, TraceSink};
 pub use query::{Certificate, Query, QueryAnswer, QueryBatch, QueryReport};
-pub use session::{IngestPath, IngestReport, StreamingLis};
+pub use session::{IngestReport, StreamingLis};
 pub use snapshot::{
     replay_journal, replay_journal_from, EngineSnapshot, ReplayReport, SessionSnapshot,
     SnapshotError, TickJournal,

@@ -29,73 +29,24 @@
 
 use plis_telemetry::{json_line, HistogramSnapshot, JsonValue};
 
-/// Per-tick digest of the path/delta counters derived from one
-/// [`TickOutcome`](crate::TickOutcome) — what the tick recorder just
-/// added to the cumulative registry, returned so the trace sink can
-/// stamp the individual tick without re-deriving it.
+/// Per-tick digest derived from one [`TickOutcome`](crate::TickOutcome)
+/// — what the tick recorder just added to the cumulative registry,
+/// returned so the trace sink can stamp the individual tick without
+/// re-deriving it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TickDigest {
-    /// Ingests that took the sequential path in this tick.
+    /// Ingests in this tick, one per landed append.  Every ingest takes
+    /// the sequential path, the only one sessions have.
     pub seq_ingests: u64,
-    /// Ingests that took the parallel merge path in this tick.
-    pub par_merge_ingests: u64,
-    /// Total size of the parallel merge runs (`tails ++ batch` /
-    /// `frontier ++ batch`) in this tick.
-    pub par_merge_elems: u64,
-    /// Tail-set churn of the unweighted parallel ingests in this tick:
-    /// tails inserted plus tails removed.
-    pub veb_delta_elems: u64,
-    /// Weighted parallel ingests that ran on the range tree.
-    pub dommax_tree_picks: u64,
-    /// Weighted parallel ingests that ran on the range vEB.
-    pub dommax_veb_picks: u64,
 }
 
 #[cfg(feature = "telemetry")]
 mod real {
     use super::{MetricsSnapshot, TickDigest};
     use crate::op::{OpOutput, ReadOutcome, TickOutcome};
-    use crate::session::IngestPath;
     use plis_telemetry::{AtomicHistogram, Counter};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Instant;
-
-    /// Derive the path/delta digest for one executed tick by walking its
-    /// per-op reports.  Pure function of the outcome, so the trace sink
-    /// sees exactly what the registry accumulated.
-    fn digest_of(outcome: &TickOutcome) -> TickDigest {
-        let mut d = TickDigest::default();
-        for (_, result) in &outcome.outcomes {
-            let Ok(OpOutput::Appended(report)) = result else { continue };
-            match report {
-                crate::BatchReport::Unweighted(r) => match r.path {
-                    IngestPath::Sequential => d.seq_ingests += 1,
-                    IngestPath::ParallelMerge => {
-                        d.par_merge_ingests += 1;
-                        // The merge run is `tails ++ batch`.
-                        d.par_merge_elems += u64::from(r.lis_before) + r.ingested as u64;
-                        d.veb_delta_elems += (r.tail_inserts + r.tail_removals) as u64;
-                    }
-                },
-                crate::BatchReport::Weighted(r) => match r.path {
-                    IngestPath::Sequential => d.seq_ingests += 1,
-                    IngestPath::ParallelMerge => {
-                        d.par_merge_ingests += 1;
-                        // The driver issues one dominant-max query per
-                        // element of the `frontier ++ batch` run, so the
-                        // query count *is* the merge size.
-                        d.par_merge_elems += r.dommax_queries;
-                        match r.dommax_used {
-                            Some(plis_lis::DominantMaxKind::RangeVeb) => d.dommax_veb_picks += 1,
-                            Some(_) => d.dommax_tree_picks += 1,
-                            None => {}
-                        }
-                    }
-                },
-            }
-        }
-        d
-    }
 
     /// The telemetry registry: cumulative counters and latency histograms
     /// for one [`crate::Engine`].  All updates are relaxed atomics — safe
@@ -116,13 +67,6 @@ mod real {
         elems_ingested: Counter,
         queries_answered: Counter,
         seq_ingests: Counter,
-        par_merge_ingests: Counter,
-        par_merge_elems: Counter,
-        veb_delta_elems: Counter,
-        dommax_queries: Counter,
-        dommax_writeback_elems: Counter,
-        dommax_tree_picks: Counter,
-        dommax_veb_picks: Counter,
         inline_ticks: Counter,
         inline_read_ticks: Counter,
         tick_ns: AtomicHistogram,
@@ -175,8 +119,8 @@ mod real {
         }
 
         /// Fold one executed write tick into the registry (counters from
-        /// the outcome's per-op reports, latency from `elapsed_ns`) and
-        /// return the tick's own path digest for the trace sink.
+        /// the outcome's per-op results, latency from `elapsed_ns`) and
+        /// return the tick's own digest for the trace sink.
         /// `inline` says whether the executor processed the tick on the
         /// calling thread instead of the per-shard parallel spine.
         pub(crate) fn record_tick(&self, outcome: &TickOutcome, inline: bool) -> TickDigest {
@@ -193,14 +137,12 @@ mod real {
             self.elems_ingested.add(outcome.total_ingested as u64);
             self.queries_answered.add(outcome.total_queries as u64);
             self.ops_failed.add(outcome.failed_ops as u64);
+            let mut digest = TickDigest::default();
             for (_, result) in &outcome.outcomes {
                 match result {
-                    Ok(OpOutput::Appended(report)) => {
+                    Ok(OpOutput::Appended(_)) => {
                         self.ops_appended.inc();
-                        if let crate::BatchReport::Weighted(r) = report {
-                            self.dommax_queries.add(r.dommax_queries);
-                            self.dommax_writeback_elems.add(r.dommax_writeback_elems);
-                        }
+                        digest.seq_ingests += 1;
                     }
                     Ok(OpOutput::Answered(_)) => self.ops_queried.inc(),
                     Ok(OpOutput::Created) => self.ops_created.inc(),
@@ -210,13 +152,7 @@ mod real {
                     Err(_) => {}
                 }
             }
-            let digest = digest_of(outcome);
             self.seq_ingests.add(digest.seq_ingests);
-            self.par_merge_ingests.add(digest.par_merge_ingests);
-            self.par_merge_elems.add(digest.par_merge_elems);
-            self.veb_delta_elems.add(digest.veb_delta_elems);
-            self.dommax_tree_picks.add(digest.dommax_tree_picks);
-            self.dommax_veb_picks.add(digest.dommax_veb_picks);
             digest
         }
 
@@ -259,26 +195,12 @@ mod real {
                 elems_ingested: self.elems_ingested.get(),
                 queries_answered: self.queries_answered.get(),
                 seq_ingests: self.seq_ingests.get(),
-                par_merge_ingests: self.par_merge_ingests.get(),
-                par_merge_elems: self.par_merge_elems.get(),
-                veb_delta_elems: self.veb_delta_elems.get(),
-                dommax_queries: self.dommax_queries.get(),
-                dommax_writeback_elems: self.dommax_writeback_elems.get(),
-                dommax_tree_picks: self.dommax_tree_picks.get(),
-                dommax_veb_picks: self.dommax_veb_picks.get(),
-                tailset_veb_picks: 0,
-                tailset_sorted_picks: 0,
                 inline_ticks: self.inline_ticks.get(),
                 inline_read_ticks: self.inline_read_ticks.get(),
                 tick_latency: self.tick_ns.snapshot(),
                 read_latency: self.read_ns.snapshot(),
                 op_latency: self.op_ns.snapshot(),
-                sessions: 0,
-                session_bytes: 0,
-                shard_bytes: Vec::new(),
-                alloc_count: 0,
-                allocs_per_elem: 0,
-                arena_bytes: 0,
+                ..MetricsSnapshot::default()
             }
         }
     }
@@ -368,28 +290,27 @@ pub struct MetricsSnapshot {
     pub elems_ingested: u64,
     /// Individual queries answered across all query ops.
     pub queries_answered: u64,
-    /// Ingests that took the sequential path.
+    /// Ingests, one per landed append.  Every ingest takes the sequential
+    /// path, the only one sessions have.
     pub seq_ingests: u64,
-    /// Ingests that took the parallel merge path.
+    /// Always 0: sessions have no parallel merge ingest.  The field
+    /// remains because the repository's benchmark harness (`perfbench`)
+    /// reads it.
     pub par_merge_ingests: u64,
-    /// Total size of the parallel merge runs (`tails ++ batch` /
-    /// `frontier ++ batch`).
+    /// Always 0, for the same reason as
+    /// [`MetricsSnapshot::par_merge_ingests`].
     pub par_merge_elems: u64,
-    /// Tail-set churn of the unweighted parallel ingests: tails inserted
-    /// plus tails removed (the historical name is kept for the readers of
-    /// this field).
+    /// Always 0, for the same reason as
+    /// [`MetricsSnapshot::par_merge_ingests`].
     pub veb_delta_elems: u64,
-    /// Dominant-max point queries issued by weighted parallel ingests.
-    pub dommax_queries: u64,
-    /// Elements written back to dominant-max stores by those ingests.
-    pub dommax_writeback_elems: u64,
-    /// Weighted parallel ingests that ran on the range-tree store.
+    /// Always 0: sessions use no dominant-max store, so no ingest picks
+    /// one.  The field remains because `perfbench` reads it.
     pub dommax_tree_picks: u64,
-    /// Weighted parallel ingests that ran on the range-vEB store.
+    /// Always 0, for the same reason as
+    /// [`MetricsSnapshot::dommax_tree_picks`].
     pub dommax_veb_picks: u64,
     /// Always 0: sessions keep no vEB tail mirror, so no ingest picks one.
-    /// The field remains because the repository's benchmark harness
-    /// (`perfbench`) reads it.
+    /// The field remains because `perfbench` reads it.
     pub tailset_veb_picks: u64,
     /// Always 0, for the same reason as
     /// [`MetricsSnapshot::tailset_veb_picks`].
@@ -451,13 +372,6 @@ impl MetricsSnapshot {
         self.elems_ingested += other.elems_ingested;
         self.queries_answered += other.queries_answered;
         self.seq_ingests += other.seq_ingests;
-        self.par_merge_ingests += other.par_merge_ingests;
-        self.par_merge_elems += other.par_merge_elems;
-        self.veb_delta_elems += other.veb_delta_elems;
-        self.dommax_queries += other.dommax_queries;
-        self.dommax_writeback_elems += other.dommax_writeback_elems;
-        self.dommax_tree_picks += other.dommax_tree_picks;
-        self.dommax_veb_picks += other.dommax_veb_picks;
         self.inline_ticks += other.inline_ticks;
         self.inline_read_ticks += other.inline_read_ticks;
         self.tick_latency.merge(&other.tick_latency);
@@ -496,13 +410,6 @@ impl MetricsSnapshot {
             ("elems_ingested", JsonValue::from(self.elems_ingested)),
             ("queries_answered", JsonValue::from(self.queries_answered)),
             ("seq_ticks", JsonValue::from(self.seq_ingests)),
-            ("par_merge_ticks", JsonValue::from(self.par_merge_ingests)),
-            ("par_merge_elems", JsonValue::from(self.par_merge_elems)),
-            ("veb_delta_elems", JsonValue::from(self.veb_delta_elems)),
-            ("dommax_queries", JsonValue::from(self.dommax_queries)),
-            ("dommax_writeback_elems", JsonValue::from(self.dommax_writeback_elems)),
-            ("dommax_tree_picks", JsonValue::from(self.dommax_tree_picks)),
-            ("dommax_veb_picks", JsonValue::from(self.dommax_veb_picks)),
             ("inline_ticks", JsonValue::from(self.inline_ticks)),
             ("inline_read_ticks", JsonValue::from(self.inline_read_ticks)),
             ("tick_p50_us", JsonValue::from(us(self.tick_latency.p50()))),

@@ -181,7 +181,6 @@ mod tests {
     use super::*;
     use crate::session::StreamingLis;
     use crate::wsession::WeightedStreamingLis;
-    use plis_lis::DominantMaxKind;
 
     #[test]
     fn answers_agree_with_the_session_accessors() {
@@ -199,7 +198,7 @@ mod tests {
         assert_eq!(cert.claimed, 3);
         assert_eq!(cert.indices, plain.reconstruct_lis());
 
-        let mut weighted = WeightedStreamingLis::new(100, DominantMaxKind::RangeTree);
+        let mut weighted = WeightedStreamingLis::new(100);
         weighted.ingest(&[(10, 4), (20, 6)]);
         let state = SessionState::Weighted(weighted);
         assert_eq!(state.answer(Query::RankOf(1)), QueryAnswer::Rank(Some(10)));

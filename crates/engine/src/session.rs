@@ -15,29 +15,23 @@
 //!
 //! # Batch ingestion
 //!
-//! Small batches take the sequential path: each element binary-searches
-//! `tails` (`O(log k)`) and overwrites one slot.
-//!
-//! Large batches take the **parallel merge path**, which is where the
-//! paper's machinery earns its keep.  Observe that for dp purposes the
-//! entire old prefix is interchangeable with the array `tails` itself: an
-//! increasing subsequence of length `r` with all values `< x` exists in the
-//! prefix iff `tails[r - 1] < x`, and `tails` is strictly increasing, so
-//! within `tails` alone every `tails[j]` has dp exactly `j + 1`.  Hence
-//! running Algorithm 1 — the parallel tournament-tree LIS ([`lis_ranks_u64`])
-//! — over the concatenation `tails ++ batch` yields, at the batch positions,
-//! exactly the dp values of the batch elements in the full stream.  The new
-//! tails array is then `new_tails[r] = min(old_tails[r], min {b : b in batch,
-//! dp(b) = r + 1})`, computed by a direct per-rank min fold over the batch
-//! ranks.
+//! A batch is ingested element by element, in arrival order: each element
+//! binary-searches `tails` (`O(log k)`), takes `position + 1` as its rank,
+//! and overwrites or appends one slot.  This is Seq-BS seeded with the
+//! tails of the prefix, so a batch costs `O(m log k)` with one binary
+//! search per element and no staging.  Sessions have no other ingest path:
+//! rerunning Algorithm 1 over `tails ++ batch` is exact too, but the tails
+//! form an increasing run, so it takes at least `k` rounds and never beat
+//! this loop on a recorded benchmark cell (`DESIGN.md`, "Why sessions
+//! ingest sequentially").  The oracle suites check every ingest against the
+//! offline Algorithm 1 ([`plis_lis::lis_ranks_u64`]) on the whole prefix.
 //!
 //! # Memory discipline
 //!
-//! Steady-state ingestion is **allocation-free**: every buffer the hot
-//! paths need lives either on the session itself (`values`, `ranks`,
-//! `tails`, the flat rank index replacing per-rank `Vec`s) or in a
-//! per-session scratch arena of reusable staging buffers, all of which
-//! grow to a high-water mark and are then only ever cleared, never freed.
+//! Steady-state ingestion is **allocation-free**: ingest stages nothing,
+//! and every buffer it writes lives on the session itself (`values`,
+//! `ranks`, `tails`, and the flat rank index replacing per-rank `Vec`s),
+//! growing to a high-water mark and never freed.
 //! [`StreamingLis::reserve`] pre-sizes everything for a known workload;
 //! the `alloc_discipline` integration test pins the zero-allocation claim
 //! with a counting global allocator.  See `DESIGN.md` ("Memory & allocation
@@ -65,27 +59,7 @@
 //! Algorithm 1 and the patience tails need none (the paper's vEB tree
 //! serves Algorithm 2's Range-vEB store).
 
-use crate::cost::PathPolicy;
 use crate::rankindex::RankIndex;
-use plis_lis::lis_ranks_u64;
-use plis_primitives::sorted_diff_counts;
-
-/// The historical fixed batch-size threshold at which ingestion switched
-/// to the parallel merge path.  Sessions now default to cost-based
-/// selection ([`PathPolicy::Cost`]); this constant remains as the
-/// reference point for [`PathPolicy::Fixed`] configurations and for the
-/// bench sweeps that reproduce the old behaviour.
-pub const DEFAULT_PAR_THRESHOLD: usize = 512;
-
-/// Which code path an ingest took.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IngestPath {
-    /// Per-element binary search + point updates.
-    Sequential,
-    /// Algorithm 1 over `tails ++ batch`, then a per-rank min rebuild of
-    /// the tails.
-    ParallelMerge,
-}
 
 /// What one [`StreamingLis::ingest`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,55 +70,6 @@ pub struct IngestReport {
     pub lis_before: u32,
     /// LIS length of the stream after the batch.
     pub lis_after: u32,
-    /// Code path taken.
-    pub path: IngestPath,
-    /// Values inserted into the tail set (new or replacement tails).
-    pub tail_inserts: usize,
-    /// Values removed from the tail set (tails displaced by better ones).
-    pub tail_removals: usize,
-}
-
-impl IngestReport {
-    fn empty(k: u32, path: IngestPath) -> Self {
-        IngestReport {
-            ingested: 0,
-            lis_before: k,
-            lis_after: k,
-            path,
-            tail_inserts: 0,
-            tail_removals: 0,
-        }
-    }
-}
-
-/// Reusable staging buffers for the parallel merge path, owned per
-/// session.  Every field is cleared (keeping capacity) at the start of the
-/// ingest that uses it, so after a warm-up phase the hot path never
-/// touches the allocator: buffers grow to the workload's high-water mark
-/// and stay there.
-#[derive(Debug, Clone, Default)]
-struct ScratchArena {
-    /// `tails ++ batch`, the Algorithm-1 input.
-    merged: Vec<u64>,
-    /// The rebuilt tails array, swapped with the session's on completion.
-    new_tails: Vec<u64>,
-    /// Per-rank minimum of the batch values (`u64::MAX` where the batch
-    /// has no element of that rank).
-    rank_min: Vec<u64>,
-}
-
-impl ScratchArena {
-    fn reserve(&mut self, additional: usize) {
-        self.merged.reserve(additional);
-        self.new_tails.reserve(additional);
-        self.rank_min.reserve(additional);
-    }
-
-    /// Heap bytes currently held across all staging buffers (capacity).
-    fn approx_bytes(&self) -> usize {
-        (self.merged.capacity() + self.new_tails.capacity() + self.rank_min.capacity())
-            * std::mem::size_of::<u64>()
-    }
 }
 
 /// Incremental LIS over an append-only stream.  See the module docs for
@@ -162,11 +87,7 @@ pub struct StreamingLis {
     /// packed into one flat block pool.  Ranks are final, so frontiers only
     /// grow at the end; this is exactly the grouping Appendix A walks.
     by_rank: RankIndex,
-    /// Reusable staging buffers for the parallel merge path.
-    scratch: ScratchArena,
     universe: u64,
-    /// How ingest picks between the sequential and parallel merge path.
-    policy: PathPolicy,
 }
 
 impl StreamingLis {
@@ -181,30 +102,8 @@ impl StreamingLis {
             ranks: Vec::new(),
             tails: Vec::new(),
             by_rank: RankIndex::new(),
-            scratch: ScratchArena::default(),
             universe,
-            policy: PathPolicy::default(),
         }
-    }
-
-    /// Force a fixed batch-size threshold for the parallel merge path —
-    /// shorthand for [`PathPolicy::Fixed`] (mainly for tests, benchmarks,
-    /// and reproducing the historical behaviour).
-    pub fn with_par_threshold(self, threshold: usize) -> Self {
-        self.with_path_policy(PathPolicy::Fixed(threshold.max(1)))
-    }
-
-    /// Set how ingest decides between the sequential and the parallel
-    /// merge path.  Both paths are exact, so the policy affects timing
-    /// only — never ranks, tails, or LIS lengths.
-    pub fn with_path_policy(mut self, policy: PathPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// The active ingest path policy.
-    pub fn path_policy(&self) -> PathPolicy {
-        self.policy
     }
 
     /// Pre-size every internal buffer for `additional` more elements, so a
@@ -215,7 +114,6 @@ impl StreamingLis {
         self.ranks.reserve(additional);
         self.tails.reserve(additional);
         self.by_rank.reserve(additional, additional);
-        self.scratch.reserve(additional);
     }
 
     /// Number of elements ingested so far.
@@ -351,7 +249,8 @@ impl StreamingLis {
         out
     }
 
-    /// Append `batch` to the stream and update all LIS state.
+    /// Append `batch` to the stream and update all LIS state: seeded
+    /// patience, one binary search over the tails per element.
     ///
     /// # Panics
     /// Panics if any value is outside the session universe, or if the
@@ -365,20 +264,7 @@ impl StreamingLis {
             self.values.len() + batch.len() <= u32::MAX as usize,
             "stream exceeds u32 element addressing"
         );
-        if batch.is_empty() {
-            return IngestReport::empty(self.lis_length(), IngestPath::Sequential);
-        }
-        match self.policy.choose(batch.len(), self.tails.len()) {
-            IngestPath::ParallelMerge => self.ingest_parallel(batch),
-            IngestPath::Sequential => self.ingest_sequential(batch),
-        }
-    }
-
-    /// The sequential path: seeded patience, one element at a time.
-    fn ingest_sequential(&mut self, batch: &[u64]) -> IngestReport {
         let lis_before = self.lis_length();
-        let mut inserts = 0usize;
-        let mut removals = 0usize;
         let base = self.values.len();
         for (offset, &x) in batch.iter().enumerate() {
             let pos = self.tails.partition_point(|&t| t < x);
@@ -386,105 +272,29 @@ impl StreamingLis {
             self.by_rank.push(pos, (base + offset) as u32);
             if pos == self.tails.len() {
                 self.tails.push(x);
-                inserts += 1;
             } else if x < self.tails[pos] {
                 self.tails[pos] = x;
-                inserts += 1;
-                removals += 1;
             }
         }
         self.values.extend_from_slice(batch);
-        IngestReport {
-            ingested: batch.len(),
-            lis_before,
-            lis_after: self.lis_length(),
-            path: IngestPath::Sequential,
-            tail_inserts: inserts,
-            tail_removals: removals,
-        }
-    }
-
-    /// The parallel merge path: Algorithm 1 over `tails ++ batch`, then a
-    /// per-rank min rebuild of the tails.  All staging goes through the
-    /// session's [`ScratchArena`] — steady state performs no heap
-    /// allocation here beyond what [`lis_ranks_u64`] needs internally.
-    fn ingest_parallel(&mut self, batch: &[u64]) -> IngestReport {
-        let lis_before = self.lis_length();
-        let k = self.tails.len();
-
-        self.scratch.merged.clear();
-        self.scratch.merged.reserve(k + batch.len());
-        self.scratch.merged.extend_from_slice(&self.tails);
-        self.scratch.merged.extend_from_slice(batch);
-        let (merged_ranks, new_k) = lis_ranks_u64(&self.scratch.merged);
-        debug_assert!(
-            merged_ranks[..k].iter().enumerate().all(|(j, &r)| r == j as u32 + 1),
-            "strictly increasing tails must have dp == position + 1"
-        );
-
-        let batch_ranks = &merged_ranks[k..];
-        let base = self.values.len();
-        for (offset, &r) in batch_ranks.iter().enumerate() {
-            self.by_rank.push((r - 1) as usize, (base + offset) as u32);
-        }
-        self.ranks.extend_from_slice(batch_ranks);
-        self.values.extend_from_slice(batch);
-
-        // Per-rank minimum of the batch: a direct min fold — no
-        // counting-sort staging, no per-rank lists.
-        let scratch = &mut self.scratch;
-        scratch.rank_min.clear();
-        scratch.rank_min.resize(new_k as usize, u64::MAX);
-        for (offset, &r) in batch_ranks.iter().enumerate() {
-            let slot = &mut scratch.rank_min[(r - 1) as usize];
-            *slot = (*slot).min(batch[offset]);
-        }
-        scratch.new_tails.clear();
-        {
-            let tails = &self.tails;
-            let rank_min = &scratch.rank_min;
-            scratch.new_tails.extend((0..new_k as usize).map(|r| {
-                let from_old = tails.get(r).copied().unwrap_or(u64::MAX);
-                from_old.min(rank_min[r])
-            }));
-        }
-        debug_assert!(
-            scratch.new_tails.windows(2).all(|w| w[0] < w[1]),
-            "tails must stay strictly increasing"
-        );
-
-        // Count the tail delta.  After the swap `scratch.new_tails` holds
-        // the *old* tails (and its buffer is reused next ingest).
-        std::mem::swap(&mut self.tails, &mut scratch.new_tails);
-        let (tail_removals, tail_inserts) = sorted_diff_counts(&scratch.new_tails, &self.tails);
-
-        IngestReport {
-            ingested: batch.len(),
-            lis_before,
-            lis_after: self.lis_length(),
-            path: IngestPath::ParallelMerge,
-            tail_inserts,
-            tail_removals,
-        }
+        IngestReport { ingested: batch.len(), lis_before, lis_after: self.lis_length() }
     }
 
     /// Rough heap footprint of the session in bytes: the value/rank/tail
-    /// arrays, the flat rank index and the scratch arena.  Intended for
-    /// occasional telemetry snapshots, not the hot path.
+    /// arrays and the flat rank index.  Intended for occasional telemetry
+    /// snapshots, not the hot path.
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.values.capacity() * std::mem::size_of::<u64>()
             + self.ranks.capacity() * std::mem::size_of::<u32>()
             + self.tails.capacity() * std::mem::size_of::<u64>()
             + self.by_rank.approx_bytes()
-            + self.scratch.approx_bytes()
     }
 
-    /// Heap bytes held by the reusable staging buffers (the scratch arena
-    /// plus the flat rank-index pool) — the telemetry plane's
+    /// Heap bytes held by the flat rank-index pool — the telemetry plane's
     /// "arena high-water" accounting.
     pub fn arena_bytes(&self) -> usize {
-        self.scratch.approx_bytes() + self.by_rank.approx_bytes()
+        self.by_rank.approx_bytes()
     }
 
     /// Cross-check every invariant; used by the test suites.
@@ -526,97 +336,12 @@ mod tests {
     }
 
     #[test]
-    fn sequential_and_parallel_paths_agree() {
-        let mut state = 0x5DEECE66Du64;
-        let input: Vec<u64> = (0..3_000).map(|_| xorshift(&mut state) % 10_000).collect();
-        let mut seq = StreamingLis::new(10_000).with_par_threshold(usize::MAX);
-        let mut par = StreamingLis::new(10_000).with_par_threshold(1);
-        for chunk in input.chunks(97) {
-            let rs = seq.ingest(chunk);
-            let rp = par.ingest(chunk);
-            assert_eq!(rs.path, IngestPath::Sequential);
-            assert_eq!(rp.path, IngestPath::ParallelMerge);
-            assert_eq!(rs.lis_after, rp.lis_after);
-        }
-        assert_eq!(seq.ranks(), par.ranks());
-        assert_eq!(seq.tails(), par.tails());
-        seq.check_invariants();
-        par.check_invariants();
-    }
-
-    /// Property: the final state is bit-identical across *any* forced
-    /// threshold — every crossover a cost model could pick routes some
-    /// batches differently, and none of it may show in ranks or tails.
-    #[test]
-    fn any_forced_threshold_yields_identical_state() {
-        let mut state = 0xA5A5_1234u64;
-        let input: Vec<u64> = (0..4_000).map(|_| xorshift(&mut state) % 20_000).collect();
-        let reference = {
-            let mut s = StreamingLis::new(20_000).with_par_threshold(usize::MAX);
-            for chunk in input.chunks(113) {
-                s.ingest(chunk);
-            }
-            s
-        };
-        for threshold in [1usize, 2, 7, 32, 64, 100, 113, 114, 512, 4_096] {
-            let mut s = StreamingLis::new(20_000).with_par_threshold(threshold);
-            for chunk in input.chunks(113) {
-                s.ingest(chunk);
-            }
-            assert_eq!(s.ranks(), reference.ranks(), "threshold {threshold}");
-            assert_eq!(s.tails(), reference.tails(), "threshold {threshold}");
-            assert_eq!(s.lis_length(), reference.lis_length(), "threshold {threshold}");
-            s.check_invariants();
-        }
-    }
-
-    /// The cost policy (whatever calibration measured on this machine)
-    /// must produce the same state as any fixed policy — calibration can
-    /// change timing only, never outcomes.
-    #[test]
-    fn cost_policy_state_matches_fixed_policies() {
-        let mut state = 0xDEAD_10CCu64;
-        let input: Vec<u64> = (0..3_500).map(|_| xorshift(&mut state) % 9_000).collect();
-        let mut cost = StreamingLis::new(9_000).with_path_policy(PathPolicy::Cost);
-        let mut fixed = StreamingLis::new(9_000).with_par_threshold(256);
-        assert_eq!(cost.path_policy(), PathPolicy::Cost);
-        for chunk in input.chunks(301) {
-            let rc = cost.ingest(chunk);
-            let rf = fixed.ingest(chunk);
-            // Reports agree on everything except possibly the path taken
-            // and the resulting tail-churn accounting.
-            assert_eq!(rc.ingested, rf.ingested);
-            assert_eq!(rc.lis_before, rf.lis_before);
-            assert_eq!(rc.lis_after, rf.lis_after);
-        }
-        assert_eq!(cost.ranks(), fixed.ranks());
-        assert_eq!(cost.tails(), fixed.tails());
-        cost.check_invariants();
-
-        // And the cost decision is deterministic: replaying the same
-        // stream takes the same path at every batch.
-        let mut replay = StreamingLis::new(9_000).with_path_policy(PathPolicy::Cost);
-        let mut paths = Vec::new();
-        for chunk in input.chunks(301) {
-            paths.push(replay.ingest(chunk).path);
-        }
-        let mut replay2 = StreamingLis::new(9_000).with_path_policy(PathPolicy::Cost);
-        for (i, chunk) in input.chunks(301).enumerate() {
-            assert_eq!(replay2.ingest(chunk).path, paths[i], "batch {i}");
-        }
-    }
-
-    #[test]
     fn reports_track_tail_churn() {
         let mut s = StreamingLis::new(1 << 10);
         let r = s.ingest(&[10, 20, 30]);
-        assert_eq!(r.tail_inserts, 3);
-        assert_eq!(r.tail_removals, 0);
         assert_eq!(r.lis_after, 3);
         // 5 displaces 10; 15 displaces 20.
         let r = s.ingest(&[5, 15]);
-        assert_eq!(r.tail_inserts, 2);
-        assert_eq!(r.tail_removals, 2);
         assert_eq!(r.lis_after, 3);
         assert_eq!(s.tails(), &[5, 15, 30]);
         s.check_invariants();
@@ -637,7 +362,7 @@ mod tests {
     fn reconstruction_is_valid_and_optimal() {
         let mut state = 0x1234_5678u64;
         let input: Vec<u64> = (0..1_500).map(|_| xorshift(&mut state) % 2_000).collect();
-        let mut s = StreamingLis::new(2_000).with_par_threshold(200);
+        let mut s = StreamingLis::new(2_000);
         for chunk in input.chunks(170) {
             s.ingest(chunk);
         }
@@ -654,8 +379,8 @@ mod tests {
     fn reserve_changes_capacity_not_outcomes() {
         let mut state = 0xCAFE_D00Du64;
         let input: Vec<u64> = (0..2_000).map(|_| xorshift(&mut state) % 5_000).collect();
-        let mut plain = StreamingLis::new(5_000).with_par_threshold(150);
-        let mut sized = StreamingLis::new(5_000).with_par_threshold(150);
+        let mut plain = StreamingLis::new(5_000);
+        let mut sized = StreamingLis::new(5_000);
         sized.reserve(input.len());
         for chunk in input.chunks(123) {
             assert_eq!(plain.ingest(chunk), sized.ingest(chunk));
@@ -664,7 +389,7 @@ mod tests {
         assert_eq!(plain.tails(), sized.tails());
         assert_eq!(plain.reconstruct_lis(), sized.reconstruct_lis());
         sized.check_invariants();
-        assert!(sized.arena_bytes() > 0, "arena accounting must see the staging buffers");
+        assert!(sized.arena_bytes() > 0, "arena accounting must see the rank-index pool");
     }
 
     #[test]
@@ -678,7 +403,7 @@ mod tests {
     fn rank_queries_match_the_rank_array() {
         let mut state = 0xFACEB00Cu64;
         let input: Vec<u64> = (0..2_500).map(|_| xorshift(&mut state) % 3_000).collect();
-        let mut s = StreamingLis::new(3_000).with_par_threshold(150);
+        let mut s = StreamingLis::new(3_000);
         for chunk in input.chunks(130) {
             s.ingest(chunk);
         }

@@ -34,9 +34,8 @@
 //! the weighted scores of Equation 2), the patience tails, the Pareto
 //! frontier and the indexes over them — is a pure function of the
 //! ingested stream.  So a snapshot persists the stream, and restore
-//! re-ingests it: one ingest on the sequential path into a session built
-//! from the engine's configuration (its dominant-max store for weighted
-//! sessions).  Derived state is rebuilt, never stored, so there is nothing
+//! re-ingests it: one ingest into a fresh session over the engine's
+//! universe.  Derived state is rebuilt, never stored, so there is nothing
 //! to forge and nothing to cross-check.  [`SessionSnapshot::validate`]
 //! keeps only the checks that stop that ingest from panicking on outside
 //! input: a non-empty universe, every value inside it, at most `u32::MAX`
@@ -49,8 +48,8 @@
 //!
 //! The engine is deterministic tick-for-tick (the `determinism.rs` layer
 //! pins this), and ingest is exact under any batching (the streaming
-//! correctness argument in `DESIGN.md`), so one sequential ingest of the
-//! captured stream reaches exactly the state the live session reached
+//! correctness argument in `DESIGN.md`), so one ingest of the captured
+//! stream reaches exactly the state the live session reached
 //! batch by batch.  Replaying the journal suffix from that state applies
 //! the exact same per-session op sequences the uninterrupted engine saw;
 //! the `snapshot_replay.rs` differential suite asserts the resulting
@@ -253,14 +252,8 @@ impl SessionSnapshot {
     }
 
     /// Build the live session this snapshot describes by ingesting its
-    /// stream into a session built from the engine's configuration.
-    /// Validates first; all-or-nothing.
-    ///
-    /// The one ingest is forced onto the sequential path: the parallel
-    /// merge would size the session's scratch arena to the whole stream,
-    /// and the sequential path keeps restore independent of the cost
-    /// model.  The configured path policy is set afterwards, for the
-    /// traffic that follows.
+    /// stream, as one batch, into a fresh session over the engine's
+    /// universe.  Validates first; all-or-nothing.
     pub(crate) fn restore_state(&self, config: &EngineConfig) -> Result<SessionState, OpError> {
         if self.universe() != config.universe {
             return Err(OpError::UniverseMismatch {
@@ -271,15 +264,14 @@ impl SessionSnapshot {
         self.validate().map_err(OpError::InvalidSnapshot)?;
         Ok(match self {
             SessionSnapshot::Unweighted { universe, values } => {
-                let mut s = StreamingLis::new(*universe).with_par_threshold(usize::MAX);
+                let mut s = StreamingLis::new(*universe);
                 s.ingest(values);
-                SessionState::Unweighted(s.with_path_policy(config.path_policy))
+                SessionState::Unweighted(s)
             }
             SessionSnapshot::Weighted { universe, pairs } => {
-                let mut s = WeightedStreamingLis::new(*universe, config.dommax)
-                    .with_par_threshold(usize::MAX);
+                let mut s = WeightedStreamingLis::new(*universe);
                 s.ingest(pairs);
-                SessionState::Weighted(s.with_path_policy(config.path_policy))
+                SessionState::Weighted(s)
             }
         })
     }
@@ -292,11 +284,10 @@ impl SessionSnapshot {
 /// keyed by id and sorted by it (the same order `session_ids()` reports),
 /// plus the configured universe.
 ///
-/// Sharding, path policy and the dominant-max store are *not* stored: they
-/// are configuration, not state, and a snapshot may legitimately be
-/// restored into an engine with a different shard count or store —
-/// outcomes are bit-identical either way (the determinism layers pin
-/// this).
+/// The shard count is *not* stored: it is configuration, not state, and a
+/// snapshot may legitimately be restored into an engine with a different
+/// shard count — outcomes are bit-identical either way (the determinism
+/// layers pin this).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineSnapshot {
     /// The engine's value universe.

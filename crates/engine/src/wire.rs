@@ -38,17 +38,17 @@
 use crate::engine::{SessionId, SessionKind};
 use crate::op::{Op, OpError, OpOutput, ReadOutcome, ReadTick, Tick, TickOutcome};
 use crate::query::{Certificate, Query, QueryAnswer, QueryBatch, QueryReport};
-use crate::session::{IngestPath, IngestReport};
+use crate::session::IngestReport;
 use crate::snapshot::{SessionSnapshot, SnapshotError};
 use crate::wsession::WeightedIngestReport;
-use crate::{BatchReport, DominantMaxKind};
+use crate::BatchReport;
 use plis_telemetry::crc64;
 
 /// Leading magic of every sealed artifact.
 pub(crate) const MAGIC: &[u8; 8] = b"PLISSNAP";
 
 /// Current format version; bumped on any layout change.
-pub const FORMAT_VERSION: u8 = 3;
+pub const FORMAT_VERSION: u8 = 4;
 
 /// Sealed-container header length: magic + version + payload kind + CRC.
 pub(crate) const HEADER_LEN: usize = 8 + 1 + 1 + 8;
@@ -481,21 +481,6 @@ fn decode_op_error(r: &mut Reader<'_>) -> Result<OpError, SnapshotError> {
     })
 }
 
-fn encode_ingest_path(out: &mut Vec<u8>, path: IngestPath) {
-    out.push(match path {
-        IngestPath::Sequential => 0,
-        IngestPath::ParallelMerge => 1,
-    });
-}
-
-fn decode_ingest_path(r: &mut Reader<'_>) -> Result<IngestPath, SnapshotError> {
-    match r.u8()? {
-        0 => Ok(IngestPath::Sequential),
-        1 => Ok(IngestPath::ParallelMerge),
-        _ => Err(SnapshotError::Malformed("unknown ingest-path byte")),
-    }
-}
-
 fn encode_batch_report(out: &mut Vec<u8>, report: &BatchReport) {
     match report {
         BatchReport::Unweighted(r) => {
@@ -503,25 +488,13 @@ fn encode_batch_report(out: &mut Vec<u8>, report: &BatchReport) {
             put_u64(out, r.ingested as u64);
             put_u32(out, r.lis_before);
             put_u32(out, r.lis_after);
-            encode_ingest_path(out, r.path);
-            put_u64(out, r.tail_inserts as u64);
-            put_u64(out, r.tail_removals as u64);
         }
         BatchReport::Weighted(r) => {
             out.push(1);
             put_u64(out, r.ingested as u64);
             put_u64(out, r.score_before);
             put_u64(out, r.score_after);
-            encode_ingest_path(out, r.path);
             put_u64(out, r.frontier_len as u64);
-            // Value 1 is retired: it decodes as malformed.
-            out.push(match r.dommax_used {
-                None => 0,
-                Some(DominantMaxKind::RangeTree) => 2,
-                Some(DominantMaxKind::RangeVeb) => 3,
-            });
-            put_u64(out, r.dommax_queries);
-            put_u64(out, r.dommax_writeback_elems);
         }
     }
 }
@@ -532,24 +505,12 @@ fn decode_batch_report(r: &mut Reader<'_>) -> Result<BatchReport, SnapshotError>
             ingested: r.usize()?,
             lis_before: r.u32()?,
             lis_after: r.u32()?,
-            path: decode_ingest_path(r)?,
-            tail_inserts: r.usize()?,
-            tail_removals: r.usize()?,
         }),
         1 => BatchReport::Weighted(WeightedIngestReport {
             ingested: r.usize()?,
             score_before: r.u64()?,
             score_after: r.u64()?,
-            path: decode_ingest_path(r)?,
             frontier_len: r.usize()?,
-            dommax_used: match r.u8()? {
-                0 => None,
-                2 => Some(DominantMaxKind::RangeTree),
-                3 => Some(DominantMaxKind::RangeVeb),
-                _ => return Err(SnapshotError::Malformed("unknown dominant-max byte")),
-            },
-            dommax_queries: r.u64()?,
-            dommax_writeback_elems: r.u64()?,
         }),
         _ => return Err(SnapshotError::Malformed("unknown batch-report kind byte")),
     })
@@ -787,7 +748,13 @@ mod tests {
         let mut outcome = engine.execute(&traffic_tick());
         outcome.worker_threads = 3;
         outcome.elapsed_ns = 12_345;
-        let decoded = decode_tick_outcome(&encode_tick_outcome(&outcome)).unwrap();
+        let bytes = encode_tick_outcome(&outcome);
+        // The version-4 layout, pinned so that a change to it fails here:
+        // of the 373 bytes, the plain append's report takes 17 (kind,
+        // ingested, LIS before and after) and the weighted one's 33 (kind,
+        // ingested, score before and after, frontier size).
+        assert_eq!(bytes.len(), 373);
+        let decoded = decode_tick_outcome(&bytes).unwrap();
         assert_eq!(decoded, outcome);
         // `==` excludes the observational fields; check them explicitly.
         assert_eq!(decoded.worker_threads, 3);

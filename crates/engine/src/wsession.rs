@@ -29,23 +29,13 @@
 //!
 //! # Batch ingestion
 //!
-//! Small batches take the sequential path: each element binary-searches the
-//! frontier for its best predecessor score and the frontier is repaired in
-//! place.
-//!
-//! Large batches take the **parallel merge path**, mirroring the
-//! `tails ++ batch` argument of the unweighted session (see `DESIGN.md`):
-//! encode the frontier as a weighted sequence — frontier values in
-//! increasing order, each weighted by its score *increment* over the
-//! previous entry — and run the one generic Algorithm-2 driver
-//! ([`plis_lis::wlis_with`], dispatched through [`DominantMaxKind`]) over
-//! `frontier ++ batch`.  Feeding the frontier this way reproduces each
-//! frontier entry's own score (the entries are increasing in value, so
-//! entry `r` scores `increment_r + score_{r-1} = score_r` by induction),
-//! and because the frontier answers every dominant-max probe of the prefix
-//! exactly, the dp values that come back at the batch positions are exactly
-//! the scores of the batch elements in the full stream.  The new frontier
-//! is the Pareto staircase of the old frontier and the batch points.
+//! A batch is ingested element by element, in arrival order: each element
+//! binary-searches the frontier for its best predecessor score (the last
+//! entry with a smaller value), and the frontier is repaired in place.  The
+//! session uses no dominant-max store: the frontier answers every probe
+//! itself.  This is the only ingest path; the oracle suites check every
+//! ingest against the offline Algorithm 2 ([`plis_lis::wlis_kind`]) on
+//! both of its stores, the range tree and the Range-vEB tree.
 //!
 //! # Queries
 //!
@@ -57,64 +47,11 @@
 //! increasing subsequence from the maintained scores with one backward
 //! scan ([`plis_lis::wlis_indices_from_scores`], `O(n)`) — deterministic,
 //! and bit-identical to the same function run offline on the prefix.
-//!
-//! # Backends
-//!
-//! The dominant-max structure used by the parallel path is selected by
-//! [`DominantMaxKind`] — the same open [`plis_primitives::DominantMaxStore`]
-//! trait surface the offline driver uses, so both structures (range tree
-//! and Range-vEB) serve streaming sessions with no per-backend code here.
 
-use crate::cost::PathPolicy;
-use crate::session::IngestPath;
-use plis_lis::{wlis_kind_stats, DominantMaxKind};
 use std::collections::HashMap;
 
-/// Reusable staging buffers for the weighted parallel merge path (and the
-/// plain-batch adapter), owned per session: cleared, never freed, so
-/// steady-state ingestion stays off the allocator.  The weighted analogue
-/// of the unweighted session's scratch arena.
-#[derive(Debug, Clone, Default)]
-struct WScratchArena {
-    /// Values of `frontier ++ batch`, the Algorithm-2 input.
-    merged_values: Vec<u64>,
-    /// Weights of `frontier ++ batch` (frontier entries carry their score
-    /// *increment*).
-    merged_weights: Vec<u64>,
-    /// Frontier-rebuild staging: old frontier plus batch points, compacted
-    /// to the Pareto staircase in place, then swapped with the frontier
-    /// (the two buffers ping-pong across ingests).
-    candidates: Vec<(u64, u64)>,
-    /// Unit-weight pair staging for [`WeightedStreamingLis::ingest_plain`].
-    plain_pairs: Vec<(u64, u64)>,
-}
-
-impl WScratchArena {
-    fn reserve(&mut self, additional: usize) {
-        self.merged_values.reserve(additional);
-        self.merged_weights.reserve(additional);
-        self.candidates.reserve(additional);
-        self.plain_pairs.reserve(additional);
-    }
-
-    /// Heap bytes currently held across all staging buffers (capacity).
-    fn approx_bytes(&self) -> usize {
-        (self.merged_values.capacity() + self.merged_weights.capacity())
-            * std::mem::size_of::<u64>()
-            + (self.candidates.capacity() + self.plain_pairs.capacity())
-                * std::mem::size_of::<(u64, u64)>()
-    }
-}
-
 /// What one [`WeightedStreamingLis::ingest`] call did.
-///
-/// Equality is structural in the sense of [`crate::TickOutcome`]'s
-/// invariant: the telemetry tallies ([`WeightedIngestReport::dommax_queries`],
-/// [`WeightedIngestReport::dommax_writeback_elems`]) and the store-routing
-/// record ([`WeightedIngestReport::dommax_used`]) are observational and
-/// excluded from `==`, so reports stay comparable across backends and
-/// paths.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WeightedIngestReport {
     /// Number of `(value, weight)` pairs appended by this call.
     pub ingested: usize,
@@ -122,50 +59,8 @@ pub struct WeightedIngestReport {
     pub score_before: u64,
     /// Best (maximum) dp score of the stream after the batch.
     pub score_after: u64,
-    /// Code path taken.
-    pub path: IngestPath,
     /// Pareto-frontier size after the batch.
     pub frontier_len: usize,
-    /// The dominant-max store the parallel path ran with (the session's
-    /// kind; `None` on the sequential path, which uses no store).
-    /// Telemetry only — excluded from `==`.
-    pub dommax_used: Option<DominantMaxKind>,
-    /// Dominant-max point queries the parallel path issued (one per
-    /// element of the `frontier ++ batch` run; 0 on the sequential
-    /// path).  Telemetry only — excluded from `==`.
-    pub dommax_queries: u64,
-    /// Elements the parallel path wrote back to the dominant-max store.
-    /// Telemetry only — excluded from `==`.
-    pub dommax_writeback_elems: u64,
-}
-
-impl PartialEq for WeightedIngestReport {
-    /// Field-wise equality, excluding the observational dominant-max
-    /// tallies (see the type docs).
-    fn eq(&self, other: &Self) -> bool {
-        self.ingested == other.ingested
-            && self.score_before == other.score_before
-            && self.score_after == other.score_after
-            && self.path == other.path
-            && self.frontier_len == other.frontier_len
-    }
-}
-
-impl Eq for WeightedIngestReport {}
-
-impl WeightedIngestReport {
-    fn empty(score: u64, frontier_len: usize) -> Self {
-        WeightedIngestReport {
-            ingested: 0,
-            score_before: score,
-            score_after: score,
-            path: IngestPath::Sequential,
-            frontier_len,
-            dommax_used: None,
-            dommax_queries: 0,
-            dommax_writeback_elems: 0,
-        }
-    }
 }
 
 /// Incremental weighted LIS (Algorithm 2) over an append-only stream of
@@ -190,23 +85,18 @@ pub struct WeightedStreamingLis {
     /// Sum of every ingested weight; bounds every dp score and is kept
     /// within `u64` (see [`WeightedStreamingLis::admits`]).
     weight_total: u64,
-    /// Dominant-max store for the parallel merge path (built fresh inside
-    /// every merge run).
-    kind: DominantMaxKind,
-    /// Reusable staging buffers for the parallel merge path.
-    scratch: WScratchArena,
+    /// Unit-weight pair staging for [`WeightedStreamingLis::ingest_plain`]:
+    /// cleared, never freed, so plain traffic stays off the allocator.
+    plain_pairs: Vec<(u64, u64)>,
     universe: u64,
-    /// How ingest picks between the sequential and parallel merge path.
-    policy: PathPolicy,
 }
 
 impl WeightedStreamingLis {
-    /// Create a session over the value universe `[0, universe)` using the
-    /// chosen dominant-max store for parallel ingests.
+    /// Create a session over the value universe `[0, universe)`.
     ///
     /// # Panics
     /// Panics if `universe == 0`.
-    pub fn new(universe: u64, kind: DominantMaxKind) -> Self {
+    pub fn new(universe: u64) -> Self {
         assert!(universe > 0, "universe must be non-empty");
         WeightedStreamingLis {
             values: Vec::new(),
@@ -215,31 +105,9 @@ impl WeightedStreamingLis {
             frontier: Vec::new(),
             score_counts: HashMap::new(),
             weight_total: 0,
-            kind,
-            scratch: WScratchArena::default(),
+            plain_pairs: Vec::new(),
             universe,
-            policy: PathPolicy::default(),
         }
-    }
-
-    /// Force a fixed batch-size threshold for the parallel merge path —
-    /// shorthand for [`PathPolicy::Fixed`] (mainly for tests, benchmarks,
-    /// and reproducing the historical behaviour).
-    pub fn with_par_threshold(self, threshold: usize) -> Self {
-        self.with_path_policy(PathPolicy::Fixed(threshold.max(1)))
-    }
-
-    /// Set how ingest decides between the sequential and the parallel
-    /// merge path.  Both paths are exact, so the policy affects timing
-    /// only — never scores or the frontier.
-    pub fn with_path_policy(mut self, policy: PathPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// The active ingest path policy.
-    pub fn path_policy(&self) -> PathPolicy {
-        self.policy
     }
 
     /// Pre-size every internal buffer for `additional` more elements, so a
@@ -253,7 +121,7 @@ impl WeightedStreamingLis {
         self.scores.reserve(additional);
         self.frontier.reserve(additional);
         self.score_counts.reserve(additional);
-        self.scratch.reserve(additional);
+        self.plain_pairs.reserve(additional);
     }
 
     /// Number of elements ingested so far.
@@ -269,16 +137,6 @@ impl WeightedStreamingLis {
     /// The universe this session was created over.
     pub fn universe(&self) -> u64 {
         self.universe
-    }
-
-    /// Name of the dominant-max store serving the parallel path.
-    pub fn backend_name(&self) -> &'static str {
-        self.kind.name()
-    }
-
-    /// The configured dominant-max store.
-    pub fn dommax_kind(&self) -> DominantMaxKind {
-        self.kind
     }
 
     /// Every ingested value, in arrival order.
@@ -385,7 +243,8 @@ impl WeightedStreamingLis {
         plis_lis::wlis_indices_from_scores(&self.values, &self.weights, &self.scores)
     }
 
-    /// Append a batch of `(value, weight)` pairs and update all state.
+    /// Append a batch of `(value, weight)` pairs and update all state:
+    /// one frontier probe and one in-place frontier repair per element.
     ///
     /// # Panics
     /// Panics if any value is outside the session universe, or if the
@@ -398,31 +257,7 @@ impl WeightedStreamingLis {
         let Some(batch_weight) = weight_sum(batch).filter(|&w| self.admits(w)) else {
             panic!("batch weights would push the weight total past u64::MAX");
         };
-        if batch.is_empty() {
-            return WeightedIngestReport::empty(self.best_score(), self.frontier.len());
-        }
         self.weight_total += batch_weight;
-        match self.policy.choose_weighted(batch.len(), self.frontier.len()) {
-            IngestPath::ParallelMerge => self.ingest_parallel(batch),
-            IngestPath::Sequential => self.ingest_sequential(batch),
-        }
-    }
-
-    /// Append unweighted values as unit-weight pairs (every element weighs
-    /// 1), so plain traffic can feed a weighted session.
-    pub fn ingest_plain(&mut self, batch: &[u64]) -> WeightedIngestReport {
-        // Stage through the arena's pair buffer (taken out for the
-        // duration of the ingest call, which borrows `self` mutably).
-        let mut pairs = std::mem::take(&mut self.scratch.plain_pairs);
-        pairs.clear();
-        pairs.extend(batch.iter().map(|&v| (v, 1)));
-        let report = self.ingest(&pairs);
-        self.scratch.plain_pairs = pairs;
-        report
-    }
-
-    /// The sequential path: per-element frontier probe + in-place repair.
-    fn ingest_sequential(&mut self, batch: &[(u64, u64)]) -> WeightedIngestReport {
         let score_before = self.best_score();
         for &(x, w) in batch {
             let score = self.best_score_below(x) + w;
@@ -436,12 +271,21 @@ impl WeightedStreamingLis {
             ingested: batch.len(),
             score_before,
             score_after: self.best_score(),
-            path: IngestPath::Sequential,
             frontier_len: self.frontier.len(),
-            dommax_used: None,
-            dommax_queries: 0,
-            dommax_writeback_elems: 0,
         }
+    }
+
+    /// Append unweighted values as unit-weight pairs (every element weighs
+    /// 1), so plain traffic can feed a weighted session.
+    pub fn ingest_plain(&mut self, batch: &[u64]) -> WeightedIngestReport {
+        // Stage through the reusable pair buffer (taken out for the
+        // duration of the ingest call, which borrows `self` mutably).
+        let mut pairs = std::mem::take(&mut self.plain_pairs);
+        pairs.clear();
+        pairs.extend(batch.iter().map(|&v| (v, 1)));
+        let report = self.ingest(&pairs);
+        self.plain_pairs = pairs;
+        report
     }
 
     /// Insert `(x, score)` into the frontier, dropping whatever it
@@ -474,72 +318,9 @@ impl WeightedStreamingLis {
         }
     }
 
-    /// The parallel merge path: the one generic Algorithm-2 driver over
-    /// `frontier ++ batch`, then a Pareto rebuild of the frontier.  All
-    /// staging goes through the session's [`WScratchArena`] — steady state
-    /// performs no heap allocation here beyond what the dominant-max
-    /// driver needs internally.
-    fn ingest_parallel(&mut self, batch: &[(u64, u64)]) -> WeightedIngestReport {
-        let score_before = self.best_score();
-        let k = self.frontier.len();
-
-        // Encode the frontier as a weighted prefix: increasing values, each
-        // weighted by its score increment, so the driver reproduces every
-        // entry's own score (see the module docs for why this is exact).
-        let scratch = &mut self.scratch;
-        scratch.merged_values.clear();
-        scratch.merged_weights.clear();
-        scratch.merged_values.reserve(k + batch.len());
-        scratch.merged_weights.reserve(k + batch.len());
-        let mut prev_score = 0u64;
-        for &(v, s) in &self.frontier {
-            scratch.merged_values.push(v);
-            scratch.merged_weights.push(s - prev_score);
-            prev_score = s;
-        }
-        for &(v, w) in batch {
-            scratch.merged_values.push(v);
-            scratch.merged_weights.push(w);
-        }
-        let (dp, dommax_stats) =
-            wlis_kind_stats(self.kind, &scratch.merged_values, &scratch.merged_weights);
-        debug_assert!(
-            dp[..k].iter().zip(&self.frontier).all(|(&d, &(_, s))| d == s),
-            "the encoded frontier must reproduce its own scores"
-        );
-
-        let batch_scores = &dp[k..];
-        for &s in batch_scores {
-            *self.score_counts.entry(s).or_default() += 1;
-        }
-        self.scores.extend_from_slice(batch_scores);
-        self.values.extend(batch.iter().map(|&(v, _)| v));
-        self.weights.extend(batch.iter().map(|&(_, w)| w));
-
-        // New frontier: Pareto staircase of the old entries and the batch,
-        // compacted in place and swapped with the live frontier (the two
-        // buffers ping-pong, both staying at high-water capacity).
-        scratch.candidates.clear();
-        scratch.candidates.extend_from_slice(&self.frontier);
-        scratch.candidates.extend(batch.iter().zip(batch_scores).map(|(&(v, _), &s)| (v, s)));
-        pareto_staircase_inplace(&mut scratch.candidates);
-        std::mem::swap(&mut self.frontier, &mut scratch.candidates);
-
-        WeightedIngestReport {
-            ingested: batch.len(),
-            score_before,
-            score_after: self.best_score(),
-            path: IngestPath::ParallelMerge,
-            frontier_len: self.frontier.len(),
-            dommax_used: Some(self.kind),
-            dommax_queries: dommax_stats.queries,
-            dommax_writeback_elems: dommax_stats.writeback_elems,
-        }
-    }
-
     /// Rough heap footprint of the session in bytes: the value, weight
-    /// and score arrays, the Pareto frontier, the scratch arena, and an
-    /// estimate of the score-multiplicity map.  Intended for occasional
+    /// and score arrays, the Pareto frontier, the plain-batch staging
+    /// buffer, and an estimate of the score-multiplicity map.  Intended for occasional
     /// telemetry snapshots, not the hot path.
     pub fn approx_bytes(&self) -> usize {
         // HashMap: one (key, value) slot plus a control byte per bucket.
@@ -549,14 +330,14 @@ impl WeightedStreamingLis {
             + self.weights.capacity() * std::mem::size_of::<u64>()
             + self.scores.capacity() * std::mem::size_of::<u64>()
             + self.frontier.capacity() * std::mem::size_of::<(u64, u64)>()
-            + self.scratch.approx_bytes()
+            + self.arena_bytes()
             + map_bytes
     }
 
-    /// Heap bytes held by the reusable staging buffers — the telemetry
+    /// Heap bytes held by the plain-batch staging buffer — the telemetry
     /// plane's "arena high-water" accounting (weighted side).
     pub fn arena_bytes(&self) -> usize {
-        self.scratch.approx_bytes()
+        self.plain_pairs.capacity() * std::mem::size_of::<(u64, u64)>()
     }
 
     /// Cross-check every invariant; used by the test suites.
@@ -599,14 +380,6 @@ pub(crate) fn weight_sum(batch: &[(u64, u64)]) -> Option<u64> {
 /// exceeds every entry at a smaller value.  Zero scores are dropped (the
 /// `max(0, ·)` in the recurrence makes them vacuous).
 fn pareto_staircase(mut pairs: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
-    pareto_staircase_inplace(&mut pairs);
-    pairs
-}
-
-/// In-place form of [`pareto_staircase`]: sorts `pairs` and compacts the
-/// staircase into its prefix (no allocation; the hot path reuses one
-/// staging buffer across ingests).
-fn pareto_staircase_inplace(pairs: &mut Vec<(u64, u64)>) {
     pairs.sort_unstable();
     let mut kept = 0usize;
     for i in 0..pairs.len() {
@@ -626,32 +399,31 @@ fn pareto_staircase_inplace(pairs: &mut Vec<(u64, u64)>) {
         }
     }
     pairs.truncate(kept);
+    pairs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testutil::random_pairs;
-    use plis_lis::wlis_rangetree;
+    use plis_lis::{wlis_kind, DominantMaxKind};
 
     /// Stream `pairs` through a session in chunks, checking scores against
-    /// the offline oracle after every batch.
+    /// the offline oracle on `kind` after every batch.
     fn check_against_offline(
         pairs: &[(u64, u64)],
         universe: u64,
         kind: DominantMaxKind,
         chunk: usize,
-        par_threshold: usize,
     ) {
-        let mut session =
-            WeightedStreamingLis::new(universe, kind).with_par_threshold(par_threshold);
+        let mut session = WeightedStreamingLis::new(universe);
         let mut prefix: Vec<(u64, u64)> = Vec::new();
         for batch in pairs.chunks(chunk) {
             session.ingest(batch);
             prefix.extend_from_slice(batch);
             let values: Vec<u64> = prefix.iter().map(|&(v, _)| v).collect();
             let weights: Vec<u64> = prefix.iter().map(|&(_, w)| w).collect();
-            let want = wlis_rangetree(&values, &weights);
+            let want = wlis_kind(kind, &values, &weights);
             assert_eq!(session.scores(), want.as_slice(), "scores diverged from offline oracle");
             session.check_invariants();
         }
@@ -660,7 +432,7 @@ mod tests {
     #[test]
     fn unit_weights_track_the_unweighted_session() {
         let input = [52u64, 31, 45, 26, 61, 10, 39, 44];
-        let mut s = WeightedStreamingLis::new(64, DominantMaxKind::RangeTree);
+        let mut s = WeightedStreamingLis::new(64);
         let report = s.ingest_plain(&input);
         assert_eq!(report.ingested, 8);
         assert_eq!(report.score_after, 3);
@@ -672,7 +444,7 @@ mod tests {
 
     #[test]
     fn heavy_object_dominates() {
-        let mut s = WeightedStreamingLis::new(100, DominantMaxKind::RangeTree);
+        let mut s = WeightedStreamingLis::new(100);
         s.ingest(&[(1, 1), (2, 100), (3, 1), (4, 1)]);
         assert_eq!(s.scores(), &[1, 101, 102, 103]);
         assert_eq!(s.best_score(), 103);
@@ -681,7 +453,7 @@ mod tests {
 
     #[test]
     fn duplicates_do_not_chain() {
-        let mut s = WeightedStreamingLis::new(10, DominantMaxKind::RangeTree);
+        let mut s = WeightedStreamingLis::new(10);
         s.ingest(&[(5, 2), (5, 3), (5, 4)]);
         assert_eq!(s.scores(), &[2, 3, 4]);
         assert_eq!(s.frontier(), &[(5, 4)]);
@@ -690,7 +462,7 @@ mod tests {
 
     #[test]
     fn zero_weights_are_handled() {
-        let mut s = WeightedStreamingLis::new(10, DominantMaxKind::RangeTree);
+        let mut s = WeightedStreamingLis::new(10);
         s.ingest(&[(3, 0), (1, 0), (4, 5), (5, 0)]);
         assert_eq!(s.scores(), &[0, 0, 5, 5]);
         assert_eq!(s.frontier(), &[(4, 5)]);
@@ -698,117 +470,18 @@ mod tests {
     }
 
     #[test]
-    fn sequential_and_parallel_paths_agree() {
-        let pairs = random_pairs(1_200, 700, 40, 0xFEED5EED);
-        let mut seq = WeightedStreamingLis::new(700, DominantMaxKind::RangeTree)
-            .with_par_threshold(usize::MAX);
-        let mut par =
-            WeightedStreamingLis::new(700, DominantMaxKind::RangeTree).with_par_threshold(1);
-        for chunk in pairs.chunks(83) {
-            let rs = seq.ingest(chunk);
-            let rp = par.ingest(chunk);
-            assert_eq!(rs.path, IngestPath::Sequential);
-            assert_eq!(rp.path, IngestPath::ParallelMerge);
-            assert_eq!(rs.score_after, rp.score_after);
-            assert_eq!(rs.frontier_len, rp.frontier_len);
-        }
-        assert_eq!(seq.scores(), par.scores());
-        assert_eq!(seq.frontier(), par.frontier());
-        seq.check_invariants();
-        par.check_invariants();
-    }
-
-    /// Property: the final state is bit-identical across *any* forced
-    /// threshold on the weighted path too.
-    #[test]
-    fn any_forced_threshold_yields_identical_state() {
-        let pairs = random_pairs(1_500, 900, 35, 0x0DDBA11);
-        let reference = {
-            let mut s = WeightedStreamingLis::new(900, DominantMaxKind::RangeTree)
-                .with_par_threshold(usize::MAX);
-            for chunk in pairs.chunks(91) {
-                s.ingest(chunk);
-            }
-            s
-        };
-        for threshold in [1usize, 3, 16, 64, 90, 91, 92, 512] {
-            let mut s = WeightedStreamingLis::new(900, DominantMaxKind::RangeTree)
-                .with_par_threshold(threshold);
-            for chunk in pairs.chunks(91) {
-                s.ingest(chunk);
-            }
-            assert_eq!(s.scores(), reference.scores(), "threshold {threshold}");
-            assert_eq!(s.frontier(), reference.frontier(), "threshold {threshold}");
-            s.check_invariants();
-        }
-    }
-
-    /// The cost policy produces the same state as any fixed policy —
-    /// calibration changes timing only, never scores.
-    #[test]
-    fn cost_policy_state_matches_fixed_policies() {
-        let pairs = random_pairs(1_000, 700, 20, 0xBEEFCAFE);
-        let mut cost = WeightedStreamingLis::new(700, DominantMaxKind::RangeTree)
-            .with_path_policy(PathPolicy::Cost);
-        let mut fixed =
-            WeightedStreamingLis::new(700, DominantMaxKind::RangeTree).with_par_threshold(128);
-        assert_eq!(cost.path_policy(), PathPolicy::Cost);
-        for chunk in pairs.chunks(77) {
-            let rc = cost.ingest(chunk);
-            let rf = fixed.ingest(chunk);
-            assert_eq!(rc.ingested, rf.ingested);
-            assert_eq!(rc.score_before, rf.score_before);
-            assert_eq!(rc.score_after, rf.score_after);
-            assert_eq!(rc.frontier_len, rf.frontier_len);
-        }
-        assert_eq!(cost.scores(), fixed.scores());
-        assert_eq!(cost.frontier(), fixed.frontier());
-        cost.check_invariants();
-    }
-
-    /// Parallel ingests record the store they ran with; sequential
-    /// ingests record none.  The record is observational: reports
-    /// differing only in it still compare equal.
-    #[test]
-    fn parallel_ingests_record_the_store_they_used() {
-        let pairs = random_pairs(400, 300, 15, 0x5EED);
-        let mut tree =
-            WeightedStreamingLis::new(300, DominantMaxKind::RangeTree).with_par_threshold(100);
-        let mut veb =
-            WeightedStreamingLis::new(300, DominantMaxKind::RangeVeb).with_par_threshold(100);
-        for chunk in pairs.chunks(200) {
-            let rt = tree.ingest(chunk);
-            let rv = veb.ingest(chunk);
-            assert_eq!(rt.path, IngestPath::ParallelMerge);
-            assert_eq!(rt.dommax_used, Some(DominantMaxKind::RangeTree));
-            assert_eq!(rv.dommax_used, Some(DominantMaxKind::RangeVeb));
-            // dommax_used is excluded from structural equality.
-            assert_eq!(rt, rv);
-        }
-        let seq_report = tree.ingest(&[(5, 1)]);
-        veb.ingest(&[(5, 1)]);
-        assert_eq!(seq_report.path, IngestPath::Sequential);
-        assert_eq!(seq_report.dommax_used, None);
-        assert_eq!(tree.backend_name(), "range-tree");
-        assert_eq!(tree.dommax_kind(), DominantMaxKind::RangeTree);
-        assert_eq!(tree.scores(), veb.scores());
-    }
-
-    #[test]
     fn streaming_matches_offline_oracle_on_both_backends() {
         let pairs = random_pairs(900, 400, 30, 0xABCD);
         for kind in [DominantMaxKind::RangeTree, DominantMaxKind::RangeVeb] {
-            // Mixed paths: threshold between the chunk sizes used.
-            check_against_offline(&pairs, 400, kind, 111, 64);
-            check_against_offline(&pairs, 400, kind, 37, 64);
+            check_against_offline(&pairs, 400, kind, 111);
+            check_against_offline(&pairs, 400, kind, 37);
         }
     }
 
     #[test]
     fn increasing_stream_keeps_full_frontier() {
         let pairs: Vec<(u64, u64)> = (0..300u64).map(|v| (v, 2)).collect();
-        let mut s =
-            WeightedStreamingLis::new(300, DominantMaxKind::RangeTree).with_par_threshold(50);
+        let mut s = WeightedStreamingLis::new(300);
         for chunk in pairs.chunks(70) {
             s.ingest(chunk);
         }
@@ -819,7 +492,7 @@ mod tests {
 
     #[test]
     fn empty_batch_is_a_noop() {
-        let mut s = WeightedStreamingLis::new(50, DominantMaxKind::RangeTree);
+        let mut s = WeightedStreamingLis::new(50);
         s.ingest(&[(3, 2), (1, 7)]);
         let frontier = s.frontier().to_vec();
         let r = s.ingest(&[]);
@@ -833,7 +506,7 @@ mod tests {
     fn overflowing_weights_panic() {
         // The elements do not chain, so the best score stays at 2^63; the
         // weight total reaches u64::MAX exactly, and one more unit is refused.
-        let mut s = WeightedStreamingLis::new(16, DominantMaxKind::RangeTree);
+        let mut s = WeightedStreamingLis::new(16);
         s.ingest(&[(10, 1 << 63)]);
         s.ingest(&[(5, (1 << 63) - 1)]);
         assert_eq!((s.best_score(), s.weight_total()), (1 << 63, u64::MAX));
@@ -844,15 +517,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside session universe")]
     fn out_of_universe_value_panics() {
-        let mut s = WeightedStreamingLis::new(16, DominantMaxKind::RangeTree);
+        let mut s = WeightedStreamingLis::new(16);
         s.ingest(&[(16, 1)]);
     }
 
     #[test]
     fn score_queries_match_the_score_array() {
         let pairs = random_pairs(1_000, 600, 25, 0xC0DE);
-        let mut s =
-            WeightedStreamingLis::new(600, DominantMaxKind::RangeTree).with_par_threshold(90);
+        let mut s = WeightedStreamingLis::new(600);
         for chunk in pairs.chunks(75) {
             s.ingest(chunk);
         }
@@ -883,7 +555,7 @@ mod tests {
 
     #[test]
     fn queries_on_an_empty_weighted_session_are_well_defined() {
-        let s = WeightedStreamingLis::new(64, DominantMaxKind::RangeTree);
+        let s = WeightedStreamingLis::new(64);
         assert_eq!(s.count_at_score(0), 0);
         assert_eq!(s.count_at_score(1), 0);
         assert!(s.top_k(5).is_empty());

@@ -1,24 +1,18 @@
 //! Steady-state allocation discipline: once a session is warm and
-//! reserved, sequential-path ingest performs **zero** heap allocations.
+//! reserved, ingest performs **zero** heap allocations.
 //!
 //! The whole test binary runs under the counting global allocator
 //! (`plis-testalloc`), which reports every allocation into
 //! `plis_telemetry::allocmeter`.  Each case warms a session past its
 //! growth phase, calls `reserve` for the measurement window, snapshots
 //! the allocation tally, ingests the window, and asserts the tally did
-//! not move — on both session kinds and both dominant-max stores, at one
-//! thread and on a 2-thread pool (the sequential path never forks, which
-//! is exactly why it can be allocation-free).
-//!
-//! The parallel merge path is *excluded* by pinning
-//! `PathPolicy::Fixed(usize::MAX)`: Algorithm 1 rebuilds a tournament
-//! tree per call, whose internal allocations are amortised over the
-//! whole merge and accounted for by the engine's `allocs_per_elem`
-//! telemetry instead (asserted to floor to zero in the engine-level
-//! case below).
+//! not move — on both session kinds, at one thread and on a 2-thread pool
+//! (ingest never forks, which is exactly why it can be allocation-free).
+//! The engine-level case asserts that the tick envelope's `O(1)`
+//! allocations per tick amortise away (`allocs_per_elem` floors to zero).
 //!
 //! The per-session cases read the calling thread's tally
-//! ([`thread_alloc_tally`]): the sequential path never forks, and
+//! ([`thread_alloc_tally`]): ingest never forks, and
 //! `install` runs its closure on the caller, so every allocation of the
 //! measured ingest lands on that thread, while allocations by the test
 //! harness's own threads do not.  The engine-level case reads the
@@ -26,10 +20,7 @@
 //! to another one would count that case's allocations too: every case
 //! holds [`SERIAL`] while it runs.
 
-use plis_engine::{
-    DominantMaxKind, Engine, EngineConfig, PathPolicy, SessionKind, StreamingLis, Tick,
-    WeightedStreamingLis,
-};
+use plis_engine::{Engine, EngineConfig, SessionKind, StreamingLis, Tick, WeightedStreamingLis};
 use plis_telemetry::thread_alloc_tally;
 use plis_testalloc::CountingAlloc;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -72,7 +63,7 @@ fn with_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
 /// allocates nothing.
 fn drive_unweighted(label: &str) {
     let data = stream(WARMUP + MEASURE, 0x5EED_0001);
-    let mut s = StreamingLis::new(UNIVERSE).with_path_policy(PathPolicy::Fixed(usize::MAX));
+    let mut s = StreamingLis::new(UNIVERSE);
     for chunk in data[..WARMUP].chunks(BATCH) {
         s.ingest(chunk);
     }
@@ -94,16 +85,15 @@ fn drive_unweighted(label: &str) {
     s.check_invariants();
 }
 
-/// Warm a weighted session on `kind`, then assert the measurement window
-/// allocates nothing.
-fn drive_weighted(kind: DominantMaxKind, label: &str) {
+/// Warm a weighted session, then assert the measurement window allocates
+/// nothing.
+fn drive_weighted(label: &str) {
     let values = stream(WARMUP + MEASURE, 0x5EED_0002);
     let pairs: Vec<(u64, u64)> = {
         let mut state = 0x5EED_0003u64;
         values.iter().map(|&v| (v, 1 + xorshift(&mut state) % 50)).collect()
     };
-    let mut s =
-        WeightedStreamingLis::new(UNIVERSE, kind).with_path_policy(PathPolicy::Fixed(usize::MAX));
+    let mut s = WeightedStreamingLis::new(UNIVERSE);
     for chunk in pairs[..WARMUP].chunks(BATCH) {
         s.ingest(chunk);
     }
@@ -129,13 +119,9 @@ fn unweighted_steady_state_is_allocation_free() {
 }
 
 #[test]
-fn weighted_steady_state_is_allocation_free_on_both_stores() {
+fn weighted_steady_state_is_allocation_free() {
     let _serial = serial();
-    for (kind, label) in
-        [(DominantMaxKind::RangeTree, "range-tree"), (DominantMaxKind::RangeVeb, "range-veb")]
-    {
-        drive_weighted(kind, label);
-    }
+    drive_weighted("weighted");
 }
 
 #[test]
@@ -143,8 +129,8 @@ fn steady_state_discipline_holds_at_one_thread_and_on_the_pool() {
     let _serial = serial();
     with_pool(1, || drive_unweighted("unweighted @ 1 thread"));
     with_pool(2, || drive_unweighted("unweighted @ pool"));
-    with_pool(1, || drive_weighted(DominantMaxKind::RangeTree, "range-tree @ 1 thread"));
-    with_pool(2, || drive_weighted(DominantMaxKind::RangeTree, "range-tree @ pool"));
+    with_pool(1, || drive_weighted("weighted @ 1 thread"));
+    with_pool(2, || drive_weighted("weighted @ pool"));
 }
 
 /// Engine-level discipline: the tick envelope may allocate `O(1)` per
@@ -157,12 +143,7 @@ fn steady_state_discipline_holds_at_one_thread_and_on_the_pool() {
 #[test]
 fn engine_allocs_per_elem_floors_to_zero() {
     let _serial = serial();
-    let config = EngineConfig {
-        universe: UNIVERSE,
-        shards: 2,
-        path_policy: PathPolicy::Fixed(usize::MAX),
-        ..EngineConfig::default()
-    };
+    let config = EngineConfig { universe: UNIVERSE, shards: 2, ..EngineConfig::default() };
     let mut engine = Engine::new(config);
     let names = ["a", "b", "c", "d"];
     for name in names {

@@ -6,7 +6,7 @@
 //! shards on more than one worker thread — i.e. the tick path goes through
 //! the join-splitting `par_iter` surface, not a sequential fallback.
 
-use plis_engine::{Engine, EngineConfig, PathPolicy, SessionId, Tick, TickOutcome};
+use plis_engine::{Engine, EngineConfig, SessionId, Tick, TickOutcome};
 use plis_workloads::streaming::{round_robin_ticks, session_fleet};
 
 /// Pool size for the parallel leg: `PLIS_BENCH_THREADS`, else the hardware
@@ -79,13 +79,7 @@ fn multi_session_ticks_are_deterministic_across_thread_counts() {
     let (fleet, universe) = session_fleet(9, 4_000, 96, 0x00D1CE);
     let ticks = command_ticks(&fleet);
     assert!(ticks.len() > 10, "schedule should span many ticks");
-    let config = EngineConfig {
-        universe,
-        shards: 8,
-        // Low threshold so the parallel merge ingest path runs too.
-        path_policy: PathPolicy::Fixed(48),
-        ..EngineConfig::default()
-    };
+    let config = EngineConfig { universe, shards: 8, ..EngineConfig::default() };
     let seq = run(1, &ticks, &config);
     assert_eq!(seq.max_worker_threads, 1, "a 1-thread pool must not split");
     let par = run(parallel_threads().max(4), &ticks, &config);
@@ -96,12 +90,7 @@ fn multi_session_ticks_are_deterministic_across_thread_counts() {
 fn full_pool_tick_processing_engages_multiple_workers() {
     let (fleet, universe) = session_fleet(12, 2_000, 128, 0xFEED);
     let ticks = command_ticks(&fleet);
-    let config = EngineConfig {
-        universe,
-        shards: 8,
-        path_policy: PathPolicy::Fixed(64),
-        ..EngineConfig::default()
-    };
+    let config = EngineConfig { universe, shards: 8, ..EngineConfig::default() };
     let seq = run(1, &ticks, &config);
     // The helper-thread budget is process-global, so retry a few times
     // rather than flaking when concurrent tests hold all slots.
@@ -121,12 +110,7 @@ fn full_pool_tick_processing_engages_multiple_workers() {
 fn odd_shard_count_is_deterministic() {
     let (fleet, universe) = session_fleet(6, 1_500, 64, 0xB0B);
     let ticks = command_ticks(&fleet);
-    let config = EngineConfig {
-        universe,
-        shards: 5,
-        path_policy: PathPolicy::Fixed(32),
-        ..EngineConfig::default()
-    };
+    let config = EngineConfig { universe, shards: 5, ..EngineConfig::default() };
     let seq = run(1, &ticks, &config);
     let par = run(parallel_threads(), &ticks, &config);
     assert_identical(&seq, &par);

@@ -9,8 +9,8 @@
 //! full pool.
 
 use plis_engine::{
-    Engine, EngineConfig, EngineSnapshot, Op, OpError, OpOutput, PathPolicy, Query, ReadOutcome,
-    ReadTick, SessionKind, Tick, TickOutcome,
+    Engine, EngineConfig, EngineSnapshot, Op, OpError, OpOutput, Query, ReadOutcome, ReadTick,
+    SessionKind, Tick, TickOutcome,
 };
 use plis_workloads::streaming::{round_robin_ticks, session_fleet};
 
@@ -32,12 +32,7 @@ fn on_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
 }
 
 fn config(universe: u64) -> EngineConfig {
-    EngineConfig {
-        universe,
-        shards: 4,
-        path_policy: PathPolicy::Fixed(32),
-        ..EngineConfig::default()
-    }
+    EngineConfig { universe, shards: 4, ..EngineConfig::default() }
 }
 
 /// A schedule that hits every error variant while healthy traffic flows
@@ -263,88 +258,78 @@ fn overflow_step(
 /// Weighted dp scores are `u64` and bounded by the session's weight
 /// total: a batch whose weights (1 per element of a plain batch) would
 /// push that total past `u64::MAX` is rejected whole with
-/// [`OpError::ScoreOverflow`] — at 1 thread and on the pool, whichever
-/// ingest path the policy picks.  The session then equals one that never
-/// saw the op, no session is auto-created for it, its tick neighbours
-/// apply, and every stream the engine accepted snapshots and restores.
+/// [`OpError::ScoreOverflow`] — at 1 thread and on the pool.  The session
+/// then equals one that never saw the op, no session is auto-created for
+/// it, its tick neighbours apply, and every stream the engine accepted
+/// snapshots and restores.
 #[test]
 fn score_overflow_is_typed_and_atomic() {
     const MAX: u64 = u64::MAX;
     for threads in [1, parallel_threads()] {
-        for policy in [PathPolicy::Fixed(1), PathPolicy::Fixed(usize::MAX)] {
-            let label = format!("{threads}t/{}", policy.name());
-            on_pool(threads, || {
-                let config = EngineConfig {
-                    universe: 1 << 10,
-                    shards: 4,
-                    path_policy: policy,
-                    ..EngineConfig::default()
-                };
-                let (mut engine, mut reference) =
-                    (Engine::new(config.clone()), Engine::new(config));
-                let (e, r, l) = (&mut engine, &mut reference, label.as_str());
-                // The reported case: the second score would wrap to 4.
-                overflow_step(
-                    e,
-                    r,
-                    Tick::new()
-                        .create("w", SessionKind::Weighted)
-                        .create("plain", SessionKind::Unweighted)
-                        .create("ok", SessionKind::Weighted)
-                        .append("plain", vec![5, 1, 7])
-                        .append_weighted("ok", vec![(3, 4), (9, 2)]),
-                    Tick::new().append_weighted("w", vec![(1, MAX - 5), (2, 10)]),
-                    false,
-                    l,
-                );
-                // Overflow against the best score so far: weighted, and a
-                // plain batch counting 1 per element.
-                let good = Tick::new().append_weighted("w", vec![(1, MAX - 5)]);
-                overflow_step(e, r, good, Tick::new(), false, l);
-                overflow_step(
-                    e,
-                    r,
-                    Tick::new().append("plain", vec![2]),
-                    Tick::new()
-                        .append_weighted("w", vec![(2, 10)])
-                        .append("w", vec![3, 4, 5, 6, 7, 8]),
-                    false,
-                    l,
-                );
-                // A rejected batch leaves no auto-created session behind.
-                overflow_step(
-                    e,
-                    r,
-                    Tick::new().append_weighted("ok", vec![(10, 1)]),
-                    Tick::new().append_weighted("fresh", vec![(1, MAX), (2, 1)]),
-                    true,
-                    l,
-                );
-                // Elements that do not chain keep the best score at 2^63
-                // while the weight total reaches u64::MAX, so the third
-                // append is refused although none of its scores would wrap:
-                // the whole stream must stay restorable as one batch.
-                let half = 1u64 << 63;
-                let good = Tick::new()
-                    .create("flat", SessionKind::Weighted)
-                    .append_weighted("flat", vec![(10, half)]);
-                overflow_step(e, r, good, Tick::new(), false, l);
-                let good = Tick::new().append_weighted("flat", vec![(5, half - 1)]);
-                overflow_step(e, r, good, Tick::new(), false, l);
-                let bad = Tick::new().append_weighted("flat", vec![(4, half - 1)]);
-                overflow_step(e, r, Tick::new(), bad, false, l);
-                // A batch that lands exactly on u64::MAX is accepted.
-                let good = Tick::new().append("w", vec![3, 4, 5, 6, 7]);
-                overflow_step(&mut engine, &mut reference, good, Tick::new(), false, &label);
-                assert_eq!(engine.best_score("w"), Some(MAX), "{label}");
-                assert_eq!(engine.best_score("flat"), Some(half), "{label}");
-                engine.check_invariants();
-                let snapshot = EngineSnapshot::decode(&engine.snapshot().encode())
-                    .unwrap_or_else(|e| panic!("{label}: accepted streams must decode: {e}"));
-                let restored = Engine::restore(engine.config().clone(), &snapshot)
-                    .unwrap_or_else(|e| panic!("{label}: accepted streams must restore: {e:?}"));
-                common::assert_same_derived_state(&engine, &restored, &label);
-            });
-        }
+        let label = format!("{threads}t");
+        on_pool(threads, || {
+            let config = EngineConfig { universe: 1 << 10, shards: 4, ..EngineConfig::default() };
+            let (mut engine, mut reference) = (Engine::new(config.clone()), Engine::new(config));
+            let (e, r, l) = (&mut engine, &mut reference, label.as_str());
+            // The reported case: the second score would wrap to 4.
+            overflow_step(
+                e,
+                r,
+                Tick::new()
+                    .create("w", SessionKind::Weighted)
+                    .create("plain", SessionKind::Unweighted)
+                    .create("ok", SessionKind::Weighted)
+                    .append("plain", vec![5, 1, 7])
+                    .append_weighted("ok", vec![(3, 4), (9, 2)]),
+                Tick::new().append_weighted("w", vec![(1, MAX - 5), (2, 10)]),
+                false,
+                l,
+            );
+            // Overflow against the best score so far: weighted, and a
+            // plain batch counting 1 per element.
+            let good = Tick::new().append_weighted("w", vec![(1, MAX - 5)]);
+            overflow_step(e, r, good, Tick::new(), false, l);
+            overflow_step(
+                e,
+                r,
+                Tick::new().append("plain", vec![2]),
+                Tick::new().append_weighted("w", vec![(2, 10)]).append("w", vec![3, 4, 5, 6, 7, 8]),
+                false,
+                l,
+            );
+            // A rejected batch leaves no auto-created session behind.
+            overflow_step(
+                e,
+                r,
+                Tick::new().append_weighted("ok", vec![(10, 1)]),
+                Tick::new().append_weighted("fresh", vec![(1, MAX), (2, 1)]),
+                true,
+                l,
+            );
+            // Elements that do not chain keep the best score at 2^63
+            // while the weight total reaches u64::MAX, so the third
+            // append is refused although none of its scores would wrap:
+            // the whole stream must stay restorable as one batch.
+            let half = 1u64 << 63;
+            let good = Tick::new()
+                .create("flat", SessionKind::Weighted)
+                .append_weighted("flat", vec![(10, half)]);
+            overflow_step(e, r, good, Tick::new(), false, l);
+            let good = Tick::new().append_weighted("flat", vec![(5, half - 1)]);
+            overflow_step(e, r, good, Tick::new(), false, l);
+            let bad = Tick::new().append_weighted("flat", vec![(4, half - 1)]);
+            overflow_step(e, r, Tick::new(), bad, false, l);
+            // A batch that lands exactly on u64::MAX is accepted.
+            let good = Tick::new().append("w", vec![3, 4, 5, 6, 7]);
+            overflow_step(&mut engine, &mut reference, good, Tick::new(), false, &label);
+            assert_eq!(engine.best_score("w"), Some(MAX), "{label}");
+            assert_eq!(engine.best_score("flat"), Some(half), "{label}");
+            engine.check_invariants();
+            let snapshot = EngineSnapshot::decode(&engine.snapshot().encode())
+                .unwrap_or_else(|e| panic!("{label}: accepted streams must decode: {e}"));
+            let restored = Engine::restore(engine.config().clone(), &snapshot)
+                .unwrap_or_else(|e| panic!("{label}: accepted streams must restore: {e:?}"));
+            common::assert_same_derived_state(&engine, &restored, &label);
+        });
     }
 }

@@ -6,18 +6,12 @@
 //! never disturb their neighbours.
 
 use plis_engine::{
-    DominantMaxKind, Engine, EngineConfig, Op, PathPolicy, SessionKind, StreamingLis, Tick,
-    WeightedStreamingLis,
+    Engine, EngineConfig, Op, SessionKind, StreamingLis, Tick, WeightedStreamingLis,
 };
 use plis_workloads::streaming::{stream, weighted_stream, StreamPattern};
 
 fn config(universe: u64) -> EngineConfig {
-    EngineConfig {
-        universe,
-        shards: 3,
-        path_policy: PathPolicy::Fixed(32),
-        ..EngineConfig::default()
-    }
+    EngineConfig { universe, shards: 3, ..EngineConfig::default() }
 }
 
 #[test]
@@ -30,7 +24,7 @@ fn removed_session_recreated_by_ingest_restarts_from_scratch() {
     let mut engine = Engine::new(config(universe));
     // A neighbour that lives through the churn and must be unaffected.
     let neighbour = stream(StreamPattern::Permutation, 3_000, 90, 0xD0D0);
-    let mut neighbour_reference = StreamingLis::new(universe).with_par_threshold(32);
+    let mut neighbour_reference = StreamingLis::new(universe);
 
     for (round, batch) in batches.iter().enumerate() {
         let mut tick = Tick::new().auto_create();
@@ -53,7 +47,7 @@ fn removed_session_recreated_by_ingest_restarts_from_scratch() {
 
     // The re-created session must equal a fresh session fed only the
     // post-removal batches — no state leaks across the removal.
-    let mut fresh = StreamingLis::new(universe).with_par_threshold(32);
+    let mut fresh = StreamingLis::new(universe);
     for batch in &batches[cut..] {
         fresh.ingest(batch);
     }
@@ -75,11 +69,8 @@ fn removed_weighted_session_recreated_mid_stream_matches_fresh_session() {
     let batches = weighted_stream(StreamPattern::Permutation, 2_000, 80, 30, 0xFACADE);
     let cut = batches.len() / 3;
 
-    let mut engine = Engine::new(EngineConfig {
-        dommax: DominantMaxKind::RangeTree,
-        default_kind: SessionKind::Weighted,
-        ..config(universe)
-    });
+    let mut engine =
+        Engine::new(EngineConfig { default_kind: SessionKind::Weighted, ..config(universe) });
     engine.create_session_kind("w", SessionKind::Weighted);
     for (round, batch) in batches.iter().enumerate() {
         // Strict ticks with an explicit remove/create pair at the churn
@@ -96,8 +87,7 @@ fn removed_weighted_session_recreated_mid_stream_matches_fresh_session() {
         assert!(engine.execute(&tick).fully_applied());
     }
 
-    let mut fresh =
-        WeightedStreamingLis::new(universe, DominantMaxKind::RangeTree).with_par_threshold(32);
+    let mut fresh = WeightedStreamingLis::new(universe);
     for batch in &batches[cut..] {
         fresh.ingest(batch);
     }

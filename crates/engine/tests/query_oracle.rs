@@ -4,17 +4,19 @@
 //! oracles (`lis_ranks_u64` + `lis_indices_from_ranks` for plain
 //! sessions, `wlis_kind` + `wlis_indices_from_scores` for weighted ones)
 //! run on the exact prefix the query observed, including queries that land
-//! *between* writes inside one mixed tick.  Checked for both dominant-max
-//! stores, at 1 thread and at the full pool, with the two runs
-//! bit-identical to each other; certificates are
-//! additionally verified to be strictly increasing (indices and values)
-//! with their claimed length/score.
+//! *between* writes inside one mixed tick.  Weighted answers are checked
+//! against the oracle on both of its dominant-max stores.  Every schedule
+//! runs at 1 thread and at the full pool, with the two runs bit-identical
+//! to each other.  Certificates are additionally verified to be strictly
+//! increasing (indices and values) with their claimed length/score.
 
 use plis_engine::{
-    DominantMaxKind, Engine, EngineConfig, Op, OpOutput, PathPolicy, Query, QueryAnswer, ReadTick,
-    SessionId, SessionKind, Tick, TickOutcome,
+    Engine, EngineConfig, Op, OpOutput, Query, QueryAnswer, ReadTick, SessionId, SessionKind, Tick,
+    TickOutcome,
 };
-use plis_lis::{lis_indices_from_ranks, lis_ranks_u64, wlis_indices_from_scores, wlis_kind};
+use plis_lis::{
+    lis_indices_from_ranks, lis_ranks_u64, wlis_indices_from_scores, wlis_kind, DominantMaxKind,
+};
 use plis_workloads::streaming::{
     mixed_session_fleet, read_write_mix, round_robin_ticks, weighted_session_fleet, QuerySpec,
     ReadWriteOp,
@@ -119,12 +121,8 @@ fn run_plain_checked(
     threads: usize,
 ) -> Vec<TickOutcome> {
     on_pool(threads, || {
-        let mut engine = Engine::new(EngineConfig {
-            universe,
-            shards: 4,
-            path_policy: PathPolicy::Fixed(48),
-            ..EngineConfig::default()
-        });
+        let mut engine =
+            Engine::new(EngineConfig { universe, shards: 4, ..EngineConfig::default() });
         let mut prefixes: HashMap<String, Vec<u64>> = HashMap::new();
         let mut outcomes = Vec::new();
         for tick in ticks {
@@ -161,21 +159,16 @@ fn run_plain_checked(
     })
 }
 
-/// The weighted analogue of [`run_plain_checked`].
+/// The weighted analogue of [`run_plain_checked`], with every answer
+/// checked against the oracle on both dominant-max stores.
 fn run_weighted_checked(
     ticks: &[WeightedOpTick],
     universe: u64,
-    dommax: DominantMaxKind,
     threads: usize,
 ) -> Vec<TickOutcome> {
     on_pool(threads, || {
-        let mut engine = Engine::new(EngineConfig {
-            universe,
-            dommax,
-            default_kind: SessionKind::Weighted,
-            shards: 4,
-            path_policy: PathPolicy::Fixed(48),
-        });
+        let mut engine =
+            Engine::new(EngineConfig { universe, default_kind: SessionKind::Weighted, shards: 4 });
         let mut prefixes: HashMap<String, Vec<(u64, u64)>> = HashMap::new();
         let mut outcomes = Vec::new();
         for tick in ticks {
@@ -188,13 +181,16 @@ fn run_weighted_checked(
                 match op {
                     ReadWriteOp::Write(b) => prefix.extend_from_slice(b),
                     ReadWriteOp::Read(specs) => {
-                        let want = weighted_oracle(prefix, specs, dommax);
                         let answered = got.as_answered().expect("read slot must report answers");
                         assert_eq!(answered.kind, SessionKind::Weighted);
-                        assert_eq!(
-                            answered.answers, want,
-                            "session {id} diverged from the offline oracle ({threads} threads)"
-                        );
+                        for dommax in [DominantMaxKind::RangeTree, DominantMaxKind::RangeVeb] {
+                            let want = weighted_oracle(prefix, specs, dommax);
+                            assert_eq!(
+                                answered.answers, want,
+                                "session {id} diverged from the offline oracle on {dommax:?} \
+                                 ({threads} threads)"
+                            );
+                        }
                     }
                 }
             }
@@ -242,15 +238,9 @@ fn weighted_queries_match_offline_oracles_on_both_stores_and_pools() {
         .collect();
     let ticks = round_robin_ticks(&mixed, |s| SessionId::from(s));
 
-    let mut per_store = Vec::new();
-    for dommax in [DominantMaxKind::RangeTree, DominantMaxKind::RangeVeb] {
-        let seq = run_weighted_checked(&ticks, universe, dommax, 1);
-        let par = run_weighted_checked(&ticks, universe, dommax, parallel_threads());
-        assert_identical(&seq, &par, &format!("{dommax:?}: 1-thread vs full pool"));
-        per_store.push(seq);
-    }
-    // Both dominant-max stores must serve bit-identical answers.
-    assert_identical(&per_store[0], &per_store[1], "range-tree vs range-veb");
+    let seq = run_weighted_checked(&ticks, universe, 1);
+    let par = run_weighted_checked(&ticks, universe, parallel_threads());
+    assert_identical(&seq, &par, "1-thread vs full pool");
 }
 
 #[test]

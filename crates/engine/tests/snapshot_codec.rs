@@ -227,6 +227,9 @@ fn header_damage_maps_to_the_right_variants() {
     let mut v2 = bytes.clone();
     v2[8] = 2;
     assert_eq!(SessionSnapshot::decode(&v2), Err(SnapshotError::UnsupportedVersion(2)));
+    let mut v3 = bytes.clone();
+    v3[8] = 3;
+    assert_eq!(SessionSnapshot::decode(&v3), Err(SnapshotError::UnsupportedVersion(3)));
     let mut flipped = bytes.clone();
     let last = flipped.len() - 1;
     flipped[last] ^= 1;
@@ -251,7 +254,7 @@ fn header_damage_maps_to_the_right_variants() {
 /// length, then 8 bytes per value or 16 per weighted pair.
 #[test]
 fn session_snapshot_size_is_pinned_to_the_stream() {
-    assert_eq!(FORMAT_VERSION, 3);
+    assert_eq!(FORMAT_VERSION, 4);
     for n in [0usize, 1, 7, 100] {
         let values: Vec<u64> = (0..n as u64).map(|i| i * 7919 % UNIVERSE).collect();
         let pairs: Vec<(u64, u64)> = values.iter().map(|&v| (v, v % 5 + 1)).collect();

@@ -3,8 +3,8 @@
 //! codec is on the proven path), replay the journal suffix, and require
 //! everything observable — per-op outcomes, `session_ids()`, query
 //! answers, certificates — to be bit-identical to an engine that never
-//! stopped.  Runs across both session kinds, both dominant-max stores,
-//! and at one thread and the full pool.
+//! stopped.  Runs across both session kinds, at one thread and the full
+//! pool.
 //!
 //! Also proves the crash-recovery story: a scripted
 //! journal-append/snapshot-write schedule is killed at *every* boundary
@@ -15,8 +15,8 @@
 mod common;
 
 use plis_engine::{
-    replay_journal_from, DominantMaxKind, Engine, EngineConfig, EngineSnapshot, OpError,
-    PathPolicy, Query, SessionKind, SessionSnapshot, Tick, TickJournal,
+    replay_journal_from, Engine, EngineConfig, EngineSnapshot, OpError, Query, SessionKind,
+    SessionSnapshot, Tick, TickJournal,
 };
 
 /// Pool size for the parallel leg: `PLIS_BENCH_THREADS`, else the hardware
@@ -43,8 +43,8 @@ fn xorshift(state: &mut u64) -> u64 {
 
 const UNIVERSE: u64 = 1 << 20;
 
-/// A mixed multi-session schedule: plain and weighted appends (batch sizes
-/// straddling the forced parallel threshold), interleaved queries
+/// A mixed multi-session schedule: plain and weighted appends of 8–103
+/// elements, interleaved queries
 /// (certificates included), and a mid-schedule remove/recreate so session
 /// lifecycle rides the journal too.  The weighted session `flat` sits at
 /// the weight-total bound: its elements do not chain, so its best score
@@ -89,16 +89,8 @@ fn schedule(ticks: usize, seed: u64) -> Vec<Tick> {
     out
 }
 
-fn config(dommax: DominantMaxKind) -> EngineConfig {
-    EngineConfig {
-        universe: UNIVERSE,
-        dommax,
-        shards: 4,
-        // Low fixed threshold so the parallel merge path runs for most
-        // batches of the schedule.
-        path_policy: PathPolicy::Fixed(32),
-        ..EngineConfig::default()
-    }
+fn config() -> EngineConfig {
+    EngineConfig { universe: UNIVERSE, shards: 4, ..EngineConfig::default() }
 }
 
 /// Assert two engines are observationally identical: same sorted ids,
@@ -132,15 +124,15 @@ fn assert_engines_identical(never_stopped: &mut Engine, recovered: &mut Engine, 
 
 /// The tentpole differential: journal every tick, snapshot mid-stream,
 /// restore through the encoded bytes, replay the suffix, compare against
-/// the engine that never stopped — per config axis and thread count.
-fn snapshot_restore_replay_differential(threads: usize, dommax: DominantMaxKind) {
+/// the engine that never stopped — per thread count.
+fn snapshot_restore_replay_differential(threads: usize) {
     on_pool(threads, || {
-        let label = format!("{dommax:?}/{threads}t");
+        let label = format!("{threads}t");
         let ticks = schedule(14, 0xC0FFEE ^ threads as u64);
         let cut = ticks.len() / 2 + 1;
 
         // The engine that never stops, with per-tick outcomes kept.
-        let mut live = Engine::new(config(dommax));
+        let mut live = Engine::new(config());
         let mut journal = TickJournal::new(Vec::new());
         let mut live_outcomes = Vec::new();
         let mut checkpoint = None;
@@ -159,7 +151,7 @@ fn snapshot_restore_replay_differential(threads: usize, dommax: DominantMaxKind)
         let snapshot = EngineSnapshot::decode(&snapshot_bytes).unwrap_or_else(|e| {
             panic!("{label}: snapshot failed to decode: {e}");
         });
-        let mut recovered = Engine::restore(config(dommax), &snapshot)
+        let mut recovered = Engine::restore(config(), &snapshot)
             .unwrap_or_else(|e| panic!("{label}: restore failed: {e:?}"));
         let report = replay_journal_from(&mut recovered, &journal_bytes, covered)
             .unwrap_or_else(|e| panic!("{label}: replay failed: {e}"));
@@ -175,32 +167,24 @@ fn snapshot_restore_replay_differential(threads: usize, dommax: DominantMaxKind)
 }
 
 #[test]
-fn differential_across_dommax_stores() {
-    for dommax in [DominantMaxKind::RangeTree, DominantMaxKind::RangeVeb] {
-        snapshot_restore_replay_differential(1, dommax);
-        snapshot_restore_replay_differential(parallel_threads(), dommax);
-    }
+fn differential_across_pools() {
+    snapshot_restore_replay_differential(1);
+    snapshot_restore_replay_differential(parallel_threads());
 }
 
 /// A snapshot taken under one configuration restores under a different
-/// dominant-max store / shard count / path policy with identical
-/// observable state — configuration is not state.
+/// shard count with identical observable state — configuration is not
+/// state.
 #[test]
 fn restore_is_config_portable() {
     let ticks = schedule(10, 0xBEEF);
-    let mut source = Engine::new(config(DominantMaxKind::RangeTree));
+    let mut source = Engine::new(config());
     for tick in &ticks {
         source.execute(tick);
     }
     let bytes = source.snapshot().encode();
     let snapshot = EngineSnapshot::decode(&bytes).unwrap();
-    let target_config = EngineConfig {
-        universe: UNIVERSE,
-        dommax: DominantMaxKind::RangeVeb,
-        shards: 9,
-        path_policy: PathPolicy::Fixed(64),
-        ..EngineConfig::default()
-    };
+    let target_config = EngineConfig { universe: UNIVERSE, shards: 9, ..EngineConfig::default() };
     let mut restored = Engine::restore(target_config, &snapshot).unwrap();
     assert_engines_identical(&mut source, &mut restored, "config-portable restore");
 }
@@ -210,7 +194,7 @@ fn restore_is_config_portable() {
 /// in another engine with identical state.
 #[test]
 fn op_plane_snapshot_and_restore_are_tick_ordered() {
-    let mut engine = Engine::new(config(DominantMaxKind::RangeTree));
+    let mut engine = Engine::new(config());
     let outcome = engine.execute(
         &Tick::new()
             .create("s", SessionKind::Unweighted)
@@ -228,7 +212,7 @@ fn op_plane_snapshot_and_restore_are_tick_ordered() {
 
     // Restore both into a second engine through the op plane and compare
     // against the source session's prefix states.
-    let mut other = Engine::new(config(DominantMaxKind::RangeTree));
+    let mut other = Engine::new(config());
     let outcome = other.execute(&Tick::new().restore("mid", mid).restore("end", end));
     assert!(outcome.fully_applied());
     assert_eq!(outcome.sessions_restored, 2);
@@ -244,12 +228,12 @@ fn op_plane_snapshot_and_restore_are_tick_ordered() {
 /// target engine untouched.
 #[test]
 fn restore_rejects_typed_without_side_effects() {
-    let mut source = Engine::new(config(DominantMaxKind::RangeTree));
+    let mut source = Engine::new(config());
     source.execute(&Tick::new().create("s", SessionKind::Unweighted).append("s", vec![7, 2, 9]));
     let snapshot = source.snapshot_session("s").unwrap();
 
     // Occupied id (both via the op plane and the direct API).
-    let mut target = Engine::new(config(DominantMaxKind::RangeTree));
+    let mut target = Engine::new(config());
     target.create_session_kind("taken", SessionKind::Weighted);
     assert_eq!(
         target.restore_session("taken", &snapshot),
@@ -293,7 +277,7 @@ fn restore_rejects_typed_without_side_effects() {
 /// uninterrupted run over the complete records.
 #[test]
 fn crash_at_every_boundary_recovers_to_the_uninterrupted_state() {
-    let cfg = || config(DominantMaxKind::RangeTree);
+    let cfg = config;
     let ticks = schedule(9, 0xDEAD);
 
     // Dry run: the full journal, the byte offset after each append, and
@@ -393,7 +377,7 @@ fn corrupt_complete_journal_record_fails_replay_typed() {
     let mut bytes = journal.into_inner();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x40;
-    let mut engine = Engine::new(config(DominantMaxKind::RangeTree));
+    let mut engine = Engine::new(config());
     let err = replay_journal_from(&mut engine, &bytes, 0);
     assert!(err.is_err(), "a flipped byte in a complete record must fail replay");
 }

@@ -4,7 +4,7 @@
 //! concatenated prefix — for multiple workload patterns and random batch
 //! sizes.
 
-use plis_engine::{Engine, EngineConfig, PathPolicy, SessionId, StreamingLis, Tick};
+use plis_engine::{Engine, EngineConfig, SessionId, StreamingLis, Tick};
 use plis_lis::lis_ranks_u64;
 use plis_workloads::{line_pattern, random_permutation, range_pattern};
 use rand::rngs::StdRng;
@@ -25,22 +25,15 @@ fn random_batches(values: &[u64], max_batch: usize, rng: &mut StdRng) -> Vec<Vec
 
 fn check_stream_against_oracle(values: &[u64], universe: u64, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
-    // A small parallel threshold so the ParallelMerge path is exercised by
-    // most batches; a second session pinned to the sequential path
-    // cross-checks it.
-    let mut session = StreamingLis::new(universe).with_par_threshold(32);
-    let mut sequential = StreamingLis::new(universe).with_par_threshold(usize::MAX);
+    let mut session = StreamingLis::new(universe);
     let mut prefix: Vec<u64> = Vec::new();
     for batch in random_batches(values, 500, &mut rng) {
         session.ingest(&batch);
-        sequential.ingest(&batch);
         prefix.extend_from_slice(&batch);
 
         let (oracle_ranks, oracle_k) = lis_ranks_u64(&prefix);
         assert_eq!(session.lis_length(), oracle_k, "LIS length diverged from the oracle");
         assert_eq!(session.ranks(), oracle_ranks.as_slice(), "ranks diverged from the oracle");
-        assert_eq!(session.ranks(), sequential.ranks(), "parallel and sequential paths diverged");
-        assert_eq!(session.tails(), sequential.tails());
         session.check_invariants();
     }
     // The reconstructed LIS of the final state is valid and optimal.
@@ -95,7 +88,7 @@ fn adversarial_patterns_match_oracle() {
     ] {
         let universe = values.iter().max().unwrap() + 1;
         let mut rng = StdRng::seed_from_u64(0xD0D0);
-        let mut session = StreamingLis::new(universe).with_par_threshold(64);
+        let mut session = StreamingLis::new(universe);
         let mut prefix = Vec::new();
         for batch in random_batches(&values, 333, &mut rng) {
             session.ingest(&batch);
@@ -112,12 +105,7 @@ fn adversarial_patterns_match_oracle() {
 fn engine_fleet_matches_oracle_per_session() {
     let universe = 1u64 << 13;
     let mut rng = StdRng::seed_from_u64(0xE3E3);
-    let mut engine = Engine::new(EngineConfig {
-        universe,
-        shards: 4,
-        path_policy: PathPolicy::Fixed(64),
-        ..EngineConfig::default()
-    });
+    let mut engine = Engine::new(EngineConfig { universe, shards: 4, ..EngineConfig::default() });
     // Heterogeneous fleet: each session streams a different pattern.
     let streams: Vec<(SessionId, Vec<u64>)> = vec![
         (

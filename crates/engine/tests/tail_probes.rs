@@ -6,11 +6,9 @@
 //! The streams are the ones the probes lean on hardest: an empty session,
 //! single-element sessions at both ends of small universes, a constant
 //! stream, duplicate blocks touching both universe boundaries, and random
-//! duplicate-heavy streams whose tails churn in place.  Every stream runs
-//! on the parallel merge path (`with_par_threshold(1)`) and on the
-//! sequential path (`with_par_threshold(usize::MAX)`), in batches of
-//! varying size.  Probes cover 0, 1, every tail ±1, `universe - 1`,
-//! `universe` and `u64::MAX`.
+//! duplicate-heavy streams whose tails churn in place.  Every stream is
+//! ingested in batches of varying size.  Probes cover 0, 1, every tail ±1,
+//! `universe - 1`, `universe` and `u64::MAX`.
 
 use plis_engine::StreamingLis;
 use plis_veb::VebTree;
@@ -60,33 +58,22 @@ fn cross_probe(session: &StreamingLis, label: &str) {
     }
 }
 
-/// Ingest `input` on both paths in batches of 1, 2, 5 and 13 elements in
-/// turn, probing after every ingest; both paths must reach the same state.
+/// Ingest `input` in batches of 1, 2, 5 and 13 elements in turn, probing
+/// after every ingest.
 fn drive(input: &[u64], universe: u64, label: &str) {
-    let mut sessions = [
-        ("parallel", StreamingLis::new(universe).with_par_threshold(1)),
-        ("sequential", StreamingLis::new(universe).with_par_threshold(usize::MAX)),
-    ];
-    for (path, session) in &sessions {
-        cross_probe(session, &format!("{label}/{path}/empty"));
-    }
+    let mut session = StreamingLis::new(universe);
+    cross_probe(&session, &format!("{label}/empty"));
     let mut rest = input;
     for size in [1usize, 2, 5, 13].into_iter().cycle() {
         if rest.is_empty() {
             break;
         }
         let (batch, tail) = rest.split_at(size.min(rest.len()));
-        for (path, session) in &mut sessions {
-            session.ingest(batch);
-            cross_probe(session, &format!("{label}/{path}/{} elems", session.len()));
-        }
+        session.ingest(batch);
+        cross_probe(&session, &format!("{label}/{} elems", session.len()));
         rest = tail;
     }
-    let [(_, par), (_, seq)] = &sessions;
-    assert_eq!(par.ranks(), seq.ranks(), "{label}: paths diverged");
-    assert_eq!(par.tails(), seq.tails(), "{label}: paths diverged");
-    par.check_invariants();
-    seq.check_invariants();
+    session.check_invariants();
 }
 
 fn xorshift_stream(n: usize, universe: u64, seed: u64) -> Vec<u64> {

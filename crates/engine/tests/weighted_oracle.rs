@@ -2,15 +2,14 @@
 //! executed tick, a weighted session's dp scores must equal the offline
 //! Algorithm-2 oracle (`plis_lis::wlis_kind`, itself differentially tested
 //! against the quadratic dp in `crates/lis/tests/wlis_oracle.rs`) run on
-//! the concatenated `(value, weight)` prefix — for both dominant-max
-//! stores, at 1 thread and at the full pool, with the two runs
-//! bit-identical to each other and to the other store.
+//! the concatenated `(value, weight)` prefix, on both of its dominant-max
+//! stores — at 1 thread and at the full pool, with the two runs
+//! bit-identical to each other.
 
 use plis_engine::{
-    BatchReport, DominantMaxKind, Engine, EngineConfig, OpOutput, PathPolicy, SessionId,
-    SessionKind, Tick, TickOutcome,
+    BatchReport, Engine, EngineConfig, OpOutput, SessionId, SessionKind, Tick, TickOutcome,
 };
-use plis_lis::wlis_kind;
+use plis_lis::{wlis_kind, DominantMaxKind};
 use plis_workloads::streaming::{round_robin_ticks, weighted_session_fleet};
 use std::collections::HashMap;
 
@@ -41,23 +40,12 @@ struct RunOutcome {
 }
 
 /// Stream the fleet through a weighted engine on `threads` workers,
-/// checking every session against the offline oracle after every tick.
-fn run_checked(
-    ticks: &[WeightedTick],
-    universe: u64,
-    dommax: DominantMaxKind,
-    threads: usize,
-) -> RunOutcome {
+/// checking every session against the offline oracle on both stores after
+/// every tick.
+fn run_checked(ticks: &[WeightedTick], universe: u64, threads: usize) -> RunOutcome {
     on_pool(threads, || {
-        let mut engine = Engine::new(EngineConfig {
-            universe,
-            dommax,
-            default_kind: SessionKind::Weighted,
-            shards: 4,
-            // Low threshold so the parallel merge (frontier ++ batch) path
-            // carries most of the traffic.
-            path_policy: PathPolicy::Fixed(48),
-        });
+        let mut engine =
+            Engine::new(EngineConfig { universe, default_kind: SessionKind::Weighted, shards: 4 });
         let mut prefixes: HashMap<String, Vec<(u64, u64)>> = HashMap::new();
         let mut tick_outcomes = Vec::new();
         for tick in ticks {
@@ -73,18 +61,20 @@ fn run_checked(
                 prefixes.entry(id.as_str().to_string()).or_default().extend_from_slice(batch);
             }
             // The acceptance criterion: scores equal the offline oracle on
-            // the concatenated prefix, after every tick.
+            // the concatenated prefix, on both stores, after every tick.
             for (name, prefix) in &prefixes {
                 let session = engine.weighted_session(name).expect("session exists");
                 let values: Vec<u64> = prefix.iter().map(|&(v, _)| v).collect();
                 let weights: Vec<u64> = prefix.iter().map(|&(_, w)| w).collect();
-                let want = wlis_kind(dommax, &values, &weights);
-                assert_eq!(
-                    session.scores(),
-                    want.as_slice(),
-                    "session {name} diverged from the offline WLIS oracle ({} threads)",
-                    threads
-                );
+                for dommax in [DominantMaxKind::RangeTree, DominantMaxKind::RangeVeb] {
+                    let want = wlis_kind(dommax, &values, &weights);
+                    assert_eq!(
+                        session.scores(),
+                        want.as_slice(),
+                        "session {name} diverged from the offline WLIS oracle on {dommax:?} \
+                         ({threads} threads)"
+                    );
+                }
             }
         }
         engine.check_invariants();
@@ -116,16 +106,9 @@ fn weighted_sessions_match_offline_oracle_on_both_stores_and_pools() {
     let ticks = round_robin_ticks(&fleet, |s| SessionId::from(s));
     assert!(ticks.len() > 10, "schedule should span many ticks");
 
-    let mut per_store = Vec::new();
-    for dommax in [DominantMaxKind::RangeTree, DominantMaxKind::RangeVeb] {
-        let seq = run_checked(&ticks, universe, dommax, 1);
-        let par = run_checked(&ticks, universe, dommax, parallel_threads());
-        assert_identical(&seq, &par, &format!("{dommax:?}: 1-thread vs full pool"));
-        per_store.push(seq);
-    }
-    // Both dominant-max stores must agree bit-for-bit on scores (outcomes
-    // include frontier sizes, which are store-independent too).
-    assert_identical(&per_store[0], &per_store[1], "range-tree vs range-veb");
+    let seq = run_checked(&ticks, universe, 1);
+    let par = run_checked(&ticks, universe, parallel_threads());
+    assert_identical(&seq, &par, "1-thread vs full pool");
 }
 
 #[test]
@@ -137,12 +120,7 @@ fn mixed_ticks_serve_both_kinds_against_their_oracles() {
     let (plain_fleet, u1) = session_fleet(2, n, 48, 0xA1);
     let (weighted_fleet, u2) = weighted_session_fleet(2, n, 48, 25, 0xB2);
     let universe = u1.max(u2);
-    let mut engine = Engine::new(EngineConfig {
-        universe,
-        shards: 3,
-        path_policy: PathPolicy::Fixed(32),
-        ..EngineConfig::default()
-    });
+    let mut engine = Engine::new(EngineConfig { universe, shards: 3, ..EngineConfig::default() });
 
     let rounds = plain_fleet
         .iter()

@@ -53,6 +53,5 @@ pub use reconstruct::{
     lis_indices, lis_indices_from_frontiers, lis_indices_from_ranks, wlis_indices_from_scores,
 };
 pub use wlis::{
-    wlis_kind, wlis_kind_stats, wlis_rangetree, wlis_rangeveb, wlis_with, wlis_with_stats,
-    DominantMaxKind,
+    wlis_kind, wlis_rangetree, wlis_rangeveb, wlis_with, wlis_with_stats, DominantMaxKind,
 };

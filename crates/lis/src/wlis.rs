@@ -50,8 +50,8 @@ impl DominantMaxKind {
 /// (`dp[i] = w_i + max(0, max_{j<i, A_j<A_i} dp[j])`).
 ///
 /// This is the only Algorithm-2 driver in the workspace: every backend and
-/// every caller (offline, streaming engine, probes in the test suites) goes
-/// through this function.
+/// every caller (the offline entry points, the benchmarks, and the engine's
+/// oracle suites) goes through this function.
 ///
 /// # Panics
 /// Panics if `values` and `weights` have different lengths.
@@ -60,7 +60,7 @@ pub fn wlis_with<T: Ord + Sync, S: DominantMaxStore>(values: &[T], weights: &[u6
 }
 
 /// [`wlis_with`] plus the store's cumulative [`DomMaxStats`] — the hook the
-/// telemetry plane uses, since the store is built and dropped inside the
+/// benchmarks use, since the store is built and dropped inside the
 /// driver.  The stats are purely observational: the returned dp vector is
 /// identical to [`wlis_with`]'s.
 ///
@@ -108,21 +108,9 @@ pub fn wlis_with_stats<T: Ord + Sync, S: DominantMaxStore>(
 /// Weighted LIS with the backend chosen at runtime by [`DominantMaxKind`]
 /// (enum-dispatch into the generic driver, one monomorphization per store).
 pub fn wlis_kind<T: Ord + Sync>(kind: DominantMaxKind, values: &[T], weights: &[u64]) -> Vec<u64> {
-    wlis_kind_stats(kind, values, weights).0
-}
-
-/// [`wlis_kind`] plus the store's cumulative [`DomMaxStats`] (see
-/// [`wlis_with_stats`]).
-pub fn wlis_kind_stats<T: Ord + Sync>(
-    kind: DominantMaxKind,
-    values: &[T],
-    weights: &[u64],
-) -> (Vec<u64>, DomMaxStats) {
     match kind {
-        DominantMaxKind::RangeTree => {
-            wlis_with_stats::<T, plis_rangetree::RangeMaxTree>(values, weights)
-        }
-        DominantMaxKind::RangeVeb => wlis_with_stats::<T, plis_rangeveb::RangeVeb>(values, weights),
+        DominantMaxKind::RangeTree => wlis_with::<T, plis_rangetree::RangeMaxTree>(values, weights),
+        DominantMaxKind::RangeVeb => wlis_with::<T, plis_rangeveb::RangeVeb>(values, weights),
     }
 }
 
@@ -214,7 +202,7 @@ mod tests {
     fn stats_variant_returns_same_dp_and_counts_work() {
         let a = [9u64, 2, 7, 4, 8, 1, 6];
         let w = [3u64, 5, 2, 9, 1, 4, 7];
-        let (dp, stats) = wlis_kind_stats(DominantMaxKind::RangeTree, &a, &w);
+        let (dp, stats) = wlis_with_stats::<_, plis_rangetree::RangeMaxTree>(&a, &w);
         assert_eq!(dp, wlis_kind(DominantMaxKind::RangeTree, &a, &w));
         // One dominant_max per object, one write-back entry per object.
         assert_eq!(stats.queries, a.len() as u64);
@@ -223,7 +211,7 @@ mod tests {
         let (_, k) = crate::lis_ranks(&a);
         assert_eq!(stats.writeback_batches, u64::from(k));
         // The other backend reports the same trait-level totals.
-        let (_, veb_stats) = wlis_kind_stats(DominantMaxKind::RangeVeb, &a, &w);
+        let (_, veb_stats) = wlis_with_stats::<_, plis_rangeveb::RangeVeb>(&a, &w);
         assert_eq!(stats, veb_stats);
     }
 

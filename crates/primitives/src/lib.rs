@@ -35,7 +35,7 @@ pub mod sort;
 
 pub use dommax::{DomMaxCounters, DomMaxStats, DominantMaxStore};
 pub use group::{group_by_rank, histogram};
-pub use merge::{merge_by, merge_by_key, parallel_merge, sorted_diff_counts};
+pub use merge::{merge_by, merge_by_key, parallel_merge};
 pub use pack::{pack, pack_index, pack_indices_where, partition_flags};
 pub use par::{
     adaptive_grain, maybe_join, par_chunks_mut_for, par_for_each_chunk, par_map_collect,

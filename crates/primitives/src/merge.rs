@@ -87,28 +87,6 @@ where
     }
 }
 
-/// Two-finger difference count of two sorted, duplicate-free slices:
-/// `(|a \ b|, |b \ a|)`, the number of elements only in `a` and only in
-/// `b` (the streaming session counts its tail removals and inserts this
-/// way every parallel ingest).  Allocation-free, `O(|a| + |b|)`.
-pub fn sorted_diff_counts(a: &[u64], b: &[u64]) -> (usize, usize) {
-    debug_assert!(a.windows(2).all(|w| w[0] < w[1]));
-    debug_assert!(b.windows(2).all(|w| w[0] < w[1]));
-    let (mut i, mut j, mut common) = (0, 0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                common += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    (a.len() - common, b.len() - common)
-}
-
 /// `slice.partition_point` for a generic predicate (first index where the
 /// predicate turns false).
 fn partition_point<T, P: Fn(&T) -> bool>(s: &[T], pred: P) -> usize {
@@ -205,15 +183,6 @@ mod tests {
         let mut want = [asorted, bsorted].concat();
         want.sort();
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn sorted_diff_counts_basics() {
-        assert_eq!(sorted_diff_counts(&[1, 3, 5, 9], &[3, 4, 9, 12]), (2, 2));
-        assert_eq!(sorted_diff_counts(&[], &[7]), (0, 1));
-        assert_eq!(sorted_diff_counts(&[7, 8], &[]), (2, 0));
-        assert_eq!(sorted_diff_counts(&[2, 4], &[2, 4]), (0, 0));
-        assert_eq!(sorted_diff_counts(&[1, 2, 3], &[4, 5]), (3, 2));
     }
 
     #[test]

@@ -16,8 +16,8 @@ fn main() {
     {
         let report = session.ingest(burst);
         println!(
-            "day {day}: +{} readings, LIS {} -> {} ({:?} path)",
-            report.ingested, report.lis_before, report.lis_after, report.path
+            "day {day}: +{} readings, LIS {} -> {}",
+            report.ingested, report.lis_before, report.lis_after
         );
     }
     // Ranks are exact dp values: element 8 (value 700) ends a LIS of length 4.
@@ -78,10 +78,9 @@ fn main() {
     // Best chain: 100 (5) < 200 (9) < 250 (4) < 400 (1) = 19.
     assert_eq!(engine.best_score("orders"), Some(19));
     println!(
-        "weighted session 'orders': scores = {:?}, best = {} ({} store)",
+        "weighted session 'orders': scores = {:?}, best = {}",
         orders.scores(),
-        orders.best_score(),
-        orders.backend_name()
+        orders.best_score()
     );
     let offline = wlis_rangetree(orders.values(), orders.weights());
     assert_eq!(orders.scores(), offline.as_slice());
