@@ -7,13 +7,11 @@
 //! by a batch insert into the same clusters) that is a malloc/free pair
 //! per cluster touched, and allocator churn that gets worse when many
 //! threads share one heap.  Today's users are the Mono-vEB staircases
-//! inside Range-vEB (Algorithm 2's `RangeVeb` store, offline and in the
-//! parallel-merge ingest of weighted engine sessions built with
-//! `DominantMaxKind::RangeVeb`), whose small updates run as point
-//! operations; the offline vEB batch jobs (`perfbench`'s `offline-lis`,
-//! the `veb_scaling` binary and the `veb_ops` bench); and `plis-engine`'s
-//! `tail_probes` test oracle.  An `offline-lis` A/B without the pool was
-//! inconclusive, so it stays.
+//! inside Range-vEB (Algorithm 2's `RangeVeb` store), whose small updates
+//! run as point operations; the offline vEB batch jobs (`perfbench`'s
+//! `offline-lis`, the `veb_scaling` binary and the `veb_ops` bench); and
+//! `plis-engine`'s `tail_probes` test oracle.  An `offline-lis` A/B
+//! without the pool was inconclusive, so it stays.
 //!
 //! Instead of handing emptied nodes back to the allocator, every drop site
 //! pushes them here and every creation site pops first.  The pool is
