@@ -263,13 +263,15 @@ impl SessionState {
         }
     }
 
-    /// Bytes held by the session's reusable ingest scratch (arena buffers
-    /// plus the flat rank index) — the memory a zero-allocation steady
-    /// state retains.  A subset of [`SessionState::approx_bytes`];
-    /// reported separately by [`Engine::metrics_snapshot`].
+    /// Bytes held by the session's reusable ingest scratch — the memory
+    /// a zero-allocation steady state retains beyond the session's own
+    /// state.  Only a weighted session keeps scratch (its plain-batch
+    /// staging buffer); an unweighted one reports 0.  A subset of
+    /// [`SessionState::approx_bytes`]; reported separately by
+    /// [`Engine::metrics_snapshot`].
     pub fn arena_bytes(&self) -> usize {
         match self {
-            SessionState::Unweighted(s) => s.arena_bytes(),
+            SessionState::Unweighted(_) => 0,
             SessionState::Weighted(s) => s.arena_bytes(),
         }
     }
@@ -379,9 +381,13 @@ fn op_weight(op: &OpRef<'_>) -> usize {
     }
 }
 
-/// Estimated work of one query batch: 1 per point read, a flat heavy
-/// charge per certificate (a full reconstruction walks the whole
-/// maintained state, not one entry).
+/// Estimated work of one query batch: 1 per read, a flat heavy charge per
+/// certificate.  The charges predate the current read costs and are kept
+/// until a measured retune of [`INLINE_TICK_WEIGHT`]: an unweighted
+/// certificate follows `k` parent pointers and an unweighted count is
+/// `O(1)`, while an unweighted top-k scans `ranks` from one rank's first
+/// element, and weighted counts, top-k and certificates each scan the
+/// session's whole score array.
 fn query_weight(batch: &QueryBatch) -> usize {
     batch
         .queries()

@@ -106,7 +106,6 @@ pub mod engine;
 pub mod metrics;
 pub mod op;
 pub mod query;
-mod rankindex;
 pub mod session;
 pub mod snapshot;
 #[cfg(test)]

@@ -30,8 +30,8 @@
 //!
 //! Steady-state ingestion is **allocation-free**: ingest stages nothing,
 //! and every buffer it writes lives on the session itself (`values`,
-//! `ranks`, `tails`, and the flat rank index replacing per-rank `Vec`s),
-//! growing to a high-water mark and never freed.
+//! `ranks` and `parent` per element, `tails` and the rank summaries per
+//! rank), growing to a high-water mark and never freed.
 //! [`StreamingLis::reserve`] pre-sizes everything for a known workload;
 //! the `alloc_discipline` integration test pins the zero-allocation claim
 //! with a counting global allocator.  See `DESIGN.md` ("Memory & allocation
@@ -40,16 +40,25 @@
 //! # Queries
 //!
 //! Ranks are final on ingest, so the session can serve a live *query
-//! plane* next to ingestion.  Alongside `values`/`ranks`/`tails` it
-//! maintains the per-rank **frontiers** — the indices of the rank-`r`
-//! elements, in arrival order (which is increasing-index order, because
-//! ranks never change) — packed into one flat block pool:
-//! `O(batch)` upkeep per ingest, and every read is output-sensitive —
-//! [`StreamingLis::count_at_rank`] is `O(1)`,
-//! [`StreamingLis::top_k`] is `O(k)`, and
-//! [`StreamingLis::reconstruct_lis`] walks the frontiers directly
-//! (`O(k log n)`, Appendix A) instead of re-grouping the rank array per
-//! query.
+//! plane* next to ingestion.  Next to each element's rank it keeps its
+//! *parent*: the last element of rank `r - 1` before it, the back pointer
+//! patience sorting draws to the top card of the previous pile.  Next to
+//! each tail it keeps a rank summary: the rank's first and latest element
+//! and its element count.  Ingest pays one more sequential push and `O(1)`
+//! rank-indexed work per element, and the reads cost:
+//!
+//! * [`StreamingLis::count_at_rank`]: `O(1)`, the summary's count.
+//! * [`StreamingLis::reconstruct_lis`]: `O(k)`.  It starts at the top
+//!   rank's first element and follows parents.  Lemmas A.1/A.2 pick the
+//!   last rank-`(r - 1)` element before the current one as its
+//!   predecessor, which is exactly the parent, so this is the Appendix-A
+//!   walk and stays bit-identical to [`plis_lis::lis_indices_from_ranks`].
+//! * [`StreamingLis::top_k`]: the counts find the lowest rank the answer
+//!   reaches.  Every element of a higher rank comes after that rank's
+//!   first element, so one forward scan of `ranks` from there, stopped
+//!   after `k` hits, collects the answer.
+//! * [`StreamingLis::frontier`]: a scan of `ranks` between the rank's
+//!   first and latest element.
 //!
 //! # Value-domain probes
 //!
@@ -59,7 +68,20 @@
 //! Algorithm 1 and the patience tails need none (the paper's vEB tree
 //! serves Algorithm 2's Range-vEB store).
 
-use crate::rankindex::RankIndex;
+/// `parent` of a rank-1 element, which has no predecessor.  No element
+/// index reaches it: a session holds at most `u32::MAX` elements.
+const NO_PARENT: u32 = u32::MAX;
+
+/// Where one rank's elements sit in the stream, and how many there are.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RankSummary {
+    /// Index of the rank's first element.
+    first: u32,
+    /// Index of the rank's latest element.
+    last: u32,
+    /// Number of elements of the rank.
+    count: u32,
+}
 
 /// What one [`StreamingLis::ingest`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,13 +102,15 @@ pub struct StreamingLis {
     values: Vec<u64>,
     /// `ranks[i]` = dp value of `values[i]` (length of the LIS ending there).
     ranks: Vec<u32>,
+    /// `parent[i]` = the last element of rank `ranks[i] - 1` before `i`
+    /// (the step of the Appendix-A walk), or [`NO_PARENT`] at rank 1.
+    parent: Vec<u32>,
     /// The patience tails: `tails[r]` = smallest value ending an increasing
     /// subsequence of length `r + 1`.  Strictly increasing.
     tails: Vec<u64>,
-    /// Per-rank frontiers (rank `r + 1` ↦ indices in increasing order),
-    /// packed into one flat block pool.  Ranks are final, so frontiers only
-    /// grow at the end; this is exactly the grouping Appendix A walks.
-    by_rank: RankIndex,
+    /// `summaries[r]` describes the rank-`(r + 1)` elements; pushed
+    /// whenever `tails` grows.
+    summaries: Vec<RankSummary>,
     universe: u64,
 }
 
@@ -100,20 +124,23 @@ impl StreamingLis {
         StreamingLis {
             values: Vec::new(),
             ranks: Vec::new(),
+            parent: Vec::new(),
             tails: Vec::new(),
-            by_rank: RankIndex::new(),
+            summaries: Vec::new(),
             universe,
         }
     }
 
     /// Pre-size every internal buffer for `additional` more elements, so a
     /// workload of known size never grows them mid-ingest.  Purely a
-    /// capacity hint: state and outcomes are unaffected.
+    /// capacity hint: state and outcomes are unaffected.  (Each element
+    /// opens at most one new rank, so the per-rank arrays are covered too.)
     pub fn reserve(&mut self, additional: usize) {
         self.values.reserve(additional);
         self.ranks.reserve(additional);
+        self.parent.reserve(additional);
         self.tails.reserve(additional);
-        self.by_rank.reserve(additional, additional);
+        self.summaries.reserve(additional);
     }
 
     /// Number of elements ingested so far.
@@ -179,73 +206,89 @@ impl StreamingLis {
         self.tails.get(self.tails.partition_point(|&t| t < x)).copied()
     }
 
+    /// The summary of rank `rank`, if that rank is populated.
+    fn summary(&self, rank: u32) -> Option<&RankSummary> {
+        self.summaries.get(rank.checked_sub(1)? as usize)
+    }
+
     /// Number of ingested elements whose rank (dp value) is exactly
-    /// `rank`.  `O(1)`: the per-rank frontiers are maintained on ingest.
-    /// Rank 0 and ranks above the current LIS length count zero elements.
+    /// `rank`.  `O(1)`: the rank summaries count on ingest.  Rank 0 and
+    /// ranks above the current LIS length count zero elements.
     pub fn count_at_rank(&self, rank: u32) -> usize {
-        match rank.checked_sub(1) {
-            Some(r) => self.by_rank.count(r as usize),
-            None => 0,
-        }
+        self.summary(rank).map_or(0, |s| s.count as usize)
     }
 
     /// The indices of every rank-`rank` element, in increasing order —
-    /// one frontier of the streaming grouping Appendix A reconstructs
-    /// from.  Output-sensitive; allocates only the returned vector.
+    /// one frontier of the grouping Appendix A reconstructs from.  Scans
+    /// `ranks` between the rank's first and latest element; allocates only
+    /// the returned vector.
     pub fn frontier(&self, rank: u32) -> Vec<usize> {
-        match rank.checked_sub(1) {
-            Some(r) => self.by_rank.iter_rank(r as usize).map(|i| i as usize).collect(),
-            None => Vec::new(),
-        }
+        self.summary(rank).map_or_else(Vec::new, |s| {
+            (s.first as usize..=s.last as usize).filter(|&i| self.ranks[i] == rank).collect()
+        })
     }
 
     /// The `k` best elements by dp value: `(index, rank)` pairs ordered by
-    /// descending rank, ties by ascending index.  Output-sensitive
-    /// (`O(k)`): walks the maintained frontiers from the top rank down.
-    /// Returns fewer than `k` pairs when the stream is shorter than `k`.
+    /// descending rank, ties by ascending index.  The rank counts give the
+    /// lowest rank `low` the answer reaches; one forward scan of `ranks`
+    /// from `low`'s first element then stops after `k` hits.  Returns
+    /// fewer than `k` pairs when the stream is shorter than `k`.
     pub fn top_k(&self, k: usize) -> Vec<(usize, u64)> {
-        let mut out = Vec::with_capacity(k.min(self.values.len()));
-        for r in (0..self.by_rank.ranks()).rev() {
-            for idx in self.by_rank.iter_rank(r) {
-                if out.len() == k {
-                    return out;
+        let k = k.min(self.ranks.len());
+        if k == 0 {
+            return Vec::new();
+        }
+        // The answer lists the top rank's elements, then the next rank's,
+        // and so on: `next[j]` is the output slot of the next hit of rank
+        // `top - j`.  Walk down until the counts cover `k`; the last rank
+        // reached, `low`, may be cut short.
+        let top = self.summaries.len();
+        let mut next = Vec::new();
+        let mut covered = 0;
+        while covered < k {
+            next.push(covered);
+            covered += self.summaries[top - next.len()].count as usize;
+        }
+        let low = top + 1 - next.len();
+        let mut out = vec![(0, 0); k];
+        let mut hits = 0;
+        // Every element of a rank above `low` has a rank-`low` element
+        // somewhere before it, so none comes before `low`'s first element.
+        let start = self.summaries[low - 1].first as usize;
+        for (&r, i) in self.ranks[start..].iter().zip(start..) {
+            let r = r as usize;
+            if r < low {
+                continue;
+            }
+            let slot = &mut next[top - r];
+            // Only rank `low` can run out of slots.
+            if *slot < k {
+                out[*slot] = (i, r as u64);
+                *slot += 1;
+                hits += 1;
+                if hits == k {
+                    break;
                 }
-                out.push((idx as usize, r as u64 + 1));
             }
         }
         out
     }
 
     /// Indices (in arrival order) of one longest increasing subsequence of
-    /// the whole stream, recovered by walking the maintained per-rank
-    /// frontiers as in Appendix A (`O(k log n)` per call; no per-query
-    /// grouping pass).  Deterministic, and bit-identical to the offline
-    /// [`plis_lis::lis_indices_from_ranks`] on the same prefix.
+    /// the whole stream: the top rank's first element and its chain of
+    /// parents, `O(k)`.  This is the Appendix-A walk (see the module
+    /// docs), so the answer is deterministic and bit-identical to the
+    /// offline [`plis_lis::lis_indices_from_ranks`] on the same prefix.
     pub fn reconstruct_lis(&self) -> Vec<usize> {
-        let k = self.by_rank.ranks();
-        if k == 0 {
+        let Some(top) = self.summaries.last() else {
             return Vec::new();
+        };
+        let mut out = vec![0; self.summaries.len()];
+        let mut current = top.first;
+        for slot in out.iter_mut().rev() {
+            *slot = current as usize;
+            current = self.parent[*slot];
         }
-        let mut out = Vec::with_capacity(k);
-        // Start from the first (leftmost) object of the top frontier and
-        // walk down one rank at a time, taking the last valid predecessor
-        // (Lemmas A.1/A.2: the last rank-(r-1) index before the current
-        // one carries the smallest such value).
-        let mut current = self.by_rank.first(k - 1).expect("top rank must be populated");
-        out.push(current as usize);
-        for r in (1..k).rev() {
-            let chosen = self
-                .by_rank
-                .last_below(r - 1, current)
-                .unwrap_or_else(|| panic!("a rank-{r} predecessor must exist before {current}"));
-            debug_assert!(
-                self.values[chosen as usize] < self.values[current as usize],
-                "best decision must be smaller"
-            );
-            out.push(chosen as usize);
-            current = chosen;
-        }
-        out.reverse();
         out
     }
 
@@ -254,8 +297,8 @@ impl StreamingLis {
     ///
     /// # Panics
     /// Panics if any value is outside the session universe, or if the
-    /// stream would exceed `u32::MAX` elements (the rank index addresses
-    /// elements with 32 bits).
+    /// stream would exceed `u32::MAX` elements (the parents and rank
+    /// summaries address elements with 32 bits).
     pub fn ingest(&mut self, batch: &[u64]) -> IngestReport {
         for &v in batch {
             assert!(v < self.universe, "value {v} outside session universe {}", self.universe);
@@ -266,55 +309,70 @@ impl StreamingLis {
         );
         let lis_before = self.lis_length();
         let base = self.values.len();
-        for (offset, &x) in batch.iter().enumerate() {
+        for (&x, i) in batch.iter().zip(base as u32..) {
             let pos = self.tails.partition_point(|&t| t < x);
             self.ranks.push(pos as u32 + 1);
-            self.by_rank.push(pos, (base + offset) as u32);
+            self.parent.push(pos.checked_sub(1).map_or(NO_PARENT, |p| self.summaries[p].last));
             if pos == self.tails.len() {
                 self.tails.push(x);
-            } else if x < self.tails[pos] {
+                self.summaries.push(RankSummary { first: i, last: i, count: 1 });
+            } else {
+                // `x <= tails[pos]`; an equal `x` is still the rank's
+                // latest element, which the next rank's parents point at.
                 self.tails[pos] = x;
+                let summary = &mut self.summaries[pos];
+                summary.last = i;
+                summary.count += 1;
             }
         }
         self.values.extend_from_slice(batch);
         IngestReport { ingested: batch.len(), lis_before, lis_after: self.lis_length() }
     }
 
-    /// Rough heap footprint of the session in bytes: the value/rank/tail
-    /// arrays and the flat rank index.  Intended for occasional telemetry
-    /// snapshots, not the hot path.
+    /// Rough heap footprint of the session in bytes: the per-element
+    /// value, rank and parent arrays and the per-rank tails and summaries.
+    /// Intended for occasional telemetry snapshots, not the hot path.
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.values.capacity() * std::mem::size_of::<u64>()
             + self.ranks.capacity() * std::mem::size_of::<u32>()
+            + self.parent.capacity() * std::mem::size_of::<u32>()
             + self.tails.capacity() * std::mem::size_of::<u64>()
-            + self.by_rank.approx_bytes()
+            + self.summaries.capacity() * std::mem::size_of::<RankSummary>()
     }
 
-    /// Heap bytes held by the flat rank-index pool — the telemetry plane's
-    /// "arena high-water" accounting.
-    pub fn arena_bytes(&self) -> usize {
-        self.by_rank.approx_bytes()
-    }
-
-    /// Cross-check every invariant; used by the test suites.
+    /// Cross-check every invariant; used by the test suites.  Recomputes
+    /// every parent and rank summary from the rank array alone.
     pub fn check_invariants(&self) {
         assert_eq!(self.values.len(), self.ranks.len());
+        assert_eq!(self.values.len(), self.parent.len());
         assert!(self.tails.windows(2).all(|w| w[0] < w[1]), "tails not strictly increasing");
-        let k = self.ranks.iter().copied().max().unwrap_or(0);
-        assert_eq!(k, self.lis_length(), "max rank must equal the tail count");
-        assert_eq!(self.by_rank.ranks(), self.tails.len(), "one frontier per rank");
-        let grouped: usize = (0..self.by_rank.ranks()).map(|r| self.by_rank.count(r)).sum();
-        assert_eq!(grouped, self.ranks.len(), "frontiers must cover every element");
-        for r in 0..self.by_rank.ranks() {
-            let frontier: Vec<u32> = self.by_rank.iter_rank(r).collect();
-            assert_eq!(frontier.len(), self.by_rank.count(r), "frontier {r} count drift");
-            assert!(frontier.windows(2).all(|w| w[0] < w[1]), "frontier {r} not increasing");
-            assert!(
-                frontier.iter().all(|&i| self.ranks[i as usize] as usize == r + 1),
-                "frontier {r} holds a wrong-rank element"
-            );
+        let mut summaries: Vec<RankSummary> = Vec::new();
+        for (&rank, i) in self.ranks.iter().zip(0u32..) {
+            let r = rank as usize;
+            assert!((1..=summaries.len() + 1).contains(&r), "element {i} has rank {rank}");
+            let parent = r.checked_sub(2).map_or(NO_PARENT, |p| summaries[p].last);
+            assert_eq!(self.parent[i as usize], parent, "parent of element {i}");
+            if parent != NO_PARENT {
+                assert!(
+                    self.values[parent as usize] < self.values[i as usize],
+                    "parent of element {i} is not smaller"
+                );
+            }
+            match summaries.get_mut(r - 1) {
+                Some(s) => {
+                    s.last = i;
+                    s.count += 1;
+                }
+                None => summaries.push(RankSummary { first: i, last: i, count: 1 }),
+            }
         }
+        assert_eq!(self.summaries, summaries, "rank summaries out of sync");
+        assert_eq!(self.tails.len(), summaries.len(), "one tail per rank");
+        assert!(
+            self.tails.iter().zip(&summaries).all(|(&t, s)| t == self.values[s.last as usize]),
+            "each tail must be the value of its rank's latest element"
+        );
     }
 }
 
@@ -370,8 +428,8 @@ mod tests {
         assert_eq!(lis.len() as u32, s.lis_length());
         assert!(lis.windows(2).all(|w| w[0] < w[1]));
         assert!(lis.windows(2).all(|w| input[w[0]] < input[w[1]]));
-        // The flat-index walk matches the shared offline reconstruction on
-        // the same prefix (bit-identical, not merely both-valid).
+        // The parent walk matches the shared offline reconstruction on the
+        // same prefix (bit-identical, not merely both-valid).
         assert_eq!(lis, plis_lis::lis_indices_from_ranks(s.values(), s.ranks(), s.lis_length()));
     }
 
@@ -389,7 +447,6 @@ mod tests {
         assert_eq!(plain.tails(), sized.tails());
         assert_eq!(plain.reconstruct_lis(), sized.reconstruct_lis());
         sized.check_invariants();
-        assert!(sized.arena_bytes() > 0, "arena accounting must see the rank-index pool");
     }
 
     #[test]
@@ -428,6 +485,52 @@ mod tests {
         assert_eq!(s.top_k(7), full[..7]);
         assert_eq!(full[0].1, s.lis_length() as u64);
         s.check_invariants();
+    }
+
+    /// Streams that stress the rank summaries and parents: every element
+    /// its own rank, one rank only, repeats of tail values, and a top rank
+    /// reached early and followed by a long low-rank tail.
+    fn shaped_streams() -> Vec<(&'static str, Vec<u64>)> {
+        let mut state = 0x0DD5_EED5u64;
+        vec![
+            ("decreasing", (0..300).rev().collect()),
+            ("constant", vec![7; 300]),
+            ("increasing", (0..300).collect()),
+            ("sawtooth", (0..300).map(|i| i % 17).collect()),
+            ("duplicate-heavy", (0..300).map(|_| xorshift(&mut state) % 6).collect()),
+            ("early top rank", (10..50).chain((0..260).map(|i| i % 3)).collect()),
+        ]
+    }
+
+    #[test]
+    fn summary_reads_match_the_rank_array() {
+        for (name, input) in shaped_streams() {
+            for batch in [1, 7, input.len()] {
+                let mut s = StreamingLis::new(1_000);
+                for chunk in input.chunks(batch) {
+                    s.ingest(chunk);
+                }
+                s.check_invariants();
+                let label = format!("{name}, batches of {batch}");
+                let mut want: Vec<(usize, u64)> =
+                    s.ranks().iter().enumerate().map(|(i, &r)| (i, r as u64)).collect();
+                want.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+                for k in 0..=s.len() + 1 {
+                    assert_eq!(s.top_k(k), want[..k.min(s.len())], "{label}: top {k}");
+                }
+                assert_eq!(
+                    s.reconstruct_lis(),
+                    plis_lis::lis_indices_from_ranks(s.values(), s.ranks(), s.lis_length()),
+                    "{label}: certificate"
+                );
+                for rank in 0..=s.lis_length() + 1 {
+                    let frontier: Vec<usize> =
+                        (0..s.len()).filter(|&i| s.ranks()[i] == rank).collect();
+                    assert_eq!(s.count_at_rank(rank), frontier.len(), "{label}: count {rank}");
+                    assert_eq!(s.frontier(rank), frontier, "{label}: frontier {rank}");
+                }
+            }
+        }
     }
 
     #[test]

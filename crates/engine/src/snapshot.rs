@@ -219,7 +219,9 @@ impl SessionSnapshot {
 
     /// Check that ingesting the captured stream cannot panic: the
     /// universe is non-empty, every value lies inside it, an unweighted
-    /// stream fits the rank index's 32-bit element addressing, and a
+    /// stream fits the session's 32-bit element addressing (its parent
+    /// pointers and rank summaries hold `u32` indices, and no index
+    /// reaches the `u32::MAX` that marks a rank-1 element), and a
     /// weighted stream's weight total fits `u64` — the bound every live
     /// append is held to ([`WeightedStreamingLis::admits`]), so any
     /// stream the engine accepted validates, and restore's one ingest of

@@ -39,16 +39,15 @@
 //!
 //! # Queries
 //!
-//! Scores are final on ingest, so the session serves a live query plane:
-//! [`WeightedStreamingLis::count_at_score`] answers from a maintained
-//! score-multiplicity map in `O(1)`, [`WeightedStreamingLis::top_k`] scans
-//! the score array with a size-`k` heap (`O(n log k)`), and
+//! Scores are final on ingest, so the session serves a live query plane
+//! from the score array alone, keeping no index that ingest would have to
+//! update: [`WeightedStreamingLis::count_at_score`] counts in one pass
+//! (`O(n)`), [`WeightedStreamingLis::top_k`] scans with a size-`k` heap
+//! (`O(n)` compares plus `O(log k)` per candidate the heap keeps), and
 //! [`WeightedStreamingLis::reconstruct_wlis`] recovers a maximum-weight
-//! increasing subsequence from the maintained scores with one backward
-//! scan ([`plis_lis::wlis_indices_from_scores`], `O(n)`) — deterministic,
-//! and bit-identical to the same function run offline on the prefix.
-
-use std::collections::HashMap;
+//! increasing subsequence with one backward scan
+//! ([`plis_lis::wlis_indices_from_scores`], `O(n)`) — deterministic, and
+//! bit-identical to the same function run offline on the prefix.
 
 /// What one [`WeightedStreamingLis::ingest`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,9 +78,6 @@ pub struct WeightedStreamingLis {
     /// both coordinates, scores all `≥ 1` (zero-score entries answer no
     /// probe that `max(0, ·)` doesn't already).
     frontier: Vec<(u64, u64)>,
-    /// Multiplicity of every dp score seen so far (`score → count`),
-    /// maintained on ingest so count-at-score queries are `O(1)`.
-    score_counts: HashMap<u64, usize>,
     /// Sum of every ingested weight; bounds every dp score and is kept
     /// within `u64` (see [`WeightedStreamingLis::admits`]).
     weight_total: u64,
@@ -103,7 +99,6 @@ impl WeightedStreamingLis {
             weights: Vec::new(),
             scores: Vec::new(),
             frontier: Vec::new(),
-            score_counts: HashMap::new(),
             weight_total: 0,
             plain_pairs: Vec::new(),
             universe,
@@ -112,15 +107,12 @@ impl WeightedStreamingLis {
 
     /// Pre-size every internal buffer for `additional` more elements, so a
     /// workload of known size never grows them mid-ingest.  Purely a
-    /// capacity hint: state and outcomes are unaffected.  (Each element
-    /// introduces at most one previously unseen score, so the
-    /// score-multiplicity map is covered too.)
+    /// capacity hint: state and outcomes are unaffected.
     pub fn reserve(&mut self, additional: usize) {
         self.values.reserve(additional);
         self.weights.reserve(additional);
         self.scores.reserve(additional);
         self.frontier.reserve(additional);
-        self.score_counts.reserve(additional);
         self.plain_pairs.reserve(additional);
     }
 
@@ -198,17 +190,16 @@ impl WeightedStreamingLis {
     }
 
     /// Number of ingested elements whose dp score is exactly `score`.
-    /// `O(1)`: a score-multiplicity map is maintained on ingest.  (Unlike
-    /// unweighted ranks, scores are sparse, so most probes count zero.)
+    /// `O(n)`: one pass over the score array.
     pub fn count_at_score(&self, score: u64) -> usize {
-        self.score_counts.get(&score).copied().unwrap_or(0)
+        self.scores.iter().filter(|&&s| s == score).count()
     }
 
     /// The `k` best elements by dp score: `(index, score)` pairs ordered
-    /// by descending score, ties by ascending index.  `O(n log k)` — a
-    /// single scan with a size-`k` heap (weighted scores are unbounded, so
-    /// there is no frontier list to walk as in the unweighted session).
-    /// Returns fewer than `k` pairs when the stream is shorter than `k`.
+    /// by descending score, ties by ascending index.  A single scan with a
+    /// size-`k` heap: `O(n)` compares, plus `O(log k)` for each candidate
+    /// the heap keeps.  Returns fewer than `k` pairs when the stream is
+    /// shorter than `k`.
     pub fn top_k(&self, k: usize) -> Vec<(usize, u64)> {
         use std::cmp::Reverse;
         if k == 0 {
@@ -217,14 +208,19 @@ impl WeightedStreamingLis {
         // Min-heap of the current best k: the key orders "better" as
         // (higher score, then smaller index), so the heap top — the
         // minimum key under Reverse — is the weakest kept candidate.  The
-        // heap never holds more than min(k, n) + 1 entries, so cap the
+        // heap never holds more than min(k, n) entries, so cap the
         // allocation by the stream length (a huge k must not OOM/panic).
         let mut heap: std::collections::BinaryHeap<Reverse<(u64, Reverse<usize>)>> =
-            std::collections::BinaryHeap::with_capacity(k.min(self.scores.len()) + 1);
+            std::collections::BinaryHeap::with_capacity(k.min(self.scores.len()));
         for (i, &s) in self.scores.iter().enumerate() {
-            heap.push(Reverse((s, Reverse(i))));
-            if heap.len() > k {
-                heap.pop();
+            if heap.len() < k {
+                heap.push(Reverse((s, Reverse(i))));
+            } else if let Some(mut weakest) = heap.peek_mut() {
+                // A later index never wins a tie, so only a strictly higher
+                // score displaces the weakest kept candidate.
+                if s > weakest.0 .0 {
+                    *weakest = Reverse((s, Reverse(i)));
+                }
             }
         }
         let mut out: Vec<(usize, u64)> =
@@ -264,7 +260,6 @@ impl WeightedStreamingLis {
             self.values.push(x);
             self.weights.push(w);
             self.scores.push(score);
-            *self.score_counts.entry(score).or_default() += 1;
             self.frontier_insert(x, score);
         }
         WeightedIngestReport {
@@ -319,19 +314,16 @@ impl WeightedStreamingLis {
     }
 
     /// Rough heap footprint of the session in bytes: the value, weight
-    /// and score arrays, the Pareto frontier, the plain-batch staging
-    /// buffer, and an estimate of the score-multiplicity map.  Intended for occasional
-    /// telemetry snapshots, not the hot path.
+    /// and score arrays, the Pareto frontier and the plain-batch staging
+    /// buffer.  Intended for occasional telemetry snapshots, not the hot
+    /// path.
     pub fn approx_bytes(&self) -> usize {
-        // HashMap: one (key, value) slot plus a control byte per bucket.
-        let map_bytes = self.score_counts.capacity() * (std::mem::size_of::<(u64, usize)>() + 1);
         std::mem::size_of::<Self>()
             + self.values.capacity() * std::mem::size_of::<u64>()
             + self.weights.capacity() * std::mem::size_of::<u64>()
             + self.scores.capacity() * std::mem::size_of::<u64>()
             + self.frontier.capacity() * std::mem::size_of::<(u64, u64)>()
             + self.arena_bytes()
-            + map_bytes
     }
 
     /// Heap bytes held by the plain-batch staging buffer — the telemetry
@@ -354,11 +346,6 @@ impl WeightedStreamingLis {
             self.scores.iter().copied().max().unwrap_or(0),
             "best_score must equal the max dp score"
         );
-        let mut want_counts: HashMap<u64, usize> = HashMap::new();
-        for &s in &self.scores {
-            *want_counts.entry(s).or_default() += 1;
-        }
-        assert_eq!(self.score_counts, want_counts, "score multiplicities out of sync");
         assert_eq!(
             Some(self.weight_total),
             self.weights.iter().try_fold(0u64, |acc, &w| acc.checked_add(w)),
@@ -550,6 +537,15 @@ mod tests {
         assert!(cert.windows(2).all(|w| w[0] < w[1]));
         assert!(cert.windows(2).all(|w| s.values()[w[0]] < s.values()[w[1]]));
         assert_eq!(cert.iter().map(|&i| s.weights()[i]).sum::<u64>(), s.best_score());
+        s.check_invariants();
+    }
+
+    #[test]
+    fn top_k_keeps_the_earliest_of_equal_scores() {
+        let mut s = WeightedStreamingLis::new(10);
+        s.ingest(&[(5, 3); 40]);
+        let want: Vec<(usize, u64)> = (0..9).map(|i| (i, 3)).collect();
+        assert_eq!(s.top_k(9), want);
         s.check_invariants();
     }
 

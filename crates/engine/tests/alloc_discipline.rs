@@ -165,5 +165,5 @@ fn engine_allocs_per_elem_floors_to_zero() {
         "tick envelope allocations must amortise away: {} allocs over {} elems",
         snap.alloc_count, snap.elems_ingested
     );
-    assert!(snap.arena_bytes > 0, "warm sessions must report retained arena bytes");
+    assert_eq!(snap.arena_bytes, 0, "unweighted sessions keep no ingest scratch");
 }
