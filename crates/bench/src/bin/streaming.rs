@@ -72,8 +72,8 @@ fn n_per_session() -> usize {
 }
 
 /// Elements per weighted session (`PLIS_BENCH_WEIGHTED_N`, default
-/// `PLIS_BENCH_N / 5`): a weighted ingest repairs the Pareto frontier and
-/// a score-multiplicity map per element, so cells are denser per element.
+/// `PLIS_BENCH_N / 5`): a weighted ingest repairs the Pareto frontier per
+/// element, so cells are denser per element.
 /// `0` disables the weighted sweep.
 fn weighted_n_per_session() -> usize {
     std::env::var("PLIS_BENCH_WEIGHTED_N")

@@ -382,12 +382,11 @@ fn op_weight(op: &OpRef<'_>) -> usize {
 }
 
 /// Estimated work of one query batch: 1 per read, a flat heavy charge per
-/// certificate.  The charges predate the current read costs and are kept
-/// until a measured retune of [`INLINE_TICK_WEIGHT`]: an unweighted
-/// certificate follows `k` parent pointers and an unweighted count is
-/// `O(1)`, while an unweighted top-k scans `ranks` from one rank's first
-/// element, and weighted counts, top-k and certificates each scan the
-/// session's whole score array.
+/// certificate.  The charges are not fitted to the read costs and stay
+/// until a measured retune of [`INLINE_TICK_WEIGHT`].  On an unweighted
+/// session a count is `O(1)`, a certificate follows `k` parent pointers
+/// and a top-k scans `ranks` from one rank's first element; on a weighted
+/// session counts, top-k and certificates each scan the whole score array.
 fn query_weight(batch: &QueryBatch) -> usize {
     batch
         .queries()

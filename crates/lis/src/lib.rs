@@ -8,11 +8,13 @@
 //!   `O(n)` space (Theorem 1.1).
 //! * [`lis_length`] — just the LIS length `k`.
 //! * [`lis_indices`] — an actual longest increasing subsequence, recovered
-//!   from the ranks as in Appendix A.  [`lis_indices_from_frontiers`] and
-//!   [`wlis_indices_from_scores`] expose the same reconstruction over the
-//!   *streaming* representations (maintained per-rank index lists and
-//!   maintained dp scores), which is how the `plis-engine` query plane
-//!   serves live certificates.
+//!   from the ranks as in Appendix A; [`lis_indices_from_ranks`] and
+//!   [`lis_indices_from_frontiers`] start from computed ranks or an
+//!   existing per-rank grouping.  [`wlis_indices_from_scores`] is the
+//!   weighted reconstruction from dp scores, which is how the
+//!   `plis-engine` query plane serves weighted certificates; unweighted
+//!   sessions follow per-element parent pointers instead and are checked
+//!   against [`lis_indices_from_ranks`].
 //! * [`wlis_with`] — Algorithm 2: the single generic weighted-LIS driver
 //!   over the [`DominantMaxStore`] trait; [`wlis_kind`] dispatches it
 //!   through the [`DominantMaxKind`] factory, and [`wlis_rangetree`] /

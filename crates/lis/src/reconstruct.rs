@@ -8,17 +8,20 @@
 //! which a binary search over the frontier's (sorted) index list finds in
 //! `O(log n)`.
 //!
-//! The entry points come in three layers so both the offline algorithms and
-//! the streaming sessions of `plis-engine` share one reconstruction:
+//! The entry points come in three layers:
 //!
 //! * [`lis_indices`] — offline convenience: computes ranks, then walks.
 //! * [`lis_indices_from_ranks`] — reuses a rank array (offline or the
 //!   exact ranks a streaming session maintains) and groups it into
 //!   frontiers itself.
 //! * [`lis_indices_from_frontiers`] — the walk alone, over frontiers the
-//!   caller already maintains incrementally (the streaming query plane
-//!   keeps per-rank index lists live, so certificates cost
-//!   `O(k log n)` with no per-query grouping pass).
+//!   caller has already grouped.
+//!
+//! The streaming sessions of `plis-engine` call none of them: they keep
+//! each element's step of this walk (the last element of the previous
+//! rank before it) as a parent pointer at ingest and follow those in
+//! `O(k)`.  Their oracle suite checks the result against
+//! [`lis_indices_from_ranks`], an independent group-then-walk.
 //!
 //! [`wlis_indices_from_scores`] is the weighted analogue: it recovers a
 //! maximum-weight increasing subsequence from the dp scores of Algorithm 2
@@ -52,15 +55,13 @@ pub fn lis_indices_from_ranks<T: Ord>(values: &[T], ranks: &[u32], k: u32) -> Ve
 
 /// The Appendix-A walk alone: recover one LIS from per-rank *frontiers* —
 /// `frontiers[r - 1]` lists, in increasing index order, every object of
-/// rank `r`.  This is the streaming entry point: a live session maintains
-/// exactly these index lists incrementally (ranks are final on ingest, so
-/// each list only ever grows at the end), and a certificate query walks
-/// them in `O(k log n)` without re-grouping anything.
+/// rank `r` — in `O(k log n)`, for a caller that already holds the
+/// grouping.
 ///
 /// The walk is deterministic — it always starts from the leftmost
 /// top-rank object and takes the last valid predecessor in each frontier —
-/// so streaming answers are bit-identical to the offline
-/// [`lis_indices_from_ranks`] on the same prefix.
+/// so its answer is bit-identical to [`lis_indices_from_ranks`] on the
+/// same ranks.
 ///
 /// # Panics
 /// Panics if the frontiers are inconsistent with `values` (empty rank
