@@ -385,8 +385,10 @@ fn op_weight(op: &OpRef<'_>) -> usize {
 /// certificate.  The charges are not fitted to the read costs and stay
 /// until a measured retune of [`INLINE_TICK_WEIGHT`].  On an unweighted
 /// session a count is `O(1)`, a certificate follows `k` parent pointers
-/// and a top-k scans `ranks` from one rank's first element; on a weighted
-/// session counts, top-k and certificates each scan the whole score array.
+/// and a top-k scans `ranks` from one rank's first element, `O(n)` in the
+/// worst case; on a weighted session counts, top-k and certificates each
+/// scan the whole score array.  So a top-k and a weighted count are
+/// under-priced at 1.
 fn query_weight(batch: &QueryBatch) -> usize {
     batch
         .queries()

@@ -53,10 +53,13 @@
 //!   last rank-`(r - 1)` element before the current one as its
 //!   predecessor, which is exactly the parent, so this is the Appendix-A
 //!   walk and stays bit-identical to [`plis_lis::lis_indices_from_ranks`].
-//! * [`StreamingLis::top_k`]: the counts find the lowest rank the answer
-//!   reaches.  Every element of a higher rank comes after that rank's
+//! * [`StreamingLis::top_k`]: the counts find the lowest rank `low` the
+//!   answer reaches.  Every element of a higher rank comes after `low`'s
 //!   first element, so one forward scan of `ranks` from there, stopped
-//!   after `k` hits, collects the answer.
+//!   after `k` hits, collects the answer.  The scan cannot stop before it
+//!   has passed every element of a rank above `low`, so it is not bounded
+//!   by `k`: it costs `O(n - first(low))`, which is `O(n)` even for a small
+//!   `k` when a high-rank element arrives last.
 //! * [`StreamingLis::frontier`]: a scan of `ranks` between the rank's
 //!   first and latest element.
 //!
@@ -233,6 +236,11 @@ impl StreamingLis {
     /// lowest rank `low` the answer reaches; one forward scan of `ranks`
     /// from `low`'s first element then stops after `k` hits.  Returns
     /// fewer than `k` pairs when the stream is shorter than `k`.
+    ///
+    /// Worst case `O(n - first(low))`, not `O(k)`: the `k`-th hit can be
+    /// the last element of the stream.  On `[100, 0, 0, ..., 0, 200]`,
+    /// `top_k(2)` fills its rank-1 slot at index 0 and then walks every
+    /// `0` to reach the one rank-2 element.
     pub fn top_k(&self, k: usize) -> Vec<(usize, u64)> {
         let k = k.min(self.ranks.len());
         if k == 0 {
@@ -488,8 +496,9 @@ mod tests {
     }
 
     /// Streams that stress the rank summaries and parents: every element
-    /// its own rank, one rank only, repeats of tail values, and a top rank
-    /// reached early and followed by a long low-rank tail.
+    /// its own rank, one rank only, repeats of tail values, a top rank
+    /// reached early and followed by a long low-rank tail, and `top_k`'s
+    /// worst case, a lone rank-2 element after a long rank-1 run.
     fn shaped_streams() -> Vec<(&'static str, Vec<u64>)> {
         let mut state = 0x0DD5_EED5u64;
         vec![
@@ -499,6 +508,7 @@ mod tests {
             ("sawtooth", (0..300).map(|i| i % 17).collect()),
             ("duplicate-heavy", (0..300).map(|_| xorshift(&mut state) % 6).collect()),
             ("early top rank", (10..50).chain((0..260).map(|i| i % 3)).collect()),
+            ("late top rank", [100].into_iter().chain([0; 298]).chain([200]).collect()),
         ]
     }
 

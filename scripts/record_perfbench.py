@@ -4,22 +4,30 @@
 Record one run (from the repository root):
 
     python3 scripts/record_perfbench.py --workload engine-bulk --seed 201 \\
-        --side change --trace 0 [--seconds 30] [--checkout DIR] [--out FILE]
+        --side change --trace 0 [--checkout DIR] [--out FILE]
 
 This runs DIR/perfbench/run.py (DIR defaults to this repository; point it at
-a clone of the parent commit to record the parent side of a pair) and appends
-its result to FILE (default BENCH_perfbench.json here) as one JSON line
-carrying workload, seed, commit, host_threads, side, traced and seconds next
-to the result's attempted, failed, correct and metric values.  A run that
-fails or answers wrong appends nothing and exits non-zero.
+a clone of the parent commit to record the parent side of a pair) for
+BENCHMARK.json's run_seconds, and appends its result to FILE (default
+BENCH_perfbench.json here) as one JSON line carrying workload, seed, commit,
+host_threads, side, traced and seconds next to the result's attempted,
+failed, correct and metric values.  A run that fails or answers wrong
+appends nothing and exits non-zero.
+
+"seconds" is the --seconds value run.py was given, which is run_seconds.  A
+traced run spends the first half of it untraced and the second half traced,
+so its per-layer metrics come from run_seconds / 2 of traffic.  Traced lines
+recorded by hand before this script existed store that traced half instead
+(15.0 where run_seconds is 30).
 
 Check every recorded line:
 
     python3 scripts/record_perfbench.py --check [FILE]
 
 A line fails the check when it lacks one of the keys above, when its
-"correct" is not true, or when it names a metric outside BENCHMARK.json's
-end_to_end list (untraced lines) or per_layer list (traced lines).
+"correct" is not true, when it names a metric outside BENCHMARK.json's
+end_to_end list (untraced lines) or per_layer list (traced lines), or when
+its seconds is not run_seconds (or, on a traced line, run_seconds / 2).
 """
 
 import argparse
@@ -32,13 +40,15 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 REQUIRED = ["workload", "seed", "commit", "host_threads", "side", "traced", "seconds", "correct", "metrics"]
 
 
-def allowed_metrics():
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {traced: {m["name"] for m in spec[key]} for traced, key in [(0, "end_to_end"), (1, "per_layer")]}
+def benchmark():
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 def check(path):
-    allowed = allowed_metrics()
+    spec = benchmark()
+    allowed = {traced: {m["name"] for m in spec[key]} for traced, key in [(0, "end_to_end"), (1, "per_layer")]}
+    run_seconds = spec["run_seconds"]
+    lengths = {0: [run_seconds], 1: [run_seconds, run_seconds / 2]}
     errors = []
     lines = path.read_text().splitlines()
     for number, text in enumerate(lines, 1):
@@ -59,6 +69,8 @@ def check(path):
         unknown = sorted(set(line["metrics"]) - allowed[line["traced"]])
         if unknown:
             errors.append(f"{path}:{number}: metrics not in BENCHMARK.json: {', '.join(unknown)}")
+        if line["seconds"] not in lengths[line["traced"]]:
+            errors.append(f"{path}:{number}: seconds is {line['seconds']!r}, not run_seconds {run_seconds}")
     for error in errors:
         print(error, file=sys.stderr)
     print(f"{path}: {len(lines)} lines, {len(errors)} problems")
@@ -67,8 +79,9 @@ def check(path):
 
 def record(a):
     checkout = pathlib.Path(a.checkout).resolve()
+    seconds = float(benchmark()["run_seconds"])
     cmd = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", a.workload,
-           "--seed", str(a.seed), "--seconds", str(a.seconds), "--trace", str(a.trace)]
+           "--seed", str(a.seed), "--seconds", str(seconds), "--trace", str(a.trace)]
     run = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True)
     if run.returncode != 0:
         print(f"record_perfbench: run.py exited with code {run.returncode}", file=sys.stderr)
@@ -84,7 +97,7 @@ def record(a):
         "host_threads": start["host_threads"],
         "side": a.side,
         "traced": a.trace,
-        "seconds": a.seconds,
+        "seconds": seconds,
         "attempted": last["attempted"],
         "failed": last["failed"],
         "correct": last["correct"],
@@ -104,7 +117,6 @@ def main():
     parser.add_argument("--seed", type=int)
     parser.add_argument("--side", choices=["parent", "change"])
     parser.add_argument("--trace", type=int, choices=[0, 1])
-    parser.add_argument("--seconds", type=float)
     parser.add_argument("--checkout", default=str(ROOT))
     parser.add_argument("--out", default=str(ROOT / "BENCH_perfbench.json"))
     a = parser.parse_args()
@@ -112,8 +124,6 @@ def main():
         return check(pathlib.Path(a.check))
     if None in (a.workload, a.seed, a.side, a.trace):
         parser.error("recording needs --workload, --seed, --side and --trace")
-    if a.seconds is None:
-        a.seconds = float(json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"])
     return record(a)
 
 
