@@ -106,7 +106,6 @@ fn replay(config: &EngineConfig, setup: &Tick, ticks: &[Tick]) -> Engine {
 }
 
 /// The telemetry columns shared by every sweep's JSON line.
-/// All-zero when the engine was built with `--no-default-features`.
 fn telemetry_fields(snap: &MetricsSnapshot) -> Vec<(&'static str, JsonValue)> {
     vec![
         ("tick_p50_us", (snap.tick_latency.p50() as f64 / 1_000.0).into()),
@@ -126,8 +125,9 @@ fn telemetry_fields(snap: &MetricsSnapshot) -> Vec<(&'static str, JsonValue)> {
 /// checkpointing is cold-path, so it must not perturb the throughput
 /// figure.  Also the bench-level sanity gate: the restored engine must
 /// list the same sessions, and the snapshot must stay within 2x of the
-/// live sessions' approximate heap footprint (when telemetry reports
-/// one — the snapshot stores the raw streams, not the derived indices).
+/// live sessions' approximate heap footprint (when the sessions hold
+/// any bytes — the snapshot stores the raw streams, not the derived
+/// indices).
 fn persistence_fields(
     config: &EngineConfig,
     setup: &Tick,
@@ -167,12 +167,8 @@ fn persistence_fields(
 }
 
 /// Cross-check the telemetry counters against the ground truth the sweep
-/// already knows.  Gated on `snap.ticks != 0` so a telemetry-off engine
-/// build (all-zero snapshot) still benches cleanly.
+/// already knows.
 fn reconcile(snap: &MetricsSnapshot, executed_ticks: usize, total_elems: usize) {
-    if snap.ticks == 0 {
-        return;
-    }
     assert_eq!(
         snap.ticks as usize,
         executed_ticks + 1, // the creation tick plus the traffic ticks
@@ -364,12 +360,10 @@ fn query_sweep(
                     });
                     assert_eq!(answered, total_queries, "every generated query must be answered");
                     reconcile(&snap, ticks.len(), total_elems);
-                    if snap.ticks != 0 {
-                        assert_eq!(
-                            snap.queries_answered as usize, total_queries,
-                            "telemetry query counter must reconcile with the schedule"
-                        );
-                    }
+                    assert_eq!(
+                        snap.queries_answered as usize, total_queries,
+                        "telemetry query counter must reconcile with the schedule"
+                    );
                     let mut fields = vec![
                         ("bench", "streaming-queries".into()),
                         ("schema", SCHEMA.into()),

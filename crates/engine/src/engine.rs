@@ -4,9 +4,10 @@
 //!
 //! Sessions are owned by *shards* (session id → shard by FNV-1a hash).  A
 //! [`Tick`] is a list of `(SessionId, Op)` slots — appends, queries, and
-//! explicit lifecycle ops — and [`Engine::execute`] partitions the tick by
-//! shard and processes the shards through the join-splitting `par_iter`
-//! surface with a one-shard grain (disjoint shards, no locks — the same
+//! explicit lifecycle ops — and [`Engine::execute`], the engine's only
+//! tick executor, partitions the tick by shard and processes the shards
+//! through the join-splitting `par_iter` surface with a one-shard grain
+//! (disjoint shards, no locks — the same
 //! isolation argument the vEB batch operations use for disjoint clusters),
 //! then returns one typed [`OpResult`] per slot in the original tick
 //! order.  Ops addressed to the same session within one tick apply in
@@ -16,9 +17,9 @@
 //! exposes how many distinct worker threads actually participated, which
 //! the determinism and parallelism tests assert on.
 //!
-//! Read-only traffic goes through [`Engine::execute_read`], which takes
-//! `&self`, mutates nothing, and runs the same one-shard-grain parallel
-//! pass over a [`ReadTick`] of query batches.
+//! [`Engine::execute_read`] is an adapter for read-only traffic: it lowers
+//! a [`ReadTick`] of query batches into [`Op::Query`] slots, executes them
+//! as one tick, and returns their answers as a [`ReadOutcome`].
 //!
 //! # Session kinds
 //!
@@ -36,7 +37,7 @@
 
 use crate::metrics::{Metrics, MetricsSnapshot, TickDigest};
 use crate::op::{Op, OpError, OpOutput, OpResult, ReadOutcome, ReadTick, Tick, TickOutcome};
-use crate::query::{QueryBatch, QueryReport};
+use crate::query::QueryBatch;
 use crate::session::{IngestReport, StreamingLis};
 use crate::snapshot::{EngineSnapshot, SessionSnapshot};
 use crate::wsession::{weight_sum, WeightedIngestReport, WeightedStreamingLis};
@@ -324,7 +325,7 @@ impl BatchReport {
 struct Shard {
     sessions: HashMap<Arc<str>, SessionState>,
     /// Reusable routing buffer: the tick-slot indices addressed to this
-    /// shard, refilled by [`Engine::route_tick`] every write tick.  Held
+    /// shard, refilled by [`Engine::route_tick`] every tick.  Held
     /// on the shard so steady-state ticks build no per-tick partition
     /// vectors — the buffers reach their high-water capacity once and
     /// stay there.  Slot indices are `u32`; [`Engine::execute`] asserts
@@ -334,24 +335,20 @@ struct Shard {
 
 /// What one shard hands back from a tick: position-labeled results plus
 /// the worker thread that produced them.
-type ShardOutput<R> = (Vec<(usize, SessionId, R)>, std::thread::ThreadId);
+type ShardOutput = (Vec<(usize, SessionId, OpResult)>, std::thread::ThreadId);
 
-/// The last stage of every tick path: merge per-shard outputs back into
-/// tick order and count the distinct worker threads that participated
-/// (at least 1, so empty ticks still report the calling thread).
-fn reassemble<R>(per_shard: Vec<ShardOutput<R>>, expected: usize) -> (Vec<(SessionId, R)>, usize) {
+/// The last stage of a tick: merge per-shard outputs back into tick order
+/// and count the distinct worker threads that participated (at least 1,
+/// so empty ticks still report the calling thread).
+fn reassemble(per_shard: Vec<ShardOutput>, expected: usize) -> (Vec<(SessionId, OpResult)>, usize) {
     let worker_threads =
         per_shard.iter().map(|(_, id)| *id).collect::<std::collections::HashSet<_>>().len().max(1);
-    let mut labeled: Vec<(usize, SessionId, R)> =
+    let mut labeled: Vec<(usize, SessionId, OpResult)> =
         per_shard.into_iter().flat_map(|(results, _)| results).collect();
     labeled.sort_unstable_by_key(|slot| slot.0);
     debug_assert_eq!(labeled.len(), expected);
     (labeled.into_iter().map(|(_, id, r)| (id, r)).collect(), worker_threads)
 }
-
-/// One query batch of a read-only tick: original tick position, target
-/// session, queries.
-type QueryItem<'a> = (usize, &'a SessionId, &'a QueryBatch);
 
 /// Ticks whose total estimated work stays under this many element-units
 /// run inline on the calling thread.  Each piece of the per-shard
@@ -400,14 +397,6 @@ fn query_weight(batch: &QueryBatch) -> usize {
         .sum()
 }
 
-/// Whether a partitioned tick is light enough to run inline: at most one
-/// shard has work (a single piece gains nothing from the spine), or the
-/// total estimated weight is under [`INLINE_TICK_WEIGHT`].
-fn tick_is_light<T>(work: &[Vec<T>], weight: impl Fn(&T) -> usize) -> bool {
-    let busy = work.iter().filter(|w| !w.is_empty()).count();
-    busy <= 1 || work.iter().flatten().map(weight).sum::<usize>() < INLINE_TICK_WEIGHT
-}
-
 impl Shard {
     /// Apply this shard's slice of a tick, in tick order.  `route` holds
     /// the tick-slot indices addressed to this shard (taken off the
@@ -435,8 +424,9 @@ impl Shard {
                 let result = match op.as_op_ref() {
                     OpRef::Append(batch) => self.append(id, batch, config, create_missing),
                     OpRef::Query(batch) => self
-                        .answer(id, batch)
-                        .map(OpOutput::Answered)
+                        .sessions
+                        .get(id.as_str())
+                        .map(|state| OpOutput::Answered(state.answer_batch(batch)))
                         .ok_or(OpError::UnknownSession),
                     OpRef::Create(kind) => match self.sessions.entry(id.key()) {
                         std::collections::hash_map::Entry::Occupied(e) => {
@@ -528,28 +518,6 @@ impl Shard {
         Ok(OpOutput::Appended(report))
     }
 
-    /// Answer one query batch against this shard's copy of the session
-    /// (`None` when the session does not exist — queries never create).
-    fn answer(&self, id: &SessionId, batch: &QueryBatch) -> Option<QueryReport> {
-        self.sessions.get(id.as_str()).map(|state| state.answer_batch(batch))
-    }
-
-    /// Answer this shard's slice of a read-only tick, in tick order.
-    fn read(
-        &self,
-        work: &[QueryItem<'_>],
-        metrics: &Metrics,
-    ) -> Vec<(usize, SessionId, Result<QueryReport, OpError>)> {
-        work.iter()
-            .map(|&(index, id, batch)| {
-                let timer = metrics.start_timer();
-                let result = self.answer(id, batch).ok_or(OpError::UnknownSession);
-                metrics.record_op_since(timer);
-                (index, id.clone(), result)
-            })
-            .collect()
-    }
-
     /// Rough heap footprint of every session in this shard, in bytes.
     fn approx_bytes(&self) -> usize {
         self.sessions.values().map(SessionState::approx_bytes).sum()
@@ -564,8 +532,8 @@ impl Shard {
 pub struct Engine {
     config: EngineConfig,
     shards: Vec<Shard>,
-    /// The telemetry registry (a no-op ZST without the `telemetry`
-    /// feature).  Purely observational — see [`crate::metrics`].
+    /// The telemetry registry.  Purely observational — see
+    /// [`crate::metrics`].
     metrics: Metrics,
     /// Allocation-meter baseline captured at construction, so snapshots
     /// report allocations attributable to this engine's lifetime.  Stays
@@ -573,7 +541,6 @@ pub struct Engine {
     /// counting global allocator (`plis-testalloc`).
     alloc_base: plis_telemetry::AllocTally,
     /// Optional JSON-lines trace sink: one event per executed tick.
-    #[cfg(feature = "telemetry")]
     trace: Option<plis_telemetry::TraceSink>,
 }
 
@@ -587,7 +554,6 @@ impl Engine {
             shards,
             metrics: Metrics::new(),
             alloc_base: plis_telemetry::alloc_tally(),
-            #[cfg(feature = "telemetry")]
             trace: None,
         }
     }
@@ -603,8 +569,7 @@ impl Engine {
     }
 
     /// The engine's telemetry registry — use it to toggle recording at
-    /// runtime ([`Metrics::set_enabled`]).  A no-op handle when the
-    /// `telemetry` feature is off.
+    /// runtime ([`Metrics::set_enabled`]).
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
     }
@@ -612,40 +577,30 @@ impl Engine {
     /// A point-in-time copy of the whole telemetry plane: the cumulative
     /// counters and latency histograms, plus live-session and per-shard
     /// memory accounting computed by walking the shards now (`O(sessions)`
-    /// plus the store walks — snapshot-time cost, never per-op).  All-zero
-    /// when the `telemetry` feature is off (session accounting included,
-    /// so a feature-off build is observably inert).
+    /// plus the store walks — snapshot-time cost, never per-op).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.metrics.counters_snapshot();
-        if cfg!(feature = "telemetry") {
-            snap.sessions = self.session_count() as u64;
-            snap.shard_bytes = self.shards.iter().map(|s| s.approx_bytes() as u64).collect();
-            snap.session_bytes = snap.shard_bytes.iter().sum();
-            let allocs = plis_telemetry::alloc_tally().since(self.alloc_base);
-            snap.alloc_count = allocs.allocs;
-            snap.allocs_per_elem = allocs.allocs.checked_div(snap.elems_ingested).unwrap_or(0);
-            snap.arena_bytes = self
-                .shards
-                .iter()
-                .flat_map(|s| s.sessions.values())
-                .map(|s| s.arena_bytes() as u64)
-                .sum();
-        }
+        snap.sessions = self.session_count() as u64;
+        snap.shard_bytes = self.shards.iter().map(|s| s.approx_bytes() as u64).collect();
+        snap.session_bytes = snap.shard_bytes.iter().sum();
+        let allocs = plis_telemetry::alloc_tally().since(self.alloc_base);
+        snap.alloc_count = allocs.allocs;
+        snap.allocs_per_elem = allocs.allocs.checked_div(snap.elems_ingested).unwrap_or(0);
+        snap.arena_bytes = self
+            .shards
+            .iter()
+            .flat_map(|s| s.sessions.values())
+            .map(|s| s.arena_bytes() as u64)
+            .sum();
         snap
     }
 
-    /// Install (or clear) a JSON-lines trace sink: after every
-    /// [`Engine::execute`] / [`Engine::execute_read`] the engine emits one
-    /// event with the tick's latency, op counts, and ingest count.
-    /// Emission follows the runtime [`Metrics::set_enabled`] toggle.  A
-    /// no-op when the `telemetry` feature is off.
+    /// Install (or clear) a JSON-lines trace sink: after every executed
+    /// tick the engine emits one event with the tick's latency, op counts,
+    /// and ingest count.  Emission follows the runtime
+    /// [`Metrics::set_enabled`] toggle.
     pub fn set_trace_sink(&mut self, sink: Option<plis_telemetry::TraceSink>) {
-        #[cfg(feature = "telemetry")]
-        {
-            self.trace = sink;
-        }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = sink;
+        self.trace = sink;
     }
 
     fn shard_index(&self, id: &str) -> usize {
@@ -806,9 +761,10 @@ impl Engine {
         Ok(engine)
     }
 
-    /// Execute one tick of commands — the engine's **single write/mixed
-    /// entry point**.  The tick is partitioned by shard and the disjoint
-    /// shards are processed through the parallel-iterator surface (one
+    /// Execute one tick of commands — the engine's **only tick
+    /// executor**, for writes, reads and lifecycle ops alike.  The tick
+    /// is partitioned by shard and the disjoint shards are processed
+    /// through the parallel-iterator surface (one
     /// piece per shard — shards are few but heavy, so the default
     /// element-count grain would under-split); results come back as one
     /// typed [`OpResult`] per slot, in submission order.
@@ -846,7 +802,7 @@ impl Engine {
             shard.route = route;
             (results, std::thread::current().id())
         };
-        let per_shard: Vec<ShardOutput<OpResult>> = if inline {
+        let per_shard: Vec<ShardOutput> = if inline {
             busy.into_iter().map(run).collect()
         } else {
             busy.into_par_iter().with_max_len(1).map(run).collect()
@@ -859,38 +815,24 @@ impl Engine {
         outcome
     }
 
-    /// Execute one read-only tick — the engine's **single read entry
-    /// point**.  Takes `&self`: reads mutate nothing, never create
-    /// sessions (absent ids fail their slot with
+    /// Execute one read-only tick: an adapter over [`Engine::execute`].
+    /// Each query batch becomes one [`Op::Query`] slot of a strict tick,
+    /// so reads take the same shard path as every other op: they mutate no
+    /// session, never create one (absent ids fail their slot with
     /// [`OpError::UnknownSession`]), and answers come back in submission
-    /// order, served shard-parallel with the same one-shard grain as
-    /// [`Engine::execute`].
-    pub fn execute_read(&self, tick: &ReadTick) -> ReadOutcome {
-        let timer = self.metrics.start_timer();
-        let work = self.partition_by_shard(tick.slots().iter().map(|(id, batch)| (id, batch)));
-        let metrics = &self.metrics;
-        let inline = tick_is_light(&work, |(_, _, batch)| query_weight(batch));
-        let busy: Vec<(&Shard, &Vec<QueryItem<'_>>)> =
-            self.shards.iter().zip(work.iter()).filter(|(_, work)| !work.is_empty()).collect();
-        let run = |(shard, work): (&Shard, &Vec<QueryItem<'_>>)| {
-            (shard.read(work, metrics), std::thread::current().id())
-        };
-        let per_shard: Vec<ShardOutput<Result<QueryReport, OpError>>> = if inline {
-            busy.into_iter().map(run).collect()
-        } else {
-            busy.into_par_iter().with_max_len(1).map(run).collect()
-        };
-        let (outcomes, worker_threads) = reassemble(per_shard, tick.len());
-        let mut outcome = ReadOutcome::collect(outcomes, worker_threads);
-        outcome.elapsed_ns = Metrics::elapsed_ns(timer);
-        self.metrics.record_read(&outcome, inline);
-        self.trace_read(&outcome);
-        outcome
+    /// order.
+    pub fn execute_read(&mut self, tick: &ReadTick) -> ReadOutcome {
+        let lowered: Tick = tick.slots().iter().map(|(id, batch)| (id, batch.clone())).collect();
+        let outcome = self.execute(&lowered);
+        ReadOutcome::from_query_results(
+            outcome.outcomes,
+            outcome.worker_threads,
+            outcome.elapsed_ns,
+        )
     }
 
-    /// Emit one trace event for an executed write tick (no-op without a
-    /// sink, with recording disabled, or without the `telemetry` feature).
-    #[cfg(feature = "telemetry")]
+    /// Emit one trace event for an executed tick (no-op without a sink or
+    /// with recording disabled).
     fn trace_tick(&self, outcome: &TickOutcome, digest: TickDigest) {
         use plis_telemetry::JsonValue;
         let Some(trace) = &self.trace else { return };
@@ -909,32 +851,7 @@ impl Engine {
         ]);
     }
 
-    #[cfg(not(feature = "telemetry"))]
-    fn trace_tick(&self, _outcome: &TickOutcome, _digest: TickDigest) {}
-
-    /// Emit one trace event for an executed read tick (same gating as
-    /// [`Engine::trace_tick`]).
-    #[cfg(feature = "telemetry")]
-    fn trace_read(&self, outcome: &ReadOutcome) {
-        use plis_telemetry::JsonValue;
-        let Some(trace) = &self.trace else { return };
-        if !self.metrics.is_enabled() {
-            return;
-        }
-        trace.emit(&[
-            ("event", JsonValue::from("read_tick")),
-            ("elapsed_us", JsonValue::from(outcome.elapsed_ns as f64 / 1_000.0)),
-            ("ops", JsonValue::from(outcome.outcomes.len())),
-            ("queries", JsonValue::from(outcome.total_queries)),
-            ("missing", JsonValue::from(outcome.sessions_missing)),
-            ("worker_threads", JsonValue::from(outcome.worker_threads)),
-        ]);
-    }
-
-    #[cfg(not(feature = "telemetry"))]
-    fn trace_read(&self, _outcome: &ReadOutcome) {}
-
-    /// The first stage of the write path: refill every shard's reusable
+    /// The first stage of a tick: refill every shard's reusable
     /// routing buffer with the tick-slot indices addressed to it.  No
     /// per-tick vectors — the buffers live on the shards and keep their
     /// capacity across ticks ([`Shard::route`]).
@@ -947,24 +864,6 @@ impl Engine {
             let shard = self.shard_index(id.as_str());
             self.shards[shard].route.push(index as u32);
         }
-    }
-
-    /// The first stage of the read path: partition tick slots by shard,
-    /// remembering original positions so results can be reassembled in
-    /// tick order.  Reads take `&self` (many read ticks may run
-    /// concurrently), so they cannot share the write path's mutable
-    /// routing buffers; query batches are rarer and heavier than appends,
-    /// so the per-tick partition build stays acceptable here.
-    fn partition_by_shard<'a, P>(
-        &self,
-        slots: impl Iterator<Item = (&'a SessionId, P)>,
-    ) -> Vec<Vec<(usize, &'a SessionId, P)>> {
-        let mut work: Vec<Vec<(usize, &'a SessionId, P)>> =
-            (0..self.shards.len()).map(|_| Vec::new()).collect();
-        for (index, (id, payload)) in slots.enumerate() {
-            work[self.shard_index(id.as_str())].push((index, id, payload));
-        }
-        work
     }
 
     /// Cross-check invariants of every session; used by the test suites.

@@ -33,9 +33,10 @@
 //!   [`Op::AppendWeighted`]), reads ([`Op::Query`]), and explicit
 //!   lifecycle ([`Op::CreateSession`] / [`Op::RemoveSession`]); a
 //!   [`Tick`] builder grouping ops per session in submission order;
-//!   [`Engine::execute`] for write/mixed traffic and
-//!   [`Engine::execute_read`] (over a [`ReadTick`]) for read-only
-//!   traffic.  Every op resolves to a typed [`Result<OpOutput, OpError>`]
+//!   [`Engine::execute`], the one tick executor; and
+//!   [`Engine::execute_read`], an adapter that runs a read-only
+//!   [`ReadTick`] through it as query slots.  Every op resolves to a
+//!   typed [`Result<OpOutput, OpError>`]
 //!   — unknown sessions, kind mismatches, universe overflows, and
 //!   create-twice races degrade per op instead of panicking or vanishing.
 //! * The **query vocabulary** ([`query`]) — typed reads served from live
@@ -54,8 +55,8 @@
 //!   whose restore-then-replay outcome is bit-identical to a
 //!   never-stopped engine.
 //! * The **telemetry plane** ([`metrics`]) — per-engine counters and
-//!   log-scale latency histograms behind the `telemetry` feature
-//!   (default on; compiled to no-ops when off), read through
+//!   log-scale latency histograms with one runtime switch
+//!   ([`Metrics::set_enabled`]), read through
 //!   [`Engine::metrics_snapshot`] as a typed [`MetricsSnapshot`], with an
 //!   optional JSON-lines trace sink ([`Engine::set_trace_sink`]).  Purely
 //!   observational: outcomes are bit-identical with telemetry on or off.
@@ -92,7 +93,7 @@
 //! let bad = engine.execute(&Tick::new().append("ghost", vec![1]));
 //! assert_eq!(bad.outcomes[0].1, Err(OpError::UnknownSession));
 //!
-//! // Read-only traffic takes &self.
+//! // Read-only traffic: the query batches run as one tick of query slots.
 //! let reads = engine.execute_read(&ReadTick::new().query("alice", Query::TopK(1)));
 //! assert_eq!(
 //!     reads.outcomes[0].1.as_ref().unwrap().answers[0],

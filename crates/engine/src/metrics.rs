@@ -10,26 +10,20 @@
 //! bit-identical with telemetry enabled or disabled, at one thread or the
 //! full pool — the determinism suite asserts this.
 //!
-//! Two switches control cost:
-//!
-//! * **Compile time** — the `telemetry` cargo feature (default on).  With
-//!   `--no-default-features` the [`Metrics`] registry is a zero-sized type
-//!   and every recording method is an empty inline function; the engine
-//!   carries no telemetry atomics at all.
-//! * **Run time** — [`Metrics::set_enabled`].  Disabled, the timer helpers
-//!   return `None` and the per-op clock reads are skipped; counter updates
-//!   (a relaxed `fetch_add` on data already in hand) are cheap enough to
-//!   leave unconditional.
+//! One switch controls cost: [`Metrics::set_enabled`].  Disabled, the
+//! timer helpers return `None`, the per-op clock reads are skipped, and
+//! the tick recorder returns at once, so each op pays one relaxed load.
 //!
 //! Latencies go into [`plis_telemetry::AtomicHistogram`]s (fixed log-scale
 //! buckets, ≤ 6.25 % relative error, lock-free merge), counters into
-//! [`plis_telemetry::Counter`]s.  [`MetricsSnapshot`] is *always* compiled
-//! — a telemetry-off build still hands benches a well-typed (all-zero)
-//! snapshot, so downstream wiring never needs the feature gate.
+//! [`plis_telemetry::Counter`]s.
 
-use plis_telemetry::{json_line, HistogramSnapshot, JsonValue};
+use crate::op::{OpOutput, TickOutcome};
+use plis_telemetry::{json_line, AtomicHistogram, Counter, HistogramSnapshot, JsonValue};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Instant;
 
-/// Per-tick digest derived from one [`TickOutcome`](crate::TickOutcome)
+/// Per-tick digest derived from one [`TickOutcome`]
 /// — what the tick recorder just added to the cumulative registry,
 /// returned so the trace sink can stamp the individual tick without
 /// re-deriving it.
@@ -40,241 +34,147 @@ pub struct TickDigest {
     pub seq_ingests: u64,
 }
 
-#[cfg(feature = "telemetry")]
-mod real {
-    use super::{MetricsSnapshot, TickDigest};
-    use crate::op::{OpOutput, ReadOutcome, TickOutcome};
-    use plis_telemetry::{AtomicHistogram, Counter};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::time::Instant;
-
-    /// The telemetry registry: cumulative counters and latency histograms
-    /// for one [`crate::Engine`].  All updates are relaxed atomics — safe
-    /// to hit from every worker thread of a tick with no synchronization
-    /// beyond the counters themselves.
-    #[derive(Debug, Default)]
-    pub struct Metrics {
-        enabled: AtomicBool,
-        ticks: Counter,
-        read_ticks: Counter,
-        ops_appended: Counter,
-        ops_queried: Counter,
-        ops_created: Counter,
-        ops_removed: Counter,
-        ops_snapshotted: Counter,
-        ops_restored: Counter,
-        ops_failed: Counter,
-        elems_ingested: Counter,
-        queries_answered: Counter,
-        seq_ingests: Counter,
-        inline_ticks: Counter,
-        inline_read_ticks: Counter,
-        tick_ns: AtomicHistogram,
-        read_ns: AtomicHistogram,
-        op_ns: AtomicHistogram,
-    }
-
-    impl Metrics {
-        /// A fresh registry, enabled.
-        pub fn new() -> Self {
-            let m = Metrics::default();
-            m.enabled.store(true, Ordering::Relaxed);
-            m
-        }
-
-        /// Turn recording on or off at runtime.  Disabled, the timer
-        /// helpers return `None` (no clock reads on the hot path);
-        /// outcomes are unaffected either way.
-        pub fn set_enabled(&self, enabled: bool) {
-            self.enabled.store(enabled, Ordering::Relaxed);
-        }
-
-        /// Whether the registry is currently recording.
-        pub fn is_enabled(&self) -> bool {
-            self.enabled.load(Ordering::Relaxed)
-        }
-
-        /// Start a wall-clock timer, or `None` when disabled.
-        #[inline]
-        pub(crate) fn start_timer(&self) -> Option<Instant> {
-            if self.is_enabled() {
-                Some(Instant::now())
-            } else {
-                None
-            }
-        }
-
-        /// Nanoseconds since `started` (0 when the timer never started).
-        #[inline]
-        pub(crate) fn elapsed_ns(started: Option<Instant>) -> u64 {
-            started.map_or(0, |t| u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX))
-        }
-
-        /// Record one op's latency from its timer (no-op if disabled).
-        #[inline]
-        pub(crate) fn record_op_since(&self, started: Option<Instant>) {
-            if let Some(t) = started {
-                self.op_ns.record(u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX));
-            }
-        }
-
-        /// Fold one executed write tick into the registry (counters from
-        /// the outcome's per-op results, latency from `elapsed_ns`) and
-        /// return the tick's own digest for the trace sink.
-        /// `inline` says whether the executor processed the tick on the
-        /// calling thread instead of the per-shard parallel spine.
-        pub(crate) fn record_tick(&self, outcome: &TickOutcome, inline: bool) -> TickDigest {
-            if !self.is_enabled() {
-                return TickDigest::default();
-            }
-            self.ticks.inc();
-            if inline {
-                self.inline_ticks.inc();
-            }
-            if outcome.elapsed_ns != 0 {
-                self.tick_ns.record(outcome.elapsed_ns);
-            }
-            self.elems_ingested.add(outcome.total_ingested as u64);
-            self.queries_answered.add(outcome.total_queries as u64);
-            self.ops_failed.add(outcome.failed_ops as u64);
-            let mut digest = TickDigest::default();
-            for (_, result) in &outcome.outcomes {
-                match result {
-                    Ok(OpOutput::Appended(_)) => {
-                        self.ops_appended.inc();
-                        digest.seq_ingests += 1;
-                    }
-                    Ok(OpOutput::Answered(_)) => self.ops_queried.inc(),
-                    Ok(OpOutput::Created) => self.ops_created.inc(),
-                    Ok(OpOutput::Removed) => self.ops_removed.inc(),
-                    Ok(OpOutput::Snapshotted(_)) => self.ops_snapshotted.inc(),
-                    Ok(OpOutput::Restored) => self.ops_restored.inc(),
-                    Err(_) => {}
-                }
-            }
-            self.seq_ingests.add(digest.seq_ingests);
-            digest
-        }
-
-        /// Fold one executed read tick into the registry.  `inline` as in
-        /// [`Metrics::record_tick`].
-        pub(crate) fn record_read(&self, outcome: &ReadOutcome, inline: bool) {
-            if !self.is_enabled() {
-                return;
-            }
-            self.read_ticks.inc();
-            if inline {
-                self.inline_read_ticks.inc();
-            }
-            if outcome.elapsed_ns != 0 {
-                self.read_ns.record(outcome.elapsed_ns);
-            }
-            self.queries_answered.add(outcome.total_queries as u64);
-            for (_, result) in &outcome.outcomes {
-                match result {
-                    Ok(_) => self.ops_queried.inc(),
-                    Err(_) => self.ops_failed.inc(),
-                }
-            }
-        }
-
-        /// Cumulative totals as a plain-data snapshot.  Session/memory
-        /// fields are zero here; [`crate::Engine::metrics_snapshot`] fills
-        /// them by walking the shards.
-        pub(crate) fn counters_snapshot(&self) -> MetricsSnapshot {
-            MetricsSnapshot {
-                ticks: self.ticks.get(),
-                read_ticks: self.read_ticks.get(),
-                ops_appended: self.ops_appended.get(),
-                ops_queried: self.ops_queried.get(),
-                ops_created: self.ops_created.get(),
-                ops_removed: self.ops_removed.get(),
-                ops_snapshotted: self.ops_snapshotted.get(),
-                ops_restored: self.ops_restored.get(),
-                ops_failed: self.ops_failed.get(),
-                elems_ingested: self.elems_ingested.get(),
-                queries_answered: self.queries_answered.get(),
-                seq_ingests: self.seq_ingests.get(),
-                inline_ticks: self.inline_ticks.get(),
-                inline_read_ticks: self.inline_read_ticks.get(),
-                tick_latency: self.tick_ns.snapshot(),
-                read_latency: self.read_ns.snapshot(),
-                op_latency: self.op_ns.snapshot(),
-                ..MetricsSnapshot::default()
-            }
-        }
-    }
+/// The telemetry registry: cumulative counters and latency histograms
+/// for one [`crate::Engine`].  All updates are relaxed atomics — safe
+/// to hit from every worker thread of a tick with no synchronization
+/// beyond the counters themselves.
+#[derive(Debug, Default)]
+pub struct Metrics {
+    enabled: AtomicBool,
+    ticks: Counter,
+    ops_appended: Counter,
+    ops_queried: Counter,
+    ops_created: Counter,
+    ops_removed: Counter,
+    ops_snapshotted: Counter,
+    ops_restored: Counter,
+    ops_failed: Counter,
+    elems_ingested: Counter,
+    queries_answered: Counter,
+    seq_ingests: Counter,
+    inline_ticks: Counter,
+    tick_ns: AtomicHistogram,
+    op_ns: AtomicHistogram,
 }
 
-#[cfg(not(feature = "telemetry"))]
-mod noop {
-    use super::{MetricsSnapshot, TickDigest};
-    use crate::op::{ReadOutcome, TickOutcome};
-    use std::time::Instant;
+impl Metrics {
+    /// A fresh registry, enabled.
+    pub fn new() -> Self {
+        let m = Metrics::default();
+        m.enabled.store(true, Ordering::Relaxed);
+        m
+    }
 
-    /// The no-op registry compiled when the `telemetry` feature is off:
-    /// zero-sized, every method an empty inline function.
-    #[derive(Debug, Default)]
-    pub struct Metrics;
+    /// Turn recording on or off at runtime.  Disabled, the timer
+    /// helpers return `None` (no clock reads on the hot path);
+    /// outcomes are unaffected either way.
+    pub fn set_enabled(&self, enabled: bool) {
+        self.enabled.store(enabled, Ordering::Relaxed);
+    }
 
-    impl Metrics {
-        /// A fresh (inert) registry.
-        pub fn new() -> Self {
-            Metrics
-        }
+    /// Whether the registry is currently recording.
+    pub fn is_enabled(&self) -> bool {
+        self.enabled.load(Ordering::Relaxed)
+    }
 
-        /// No-op; the feature-off registry never records.
-        pub fn set_enabled(&self, _enabled: bool) {}
-
-        /// Always `false` without the `telemetry` feature.
-        pub fn is_enabled(&self) -> bool {
-            false
-        }
-
-        #[inline]
-        pub(crate) fn start_timer(&self) -> Option<Instant> {
+    /// Start a wall-clock timer, or `None` when disabled.
+    #[inline]
+    pub(crate) fn start_timer(&self) -> Option<Instant> {
+        if self.is_enabled() {
+            Some(Instant::now())
+        } else {
             None
         }
+    }
 
-        #[inline]
-        pub(crate) fn elapsed_ns(_started: Option<Instant>) -> u64 {
-            0
+    /// Nanoseconds since `started` (0 when the timer never started).
+    #[inline]
+    pub(crate) fn elapsed_ns(started: Option<Instant>) -> u64 {
+        started.map_or(0, |t| u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX))
+    }
+
+    /// Record one op's latency from its timer (no-op if disabled).
+    #[inline]
+    pub(crate) fn record_op_since(&self, started: Option<Instant>) {
+        if let Some(t) = started {
+            self.op_ns.record(u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX));
         }
+    }
 
-        #[inline]
-        pub(crate) fn record_op_since(&self, _started: Option<Instant>) {}
-
-        pub(crate) fn record_tick(&self, _outcome: &TickOutcome, _inline: bool) -> TickDigest {
-            TickDigest::default()
+    /// Fold one executed tick into the registry (counters from the
+    /// outcome's per-op results, latency from `elapsed_ns`) and return
+    /// the tick's own digest for the trace sink.  `inline` says whether
+    /// the executor processed the tick on the calling thread instead of
+    /// the per-shard parallel spine.
+    pub(crate) fn record_tick(&self, outcome: &TickOutcome, inline: bool) -> TickDigest {
+        if !self.is_enabled() {
+            return TickDigest::default();
         }
+        self.ticks.inc();
+        if inline {
+            self.inline_ticks.inc();
+        }
+        if outcome.elapsed_ns != 0 {
+            self.tick_ns.record(outcome.elapsed_ns);
+        }
+        self.elems_ingested.add(outcome.total_ingested as u64);
+        self.queries_answered.add(outcome.total_queries as u64);
+        self.ops_failed.add(outcome.failed_ops as u64);
+        let mut digest = TickDigest::default();
+        for (_, result) in &outcome.outcomes {
+            match result {
+                Ok(OpOutput::Appended(_)) => {
+                    self.ops_appended.inc();
+                    digest.seq_ingests += 1;
+                }
+                Ok(OpOutput::Answered(_)) => self.ops_queried.inc(),
+                Ok(OpOutput::Created) => self.ops_created.inc(),
+                Ok(OpOutput::Removed) => self.ops_removed.inc(),
+                Ok(OpOutput::Snapshotted(_)) => self.ops_snapshotted.inc(),
+                Ok(OpOutput::Restored) => self.ops_restored.inc(),
+                Err(_) => {}
+            }
+        }
+        self.seq_ingests.add(digest.seq_ingests);
+        digest
+    }
 
-        pub(crate) fn record_read(&self, _outcome: &ReadOutcome, _inline: bool) {}
-
-        pub(crate) fn counters_snapshot(&self) -> MetricsSnapshot {
-            MetricsSnapshot::default()
+    /// Cumulative totals as a plain-data snapshot.  Session/memory
+    /// fields are zero here; [`crate::Engine::metrics_snapshot`] fills
+    /// them by walking the shards.
+    pub(crate) fn counters_snapshot(&self) -> MetricsSnapshot {
+        MetricsSnapshot {
+            ticks: self.ticks.get(),
+            ops_appended: self.ops_appended.get(),
+            ops_queried: self.ops_queried.get(),
+            ops_created: self.ops_created.get(),
+            ops_removed: self.ops_removed.get(),
+            ops_snapshotted: self.ops_snapshotted.get(),
+            ops_restored: self.ops_restored.get(),
+            ops_failed: self.ops_failed.get(),
+            elems_ingested: self.elems_ingested.get(),
+            queries_answered: self.queries_answered.get(),
+            seq_ingests: self.seq_ingests.get(),
+            inline_ticks: self.inline_ticks.get(),
+            tick_latency: self.tick_ns.snapshot(),
+            op_latency: self.op_ns.snapshot(),
+            ..MetricsSnapshot::default()
         }
     }
 }
-
-#[cfg(feature = "telemetry")]
-pub use real::Metrics;
-
-#[cfg(not(feature = "telemetry"))]
-pub use noop::Metrics;
 
 /// A point-in-time copy of the whole telemetry plane: cumulative counters,
 /// latency histograms, and the per-shard memory accounting the engine
-/// fills in at snapshot time.  Plain data — always compiled, `Clone`,
-/// comparable, and serializable to the workspace's hand-rolled JSON.
+/// fills in at snapshot time.  Plain data — `Clone`, comparable, and
+/// serializable to the workspace's hand-rolled JSON.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
-    /// Write ticks executed ([`crate::Engine::execute`]).
+    /// Ticks executed ([`crate::Engine::execute`], including the ticks
+    /// [`crate::Engine::execute_read`] runs).
     pub ticks: u64,
-    /// Read ticks executed ([`crate::Engine::execute_read`]).
-    pub read_ticks: u64,
     /// Append ops that succeeded.
     pub ops_appended: u64,
-    /// Query ops that succeeded (write and read ticks combined).
+    /// Query ops that succeeded.
     pub ops_queried: u64,
     /// Create-session ops that succeeded.
     pub ops_created: u64,
@@ -315,14 +215,14 @@ pub struct MetricsSnapshot {
     /// Always 0, for the same reason as
     /// [`MetricsSnapshot::tailset_veb_picks`].
     pub tailset_sorted_picks: u64,
-    /// Write ticks light enough to run inline on the calling thread,
-    /// skipping the per-shard parallel spine.
+    /// Ticks light enough to run inline on the calling thread, skipping
+    /// the per-shard parallel spine.
     pub inline_ticks: u64,
-    /// Read ticks that ran inline.
-    pub inline_read_ticks: u64,
-    /// Write-tick wall-time histogram (nanoseconds).
+    /// Tick wall-time histogram (nanoseconds), reads included.
     pub tick_latency: HistogramSnapshot,
-    /// Read-tick wall-time histogram (nanoseconds).
+    /// Always empty: reads run as ticks and are timed in
+    /// [`MetricsSnapshot::tick_latency`].  The field remains because
+    /// `perfbench` reads its `sum`.
     pub read_latency: HistogramSnapshot,
     /// Per-op wall-time histogram (nanoseconds).
     pub op_latency: HistogramSnapshot,
@@ -338,15 +238,16 @@ pub struct MetricsSnapshot {
     /// (`plis-testalloc`) — production builds never pay for this.
     pub alloc_count: u64,
     /// `alloc_count / elems_ingested`, floored — the steady-state
-    /// allocation discipline figure.  With per-session scratch arenas
-    /// warm, ingest performs no per-element heap traffic and this is 0;
-    /// the allocation-discipline tests and the streaming bench assert on
-    /// it.  (Engine envelope allocations are `O(1)` per tick and vanish
-    /// under the floor at any realistic batch size.)
+    /// allocation discipline figure.  Once a session's buffers have grown
+    /// to their high-water capacity, ingest performs no per-element heap
+    /// traffic and this is 0; the allocation-discipline tests and the
+    /// streaming bench assert on it.  (Engine envelope allocations are
+    /// `O(1)` per tick and vanish under the floor at any realistic batch
+    /// size.)
     pub allocs_per_elem: u64,
-    /// High-water bytes held by the per-session scratch arenas and flat
-    /// rank indices across all live sessions (capacity, not length —
-    /// this is the memory the zero-allocation steady state retains).
+    /// Capacity bytes of the weighted sessions' plain-batch staging
+    /// buffers, summed over all live sessions (unweighted sessions keep no
+    /// ingest scratch and count 0; see [`crate::SessionState::arena_bytes`]).
     pub arena_bytes: u64,
 }
 
@@ -361,7 +262,6 @@ impl MetricsSnapshot {
     /// Associative and commutative, like the underlying histograms.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         self.ticks += other.ticks;
-        self.read_ticks += other.read_ticks;
         self.ops_appended += other.ops_appended;
         self.ops_queried += other.ops_queried;
         self.ops_created += other.ops_created;
@@ -373,9 +273,7 @@ impl MetricsSnapshot {
         self.queries_answered += other.queries_answered;
         self.seq_ingests += other.seq_ingests;
         self.inline_ticks += other.inline_ticks;
-        self.inline_read_ticks += other.inline_read_ticks;
         self.tick_latency.merge(&other.tick_latency);
-        self.read_latency.merge(&other.read_latency);
         self.op_latency.merge(&other.op_latency);
         self.sessions += other.sessions;
         self.session_bytes += other.session_bytes;
@@ -399,7 +297,6 @@ impl MetricsSnapshot {
     pub fn to_json_line(&self) -> String {
         json_line(&[
             ("ticks", JsonValue::from(self.ticks)),
-            ("read_ticks", JsonValue::from(self.read_ticks)),
             ("ops_appended", JsonValue::from(self.ops_appended)),
             ("ops_queried", JsonValue::from(self.ops_queried)),
             ("ops_created", JsonValue::from(self.ops_created)),
@@ -411,12 +308,10 @@ impl MetricsSnapshot {
             ("queries_answered", JsonValue::from(self.queries_answered)),
             ("seq_ticks", JsonValue::from(self.seq_ingests)),
             ("inline_ticks", JsonValue::from(self.inline_ticks)),
-            ("inline_read_ticks", JsonValue::from(self.inline_read_ticks)),
             ("tick_p50_us", JsonValue::from(us(self.tick_latency.p50()))),
             ("tick_p90_us", JsonValue::from(us(self.tick_latency.p90()))),
             ("tick_p99_us", JsonValue::from(us(self.tick_latency.p99()))),
             ("tick_max_us", JsonValue::from(us(self.tick_latency.max))),
-            ("read_p99_us", JsonValue::from(us(self.read_latency.p99()))),
             ("op_p99_us", JsonValue::from(us(self.op_latency.p99()))),
             ("sessions", JsonValue::from(self.sessions)),
             ("session_bytes", JsonValue::from(self.session_bytes)),

@@ -10,12 +10,11 @@
 //!   exactly that order (a session lives in one shard, and each shard
 //!   replays its slice of the tick sequentially), so reads observe every
 //!   earlier write of the same tick.
-//! * [`Engine::execute`](crate::Engine::execute) — the one write/mixed
-//!   executor, returning a [`TickOutcome`]; and
-//!   [`Engine::execute_read`](crate::Engine::execute_read) — the
-//!   read-only executor over a [`ReadTick`], returning a
-//!   [`ReadOutcome`].  Both run the same shard-parallel spine with a
-//!   one-shard grain.
+//! * [`Engine::execute`](crate::Engine::execute) — the one tick
+//!   executor, returning a [`TickOutcome`].
+//!   [`Engine::execute_read`](crate::Engine::execute_read) is an adapter
+//!   over it: it lowers a [`ReadTick`] of query batches into
+//!   [`Op::Query`] slots and hands back a [`ReadOutcome`].
 //! * Every op resolves to a typed [`Result<OpOutput, OpError>`]: a
 //!   malformed slot ([`OpError::KindMismatch`],
 //!   [`OpError::UniverseOverflow`], [`OpError::UnknownSession`],
@@ -269,9 +268,9 @@ impl<I: Into<SessionId>, O: Into<Op>> Extend<(I, O)> for Tick {
 /// One read-only tick: `(session, queries)` slots in submission order,
 /// the input shape of [`Engine::execute_read`](crate::Engine::execute_read).
 ///
-/// Reads take `&Engine`, mutate nothing, and never create sessions; a
-/// slot addressed to an absent session fails with
-/// [`OpError::UnknownSession`].
+/// Each slot runs as one [`Op::Query`] slot of a strict [`Tick`]: reads
+/// mutate no session and never create one, and a slot addressed to an
+/// absent session fails with [`OpError::UnknownSession`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReadTick {
     slots: Vec<(SessionId, QueryBatch)>,
@@ -512,8 +511,8 @@ pub struct TickOutcome {
     /// `==` so determinism comparisons can use whole outcomes.
     pub worker_threads: usize,
     /// Wall-clock time the tick took, in nanoseconds.  Observational:
-    /// 0 when telemetry is disabled (or compiled out), and excluded from
-    /// `==` like [`TickOutcome::worker_threads`] (see the type docs).
+    /// 0 when telemetry is disabled, and excluded from `==` like
+    /// [`TickOutcome::worker_threads`] (see the type docs).
     pub elapsed_ns: u64,
 }
 
@@ -612,7 +611,9 @@ impl TickOutcome {
 }
 
 /// What one [`Engine::execute_read`](crate::Engine::execute_read) call
-/// did: one typed result per query batch, in submission order.
+/// did: one typed result per query batch, in submission order.  Built
+/// from the results of the batches' [`Op::Query`] slots by
+/// [`ReadOutcome::from_query_results`].
 ///
 /// Equality is structural, exactly like [`TickOutcome`] (see its type
 /// docs for the invariant): [`ReadOutcome::worker_threads`] and
@@ -630,8 +631,9 @@ pub struct ReadOutcome {
     /// Number of distinct worker threads that served shards (see
     /// [`TickOutcome::worker_threads`]; excluded from `==` like there).
     pub worker_threads: usize,
-    /// Wall-clock time the read tick took, in nanoseconds.  0 when
-    /// telemetry is disabled; excluded from `==` (see [`TickOutcome`]).
+    /// Wall-clock time of the tick that answered the batches, in
+    /// nanoseconds.  0 when telemetry is disabled; excluded from `==` (see
+    /// [`TickOutcome`]).
     pub elapsed_ns: u64,
 }
 
@@ -649,11 +651,12 @@ impl PartialEq for ReadOutcome {
 impl Eq for ReadOutcome {}
 
 impl ReadOutcome {
-    /// Build the outcome (aggregates included) from reassembled per-slot
-    /// results.
-    pub(crate) fn collect(
+    /// Rebuild a whole outcome from per-slot results plus the
+    /// observational gauges (see [`TickOutcome::from_parts`]).
+    pub fn from_parts(
         outcomes: Vec<(SessionId, Result<QueryReport, OpError>)>,
         worker_threads: usize,
+        elapsed_ns: u64,
     ) -> Self {
         let total_queries =
             outcomes.iter().map(|(_, r)| r.as_ref().map_or(0, |q| q.answers.len())).sum();
@@ -668,21 +671,35 @@ impl ReadOutcome {
             sessions_queried,
             sessions_missing,
             worker_threads,
-            elapsed_ns: 0,
+            elapsed_ns,
             outcomes,
         }
     }
 
-    /// Rebuild a whole outcome from per-slot results plus the
-    /// observational gauges (see [`TickOutcome::from_parts`]).
-    pub fn from_parts(
-        outcomes: Vec<(SessionId, Result<QueryReport, OpError>)>,
+    /// The read outcome of [`Op::Query`] slots executed in a [`Tick`]:
+    /// their [`OpResult`]s, in slot order, plus the tick's observational
+    /// gauges.  [`Engine::execute_read`](crate::Engine::execute_read) and
+    /// the server's read replies both build their outcomes here.
+    ///
+    /// # Panics
+    /// Panics on a result that no query slot produces (an append's,
+    /// lifecycle op's or checkpoint's output).
+    pub fn from_query_results(
+        results: impl IntoIterator<Item = (SessionId, OpResult)>,
         worker_threads: usize,
         elapsed_ns: u64,
     ) -> Self {
-        let mut outcome = ReadOutcome::collect(outcomes, worker_threads);
-        outcome.elapsed_ns = elapsed_ns;
-        outcome
+        let outcomes = results
+            .into_iter()
+            .map(|(id, result)| {
+                let answered = result.map(|output| match output {
+                    OpOutput::Answered(report) => report,
+                    other => panic!("a query slot resolved to {other:?}"),
+                });
+                (id, answered)
+            })
+            .collect();
+        ReadOutcome::from_parts(outcomes, worker_threads, elapsed_ns)
     }
 
     /// The query batches that landed, in tick order.

@@ -2,15 +2,16 @@
 //! batched per session and served by the command plane.
 //!
 //! A [`Query`] is one read, a [`QueryBatch`] is the reads addressed to
-//! one session.  Query batches travel two ways: as [`Op::Query`] slots
-//! of a write/mixed [`Tick`](crate::Tick) (executed by
-//! [`Engine::execute`](crate::Engine::execute), where a read observes
-//! every earlier write of the same tick addressed to its session), or as
-//! slots of a read-only [`ReadTick`](crate::ReadTick) (executed by
-//! [`Engine::execute_read`](crate::Engine::execute_read) over `&Engine`
-//! — reads mutate nothing and never create sessions).  Either way whole
-//! ticks are partitioned by shard and answered through the same
-//! join-splitting `par_iter` surface as ingest, one piece per shard.
+//! one session.  A query batch runs as an [`Op::Query`] slot of a
+//! [`Tick`](crate::Tick), executed by
+//! [`Engine::execute`](crate::Engine::execute): a read observes every
+//! earlier write of the same tick addressed to its session, mutates
+//! nothing, and never creates a session.  A read-only
+//! [`ReadTick`](crate::ReadTick) takes the same path:
+//! [`Engine::execute_read`](crate::Engine::execute_read) lowers its
+//! batches to query slots of one tick.  Whole ticks are partitioned by
+//! shard and answered through the same join-splitting `par_iter` surface
+//! as ingest, one piece per shard.
 //!
 //! Every query has one semantics over the session-kind axis: the *dp
 //! value* of an element is its rank in an unweighted session and its

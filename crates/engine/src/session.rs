@@ -60,8 +60,6 @@
 //!   has passed every element of a rank above `low`, so it is not bounded
 //!   by `k`: it costs `O(n - first(low))`, which is `O(n)` even for a small
 //!   `k` when a high-rank element arrives last.
-//! * [`StreamingLis::frontier`]: a scan of `ranks` between the rank's
-//!   first and latest element.
 //!
 //! # Value-domain probes
 //!
@@ -219,16 +217,6 @@ impl StreamingLis {
     /// ranks above the current LIS length count zero elements.
     pub fn count_at_rank(&self, rank: u32) -> usize {
         self.summary(rank).map_or(0, |s| s.count as usize)
-    }
-
-    /// The indices of every rank-`rank` element, in increasing order —
-    /// one frontier of the grouping Appendix A reconstructs from.  Scans
-    /// `ranks` between the rank's first and latest element; allocates only
-    /// the returned vector.
-    pub fn frontier(&self, rank: u32) -> Vec<usize> {
-        self.summary(rank).map_or_else(Vec::new, |s| {
-            (s.first as usize..=s.last as usize).filter(|&i| self.ranks[i] == rank).collect()
-        })
     }
 
     /// The `k` best elements by dp value: `(index, rank)` pairs ordered by
@@ -477,12 +465,6 @@ mod tests {
             let want = s.ranks().iter().filter(|&&r| r == rank).count();
             assert_eq!(s.count_at_rank(rank), want, "rank {rank}");
         }
-        // frontier() lists exactly the rank-r indices, in order.
-        for rank in 1..=s.lis_length() {
-            let want: Vec<usize> = (0..s.len()).filter(|&i| s.ranks()[i] == rank).collect();
-            assert_eq!(s.frontier(rank), want, "frontier {rank}");
-        }
-        assert!(s.frontier(0).is_empty());
         // top_k: descending rank, ties by ascending index, prefix-closed.
         let full = s.top_k(s.len() + 10);
         assert_eq!(full.len(), s.len());
@@ -537,7 +519,6 @@ mod tests {
                     let frontier: Vec<usize> =
                         (0..s.len()).filter(|&i| s.ranks()[i] == rank).collect();
                     assert_eq!(s.count_at_rank(rank), frontier.len(), "{label}: count {rank}");
-                    assert_eq!(s.frontier(rank), frontier, "{label}: frontier {rank}");
                 }
             }
         }
@@ -550,7 +531,6 @@ mod tests {
         assert_eq!(s.count_at_rank(1), 0);
         assert!(s.top_k(5).is_empty());
         assert!(s.reconstruct_lis().is_empty());
-        assert!(s.frontier(1).is_empty());
         s.check_invariants();
     }
 }

@@ -136,10 +136,7 @@ fn steady_state_discipline_holds_at_one_thread_and_on_the_pool() {
 /// Engine-level discipline: the tick envelope may allocate `O(1)` per
 /// tick (result vectors, outcome assembly), but amortised over real
 /// batches the telemetry floor `allocs_per_elem` must read zero — the
-/// same figure the streaming bench records per cell.  The assertions
-/// read `metrics_snapshot()`, which is documented all-zero when the
-/// `telemetry` feature is off, so the test only exists on that feature.
-#[cfg(feature = "telemetry")]
+/// same figure the streaming bench records per cell.
 #[test]
 fn engine_allocs_per_elem_floors_to_zero() {
     let _serial = serial();

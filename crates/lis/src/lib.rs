@@ -8,9 +8,8 @@
 //!   `O(n)` space (Theorem 1.1).
 //! * [`lis_length`] — just the LIS length `k`.
 //! * [`lis_indices`] — an actual longest increasing subsequence, recovered
-//!   from the ranks as in Appendix A; [`lis_indices_from_ranks`] and
-//!   [`lis_indices_from_frontiers`] start from computed ranks or an
-//!   existing per-rank grouping.  [`wlis_indices_from_scores`] is the
+//!   from the ranks as in Appendix A; [`lis_indices_from_ranks`] starts
+//!   from computed ranks.  [`wlis_indices_from_scores`] is the
 //!   weighted reconstruction from dp scores, which is how the
 //!   `plis-engine` query plane serves weighted certificates; unweighted
 //!   sessions follow per-element parent pointers instead and are checked
@@ -51,9 +50,7 @@ mod wlis;
 pub use compress::compress_to_ranks;
 pub use plis_primitives::DominantMaxStore;
 pub use ranks::{lis_length, lis_ranks, lis_ranks_u64, lis_ranks_u64_with_stats, LisStats};
-pub use reconstruct::{
-    lis_indices, lis_indices_from_frontiers, lis_indices_from_ranks, wlis_indices_from_scores,
-};
+pub use reconstruct::{lis_indices, lis_indices_from_ranks, wlis_indices_from_scores};
 pub use wlis::{
     wlis_kind, wlis_rangetree, wlis_rangeveb, wlis_with, wlis_with_stats, DominantMaxKind,
 };

@@ -8,16 +8,14 @@
 //! which a binary search over the frontier's (sorted) index list finds in
 //! `O(log n)`.
 //!
-//! The entry points come in three layers:
+//! The entry points come in two layers:
 //!
 //! * [`lis_indices`] — offline convenience: computes ranks, then walks.
 //! * [`lis_indices_from_ranks`] — reuses a rank array (offline or the
-//!   exact ranks a streaming session maintains) and groups it into
-//!   frontiers itself.
-//! * [`lis_indices_from_frontiers`] — the walk alone, over frontiers the
-//!   caller has already grouped.
+//!   exact ranks a streaming session maintains), groups it into per-rank
+//!   frontiers and walks them.
 //!
-//! The streaming sessions of `plis-engine` call none of them: they keep
+//! The streaming sessions of `plis-engine` call neither: they keep
 //! each element's step of this walk (the last element of the previous
 //! rank before it) as a parent pointer at ingest and follow those in
 //! `O(k)`.  Their oracle suite checks the result against
@@ -53,21 +51,18 @@ pub fn lis_indices_from_ranks<T: Ord>(values: &[T], ranks: &[u32], k: u32) -> Ve
     lis_indices_from_frontiers(values, &frontiers)
 }
 
-/// The Appendix-A walk alone: recover one LIS from per-rank *frontiers* —
-/// `frontiers[r - 1]` lists, in increasing index order, every object of
-/// rank `r` — in `O(k log n)`, for a caller that already holds the
-/// grouping.
+/// The Appendix-A walk of [`lis_indices_from_ranks`]: recover one LIS from
+/// per-rank *frontiers* — `frontiers[r - 1]` lists, in increasing index
+/// order, every object of rank `r` — in `O(k log n)`.
 ///
 /// The walk is deterministic — it always starts from the leftmost
-/// top-rank object and takes the last valid predecessor in each frontier —
-/// so its answer is bit-identical to [`lis_indices_from_ranks`] on the
-/// same ranks.
+/// top-rank object and takes the last valid predecessor in each frontier.
 ///
 /// # Panics
 /// Panics if the frontiers are inconsistent with `values` (empty rank
 /// class, or a rank class whose predecessor class is exhausted) — i.e. if
 /// they were not produced by grouping a valid rank array.
-pub fn lis_indices_from_frontiers<T: Ord>(values: &[T], frontiers: &[Vec<usize>]) -> Vec<usize> {
+fn lis_indices_from_frontiers<T: Ord>(values: &[T], frontiers: &[Vec<usize>]) -> Vec<usize> {
     let k = frontiers.len();
     if k == 0 {
         return Vec::new();

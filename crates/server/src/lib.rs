@@ -16,8 +16,8 @@
 //! The server is hand-rolled on `std::net` (the build environment has no
 //! registry access, so no tokio/hyper): an accept loop, one blocking
 //! reader thread per connection, and a single batcher thread that owns
-//! the engine and coalesces concurrently-arriving requests into combined
-//! engine ticks on a time/size trigger.  See [`server`] for the
+//! the engine and coalesces concurrently-arriving requests, reads
+//! included, into combined engine ticks on a time/size trigger.  See [`server`] for the
 //! threading model, the ordering/read-your-writes argument, and shutdown
 //! semantics; [`protocol`] for the frame and message layout; [`client`]
 //! for the blocking/pipelined client the load generator and the tests

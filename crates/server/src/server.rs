@@ -41,18 +41,22 @@
 //!
 //! The queue is strictly FIFO and each reader enqueues its connection's
 //! requests in socket order, so per-connection submission order is
-//! preserved end to end.  Within one drained batch, consecutive write
-//! requests with the same `create_missing` flag merge into one combined
-//! [`Tick`] (and consecutive read requests into one combined
-//! [`ReadTick`]) with each request occupying a contiguous slot range;
-//! runs execute in queue order.  Sessions are independent and the engine
+//! preserved end to end.  Within one drained batch, consecutive requests
+//! merge into one combined [`Tick`], each request occupying a contiguous
+//! slot range; a read request joins as
+//! [`Op::Query`](plis_engine::Op::Query) slots.  A run ends only where a
+//! write request's `create_missing` flag differs from the run's (queries
+//! never create sessions, so reads join any run), and runs execute in
+//! queue order.  Sessions are independent and the engine
 //! applies same-session slots of one tick in slot order, so the combined
 //! execution is op-for-op identical to executing every request
 //! individually in queue order — which is what makes serving
 //! bit-identical to direct library execution, whatever the batching.  A
-//! read that follows a write on the same connection sits later in the
-//! queue, lands in the same or a later run, and therefore observes the
-//! write: read-your-writes.
+//! read reply is built from its slots' results by
+//! [`ReadOutcome::from_query_results`], the helper
+//! [`Engine::execute_read`] uses too.  A read that follows a write on the
+//! same connection sits later in the queue, lands later in the same run
+//! or in a later run, and therefore observes the write: read-your-writes.
 //!
 //! # Shutdown and drain
 //!
@@ -63,8 +67,8 @@
 //! and answered (a complete frame still sitting in a reader's buffer
 //! counts as received; a partial one is a torn frame), then the engine
 //! is snapshotted and returned.  Nothing acked is lost; nothing is
-//! applied twice (the journal records each combined tick exactly once,
-//! before execution).
+//! applied twice (the journal records each combined tick, query slots
+//! included, exactly once, before execution).
 
 use crate::protocol::{
     append_frame, error_message, message, parse_message, read_frame, FrameRead, ProtocolError,
@@ -104,7 +108,7 @@ pub enum JournalMode {
 pub struct ServerConfig {
     /// Address to bind; use port 0 for an ephemeral port.
     pub addr: SocketAddr,
-    /// Engine configuration (universe, dominant-max store, shards, …).
+    /// Engine configuration (universe, default session kind, shards).
     pub engine: EngineConfig,
     /// Size trigger: a batch closes once it holds this many ops.
     pub batch_max_ops: usize,
@@ -144,7 +148,8 @@ pub struct ShutdownReport {
     /// The journal bytes when [`JournalMode::Memory`] was configured
     /// (file journals are already on disk).
     pub journal: Option<Vec<u8>>,
-    /// Combined ticks journalled/executed over the server's lifetime.
+    /// Combined ticks journalled/executed over the server's lifetime
+    /// (read requests ride them as query slots).
     pub ticks_executed: u64,
 }
 
@@ -516,11 +521,11 @@ fn collect_batch(shared: &Shared, config: &ServerConfig) -> Vec<WorkItem> {
     }
 }
 
-/// Execute one drained batch: coalesce compatible consecutive requests
-/// into combined ticks, journal each combined tick before running it,
-/// frame per-request outcome slices into their connections' buffers, and
-/// write each buffer once after the last run.  Returns the number of
-/// combined ticks executed.
+/// Execute one drained batch: coalesce consecutive requests into combined
+/// ticks, journal each combined tick before running it, frame per-request
+/// outcome slices into their connections' buffers, and write each buffer
+/// once after the last run.  Returns the number of combined ticks
+/// executed.
 fn execute_batch(
     engine: &mut Engine,
     pool: Option<&rayon::ThreadPool>,
@@ -530,34 +535,36 @@ fn execute_batch(
     let mut outbox = Outbox::default();
     let mut executed = 0usize;
     let mut items = batch.into_iter().peekable();
-    while let Some(first) = items.next() {
-        let key = run_key(&first.request);
-        let mut run = vec![first];
-        while let Some(item) = items.next_if(|item| run_key(&item.request) == key) {
+    while items.peek().is_some() {
+        // The run's `create_missing` flag, fixed by its first write.
+        let mut creates = None;
+        let mut run = Vec::new();
+        while let Some(item) = items.next_if(|item| match (&item.request, creates) {
+            (Request::Write(tick), Some(flag)) => tick.creates_missing() == flag,
+            _ => true,
+        }) {
+            if let Request::Write(tick) = &item.request {
+                creates = Some(tick.creates_missing());
+            }
             run.push(item);
         }
-        match key {
-            Some(creates) => {
-                execute_write_run(engine, pool, journal.as_deref_mut(), creates, run, &mut outbox)
-            }
-            None => execute_read_run(engine, pool, run, &mut outbox),
-        }
+        execute_run(engine, pool, journal.as_deref_mut(), creates == Some(true), run, &mut outbox);
         executed += 1;
     }
     outbox.send();
     executed
 }
 
-/// Which combined tick a request may join: writes with writes of the same
-/// `create_missing` flag (`Some(flag)`), reads with reads (`None`).
-fn run_key(request: &Request) -> Option<bool> {
-    match request {
-        Request::Write(tick) => Some(tick.creates_missing()),
-        Request::Read(_) => None,
-    }
+/// Where one request's replies sit in a combined tick: the request, its
+/// connection, whether it was a read, and how many slots it holds.
+struct Route {
+    request_id: u64,
+    reply: Arc<ConnWriter>,
+    read: bool,
+    slots: usize,
 }
 
-fn execute_write_run(
+fn execute_run(
     engine: &mut Engine,
     pool: Option<&rayon::ThreadPool>,
     journal: Option<&mut JournalWriter<JournalSink>>,
@@ -568,10 +575,19 @@ fn execute_write_run(
     let mut combined = if creates_missing { Tick::new().auto_create() } else { Tick::new() };
     let mut routes = Vec::with_capacity(run.len());
     for item in run {
-        let Request::Write(tick) = item.request else { unreachable!("write run") };
         let start = combined.len();
-        combined.extend(tick.into_slots());
-        routes.push((item.request_id, item.reply, combined.len() - start));
+        let read = match item.request {
+            Request::Write(tick) => {
+                combined.extend(tick.into_slots());
+                false
+            }
+            Request::Read(tick) => {
+                combined.extend(tick.into_slots());
+                true
+            }
+        };
+        let slots = combined.len() - start;
+        routes.push(Route { request_id: item.request_id, reply: item.reply, read, slots });
     }
     if let Some(journal) = journal {
         // Before execution: the recovery contract replays journalled
@@ -583,44 +599,17 @@ fn execute_write_run(
         Some(pool) => pool.install(|| engine.execute(&combined)),
         None => engine.execute(&combined),
     };
+    let (worker_threads, elapsed_ns) = (outcome.worker_threads, outcome.elapsed_ns);
     let mut results = outcome.outcomes.into_iter();
-    for (request_id, reply, slots) in routes {
-        let part = TickOutcome::from_parts(
-            results.by_ref().take(slots).collect(),
-            outcome.worker_threads,
-            outcome.elapsed_ns,
-        );
-        outbox.push(&reply, &message(TAG_TICK_OUTCOME, request_id, &encode_tick_outcome(&part)));
-    }
-}
-
-fn execute_read_run(
-    engine: &mut Engine,
-    pool: Option<&rayon::ThreadPool>,
-    run: Vec<WorkItem>,
-    outbox: &mut Outbox,
-) {
-    let mut combined = ReadTick::new();
-    let mut routes = Vec::with_capacity(run.len());
-    for item in run {
-        let Request::Read(tick) = item.request else { unreachable!("read run") };
-        let start = combined.len();
-        for (id, batch) in tick.into_slots() {
-            combined.push(id, batch);
-        }
-        routes.push((item.request_id, item.reply, combined.len() - start));
-    }
-    let outcome = match pool {
-        Some(pool) => pool.install(|| engine.execute_read(&combined)),
-        None => engine.execute_read(&combined),
-    };
-    let mut results = outcome.outcomes.into_iter();
-    for (request_id, reply, slots) in routes {
-        let part = ReadOutcome::from_parts(
-            results.by_ref().take(slots).collect(),
-            outcome.worker_threads,
-            outcome.elapsed_ns,
-        );
-        outbox.push(&reply, &message(TAG_READ_OUTCOME, request_id, &encode_read_outcome(&part)));
+    for route in routes {
+        let part = results.by_ref().take(route.slots);
+        let reply = if route.read {
+            let read = ReadOutcome::from_query_results(part, worker_threads, elapsed_ns);
+            message(TAG_READ_OUTCOME, route.request_id, &encode_read_outcome(&read))
+        } else {
+            let write = TickOutcome::from_parts(part.collect(), worker_threads, elapsed_ns);
+            message(TAG_TICK_OUTCOME, route.request_id, &encode_tick_outcome(&write))
+        };
+        outbox.push(&route.reply, &reply);
     }
 }

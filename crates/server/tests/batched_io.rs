@@ -11,14 +11,16 @@
 mod common;
 
 use plis_engine::{
-    decode_read_outcome, decode_tick_outcome, encode_read_tick, encode_tick, Engine, EngineConfig,
-    Query, ReadTick, SessionKind, Tick,
+    decode_read_outcome, decode_tick_outcome, encode_read_tick, encode_tick, replay_journal,
+    Engine, EngineConfig, Query, ReadTick, SessionKind, Tick,
 };
 use plis_server::protocol::{
     append_frame, message, parse_message, read_frame, FrameRead, TAG_READ, TAG_READ_OUTCOME,
     TAG_SUBMIT, TAG_TICK_OUTCOME,
 };
-use plis_server::{Client, ClientError, ProtocolError, Response, ServerConfig, ServerHandle};
+use plis_server::{
+    Client, ClientError, JournalMode, ProtocolError, Response, ServerConfig, ServerHandle,
+};
 use plis_telemetry::FRAME_HEADER_BYTES;
 use std::io::{BufReader, Write as _};
 use std::net::TcpStream;
@@ -31,13 +33,11 @@ fn engine_config() -> EngineConfig {
 }
 
 fn start(batch_max_ops: usize, batch_max_wait: Duration) -> ServerHandle {
-    ServerHandle::start(ServerConfig {
-        engine: engine_config(),
-        batch_max_ops,
-        batch_max_wait,
-        ..ServerConfig::default()
-    })
-    .expect("bind loopback")
+    start_with(ServerConfig { batch_max_ops, batch_max_wait, ..ServerConfig::default() })
+}
+
+fn start_with(config: ServerConfig) -> ServerHandle {
+    ServerHandle::start(ServerConfig { engine: engine_config(), ..config }).expect("bind loopback")
 }
 
 /// One request of a raw-socket schedule.
@@ -138,9 +138,10 @@ fn two_hundred_frames_in_one_write_reply_in_order_and_match_the_library() {
 
 #[test]
 fn write_and_read_runs_of_one_batch_reply_in_submission_order() {
-    // Runs: [1, 2] strict writes, [3] read, [4, 5] auto-create writes,
-    // [6] read, [7] strict write, [8] read.  Each read must observe the
-    // writes submitted before it.
+    // Runs split only where a write's create flag changes, and reads join
+    // the run they arrive in: [1, 2, 3] strict, [4, 5, 6] auto-create,
+    // [7, 8] strict.  Each read must observe the writes submitted before
+    // it.
     let requests = vec![
         Request::Write(Tick::new().create("a", SessionKind::Unweighted).append("a", vec![4, 1, 7])),
         Request::Write(Tick::new().append("a", vec![2, 9, 3])),
@@ -154,13 +155,26 @@ fn write_and_read_runs_of_one_batch_reply_in_submission_order() {
     // The size trigger fires exactly when the last request is queued, and
     // the time trigger never does: all eight requests form one batch.
     let ops = requests.iter().map(Request::ops).sum();
-    let server = start(ops, Duration::from_secs(60));
+    let server = start_with(ServerConfig {
+        batch_max_ops: ops,
+        batch_max_wait: Duration::from_secs(60),
+        journal: JournalMode::Memory,
+        ..ServerConfig::default()
+    });
 
     let engine = assert_served_in_order(&server, &requests);
     let report = server.shutdown();
-    assert_eq!(report.ticks_executed, 6, "one combined tick per run of the single batch");
+    assert_eq!(report.ticks_executed, 3, "one combined tick per run of the single batch");
     assert_eq!(report.snapshot.encode(), engine.snapshot().encode());
     common::assert_same_derived_state(&report.engine, &engine, "served vs direct");
+
+    // The journal holds every combined tick, query slots included, and
+    // replaying it rebuilds the served engine.
+    let journal = report.journal.expect("memory journal");
+    let mut replayed = Engine::new(engine_config());
+    let replay = replay_journal(&mut replayed, &journal).expect("journal replays");
+    assert_eq!(replay.outcomes.len() as u64, report.ticks_executed);
+    assert_eq!(replayed.snapshot().encode(), report.snapshot.encode());
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! The engine's command plane, end to end: one `Op` vocabulary for
 //! appends, reads, and session lifecycle; one `Tick` builder; one
-//! `Engine::execute` for write/mixed traffic and one `Engine::execute_read`
-//! for read-only traffic — with every op resolving to a typed
+//! `Engine::execute` that runs every tick, with `Engine::execute_read` as
+//! its adapter for read-only traffic — with every op resolving to a typed
 //! `Result<OpOutput, OpError>` instead of panicking or silently dropping.
 //!
 //! Run with: `cargo run --release --example command_plane`
@@ -76,7 +76,7 @@ fn main() {
     assert_eq!(engine.lis_length("telemetry"), Some(4));
     assert_eq!(engine.session("telemetry").unwrap().len(), 7);
 
-    // --- Read-only ticks take &self -------------------------------------
+    // --- Read-only ticks run as query slots of one tick -----------------
     let reads = ReadTick::new()
         .query("telemetry", vec![Query::CountAt(1), Query::TopK(1)])
         .query("orders", Query::Certificate)

@@ -17,7 +17,7 @@ fn main() {
             .append("sensor", vec![520u64, 310, 450, 260, 610]),
     );
 
-    // Read-only traffic takes &self: a ReadTick of query batches.
+    // Read-only traffic: a ReadTick of query batches, run as one tick.
     let tick = ReadTick::new().query(
         "sensor",
         vec![

@@ -20,7 +20,8 @@
 //! * [`engine`] — the streaming-LIS engine: incremental per-session LIS
 //!   state over batched arrivals, multiplexed and sharded across sessions
 //!   and driven through one typed command plane (`Op` ticks executed by
-//!   `Engine::execute` / `Engine::execute_read`).
+//!   `Engine::execute`, the one tick executor; `Engine::execute_read`
+//!   runs read-only ticks through it).
 //!
 //! # Quick start
 //!
