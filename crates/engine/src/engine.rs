@@ -1134,7 +1134,7 @@ mod tests {
     }
 
     #[test]
-    fn read_ticks_answer_in_order_and_flag_missing_sessions() {
+    fn read_only_ticks_answer_in_order_and_flag_missing_sessions() {
         let mut engine =
             Engine::new(EngineConfig { universe: 1 << 10, shards: 4, ..EngineConfig::default() });
         engine.execute(

@@ -816,7 +816,7 @@ mod tests {
     }
 
     #[test]
-    fn read_ticks_collect_query_batches() {
+    fn read_tick_builder_collects_query_batches() {
         let tick: ReadTick =
             vec![("a", QueryBatch::from(Query::Certificate))].into_iter().collect();
         assert_eq!(tick.len(), 1);
