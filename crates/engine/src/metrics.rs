@@ -23,10 +23,9 @@ use plis_telemetry::{json_line, AtomicHistogram, Counter, HistogramSnapshot, Jso
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-/// Per-tick digest derived from one [`TickOutcome`]
-/// — what the tick recorder just added to the cumulative registry,
-/// returned so the trace sink can stamp the individual tick without
-/// re-deriving it.
+/// Per-tick digest derived from one [`TickOutcome`] — what the tick
+/// recorder just added to the cumulative registry, returned so the trace
+/// sink can stamp the individual tick without re-deriving it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TickDigest {
     /// Ingests in this tick, one per landed append.  Every ingest takes
