@@ -4,11 +4,13 @@
 //! Sweeps the batch size `m` on a fixed universe and compares
 //! `BatchInsert` / `BatchDelete` / `Range` against performing the same work
 //! with `m` single-point operations (or an iterated `Succ` walk for the
-//! range query).
+//! range query).  Each insert and delete cell works on a fresh copy of its
+//! input tree, made outside the timer, and the batch-built trees must hold
+//! the same keys as the point-built ones.
 //!
 //! Run with: `cargo run --release -p plis-bench --bin veb_scaling`
 
-use plis_bench::{print_header, time_min};
+use plis_bench::{print_header, time_min, time_min_with};
 use plis_veb::VebTree;
 use plis_workloads::random_permutation;
 
@@ -25,6 +27,7 @@ fn main() {
         "# Parallel vEB batch operations, universe = 2^24, resident keys = {}",
         resident.len()
     );
+    let base = VebTree::from_sorted(universe, &resident);
     print_header(
         "batch m",
         &["batch-ins", "point-ins", "batch-del", "point-del", "range", "succ-walk"],
@@ -38,34 +41,45 @@ fn main() {
             v.dedup();
             v
         };
-        // Batch insertion vs point insertions.
-        let (t_bi, _) = time_min(|| {
-            let mut t = VebTree::from_sorted(universe, &resident);
-            t.batch_insert(&batch);
-            t.len()
-        });
-        let (t_pi, _) = time_min(|| {
-            let mut t = VebTree::from_sorted(universe, &resident);
-            for &k in &batch {
-                t.insert(k);
-            }
-            t.len()
-        });
+        // Batch insertion vs point insertions, each on a fresh copy of the
+        // resident tree made outside the timer.
+        let (t_bi, batch_built) = time_min_with(
+            || base.clone(),
+            |mut t| {
+                t.batch_insert(&batch);
+                t
+            },
+        );
+        let (t_pi, full) = time_min_with(
+            || base.clone(),
+            |mut t| {
+                for &k in &batch {
+                    t.insert(k);
+                }
+                t
+            },
+        );
+        assert_same_keys(&batch_built, &full, "batch insert");
+        drop(batch_built);
         // Batch deletion vs point deletions (delete the batch just added).
-        let mut full = VebTree::from_sorted(universe, &resident);
-        full.batch_insert(&batch);
-        let (t_bd, _) = time_min(|| {
-            let mut t = full.clone();
-            t.batch_delete(&batch);
-            t.len()
-        });
-        let (t_pd, _) = time_min(|| {
-            let mut t = full.clone();
-            for &k in &batch {
-                t.delete(k);
-            }
-            t.len()
-        });
+        let (t_bd, batch_built) = time_min_with(
+            || full.clone(),
+            |mut t| {
+                t.batch_delete(&batch);
+                t
+            },
+        );
+        let (t_pd, point_built) = time_min_with(
+            || full.clone(),
+            |mut t| {
+                for &k in &batch {
+                    t.delete(k);
+                }
+                t
+            },
+        );
+        assert_same_keys(&batch_built, &point_built, "batch delete");
+        drop((batch_built, point_built));
         // Parallel range query vs an iterated successor walk.
         let lo = universe / 4;
         let hi = universe / 2;
@@ -94,4 +108,13 @@ fn main() {
             t_walk
         );
     }
+}
+
+/// The batch-built tree holds exactly the keys of the point-built one.
+fn assert_same_keys(batch_built: &VebTree, point_built: &VebTree, what: &str) {
+    assert_eq!(batch_built.len(), point_built.len(), "{what}: len differs from point operations");
+    assert!(
+        batch_built.iter_keys() == point_built.iter_keys(),
+        "{what}: keys differ from point operations"
+    );
 }

@@ -36,12 +36,19 @@ pub fn bench_repeats() -> usize {
 /// Time `f`, returning the minimum wall-clock seconds over
 /// [`bench_repeats`] runs together with the result of the last run.
 pub fn time_min<R>(mut f: impl FnMut() -> R) -> (f64, R) {
+    time_min_with(|| (), |()| f())
+}
+
+/// [`time_min`] of `f` on a fresh input per run: `setup` builds the input
+/// outside the timer, and the result is dropped outside it too.
+pub fn time_min_with<S, R>(mut setup: impl FnMut() -> S, mut f: impl FnMut(S) -> R) -> (f64, R) {
     let repeats = bench_repeats();
     let mut best = f64::INFINITY;
     let mut out = None;
     for _ in 0..repeats {
+        let input = setup();
         let start = Instant::now();
-        let r = f();
+        let r = f(input);
         best = best.min(start.elapsed().as_secs_f64());
         out = Some(r);
     }

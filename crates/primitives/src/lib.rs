@@ -7,9 +7,8 @@
 //! [`rayon::join`] (which implements exactly the binary fork-join model with
 //! a randomized work-stealing scheduler):
 //!
-//! * [`scan`] — inclusive/exclusive scans (prefix sums) with an arbitrary
-//!   associative operation, including prefix min and prefix max
-//!   ([`prefix_min`], [`prefix_max`]).
+//! * [`scan`] — exclusive scans (prefix sums) with an arbitrary
+//!   associative operation.
 //! * [`pack()`] — parallel filter / pack of the elements selected by a flag
 //!   vector or predicate.
 //! * [`merge`] — parallel merge of two sorted sequences.
@@ -41,5 +40,5 @@ pub use par::{
     adaptive_grain, maybe_join, par_chunks_mut_for, par_for_each_chunk, par_map_collect,
     par_map_collect_with_grain, parallel_for, GRAIN, MIN_ADAPTIVE_GRAIN,
 };
-pub use scan::{exclusive_scan, inclusive_scan, prefix_max, prefix_min, scan_inplace, suffix_min};
+pub use scan::{exclusive_scan, scan_inplace};
 pub use sort::{par_sort, par_sort_by, par_sort_by_key, par_sort_unstable};

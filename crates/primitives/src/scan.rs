@@ -1,10 +1,9 @@
 //! Parallel scans (prefix operations).
 //!
-//! The WLIS algorithm (Alg. 5 of the paper) needs prefix max/min over the
-//! sorted deletion batch to build the survivor mappings, and the LIS
-//! reconstruction (Appendix A) needs prefix sums of "effective sizes" to
-//! place frontier elements into an output array.  Both are classic two-pass
-//! (up-sweep / down-sweep) scans with `O(n)` work and `O(log n)` span.
+//! [`group_by_rank`](crate::group_by_rank) needs prefix sums of the
+//! per-key counts to place each group's elements into one output array.
+//! The scan is the classic two-pass (up-sweep / down-sweep) scan with `O(n)`
+//! work and `O(log n)` span.
 
 use crate::par::{par_chunks_mut_for, par_map_collect_with_grain, GRAIN};
 
@@ -62,22 +61,6 @@ where
     (out, total)
 }
 
-/// Inclusive scan: `out[i] = op(a[0], …, a[i])`.
-pub fn inclusive_scan<T, F>(a: &[T], id: T, op: F) -> Vec<T>
-where
-    T: Clone + Send + Sync,
-    F: Fn(&T, &T) -> T + Sync,
-{
-    let (mut ex, _total) = exclusive_scan(a, id, &op);
-    par_chunks_mut_for(&mut ex, GRAIN, |b, chunk| {
-        let achunk = &a[b * GRAIN..b * GRAIN + chunk.len()];
-        for (o, x) in chunk.iter_mut().zip(achunk.iter()) {
-            *o = op(o, x);
-        }
-    });
-    ex
-}
-
 /// In-place exclusive scan specialised for `usize` sums.  Returns the total.
 /// This is the common case for computing output offsets of a pack.
 pub fn scan_inplace(a: &mut [usize]) -> usize {
@@ -85,35 +68,6 @@ pub fn scan_inplace(a: &mut [usize]) -> usize {
     let (ex, total) = exclusive_scan(&copy, 0usize, |x, y| x + y);
     a.copy_from_slice(&ex);
     total
-}
-
-/// Prefix minimum: `out[i] = min(a[0..=i])`.  Used to characterise prefix-min
-/// objects (Definition 3.1 of the paper) in tests and oracles.
-pub fn prefix_min<T: Ord + Clone + Send + Sync>(a: &[T]) -> Vec<T> {
-    if a.is_empty() {
-        return Vec::new();
-    }
-    inclusive_scan(a, a[0].clone(), |x, y| if x <= y { x.clone() } else { y.clone() })
-}
-
-/// Prefix maximum: `out[i] = max(a[0..=i])`.
-pub fn prefix_max<T: Ord + Clone + Send + Sync>(a: &[T]) -> Vec<T> {
-    if a.is_empty() {
-        return Vec::new();
-    }
-    inclusive_scan(a, a[0].clone(), |x, y| if x >= y { x.clone() } else { y.clone() })
-}
-
-/// Suffix minimum: `out[i] = min(a[i..])`.  The survivor-successor
-/// construction of Alg. 5 is a suffix scan over the batch.
-pub fn suffix_min<T: Ord + Clone + Send + Sync>(a: &[T]) -> Vec<T> {
-    if a.is_empty() {
-        return Vec::new();
-    }
-    let rev: Vec<T> = a.iter().rev().cloned().collect();
-    let mut out = prefix_min(&rev);
-    out.reverse();
-    out
 }
 
 #[cfg(test)]
@@ -156,57 +110,11 @@ mod tests {
     }
 
     #[test]
-    fn inclusive_scan_is_shifted_exclusive() {
-        let a: Vec<u64> = (0..10_000u64).map(|i| i % 17).collect();
-        let inc = inclusive_scan(&a, 0, |x, y| x + y);
-        let (exc, total) = exclusive_scan(&a, 0, |x, y| x + y);
-        for i in 0..a.len() {
-            assert_eq!(inc[i], exc[i] + a[i]);
-        }
-        assert_eq!(*inc.last().unwrap(), total);
-    }
-
-    #[test]
     fn scan_inplace_returns_total() {
         let mut a = vec![1usize; 5000];
         let total = scan_inplace(&mut a);
         assert_eq!(total, 5000);
         assert_eq!(a[0], 0);
         assert_eq!(a[4999], 4999);
-    }
-
-    #[test]
-    fn prefix_min_matches_naive() {
-        let a: Vec<i64> = vec![5, 3, 4, 2, 6, 1, 7, 1, 0];
-        assert_eq!(prefix_min(&a), vec![5, 3, 3, 2, 2, 1, 1, 1, 0]);
-    }
-
-    #[test]
-    fn prefix_max_matches_naive() {
-        let a: Vec<i64> = vec![1, 3, 2, 5, 4];
-        assert_eq!(prefix_max(&a), vec![1, 3, 3, 5, 5]);
-    }
-
-    #[test]
-    fn suffix_min_matches_naive() {
-        let a: Vec<i64> = vec![4, 2, 7, 1, 9];
-        assert_eq!(suffix_min(&a), vec![1, 1, 1, 1, 9]);
-    }
-
-    #[test]
-    fn prefix_min_large_random() {
-        let a: Vec<u64> = (0..50_000u64).map(|i| (i * 48271) % 65536).collect();
-        let got = prefix_min(&a);
-        let mut cur = u64::MAX;
-        for i in 0..a.len() {
-            cur = cur.min(a[i]);
-            assert_eq!(got[i], cur);
-        }
-    }
-
-    #[test]
-    fn prefix_min_empty() {
-        assert!(prefix_min::<u64>(&[]).is_empty());
-        assert!(suffix_min::<u64>(&[]).is_empty());
     }
 }

@@ -1,21 +1,46 @@
-//! Parallel batch insertion and deletion (Algorithms 4 and 5 of the paper).
+//! Parallel batch insertion and deletion (Algorithms 4 and 5 of the paper),
+//! both run bottom-up.
 //!
-//! * [`VebTree::batch_insert`] inserts a sorted batch in `O(m log log U)`
-//!   work and `O(log U)` span (Theorem 5.1).
 //! * [`VebTree::batch_delete`] deletes a sorted batch in `O(m log log U)`
-//!   work and `O(log U log log U)` span (Theorem 5.2).  The difficult part —
-//!   restoring the `min`/`max` of every affected subtree without touching
-//!   keys that are themselves being deleted — uses the paper's *survivor
-//!   mappings* (Definition 5.1): for every batch key `x`, `P(x)` / `S(x)`
-//!   are the nearest keys of the tree *not in the batch* on either side.
-//!   They are computed once at the root with predecessor/successor queries
-//!   plus a parallel prefix pass, and then translated for every cluster and
-//!   for the summary (`SurvivorLow` / `SurvivorHigh`) as the recursion
-//!   descends, with `SurvivorRedirect` patching them whenever a survivor is
-//!   promoted into a node header.
+//!   work (Theorem 5.2).  A node trims the batch to its `[min, max]`,
+//!   deletes the keys between its header keys from the clusters in
+//!   parallel, batch-deletes the clusters that emptied from the summary,
+//!   and only then refills a deleted `min` (`max`) with one pull from the
+//!   first (last) cluster left.  By then every batch key is gone, so the
+//!   pulled key is a survivor.  The paper finds that survivor before it
+//!   recurses, through survivor mappings (Definition 5.1) built with `2m`
+//!   predecessor/successor queries at the root and translated at every
+//!   node; the bottom-up order needs none of that.
+//! * [`VebTree::batch_insert`] inserts a sorted batch in `O(m log log U)`
+//!   work (Theorem 5.1).  A node pushes its two header keys down into the
+//!   clusters, inserts the batch into the clusters (and the high halves of
+//!   brand-new clusters into the summary) in parallel, and then pulls the
+//!   new `min` and `max` back up.
 //!
-//! Both operations recurse into distinct clusters in parallel by splitting
-//! the cluster slot vector with `split_at_mut`, so no locks are needed.
+//! Every call returns how many keys it inserted or deleted, so keys
+//! already present (absent) need no membership filter at the root: a leaf
+//! counts them with a popcount, and a point operation reports them.
+//!
+//! Why Theorems 5.1 and 5.2 still hold: the clusters and the summary of a
+//! node get the same batches as in the paper's top-down order (for
+//! insertion, plus the node's old header keys).  The extra work per node is
+//! at most two pushes and two pulls, each one point operation of
+//! `O(log log U)`, like the paper's own point deletions of the promoted
+//! survivors (Line 9 of Alg. 5).  A node takes the batch path only with at
+//! least [`POINT_OP_CUTOFF`] keys, so they add `O(1)` work per batch key
+//! at that node (`log log U` is at most 6 for 64-bit keys).  A key that is
+//! absent from a deletion (present at an insertion) stops at the first node
+//! whose range or clusters exclude it, or at a leaf or point operation,
+//! after `O(1)` work per level.
+//!
+//! A batch goes down the tree as slices of the caller's batch: a node reads
+//! its keys as the low bits of the keys it is handed ([`key_mask`]), so no
+//! node copies its batch.  A node groups its slice by high half with one
+//! sequential pass, into one [`Span`] per cluster, and recurses into
+//! distinct clusters in parallel by splitting the cluster slot vector with
+//! `split_at_mut`, so no locks are needed.  A fork needs at least `GRAIN`
+//! keys on the spans being split, so each fork has thousands of keys'
+//! worth of work to amortise (ParlayLib-style granularity control).
 //!
 //! Below [`POINT_OP_CUTOFF`] keys, a batch (at the root or at any node of
 //! the recursion) is applied with the sequential point operations instead.
@@ -23,10 +48,9 @@
 //! are a function of its key set, not of the order the keys arrived in.
 //! Each point operation is `O(log log U)`, so the work bounds still hold.
 
-use crate::node::{high, low, split_bits, Internal, Node, LEAF_BITS};
+use crate::node::{high, Internal, Node, LEAF_BITS};
 use crate::tree::VebTree;
-use plis_primitives::par::maybe_join;
-use rayon::prelude::*;
+use plis_primitives::par::{maybe_join, GRAIN};
 
 /// Batches (and per-node sub-batches) smaller than this run as loops of
 /// point operations.  On the `offline-lis` vEB job only the ~65,500-key
@@ -41,8 +65,8 @@ const _: () = assert!(POINT_OP_CUTOFF > 2);
 
 impl VebTree {
     /// Build a tree directly from a sorted, duplicate-free slice of keys.
-    /// `O(m log log U)` work, `O(log U)` span — equivalent to batch-inserting
-    /// into an empty tree.
+    /// `O(m log log U)` work — equivalent to batch-inserting into an empty
+    /// tree.
     ///
     /// # Panics
     /// Panics if the keys are not strictly increasing or fall outside the
@@ -59,36 +83,27 @@ impl VebTree {
         tree
     }
 
-    /// `BatchInsert` (Algorithm 4).  `batch` must be sorted and
-    /// duplicate-free; keys already present are skipped.  Returns the number
-    /// of keys actually inserted.
+    /// `BatchInsert` (Algorithm 4, bottom-up).  `batch` must be sorted and
+    /// duplicate-free; keys already present are skipped.  Returns the
+    /// number of keys actually inserted.
     pub fn batch_insert(&mut self, batch: &[u64]) -> usize {
         if batch.is_empty() {
             return 0;
         }
         assert_sorted_unique(batch);
         self.check(*batch.last().unwrap());
-        if batch.len() < POINT_OP_CUTOFF {
-            return batch.iter().filter(|&&k| self.insert(k)).count();
-        }
-        // The paper assumes B ∩ V = ∅; enforce it by filtering (parallel
-        // lookups, O(m log log U)).
-        let fresh: Vec<u64> = match &self.root {
-            None => batch.to_vec(),
-            Some(root) => batch.par_iter().copied().filter(|&k| !root.contains(k)).collect(),
+        let inserted = match &mut self.root {
+            Some(root) => node_batch_insert(root, self.bits, batch),
+            None => {
+                self.root = Some(from_sorted_node(self.bits, batch));
+                batch.len()
+            }
         };
-        if fresh.is_empty() {
-            return 0;
-        }
-        match &mut self.root {
-            None => self.root = Some(from_sorted_node(self.bits, &fresh)),
-            Some(root) => node_batch_insert(root, self.bits, fresh.clone()),
-        }
-        self.len += fresh.len();
-        fresh.len()
+        self.len += inserted;
+        inserted
     }
 
-    /// `BatchDelete` (Algorithm 5).  `batch` must be sorted and
+    /// `BatchDelete` (Algorithm 5, bottom-up).  `batch` must be sorted and
     /// duplicate-free; keys not present are skipped.  Returns the number of
     /// keys actually removed.
     pub fn batch_delete(&mut self, batch: &[u64]) -> usize {
@@ -97,26 +112,13 @@ impl VebTree {
         }
         assert_sorted_unique(batch);
         self.check(*batch.last().unwrap());
-        if batch.len() < POINT_OP_CUTOFF {
-            return batch.iter().filter(|&&k| self.delete(k)).count();
-        }
         let root = self.root.as_mut().expect("checked non-empty");
-        let present: Vec<u64> = {
-            let r = &*root;
-            batch.par_iter().copied().filter(|&k| r.contains(k)).collect()
-        };
-        if present.is_empty() {
-            return 0;
-        }
-        // Survivor mappings at the root (Definition 5.1): nearest keys on
-        // either side of each batch element that are *not* being deleted.
-        let (mut p, mut s) = survivor_maps(&*root, &present);
-        let emptied = node_batch_delete(root, &present, &mut p, &mut s);
+        let (deleted, emptied) = node_batch_delete(root, self.bits, batch);
         if emptied {
-            self.root = None;
+            crate::pool::recycle(self.root.take());
         }
-        self.len -= present.len();
-        present.len()
+        self.len -= deleted;
+        deleted
     }
 }
 
@@ -125,509 +127,258 @@ fn assert_sorted_unique(keys: &[u64]) {
     assert!(keys.windows(2).all(|w| w[0] < w[1]), "batch must be sorted and duplicate-free");
 }
 
-/// Build a node directly from a sorted, duplicate-free, non-empty key slice.
+/// The low `bits` bits.  A node over a `bits`-bit universe reads its keys
+/// as the low `bits` bits of the batch keys it is handed: the keys of one
+/// call agree on every bit above those, so masking keeps them sorted, and
+/// a batch goes down the tree as slices of the caller's batch.
+fn key_mask(bits: u32) -> u64 {
+    u64::MAX >> (64 - bits)
+}
+
+/// The keys of one cluster within a node's batch: `batch[start..end]`, all
+/// with high half `h`.
+struct Span {
+    h: u64,
+    start: usize,
+    end: usize,
+}
+
+/// Group the sorted `keys` of a batch for node `n` by high half: one
+/// [`Span`] per cluster, in increasing order of `h`.
+fn group_by_high(keys: &[u64], n: &Internal) -> Vec<Span> {
+    let mask = key_mask(n.hi_bits + n.lo_bits);
+    let mut spans: Vec<Span> = Vec::new();
+    for (i, &k) in keys.iter().enumerate() {
+        let h = high(k & mask, n.lo_bits);
+        match spans.last_mut() {
+            Some(s) if s.h == h => s.end = i + 1,
+            _ => spans.push(Span { h, start: i, end: i + 1 }),
+        }
+    }
+    spans
+}
+
+/// Apply `f` to the cluster slot of every span, in parallel, and return its
+/// results in span order.  `slots` is the node's cluster vector.  A fork
+/// splits the spans at their middle key and needs at least `GRAIN` keys
+/// on the spans being split; the disjoint slot ranges go to the two sides
+/// with `split_at_mut`.
+fn par_spans<R, F>(slots: &mut [Option<Node>], spans: &[Span], f: F) -> Vec<R>
+where
+    R: Clone + Default + Send,
+    F: Fn(&mut Option<Node>, &Span) -> R + Sync,
+{
+    fn go<R: Send, F: Fn(&mut Option<Node>, &Span) -> R + Sync>(
+        slots: &mut [Option<Node>],
+        base: u64,
+        spans: &[Span],
+        out: &mut [R],
+        f: &F,
+    ) {
+        let keys = spans.last().map_or(0, |s| s.end) - spans.first().map_or(0, |s| s.start);
+        if spans.len() < 2 || keys < GRAIN {
+            for (s, o) in spans.iter().zip(out) {
+                *o = f(&mut slots[(s.h - base) as usize], s);
+            }
+            return;
+        }
+        let half = spans[0].start + keys / 2;
+        let mid = spans.partition_point(|s| s.end <= half).clamp(1, spans.len() - 1);
+        let split_h = spans[mid].h;
+        let (sl, sr) = slots.split_at_mut((split_h - base) as usize);
+        let (gl, gr) = spans.split_at(mid);
+        let (ol, or) = out.split_at_mut(mid);
+        rayon::join(|| go(sl, base, gl, ol, f), || go(sr, split_h, gr, or, f));
+    }
+    let mut out = vec![R::default(); spans.len()];
+    go(slots, 0, spans, &mut out, &f);
+    out
+}
+
+/// Build a node over a `bits`-bit universe from a sorted, duplicate-free,
+/// non-empty slice of keys (read through [`key_mask`]).
 fn from_sorted_node(bits: u32, keys: &[u64]) -> Node {
     debug_assert!(!keys.is_empty());
+    let mask = key_mask(bits);
     if bits <= LEAF_BITS {
-        let mut mask = 0u64;
-        for &k in keys {
-            mask |= 1u64 << k;
-        }
-        return Node::Leaf(mask);
+        return Node::Leaf(keys.iter().fold(0, |leaf, &k| leaf | 1u64 << (k & mask)));
     }
     if keys.len() < POINT_OP_CUTOFF {
-        let mut node = Node::singleton(bits, keys[0]);
+        let mut node = Node::singleton(bits, keys[0] & mask);
         for &k in &keys[1..] {
-            node.insert(k);
+            node.insert(k & mask);
         }
         return node;
     }
-    let (hi_bits, lo_bits) = split_bits(bits);
-    let min = keys[0];
-    let max = *keys.last().unwrap();
-    let mid = &keys[1..keys.len() - 1];
-    let mut node = match crate::pool::take(bits) {
-        Some(mut n) => {
-            n.min = min;
-            n.max = max;
-            n
-        }
-        None => {
-            Box::new(Internal { lo_bits, hi_bits, min, max, summary: None, clusters: Vec::new() })
-        }
-    };
-    if node.clusters.is_empty() {
-        node.clusters = (0..(1usize << hi_bits)).map(|_| None).collect();
-    }
-    let groups = group_by_high(mid, lo_bits);
-    let hs: Vec<u64> = groups.iter().map(|g| g.0).collect();
+    let mut node = Internal::with_header(bits, keys[0] & mask, keys[keys.len() - 1] & mask);
+    node.ensure_clusters();
+    let inner = &keys[1..keys.len() - 1];
+    let spans = group_by_high(inner, &node);
+    let hs: Vec<u64> = spans.iter().map(|s| s.h).collect();
+    let (hi_bits, lo_bits) = (node.hi_bits, node.lo_bits);
     let clusters = &mut node.clusters;
-    let (summary, ()) = maybe_join(
-        mid.len(),
-        plis_primitives::par::GRAIN,
-        || Some(from_sorted_node(hi_bits, &hs)),
+    let (summary, _) = maybe_join(
+        inner.len(),
+        GRAIN,
+        || from_sorted_node(hi_bits, &hs),
         || {
-            par_for_groups(clusters, 0, &groups, &|slot, (_, lows)| {
-                *slot = Some(from_sorted_node(lo_bits, lows));
-            });
+            par_spans(clusters, &spans, |slot, s| {
+                *slot = Some(from_sorted_node(lo_bits, &inner[s.start..s.end]));
+            })
         },
     );
-    node.summary = summary;
+    node.summary = Some(summary);
     Node::Internal(node)
-}
-
-/// Group a sorted slice of keys by their high halves.  Returns
-/// `(h, lows)` pairs with `h` increasing and each `lows` sorted.
-fn group_by_high(keys: &[u64], lo_bits: u32) -> Vec<(u64, Vec<u64>)> {
-    let mut groups: Vec<(u64, Vec<u64>)> = Vec::new();
-    for &k in keys {
-        let h = high(k, lo_bits);
-        let l = low(k, lo_bits);
-        match groups.last_mut() {
-            Some((gh, lows)) if *gh == h => lows.push(l),
-            _ => groups.push((h, vec![l])),
-        }
-    }
-    groups
-}
-
-/// Apply `f` to the cluster slot of every group, in parallel.  `groups` must
-/// be sorted by their high half and `slots` is the cluster vector offset by
-/// `base` (so `groups[i]` targets `slots[h_i - base]`).  Disjointness of the
-/// slots lets us split with `split_at_mut` and hand the halves to rayon.
-fn par_for_groups<G, F>(slots: &mut [Option<Node>], base: u64, groups: &[G], f: &F)
-where
-    G: GroupKey + Sync,
-    F: Fn(&mut Option<Node>, &G) + Sync,
-{
-    match groups.len() {
-        0 => {}
-        1 => f(&mut slots[(groups[0].h() - base) as usize], &groups[0]),
-        len => {
-            let mid = len / 2;
-            let split_h = groups[mid].h();
-            let (gl, gr) = groups.split_at(mid);
-            let (sl, sr) = slots.split_at_mut((split_h - base) as usize);
-            maybe_join(
-                len,
-                8,
-                || par_for_groups(sl, base, gl, f),
-                || par_for_groups(sr, split_h, gr, f),
-            );
-        }
-    }
-}
-
-/// Mutable variant of [`par_for_groups`], used by batch deletion where the
-/// per-group state (the `emptied` flag) must be written back.
-fn par_for_groups_mut<G, F>(slots: &mut [Option<Node>], base: u64, groups: &mut [G], f: &F)
-where
-    G: GroupKey + Send,
-    F: Fn(&mut Option<Node>, &mut G) + Sync,
-{
-    match groups.len() {
-        0 => {}
-        1 => f(&mut slots[(groups[0].h() - base) as usize], &mut groups[0]),
-        len => {
-            let mid = len / 2;
-            let split_h = groups[mid].h();
-            let (gl, gr) = groups.split_at_mut(mid);
-            let (sl, sr) = slots.split_at_mut((split_h - base) as usize);
-            maybe_join(
-                len,
-                8,
-                || par_for_groups_mut(sl, base, gl, f),
-                || par_for_groups_mut(sr, split_h, gr, f),
-            );
-        }
-    }
-}
-
-/// Anything that exposes the high half it targets (so the split helpers can
-/// cut the cluster vector at the right place).
-trait GroupKey {
-    fn h(&self) -> u64;
-}
-impl GroupKey for (u64, Vec<u64>) {
-    fn h(&self) -> u64 {
-        self.0
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Batch insertion (Algorithm 4)
 // ---------------------------------------------------------------------------
 
-/// Insert the sorted batch `b` (disjoint from the node's keys, non-empty)
-/// into `node`, whose universe has `bits` bits.
-fn node_batch_insert(node: &mut Node, bits: u32, b: Vec<u64>) {
+/// Insert the keys of the sorted batch `b` (read through [`key_mask`]) into
+/// `node`, a node over a `bits`-bit universe, skipping present ones.
+/// Returns how many keys were inserted.
+fn node_batch_insert(node: &mut Node, bits: u32, b: &[u64]) -> usize {
+    let mask = key_mask(bits);
     match node {
-        Node::Leaf(mask) => {
-            for k in b {
-                *mask |= 1u64 << k;
-            }
+        Node::Leaf(leaf) => {
+            let fresh = b.iter().fold(0, |m, &k| m | 1u64 << (k & mask)) & !*leaf;
+            *leaf |= fresh;
+            fresh.count_ones() as usize
         }
-        Node::Internal(_) if b.len() < POINT_OP_CUTOFF => {
-            for k in b {
-                node.insert(k);
-            }
+        Node::Internal(n) if b.len() < POINT_OP_CUTOFF => {
+            b.iter().filter(|&&k| n.insert(k & mask)).count()
         }
-        Node::Internal(n) => {
-            debug_assert!(bits > LEAF_BITS);
-            // Lines 2–5 of Alg. 4: fold the old header keys into the batch,
-            // pick the new global min/max as the new header, and everything
-            // in between must live in the clusters.
-            let old_min = n.min;
-            let old_max = n.max;
-            let single = old_min == old_max;
-            let mut merged: Vec<u64> = Vec::with_capacity(b.len() + 2);
-            {
-                // Merge `b` with the (at most two) displaced header keys.
-                let headers: [u64; 2] = [old_min, old_max];
-                let headers = if single { &headers[..1] } else { &headers[..] };
-                let mut i = 0;
-                let mut j = 0;
-                while i < b.len() || j < headers.len() {
-                    if j >= headers.len() || (i < b.len() && b[i] < headers[j]) {
-                        merged.push(b[i]);
-                        i += 1;
-                    } else {
-                        merged.push(headers[j]);
-                        j += 1;
+        Node::Internal(n) => internal_batch_insert(n, b),
+    }
+}
+
+/// The batch path of [`node_batch_insert`]: `b` holds at least
+/// [`POINT_OP_CUTOFF`] keys.
+fn internal_batch_insert(n: &mut Internal, b: &[u64]) -> usize {
+    // Lines 2–5 of Alg. 4: the old header keys join the batch.  Here they
+    // are pushed down into the clusters, the batch follows them, and the
+    // new min and max are pulled back up afterwards.
+    let (min, max) = (n.min, n.max);
+    n.cluster_insert(min);
+    if max != min {
+        n.cluster_insert(max);
+    }
+    // Lines 6–16: initialise brand-new clusters, insert the rest
+    // recursively, and insert the new high halves into the summary,
+    // clusters and summary in parallel.
+    let spans = group_by_high(b, n);
+    let new_hs: Vec<u64> =
+        spans.iter().map(|s| s.h).filter(|&h| n.clusters[h as usize].is_none()).collect();
+    let (hi_bits, lo_bits) = (n.hi_bits, n.lo_bits);
+    let Internal { summary, clusters, .. } = n;
+    let (_, inserted) = maybe_join(
+        b.len(),
+        GRAIN,
+        || match summary {
+            _ if new_hs.is_empty() => {}
+            Some(s) => {
+                node_batch_insert(s, hi_bits, &new_hs);
+            }
+            None => *summary = Some(from_sorted_node(hi_bits, &new_hs)),
+        },
+        || {
+            par_spans(clusters, &spans, |slot, s| {
+                let keys = &b[s.start..s.end];
+                match slot {
+                    Some(c) => node_batch_insert(c, lo_bits, keys),
+                    None => {
+                        *slot = Some(from_sorted_node(lo_bits, keys));
+                        keys.len()
                     }
                 }
-            }
-            n.min = merged[0];
-            n.max = *merged.last().unwrap();
-            let mid = &merged[1..merged.len() - 1];
-            // Lines 6–16: group the remaining keys by high half, initialise
-            // brand-new clusters, insert the rest recursively, and insert the
-            // new high halves into the summary — clusters and summary in
-            // parallel.
-            if n.clusters.is_empty() {
-                n.clusters = (0..(1usize << n.hi_bits)).map(|_| None).collect();
-            }
-            let groups = group_by_high(mid, n.lo_bits);
-            let new_hs: Vec<u64> = groups
-                .iter()
-                .filter(|(h, _)| n.clusters[*h as usize].is_none())
-                .map(|(h, _)| *h)
-                .collect();
-            let lo_bits = n.lo_bits;
-            let hi_bits = n.hi_bits;
-            let clusters = &mut n.clusters;
-            let summary = &mut n.summary;
-            let total = mid.len();
-            maybe_join(
-                total,
-                plis_primitives::par::GRAIN,
-                || {
-                    if new_hs.is_empty() {
-                        return;
-                    }
-                    match summary {
-                        Some(sumr) => node_batch_insert(sumr, hi_bits, new_hs.clone()),
-                        None => *summary = Some(from_sorted_node(hi_bits, &new_hs)),
-                    }
-                },
-                || {
-                    par_for_groups(clusters, 0, &groups, &|slot, (_, lows)| match slot {
-                        Some(c) => node_batch_insert(c, lo_bits, lows.clone()),
-                        None => *slot = Some(from_sorted_node(lo_bits, lows)),
-                    });
-                },
-            );
-        }
-    }
+            })
+        },
+    );
+    // The clusters hold at least POINT_OP_CUTOFF keys, so both pulls take
+    // a cluster key.
+    n.pull_min();
+    n.pull_max();
+    inserted.iter().sum()
 }
 
 // ---------------------------------------------------------------------------
 // Batch deletion (Algorithm 5)
 // ---------------------------------------------------------------------------
 
-/// Compute the survivor mappings `P`/`S` (Definition 5.1) of `batch`
-/// with respect to the keys of `root`.  `None` plays the role of ±∞.
-fn survivor_maps(root: &Node, batch: &[u64]) -> (Vec<Option<u64>>, Vec<Option<u64>>) {
-    let m = batch.len();
-    // Raw predecessor/successor queries, in parallel.  An entry is
-    // *resolved* if the neighbour is not itself being deleted (or does not
-    // exist at all, the genuine ±∞ case); it is *unresolved* if the
-    // neighbour is a batch key, in which case it shares its survivor with
-    // that neighbour — i.e. with the adjacent batch entry.
-    #[derive(Clone, Copy)]
-    struct Entry {
-        value: Option<u64>,
-        resolved: bool,
-    }
-    // `batch ⊆ root` and is sorted, so a neighbour that is a batch key is
-    // the adjacent batch key: pred(batch[i]) >= batch[i - 1] and
-    // succ(batch[i]) <= batch[i + 1].
-    let raw = |neighbor: Option<u64>, adjacent: Option<u64>| -> Entry {
-        match neighbor {
-            Some(x) if Some(x) == adjacent => Entry { value: None, resolved: false },
-            other => Entry { value: other, resolved: true },
-        }
-    };
-    let p_raw: Vec<Entry> = (0..m)
-        .into_par_iter()
-        .map(|i| raw(root.pred(batch[i]), i.checked_sub(1).map(|j| batch[j])))
-        .collect();
-    let s_raw: Vec<Entry> = (0..m)
-        .into_par_iter()
-        .map(|i| raw(root.succ(batch[i]), batch.get(i + 1).copied()))
-        .collect();
-    // Propagate resolved values across unresolved runs with a prefix scan
-    // (the paper's "compute prefix-max of P"): left-to-right for P,
-    // right-to-left for S.  The first element's predecessor can never be in
-    // the batch, so after the pass `None` genuinely means −∞ (dually +∞).
-    let carry = |a: &Entry, b: &Entry| if b.resolved { *b } else { *a };
-    let p_scanned =
-        plis_primitives::inclusive_scan(&p_raw, Entry { value: None, resolved: false }, carry);
-    let s_rev: Vec<Entry> = s_raw.iter().rev().copied().collect();
-    let mut s_scanned =
-        plis_primitives::inclusive_scan(&s_rev, Entry { value: None, resolved: false }, carry);
-    s_scanned.reverse();
-    let p = p_scanned.into_iter().map(|e| e.value).collect();
-    let s = s_scanned.into_iter().map(|e| e.value).collect();
-    (p, s)
-}
-
-/// One per-cluster slice of a deletion batch, together with its translated
-/// survivor mappings and (after the recursion) whether the cluster emptied.
-struct DelGroup {
-    h: u64,
-    lows: Vec<u64>,
-    p: Vec<Option<u64>>,
-    s: Vec<Option<u64>>,
-    /// Index (into the parent batch) of the first / last key of this group —
-    /// used by `SurvivorHigh` to build the summary's survivor maps.
-    first_idx: usize,
-    last_idx: usize,
-    emptied: bool,
-}
-impl GroupKey for DelGroup {
-    fn h(&self) -> u64 {
-        self.h
-    }
-}
-
-/// Delete the sorted batch `b ⊆ node` from `node`.  `p`/`s` are the survivor
-/// mappings of `b` with respect to the node's key set (values are keys of
-/// this node's universe; `None` = no survivor on that side *within this
-/// node*).  Returns `true` if the node became empty.
-fn node_batch_delete(
-    node: &mut Node,
-    b: &[u64],
-    p: &mut [Option<u64>],
-    s: &mut [Option<u64>],
-) -> bool {
-    debug_assert_eq!(b.len(), p.len());
-    debug_assert_eq!(b.len(), s.len());
+/// Delete the keys of the sorted batch `b` (read through [`key_mask`]) from
+/// `node`, a node over a `bits`-bit universe, skipping absent ones.
+/// Returns how many keys were deleted and whether the node is now empty,
+/// in which case the caller must drop it.
+fn node_batch_delete(node: &mut Node, bits: u32, b: &[u64]) -> (usize, bool) {
+    let mask = key_mask(bits);
     match node {
-        Node::Leaf(mask) => {
-            for &k in b {
-                *mask &= !(1u64 << k);
+        Node::Leaf(leaf) => {
+            let gone = *leaf & b.iter().fold(0, |m, &k| m | 1u64 << (k & mask));
+            *leaf &= !gone;
+            (gone.count_ones() as usize, *leaf == 0)
+        }
+        Node::Internal(n) => {
+            // Only keys in [min, max] can be present.
+            let lo = b.partition_point(|&k| k & mask < n.min);
+            let hi = b.partition_point(|&k| k & mask <= n.max);
+            let b = &b[lo..hi];
+            if b.len() >= POINT_OP_CUTOFF {
+                return internal_batch_delete(n, b);
             }
-            *mask == 0
+            let (mut deleted, mut emptied) = (0, false);
+            for &k in b {
+                let (present, empty) = n.delete(k & mask);
+                deleted += usize::from(present);
+                emptied |= empty;
+            }
+            (deleted, emptied)
         }
-        // `b ⊆ node`, so only the last point delete can empty the node.
-        Node::Internal(_) if b.len() < POINT_OP_CUTOFF => {
-            b.iter().fold(false, |_, &k| node.delete(k).1)
-        }
-        Node::Internal(n) => internal_batch_delete(n, b, p, s),
     }
 }
 
-fn internal_batch_delete(
-    n: &mut Internal,
-    b: &[u64],
-    p: &mut [Option<u64>],
-    s: &mut [Option<u64>],
-) -> bool {
-    // `b ⊆ node` has at least `POINT_OP_CUTOFF` keys, so the node holds
-    // more than one key and `b` more than its two header keys.
-    let vmin = n.min;
-    let vmax = n.max;
-    let min_deleted = b[0] == vmin;
-    let max_deleted = *b.last().unwrap() == vmax;
-
-    // New header values after the deletion (Lines 5–14 of Alg. 5).
-    let new_min = if min_deleted { s[0] } else { Some(vmin) };
-    let Some(new_min) = new_min else {
-        // The minimum is deleted and it has no survivor successor: nothing
-        // survives, the whole subtree disappears.
-        return true;
-    };
-    let new_max = if max_deleted {
-        p[b.len() - 1].expect("a survivor exists, so the max has a survivor predecessor")
-    } else {
-        vmax
-    };
-
-    // Range of batch entries that refer to cluster keys (header keys are
-    // handled directly and never recurse).
-    let lo_trim = usize::from(min_deleted);
-    let hi_trim = b.len() - usize::from(max_deleted);
-
-    // Promote the survivor that replaces a deleted min (and symmetrically a
-    // deleted max) out of the clusters and into the header, redirecting any
-    // survivor-map entries that pointed at it (SurvivorRedirect).
-    if min_deleted {
-        if new_min != vmax {
-            let (rp, rs) = survivor_neighbors(n, new_min, b, p, s);
-            delete_from_clusters(n, new_min);
-            redirect(&mut p[lo_trim..hi_trim], &mut s[lo_trim..hi_trim], new_min, rp, rs);
+/// The batch path of [`node_batch_delete`]: `b` lies within `[n.min, n.max]`
+/// and holds at least [`POINT_OP_CUTOFF`] keys, so `n` holds two or more.
+fn internal_batch_delete(n: &mut Internal, b: &[u64]) -> (usize, bool) {
+    let mask = key_mask(n.hi_bits + n.lo_bits);
+    let min_deleted = b[0] & mask == n.min;
+    let max_deleted = b[b.len() - 1] & mask == n.max;
+    let mut deleted = usize::from(min_deleted) + usize::from(max_deleted);
+    // Lines 18–20 of Alg. 5: the keys between the header keys leave their
+    // clusters, all clusters in parallel.
+    if n.summary.is_some() {
+        let inner = &b[usize::from(min_deleted)..b.len() - usize::from(max_deleted)];
+        let spans = group_by_high(inner, n);
+        let lo_bits = n.lo_bits;
+        let results = par_spans(&mut n.clusters, &spans, |slot, s| {
+            let Some(cluster) = slot else { return (0, false) };
+            let (deleted, emptied) = node_batch_delete(cluster, lo_bits, &inner[s.start..s.end]);
+            if emptied {
+                crate::pool::recycle(slot.take());
+            }
+            (deleted, emptied)
+        });
+        deleted += results.iter().map(|r| r.0).sum::<usize>();
+        // Lines 21–23: the clusters that emptied leave the summary.
+        let emptied: Vec<u64> =
+            spans.iter().zip(&results).filter(|(_, r)| r.1).map(|(s, _)| s.h).collect();
+        if !emptied.is_empty() {
+            let summary = n.summary.as_mut().expect("non-empty clusters imply a summary");
+            if node_batch_delete(summary, n.hi_bits, &emptied).1 {
+                crate::pool::recycle(n.summary.take());
+            }
         }
-        n.min = new_min;
+    }
+    // Lines 5–14: refill a deleted header key from the clusters, which now
+    // hold only survivors.
+    if min_deleted && max_deleted && n.summary.is_none() {
+        return (deleted, true);
+    }
+    if min_deleted {
+        n.pull_min();
     }
     if max_deleted {
-        if new_max != n.min {
-            let (rp, rs) = survivor_neighbors(n, new_max, b, p, s);
-            delete_from_clusters(n, new_max);
-            redirect(&mut p[lo_trim..hi_trim], &mut s[lo_trim..hi_trim], new_max, rp, rs);
-            n.max = new_max;
-        } else {
-            n.max = n.min;
-        }
+        n.pull_max();
     }
-
-    let b_mid = &b[lo_trim..hi_trim];
-    let p_mid = &p[lo_trim..hi_trim];
-    let s_mid = &s[lo_trim..hi_trim];
-
-    // SurvivorLow: translate the survivor maps into each cluster's universe.
-    let cur_min = n.min;
-    let cur_max = n.max;
-    let lo_bits = n.lo_bits;
-    let mut groups: Vec<DelGroup> = Vec::new();
-    for (i, &x) in b_mid.iter().enumerate() {
-        let h = high(x, lo_bits);
-        let l = low(x, lo_bits);
-        let pl = match p_mid[i] {
-            Some(pp) if high(pp, lo_bits) == h && pp != cur_min => Some(low(pp, lo_bits)),
-            _ => None,
-        };
-        let sl = match s_mid[i] {
-            Some(ss) if high(ss, lo_bits) == h && ss != cur_max => Some(low(ss, lo_bits)),
-            _ => None,
-        };
-        match groups.last_mut() {
-            Some(g) if g.h == h => {
-                g.lows.push(l);
-                g.p.push(pl);
-                g.s.push(sl);
-                g.last_idx = i;
-            }
-            _ => groups.push(DelGroup {
-                h,
-                lows: vec![l],
-                p: vec![pl],
-                s: vec![sl],
-                first_idx: i,
-                last_idx: i,
-                emptied: false,
-            }),
-        }
-    }
-
-    // Recurse into all affected clusters in parallel (Lines 18–20).
-    par_for_groups_mut(&mut n.clusters, 0, &mut groups, &|slot, g| {
-        let cluster = slot.as_mut().expect("batch keys must live in an existing cluster");
-        let emptied = node_batch_delete(cluster, &g.lows, &mut g.p, &mut g.s);
-        if emptied {
-            crate::pool::recycle(slot.take());
-            g.emptied = true;
-        }
-    });
-
-    // SurvivorHigh + summary recursion (Lines 21–23): remove the high halves
-    // of the clusters that just became empty from the summary.
-    let emptied_groups: Vec<&DelGroup> = groups.iter().filter(|g| g.emptied).collect();
-    if !emptied_groups.is_empty() {
-        let hs: Vec<u64> = emptied_groups.iter().map(|g| g.h).collect();
-        let mut ph: Vec<Option<u64>> = emptied_groups
-            .iter()
-            .map(|g| match p_mid[g.first_idx] {
-                Some(pp) if pp != cur_min && pp != cur_max => Some(high(pp, lo_bits)),
-                _ => None,
-            })
-            .collect();
-        let mut sh: Vec<Option<u64>> = emptied_groups
-            .iter()
-            .map(|g| match s_mid[g.last_idx] {
-                Some(ss) if ss != cur_min && ss != cur_max => Some(high(ss, lo_bits)),
-                _ => None,
-            })
-            .collect();
-        let summary = n.summary.as_mut().expect("non-empty clusters imply a summary");
-        let summary_empty = node_batch_delete(summary, &hs, &mut ph, &mut sh);
-        if summary_empty {
-            n.summary = None;
-        }
-    }
-    false
-}
-
-/// Find the survivor predecessor and successor of the key `y` (a survivor
-/// about to be promoted into the header), expressed with respect to the
-/// *current* structure and the batch `b` (Lines 24–31 of Alg. 5).
-fn survivor_neighbors(
-    n: &Internal,
-    y: u64,
-    b: &[u64],
-    p: &[Option<u64>],
-    s: &[Option<u64>],
-) -> (Option<u64>, Option<u64>) {
-    let mut rp = n.pred(y);
-    if let Some(x) = rp {
-        if let Ok(j) = b.binary_search(&x) {
-            rp = p[j];
-        }
-    }
-    let mut rs = n.succ(y);
-    if let Some(x) = rs {
-        if let Ok(j) = b.binary_search(&x) {
-            rs = s[j];
-        }
-    }
-    (rp, rs)
-}
-
-/// Redirect survivor-map entries equal to `y` to `rp`/`rs` (SurvivorRedirect,
-/// Lines 28–30).
-fn redirect(
-    p: &mut [Option<u64>],
-    s: &mut [Option<u64>],
-    y: u64,
-    rp: Option<u64>,
-    rs: Option<u64>,
-) {
-    let m = p.len();
-    for i in 0..m {
-        if p[i] == Some(y) {
-            p[i] = rp;
-        }
-        if s[i] == Some(y) {
-            s[i] = rs;
-        }
-    }
-}
-
-/// Delete a key that lives in the clusters (never a header key) the
-/// sequential way: remove it from its cluster and fix the summary if the
-/// cluster empties (Line 9 of Alg. 5).
-fn delete_from_clusters(n: &mut Internal, key: u64) {
-    let h = high(key, n.lo_bits);
-    let l = low(key, n.lo_bits);
-    let slot = n.clusters[h as usize].as_mut().expect("key must live in a cluster");
-    let (_present, emptied) = slot.delete(l);
-    if emptied {
-        n.clusters[h as usize] = None;
-        if let Some(sumr) = &mut n.summary {
-            let (_, sempty) = sumr.delete(h);
-            if sempty {
-                n.summary = None;
-            }
-        }
-    }
+    (deleted, false)
 }

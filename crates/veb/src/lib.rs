@@ -8,12 +8,16 @@
 //!   with `O(log log U)` insertion, deletion, lookup, min/max, predecessor
 //!   and successor ([`VebTree`]),
 //! * **parallel batch insertion** of a sorted batch (Algorithm 4,
-//!   Theorem 5.1: `O(m log log U)` work, `O(log U)` span),
-//! * **parallel batch deletion** built on *survivor mappings*
-//!   (Algorithm 5, Theorem 5.2: `O(m log log U)` work,
-//!   `O(log U log log U)` span),
-//! * a **parallel range query** that reports all keys in `[lo, hi]` by
-//!   divide-and-conquer over the key space (Algorithm 6, Theorem C.1), and
+//!   Theorem 5.1: `O(m log log U)` work),
+//! * **parallel batch deletion** (Algorithm 5, Theorem 5.2:
+//!   `O(m log log U)` work).  Both run bottom-up: a node updates its
+//!   clusters first and then repairs its `min`/`max` from them, so
+//!   deletion needs none of the paper's survivor mappings and neither
+//!   operation filters the batch against the tree first (see the `batch`
+//!   module),
+//! * a **parallel range query** that reports all keys in `[lo, hi]`: each
+//!   call walks `Succ` through up to `GRAIN` keys and divides only the rest
+//!   of its range over the key space (Algorithm 6, Theorem C.1), and
 //! * the **Mono-vEB tree** ([`MonoVeb`]) — a vEB tree that maintains a
 //!   *staircase* of `(key, score)` points (scores strictly increase with the
 //!   key) — together with the `CoveredBy` operation (Algorithm 7,
@@ -32,9 +36,15 @@
 //! lazily.  Everything is safe Rust: the tree is an owned recursive
 //! structure, and the parallel batch operations split the cluster vector
 //! with `split_at_mut` so disjoint clusters can be processed by
-//! [`rayon::join`] without locks or atomics.  Batches (and per-node
+//! [`rayon::join`] without locks or atomics.  They fork only where at
+//! least `GRAIN` keys are being split.  Batches (and per-node
 //! sub-batches) below [`POINT_OP_CUTOFF`] keys run as point operations,
 //! which build the same tree.
+//!
+//! The paper's span bounds (`O(log U)` for Theorem 5.1,
+//! `O(log U log log U)` for Theorem 5.2) assume that a node groups its
+//! batch by high half in parallel.  Here that grouping is one sequential
+//! pass per node, so the span of a batch operation is `O(m)` at the root.
 //!
 //! # Example
 //!

@@ -3,7 +3,8 @@
 //!
 //! All keys handled by a node are *relative* to that node's universe: the
 //! caller strips the high bits before recursing (the paper's
-//! `high`/`low`/`index` notation, Table 1).  A node that exists is never
+//! `high`/`low`/`index` notation, Table 1; the batch operations hand down
+//! whole keys and mask them at each node instead).  A node that exists is never
 //! empty; emptiness is represented by the parent holding `None` in the
 //! cluster slot (or by [`crate::VebTree`] holding `None` at the root).
 
@@ -73,27 +74,13 @@ pub(crate) fn index(h: u64, l: u64, lo_bits: u32) -> u64 {
 }
 
 impl Node {
-    /// A new subtree holding exactly `key`.  Reuses a recycled node of the
-    /// same universe width from the thread-local [`crate::pool`] when one is
-    /// available, so steady-state cluster churn stays off the allocator.
+    /// A new subtree holding exactly `key`.
     pub(crate) fn singleton(bits: u32, key: u64) -> Node {
         debug_assert!(bits == 64 || key < (1u64 << bits));
         if bits <= LEAF_BITS {
             Node::Leaf(1u64 << key)
-        } else if let Some(mut n) = crate::pool::take(bits) {
-            n.min = key;
-            n.max = key;
-            Node::Internal(n)
         } else {
-            let (hi_bits, lo_bits) = split_bits(bits);
-            Node::Internal(Box::new(Internal {
-                lo_bits,
-                hi_bits,
-                min: key,
-                max: key,
-                summary: None,
-                clusters: Vec::new(),
-            }))
+            Node::Internal(Internal::with_header(bits, key, key))
         }
     }
 
@@ -247,8 +234,22 @@ impl Node {
 }
 
 impl Internal {
+    /// A node over a `bits`-bit universe whose only keys are `min` and
+    /// `max` (one key when they are equal).  Reuses a recycled node of the
+    /// same width from the thread-local [`crate::pool`] when one is
+    /// available, so steady-state cluster churn stays off the allocator.
+    pub(crate) fn with_header(bits: u32, min: u64, max: u64) -> Box<Internal> {
+        let mut n = crate::pool::take(bits).unwrap_or_else(|| {
+            let (hi_bits, lo_bits) = split_bits(bits);
+            Box::new(Internal { lo_bits, hi_bits, min, max, summary: None, clusters: Vec::new() })
+        });
+        n.min = min;
+        n.max = max;
+        n
+    }
+
     /// Ensure the cluster slot vector is allocated (all `None`).
-    fn ensure_clusters(&mut self) {
+    pub(crate) fn ensure_clusters(&mut self) {
         if self.clusters.is_empty() {
             self.clusters = (0..(1usize << self.hi_bits)).map(|_| None).collect();
         }
@@ -274,6 +275,12 @@ impl Internal {
         } else if key > self.max {
             std::mem::swap(&mut key, &mut self.max);
         }
+        self.cluster_insert(key)
+    }
+
+    /// Insert `key` into its cluster, creating the cluster and its summary
+    /// entry if needed.  Returns whether `key` was absent from the cluster.
+    pub(crate) fn cluster_insert(&mut self, key: u64) -> bool {
         let h = high(key, self.lo_bits) as usize;
         let l = low(key, self.lo_bits);
         self.ensure_clusters();
@@ -311,64 +318,55 @@ impl Internal {
             return if key == self.min { (true, true) } else { (false, false) };
         }
         if key == self.min {
-            // Pull the smallest cluster key (or fall back to max) into min.
-            match &self.summary {
-                None => {
-                    self.min = self.max;
-                    return (true, false);
-                }
-                Some(s) => {
-                    let h = s.min();
-                    let c = self.clusters[h as usize]
-                        .as_mut()
-                        .expect("summary and clusters out of sync");
-                    let l = c.min();
-                    let (_, emptied) = c.delete(l);
-                    if emptied {
-                        crate::pool::recycle(self.clusters[h as usize].take());
-                        self.summary_delete(h);
-                    }
-                    self.min = index(h, l, self.lo_bits);
-                    return (true, false);
-                }
-            }
+            self.pull_min();
+            return (true, false);
         }
         if key == self.max {
-            match &self.summary {
-                None => {
-                    self.max = self.min;
-                    return (true, false);
-                }
-                Some(s) => {
-                    let h = s.max();
-                    let c = self.clusters[h as usize]
-                        .as_mut()
-                        .expect("summary and clusters out of sync");
-                    let l = c.max();
-                    let (_, emptied) = c.delete(l);
-                    if emptied {
-                        crate::pool::recycle(self.clusters[h as usize].take());
-                        self.summary_delete(h);
-                    }
-                    self.max = index(h, l, self.lo_bits);
-                    return (true, false);
-                }
-            }
+            self.pull_max();
+            return (true, false);
         }
         // The key, if present, lives in a cluster.
-        let h = high(key, self.lo_bits) as usize;
-        let l = low(key, self.lo_bits);
-        match self.clusters.get_mut(h).and_then(Option::as_mut) {
-            None => (false, false),
-            Some(c) => {
-                let (present, emptied) = c.delete(l);
-                if emptied {
-                    crate::pool::recycle(self.clusters[h].take());
-                    self.summary_delete(h as u64);
-                }
-                (present, false)
-            }
+        (self.cluster_delete(high(key, self.lo_bits), low(key, self.lo_bits)), false)
+    }
+
+    /// Refill the header after `min` is deleted: pull the smallest cluster
+    /// key up, or take `max` when no cluster is left.
+    pub(crate) fn pull_min(&mut self) {
+        self.min = match self.summary.as_ref().map(Node::min) {
+            None => self.max,
+            Some(h) => self.pull(h, Node::min),
+        };
+    }
+
+    /// Refill the header after `max` is deleted: pull the largest cluster
+    /// key up, or take `min` when no cluster is left.
+    pub(crate) fn pull_max(&mut self) {
+        self.max = match self.summary.as_ref().map(Node::max) {
+            None => self.min,
+            Some(h) => self.pull(h, Node::max),
+        };
+    }
+
+    /// Delete the key that `pick` selects from cluster `h` and return it as
+    /// a key of this node.
+    fn pull(&mut self, h: u64, pick: fn(&Node) -> u64) -> u64 {
+        let l = pick(self.clusters[h as usize].as_ref().expect("summary and clusters out of sync"));
+        self.cluster_delete(h, l);
+        index(h, l, self.lo_bits)
+    }
+
+    /// Delete the low half `l` from cluster `h`, dropping the cluster and
+    /// its summary entry if it empties.  Returns whether `l` was present.
+    fn cluster_delete(&mut self, h: u64, l: u64) -> bool {
+        let Some(c) = self.clusters.get_mut(h as usize).and_then(Option::as_mut) else {
+            return false;
+        };
+        let (present, emptied) = c.delete(l);
+        if emptied {
+            crate::pool::recycle(self.clusters[h as usize].take());
+            self.summary_delete(h);
         }
+        present
     }
 
     pub(crate) fn succ(&self, key: u64) -> Option<u64> {

@@ -62,16 +62,16 @@ pub(crate) fn take(bits: u32) -> Option<Box<Internal>> {
     })
 }
 
-/// Recycle an emptied internal node.  Point deletions always hand over a
-/// *clean* node (summary `None`, every cluster slot `None` — the vEB
-/// single-key invariant), but batch deletion's "nothing survives" path
-/// drops whole subtrees without unwinding them, so dirty nodes are let
-/// through to the ordinary recursive drop instead of being pooled.
+/// Recycle an emptied internal node.  Point and batch deletions both hand
+/// over a *clean* node (summary `None`, every cluster slot `None` — the vEB
+/// single-key invariant): batch deletion empties a node only after its
+/// clusters and summary have emptied and been recycled themselves.
 /// Dropped instead of pooled once the class cap is reached.
 pub(crate) fn put(node: Box<Internal>) {
-    if node.summary.is_some() || node.clusters.iter().any(Option::is_some) {
-        return;
-    }
+    debug_assert!(
+        node.summary.is_none() && node.clusters.iter().all(Option::is_none),
+        "only clean nodes are recycled"
+    );
     let bits = node.hi_bits + node.lo_bits;
     let cap = if bits <= NARROW_BITS { CAP_NARROW } else { CAP_WIDE };
     POOL.with(|p| {

@@ -2,58 +2,46 @@
 //!
 //! Sequentially one would walk `Succ` from the start of the range, which is
 //! inherently serial.  The paper instead divides the *key space* in half,
-//! locates the predecessor of the midpoint, and recurses on the two
+//! locates the keys next to the midpoint, and recurses on the two
 //! sub-ranges in parallel, collecting the results in a binary *result tree*
-//! that is flattened into a contiguous array at the end.  Every recursive
-//! call performs `O(1)` predecessor/successor queries and either emits a key
-//! or terminates a branch, so the work is `O((1 + m) log log U)` for output
-//! size `m`, and the key-space halving bounds the span by
-//! `O(log U · log log U)`.  A sub-range narrower than [`GRAIN`] keys of the
-//! universe is collected by the sequential `Succ` walk instead: it reports
-//! at most `GRAIN` keys with one query each, so the bounds still hold.
+//! that is flattened into a contiguous array at the end.
+//!
+//! Here every call first walks `Succ` from the first key of its range
+//! through at most [`GRAIN`] keys.  Only if keys remain after that walk
+//! does it split the rest of its range at the key-space midpoint and build
+//! the two halves in parallel.  So a fork always comes after `GRAIN`
+//! reported keys: at most `m / GRAIN` calls fork, each fork costs one more
+//! `Succ` query, and the work is `O((1 + m) log log U)` for output size
+//! `m`.  The key-space halving bounds the recursion depth by `log U`, and a
+//! call walks at most `GRAIN` keys, so the span stays
+//! `O(log U · log log U)` for a fixed `GRAIN` (Theorem C.1).
 
 use crate::node::Node;
 use crate::tree::VebTree;
 use plis_primitives::par::{maybe_join, GRAIN};
 
-/// Result tree built by `BuildTree` (Alg. 6) before flattening.  A range
-/// narrower than [`GRAIN`] keys of the universe is one flat `Run`.
-enum ResTree {
-    Run(Vec<u64>),
-    Node { size: usize, value: u64, left: Box<ResTree>, right: Box<ResTree> },
+/// Result tree built by `BuildTree` (Alg. 6) before flattening: the keys a
+/// call walked, then the result trees of the two halves of the rest of its
+/// range, if any.
+#[derive(Default)]
+struct ResTree {
+    size: usize,
+    run: Vec<u64>,
+    rest: Option<Box<(ResTree, ResTree)>>,
 }
 
 impl ResTree {
-    fn size(&self) -> usize {
-        match self {
-            ResTree::Run(keys) => keys.len(),
-            ResTree::Node { size, .. } => *size,
-        }
-    }
-
     /// Flatten the in-order traversal of the tree into `out` (parallel over
-    /// the two children; `out` is pre-sized to `self.size()`).
+    /// the two halves; `out` is pre-sized to `self.size`).
     fn flatten_into(&self, out: &mut [u64]) {
-        match self {
-            ResTree::Run(keys) => out.copy_from_slice(keys),
-            ResTree::Node { value, left, right, .. } => {
-                let ls = left.size();
-                let (l_out, rest) = out.split_at_mut(ls);
-                let (mid, r_out) = rest.split_first_mut().expect("node occupies one slot");
-                *mid = *value;
-                maybe_join(
-                    out_len_hint(ls, r_out.len()),
-                    GRAIN,
-                    || left.flatten_into(l_out),
-                    || right.flatten_into(r_out),
-                );
-            }
+        let (run, out) = out.split_at_mut(self.run.len());
+        run.copy_from_slice(&self.run);
+        if let Some(halves) = &self.rest {
+            let (left, right) = &**halves;
+            let (l_out, r_out) = out.split_at_mut(left.size);
+            maybe_join(self.size, GRAIN, || left.flatten_into(l_out), || right.flatten_into(r_out));
         }
     }
-}
-
-fn out_len_hint(l: usize, r: usize) -> usize {
-    l + r + 1
 }
 
 impl VebTree {
@@ -63,19 +51,15 @@ impl VebTree {
     /// is the number of reported keys (Theorem C.1).
     pub fn range(&self, lo: u64, hi: u64) -> Vec<u64> {
         let Some(root) = &self.root else { return Vec::new() };
-        if lo > hi {
-            return Vec::new();
-        }
         let hi = hi.min(self.universe - 1);
-        // Clamp the endpoints onto actual keys (Lines 2–3 of Alg. 6).
-        let lo = if root.contains(lo) { Some(lo) } else { root.succ(lo) };
-        let hi = if root.contains(hi) { Some(hi) } else { root.pred(hi) };
-        let (Some(lo), Some(hi)) = (lo, hi) else { return Vec::new() };
         if lo > hi {
             return Vec::new();
         }
-        let tree = build_tree(root, lo, hi);
-        let mut out = vec![0u64; tree.size()];
+        // The first key in the range (Line 2 of Alg. 6).
+        let first = if root.contains(lo) { Some(lo) } else { root.succ(lo) };
+        let Some(first) = first.filter(|&k| k <= hi) else { return Vec::new() };
+        let tree = build_tree(root, first, hi);
+        let mut out = vec![0u64; tree.size];
         tree.flatten_into(&mut out);
         out
     }
@@ -87,45 +71,27 @@ impl VebTree {
     }
 }
 
-/// `BuildTree` (Alg. 6 lines 7–17).  `lo` and `hi` are keys known to be in
-/// the tree with `lo <= hi`; returns a result tree over every key in
-/// `[lo, hi]`.  Below [`GRAIN`] keys of the universe the range is a run
-/// collected by walking `succ` from `lo`.
-fn build_tree(root: &Node, lo: u64, hi: u64) -> ResTree {
-    debug_assert!(lo <= hi);
-    if hi - lo < GRAIN as u64 {
-        let mut run = vec![lo];
-        let mut cur = lo;
-        while cur < hi {
-            cur = root.succ(cur).expect("hi is a key above cur");
-            run.push(cur);
-        }
-        return ResTree::Run(run);
+/// `BuildTree` (Alg. 6 lines 7–17) with a sequential head.  `first` is a
+/// key of the tree with `first <= hi`; returns a result tree over every key
+/// in `[first, hi]`.  Walks `succ` from `first` through at most [`GRAIN`]
+/// keys, then splits whatever remains at its key-space midpoint.
+fn build_tree(root: &Node, first: u64, hi: u64) -> ResTree {
+    let in_range = |k: Option<u64>| k.filter(|&k| k <= hi);
+    let mut run = vec![first];
+    let mut next = in_range(root.succ(first));
+    while let Some(k) = next.filter(|_| run.len() < GRAIN) {
+        run.push(k);
+        next = in_range(root.succ(k));
     }
-    // The predecessor of the midpoint is in [lo, hi): hi > mid_point - 1 >= lo.
-    let mid_point = lo + (hi - lo).div_ceil(2); // = ceil((lo + hi) / 2) without overflow
-    let mid = if root.contains(mid_point) {
-        mid_point
-    } else {
-        root.pred(mid_point).expect("lo < mid_point implies a predecessor in range")
-    };
-    debug_assert!(mid >= lo && mid <= hi);
-    let left_hi = root.pred(mid);
-    let right_lo = root.succ(mid);
-    let (left, right) = maybe_join(
-        (hi - lo) as usize,
-        GRAIN,
-        || match left_hi {
-            Some(lh) if lh >= lo => build_tree(root, lo, lh),
-            _ => ResTree::Run(Vec::new()),
-        },
-        || match right_lo {
-            Some(rl) if rl <= hi => build_tree(root, rl, hi),
-            _ => ResTree::Run(Vec::new()),
-        },
+    let Some(rest_lo) = next else { return ResTree { size: run.len(), run, rest: None } };
+    // More than GRAIN keys: halve the key range [rest_lo, hi].
+    let mid = rest_lo + (hi - rest_lo) / 2;
+    let (left, right) = rayon::join(
+        || build_tree(root, rest_lo, mid),
+        || in_range(root.succ(mid)).map_or_else(ResTree::default, |k| build_tree(root, k, hi)),
     );
-    let size = left.size() + right.size() + 1;
-    ResTree::Node { size, value: mid, left: Box::new(left), right: Box::new(right) }
+    let size = run.len() + left.size + right.size;
+    ResTree { size, run, rest: Some(Box::new((left, right))) }
 }
 
 #[cfg(test)]
@@ -198,6 +164,18 @@ mod tests {
                 assert_eq!(v.range(lo, hi), want, "trial {trial} range [{lo}, {hi}]");
                 assert_eq!(v.range_count(lo, hi), want.len());
             }
+        }
+    }
+
+    #[test]
+    fn dense_ranges_around_the_walk_length() {
+        // Every key present, so each split point's neighbours are keys too.
+        let universe = 4 * GRAIN as u64;
+        let v = VebTree::from_sorted(universe, &(0..universe).collect::<Vec<_>>());
+        for len in [GRAIN - 1, GRAIN, GRAIN + 1, 2 * GRAIN + 1, 4 * GRAIN] {
+            let lo = (universe - len as u64) / 2;
+            let hi = lo + len as u64 - 1;
+            assert_eq!(v.range(lo, hi), (lo..=hi).collect::<Vec<_>>(), "{len} keys");
         }
     }
 

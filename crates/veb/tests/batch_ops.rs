@@ -6,6 +6,7 @@
 //! and the dense cases put at least that many keys into clusters two
 //! levels below the root.
 
+use plis_primitives::GRAIN;
 use plis_veb::{VebTree, POINT_OP_CUTOFF};
 use std::collections::BTreeSet;
 
@@ -420,4 +421,171 @@ fn dense_batches_reach_inner_clusters() {
     tree.batch_delete(&batch);
     oracle.clear();
     check(&tree, &oracle, "delete all");
+}
+
+/// Keys in the root clusters `clusters` of a `2^universe_bits` universe,
+/// `per_cluster` in each at the even low halves (the odd ones stay absent),
+/// and the tree built from them by point inserts.
+fn clustered(universe_bits: u32, clusters: &[u64], per_cluster: u64) -> (Vec<u64>, VebTree) {
+    let lo_bits = universe_bits / 2;
+    let keys: Vec<u64> = clusters
+        .iter()
+        .flat_map(|&h| (0..per_cluster).map(move |i| (h << lo_bits) + 2 * i))
+        .collect();
+    let mut reference = VebTree::new(1 << universe_bits);
+    for &k in &keys {
+        reference.insert(k);
+    }
+    (keys, reference)
+}
+
+/// Batch-delete `batch` from a bulk-built copy of `reference` and
+/// point-delete it from `reference`: the counts and the resulting trees
+/// must agree.
+fn batch_delete_matches_points(reference: &mut VebTree, batch: &[u64], context: &str) {
+    let mut tree = VebTree::from_sorted(reference.universe(), &reference.iter_keys());
+    let mut probes = batch.to_vec();
+    probes.extend(reference.iter_keys().iter().map(|k| k.saturating_sub(1)));
+    let gone = batch.iter().filter(|&&k| reference.delete(k)).count();
+    assert_eq!(tree.batch_delete(batch), gone, "{context}: deleted count");
+    assert_same_tree(&tree, reference, &probes, context);
+}
+
+#[test]
+fn batch_delete_skips_absent_keys_on_the_batch_path() {
+    for bits in [12u32, 20, 32] {
+        let lo_bits = bits / 2;
+        let top = (1u64 << (bits - lo_bits)) - 1;
+        let key = |h: u64, l: u64| (h << lo_bits) + l;
+        // Six occupied clusters; the root's min and max are keys of
+        // clusters 2 and `top - 2`.  From 2^20 on, cluster 3's share of the
+        // batch below reaches the batch path too.
+        let per = (1u64 << lo_bits).min(200) / 2;
+        let (keys, mut reference) = clustered(bits, &[2, 3, 9, 10, top - 3, top - 2], per);
+        // Present: every third key, and the root's min and max.
+        let mut batch: BTreeSet<u64> = keys.iter().copied().step_by(3).collect();
+        batch.insert(*keys.last().unwrap());
+        let present = batch.len();
+        // Absent: below min, above max, in clusters that do not exist, and
+        // the odd low halves of two existing clusters.
+        for h in [0, 1, 5, top / 2, top - 1, top] {
+            batch.extend((0..8).map(|l| key(h, 3 * l)));
+        }
+        for h in [3, 10] {
+            batch.extend((0..per).map(|i| key(h, 2 * i + 1)));
+        }
+        let batch: Vec<u64> = batch.into_iter().collect();
+        assert!(present >= POINT_OP_CUTOFF, "2^{bits}: {present} present keys");
+        batch_delete_matches_points(&mut reference, &batch, &format!("2^{bits}, half absent"));
+
+        // A batch of absent keys only: nothing changes.
+        let absent: Vec<u64> = (0..POINT_OP_CUTOFF as u64).map(|i| key(3, 2 * i + 1)).collect();
+        batch_delete_matches_points(&mut reference, &absent, &format!("2^{bits}, all absent"));
+    }
+}
+
+#[test]
+fn batch_delete_refills_the_header_from_a_later_cluster() {
+    for bits in [12u32, 20, 32] {
+        let lo_bits = bits / 2;
+        let top = (1u64 << (bits - lo_bits)) - 1;
+        let key = |h: u64, l: u64| (h << lo_bits) + l;
+        // The first and last clusters hold 32 keys each (the root's min and
+        // max among them); clusters 3 and `top - 3` hold one key each.
+        // Deleting the first and last clusters whole makes the refill of
+        // min (max) pull that one key, which empties its cluster and
+        // removes its summary entry.
+        let (_, mut reference) = clustered(bits, &[1, 6, 7, top - 6, top - 1], 32);
+        reference.insert(key(3, 5));
+        reference.insert(key(top - 3, 5));
+        let ends: Vec<u64> = reference
+            .iter_keys()
+            .into_iter()
+            .filter(|&k| k >> lo_bits == 1 || k >> lo_bits == top - 1)
+            .collect();
+        assert!(ends.len() >= POINT_OP_CUTOFF);
+        batch_delete_matches_points(&mut reference, &ends, &format!("2^{bits}, end clusters"));
+        assert_eq!(reference.min(), Some(key(3, 5)));
+        assert_eq!(reference.max(), Some(key(top - 3, 5)));
+
+        // Every key but one: the refill of min takes the last cluster key,
+        // the summary empties, and max falls back to the new min.
+        let (_, mut reference) = clustered(bits, &[1, 6, top - 1], 32);
+        reference.insert(key(3, 5));
+        let doomed: Vec<u64> =
+            reference.iter_keys().into_iter().filter(|&k| k != key(3, 5)).collect();
+        batch_delete_matches_points(&mut reference, &doomed, &format!("2^{bits}, one survivor"));
+        assert_eq!(reference.iter_keys(), vec![key(3, 5)]);
+
+        // Every key but the max (then but the min): no cluster key is left
+        // to pull, so the surviving header key fills both header slots.
+        for keep_max in [true, false] {
+            let (keys, mut reference) = clustered(bits, &[1, 6, top - 1], 32);
+            let kept = if keep_max { keys[keys.len() - 1] } else { keys[0] };
+            let doomed: Vec<u64> = keys.iter().copied().filter(|&k| k != kept).collect();
+            let context = format!("2^{bits}, all but {kept}");
+            batch_delete_matches_points(&mut reference, &doomed, &context);
+            assert_eq!(reference.iter_keys(), vec![kept]);
+        }
+    }
+}
+
+/// Pool size for the parallel leg: `PLIS_BENCH_THREADS`, else 2.
+fn pool_threads() -> usize {
+    std::env::var("PLIS_BENCH_THREADS")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .filter(|&t| t > 0)
+        .unwrap_or(2)
+}
+
+fn on_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
+    rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap().install(f)
+}
+
+#[test]
+fn batch_operations_agree_across_thread_counts() {
+    let universe = 1u64 << 32;
+    let mut state = 0x7F4A7C159E3779B9u64;
+    let resident = exact_sorted_batch(&mut state, universe, 12 * GRAIN);
+    let inserted = exact_sorted_batch(&mut state, universe, 10 * GRAIN);
+    let mut probes = exact_sorted_batch(&mut state, universe, 256);
+    probes.extend(resident.iter().step_by(97));
+    // Ranges over the built tree holding GRAIN - 1 .. 2 GRAIN + 1 keys,
+    // with bounds on keys and just inside the gaps next to them.
+    let run = |threads: usize| {
+        on_pool(threads, || {
+            let built = VebTree::from_sorted(universe, &resident);
+            let mut tree = built.clone();
+            tree.batch_insert(&inserted);
+            let keys = tree.iter_keys();
+            let ranges: Vec<Vec<u64>> = [GRAIN - 1, GRAIN, GRAIN + 1, 2 * GRAIN + 1]
+                .iter()
+                .flat_map(|&n| {
+                    let want = &keys[1000..1000 + n];
+                    let on_keys = tree.range(want[0], want[n - 1]);
+                    let in_gaps = tree.range(keys[999] + 1, keys[1000 + n] - 1);
+                    assert_eq!(on_keys, want, "range of {n} keys, bounds on keys");
+                    assert_eq!(in_gaps, want, "range of {n} keys, bounds in the gaps");
+                    [on_keys, in_gaps]
+                })
+                .collect();
+            let mut deleted = tree.clone();
+            let doomed: Vec<u64> = keys.iter().copied().step_by(3).collect();
+            assert_eq!(deleted.batch_delete(&doomed), doomed.len());
+            (built, tree, deleted, ranges)
+        })
+    };
+    let one = run(1);
+    let many = run(pool_threads());
+    let union: BTreeSet<u64> = resident.iter().chain(&inserted).copied().collect();
+    assert_eq!(one.1.iter_keys(), union.into_iter().collect::<Vec<_>>());
+    for (a, b, what) in [
+        (&one.0, &many.0, "from_sorted"),
+        (&one.1, &many.1, "batch_insert"),
+        (&one.2, &many.2, "batch_delete"),
+    ] {
+        assert_same_tree(b, a, &probes, &format!("{what}, 1 vs {} threads", pool_threads()));
+    }
+    assert!(one.3 == many.3, "range differs across thread counts");
 }
