@@ -22,11 +22,11 @@
 //! counts them with a popcount, and a point operation reports them.
 //!
 //! Why Theorems 5.1 and 5.2 still hold: the clusters and the summary of a
-//! node get the same batches as in the paper's top-down order (for
-//! insertion, plus the node's old header keys).  The extra work per node is
-//! at most two pushes and two pulls, each one point operation of
-//! `O(log log U)`, like the paper's own point deletions of the promoted
-//! survivors (Line 9 of Alg. 5).  A node takes the batch path only with at
+//! node get the same batches as in the paper's top-down order, except that
+//! an insertion's new header keys pass through the clusters on their way
+//! up.  The extra work per node is at most two pushes and two pulls, each
+//! one point operation of `O(log log U)`, like the paper's own point
+//! deletions of the promoted survivors (Line 9 of Alg. 5).  A node takes the batch path only with at
 //! least [`POINT_OP_CUTOFF`] keys, so they add `O(1)` work per batch key
 //! at that node (`log log U` is at most 6 for 64-bit keys).  A key that is
 //! absent from a deletion (present at an insertion) stops at the first node
@@ -319,12 +319,15 @@ fn node_batch_delete(node: &mut Node, bits: u32, b: &[u64]) -> (usize, bool) {
             (gone.count_ones() as usize, *leaf == 0)
         }
         Node::Internal(n) => {
-            // Only keys in [min, max] can be present.
-            let lo = b.partition_point(|&k| k & mask < n.min);
-            let hi = b.partition_point(|&k| k & mask <= n.max);
-            let b = &b[lo..hi];
+            let mut b = b;
             if b.len() >= POINT_OP_CUTOFF {
-                return internal_batch_delete(n, b);
+                // Only keys in [min, max] can be present.
+                let lo = b.partition_point(|&k| k & mask < n.min);
+                let hi = b.partition_point(|&k| k & mask <= n.max);
+                b = &b[lo..hi];
+                if b.len() >= POINT_OP_CUTOFF {
+                    return internal_batch_delete(n, b);
+                }
             }
             let (mut deleted, mut emptied) = (0, false);
             for &k in b {

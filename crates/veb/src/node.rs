@@ -358,12 +358,11 @@ impl Internal {
     /// Delete the low half `l` from cluster `h`, dropping the cluster and
     /// its summary entry if it empties.  Returns whether `l` was present.
     fn cluster_delete(&mut self, h: u64, l: u64) -> bool {
-        let Some(c) = self.clusters.get_mut(h as usize).and_then(Option::as_mut) else {
-            return false;
-        };
+        let Some(slot) = self.clusters.get_mut(h as usize) else { return false };
+        let Some(c) = slot else { return false };
         let (present, emptied) = c.delete(l);
         if emptied {
-            crate::pool::recycle(self.clusters[h as usize].take());
+            crate::pool::recycle(slot.take());
             self.summary_delete(h);
         }
         present

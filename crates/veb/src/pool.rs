@@ -88,7 +88,9 @@ pub(crate) fn put(node: Box<Internal>) {
 }
 
 /// Recycle the internal node inside a just-emptied cluster slot, if any
-/// (leaves live inline in the slot and carry no heap).
+/// (leaves live inline in the slot and carry no heap).  Inlined: most
+/// emptied slots hold leaves, for which this is a no-op.
+#[inline]
 pub(crate) fn recycle(slot: Option<crate::node::Node>) {
     if let Some(crate::node::Node::Internal(node)) = slot {
         put(node);
