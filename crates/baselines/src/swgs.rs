@@ -22,9 +22,8 @@
 //! with the same `Õ(k)`-style round structure.  The substitution is
 //! recorded in `DESIGN.md`.
 
-use plis_primitives::par::{maybe_join, GRAIN};
+use plis_primitives::par::{maybe_join, par_map_collect, GRAIN};
 use plis_rangetree::{Point2, RangeMaxTree, ScoreUpdate};
-use rayon::prelude::*;
 
 /// A segment tree over positions storing the current value of every
 /// *remaining* object (removed objects hold `u64::MAX`), supporting the
@@ -179,19 +178,17 @@ fn run(values: &[u64], weights: Option<&[u64]>) -> ((Vec<u32>, u32), Vec<u64>) {
         );
         // Examine all candidates in parallel: ready iff no remaining smaller
         // object precedes them (the prefix-min readiness test).
-        let verdicts: Vec<Verdict> = candidates
-            .par_iter()
-            .map(|&i| {
-                if seg.prefix_min(i) >= values[i] {
-                    Verdict::Ready
-                } else {
-                    let blocker = seg
-                        .rightmost_smaller_before(i, values[i])
-                        .expect("a smaller remaining predecessor must exist when not ready");
-                    Verdict::Blocked(blocker)
-                }
-            })
-            .collect();
+        let verdicts: Vec<Verdict> = par_map_collect(candidates.len(), |c| {
+            let i = candidates[c];
+            if seg.prefix_min(i) >= values[i] {
+                Verdict::Ready
+            } else {
+                let blocker = seg
+                    .rightmost_smaller_before(i, values[i])
+                    .expect("a smaller remaining predecessor must exist when not ready");
+                Verdict::Blocked(blocker)
+            }
+        });
 
         let mut ready: Vec<usize> = Vec::new();
         for (slot, &i) in verdicts.iter().zip(candidates.iter()) {
@@ -204,10 +201,10 @@ fn run(values: &[u64], weights: Option<&[u64]>) -> ((Vec<u32>, u32), Vec<u64>) {
 
         // Weighted dp values via dominant-max queries (all independent).
         if let (Some(structure), Some(xr), Some(w)) = (&dominant, &xranks, weights) {
-            let updates: Vec<(usize, u64)> = ready
-                .par_iter()
-                .map(|&i| (i, structure.dominant_max(xr[i], i as u64) + w[i]))
-                .collect();
+            let updates: Vec<(usize, u64)> = par_map_collect(ready.len(), |r| {
+                let i = ready[r];
+                (i, structure.dominant_max(xr[i], i as u64) + w[i])
+            });
             let score_updates: Vec<ScoreUpdate> = updates
                 .iter()
                 .map(|&(i, value)| ScoreUpdate {

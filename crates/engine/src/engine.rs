@@ -6,8 +6,8 @@
 //! [`Tick`] is a list of `(SessionId, Op)` slots — appends, queries, and
 //! explicit lifecycle ops — and [`Engine::execute`], the engine's only
 //! tick executor, partitions the tick by shard and processes the shards
-//! through the join-splitting `par_iter` surface with a one-shard grain
-//! (disjoint shards, no locks — the same
+//! that have work in parallel, one `join`-split piece per shard
+//! (`plis_primitives::par_map_mut`; disjoint shards, no locks — the same
 //! isolation argument the vEB batch operations use for disjoint clusters),
 //! then returns one typed [`OpResult`] per slot in the original tick
 //! order.  Ops addressed to the same session within one tick apply in
@@ -41,7 +41,7 @@ use crate::query::QueryBatch;
 use crate::session::{IngestReport, StreamingLis};
 use crate::snapshot::{EngineSnapshot, SessionSnapshot};
 use crate::wsession::{weight_sum, WeightedIngestReport, WeightedStreamingLis};
-use rayon::prelude::*;
+use plis_primitives::par_map_mut;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -118,14 +118,6 @@ enum BatchRef<'a> {
 }
 
 impl BatchRef<'_> {
-    /// Number of elements in the batch.
-    fn len(self) -> usize {
-        match self {
-            BatchRef::Plain(b) => b.len(),
-            BatchRef::Weighted(b) => b.len(),
-        }
-    }
-
     /// The kind a session implicitly created by this batch should get:
     /// weighted data forces a weighted session; plain data defers to the
     /// engine default.
@@ -348,53 +340,6 @@ fn reassemble(per_shard: Vec<ShardOutput>, expected: usize) -> (Vec<(SessionId, 
     labeled.sort_unstable_by_key(|slot| slot.0);
     debug_assert_eq!(labeled.len(), expected);
     (labeled.into_iter().map(|(_, id, r)| (id, r)).collect(), worker_threads)
-}
-
-/// Ticks whose total estimated work stays under this many element-units
-/// run inline on the calling thread.  Each piece of the per-shard
-/// parallel spine costs a fork, which swamps light ticks: the query sweep
-/// lost 2x going from 1 to 4 shards before this gate existed, when every
-/// join spawned a scoped OS thread (tens of microseconds).  A fork on the
-/// work-stealing pool is cheaper, but waking a sleeping worker still costs
-/// microseconds, and the value is kept until a measured retune.  Heavy
-/// ticks still take the spine, restricted to the shards that actually
-/// have work.  The gate reads only tick content — never pool width — so
-/// the inline/spine decision is identical at one thread and at the full
-/// pool.
-const INLINE_TICK_WEIGHT: usize = 256;
-
-/// Estimated work of one tick slot, in ingest-element units: appends
-/// charge their batch length, reads charge [`query_weight`], lifecycle
-/// ops charge 1.  A snapshot copies the session's stream (a
-/// certificate-weight read); a restore re-ingests the captured stream, so
-/// it charges the stream length.
-fn op_weight(op: &OpRef<'_>) -> usize {
-    match op {
-        OpRef::Append(batch) => batch.len(),
-        OpRef::Query(batch) => query_weight(batch),
-        OpRef::Create(_) | OpRef::Remove => 1,
-        OpRef::Snapshot => 64,
-        OpRef::Restore(snapshot) => snapshot.len().max(1),
-    }
-}
-
-/// Estimated work of one query batch: 1 per read, a flat heavy charge per
-/// certificate.  The charges are not fitted to the read costs and stay
-/// until a measured retune of [`INLINE_TICK_WEIGHT`].  On an unweighted
-/// session a count is `O(1)`, a certificate follows `k` parent pointers
-/// and a top-k scans `ranks` from one rank's first element, `O(n)` in the
-/// worst case; on a weighted session counts, top-k and certificates each
-/// scan the whole score array.  So a top-k and a weighted count are
-/// under-priced at 1.
-fn query_weight(batch: &QueryBatch) -> usize {
-    batch
-        .queries()
-        .iter()
-        .map(|q| match q {
-            crate::query::Query::Certificate => 64,
-            _ => 1,
-        })
-        .sum()
 }
 
 impl Shard {
@@ -763,11 +708,11 @@ impl Engine {
 
     /// Execute one tick of commands — the engine's **only tick
     /// executor**, for writes, reads and lifecycle ops alike.  The tick
-    /// is partitioned by shard and the disjoint shards are processed
-    /// through the parallel-iterator surface (one
-    /// piece per shard — shards are few but heavy, so the default
-    /// element-count grain would under-split); results come back as one
-    /// typed [`OpResult`] per slot, in submission order.
+    /// is partitioned by shard and the shards with work are processed in
+    /// parallel by [`par_map_mut`], one piece per shard (shards are few but
+    /// heavy, so an element-count grain would under-split); a tick with
+    /// work for one shard runs inline on the calling thread.  Results
+    /// come back as one typed [`OpResult`] per slot, in submission order.
     ///
     /// Ops for the same session apply in submission order, so a
     /// [`Op::Query`] slot observes every earlier slot of the same tick
@@ -788,25 +733,18 @@ impl Engine {
         let config = &self.config;
         let metrics = &self.metrics;
         let create_missing = tick.creates_missing();
-        let busy_shards = self.shards.iter().filter(|s| !s.route.is_empty()).count();
-        let inline = busy_shards <= 1
-            || slots.iter().map(|(_, op)| op_weight(&op.as_op_ref())).sum::<usize>()
-                < INLINE_TICK_WEIGHT;
-        let busy: Vec<&mut Shard> =
+        let mut busy: Vec<&mut Shard> =
             self.shards.iter_mut().filter(|s| !s.route.is_empty()).collect();
-        let run = |shard: &mut Shard| {
+        // One busy shard takes no fork, so the tick runs inline.
+        let inline = busy.len() <= 1;
+        let per_shard: Vec<ShardOutput> = par_map_mut(&mut busy, |shard| {
             // Take the route buffer off the shard so `&mut self` is free
             // for the sessions, then hand it back for the next tick.
             let route = std::mem::take(&mut shard.route);
             let results = shard.process(&route, slots, config, create_missing, metrics);
             shard.route = route;
             (results, std::thread::current().id())
-        };
-        let per_shard: Vec<ShardOutput> = if inline {
-            busy.into_iter().map(run).collect()
-        } else {
-            busy.into_par_iter().with_max_len(1).map(run).collect()
-        };
+        });
         let (outcomes, worker_threads) = reassemble(per_shard, tick.len());
         let mut outcome = TickOutcome::collect(outcomes, worker_threads);
         outcome.elapsed_ns = Metrics::elapsed_ns(timer);
@@ -1200,6 +1138,38 @@ mod tests {
         let last = outcome.outcomes[4].1.as_ref().unwrap().as_answered().unwrap();
         assert_eq!(last.answers, vec![QueryAnswer::Rank(Some(3))]);
         assert_eq!(engine.lis_length("s"), Some(3));
+    }
+
+    #[test]
+    fn a_tick_runs_inline_only_when_one_shard_has_work() {
+        let config = EngineConfig { universe: 1 << 10, shards: 2, ..EngineConfig::default() };
+        let probe = Engine::new(config.clone());
+        let name = |i: usize| format!("s{i}");
+        let a = name(0);
+        let b = (1..).map(name).find(|id| probe.shard_index(id) != probe.shard_index(&a)).unwrap();
+        // Two one-element appends on different shards: the lightest tick
+        // that has work for both shards, then a tick for one shard.
+        let spread =
+            Tick::new().append(a.as_str(), vec![1]).append(b.as_str(), vec![2]).auto_create();
+        let single = Tick::new().append(a.as_str(), vec![3]);
+        let run = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            pool.install(|| {
+                let mut engine = Engine::new(config.clone());
+                let spread = engine.execute(&spread);
+                let after_spread = engine.metrics_snapshot().inline_ticks;
+                let single = engine.execute(&single);
+                (spread.outcomes, single.outcomes, after_spread, engine.metrics_snapshot())
+            })
+        };
+        let (spread_par, single_par, after_spread, metrics) = run(2);
+        assert_eq!(after_spread, 0, "a tick with work for two shards is not inline");
+        assert_eq!(metrics.inline_ticks, 1, "a tick addressed to one shard is inline");
+        assert_eq!(metrics.ticks, 2);
+        let (spread_seq, single_seq, ..) = run(1);
+        assert_eq!(spread_par, spread_seq);
+        assert_eq!(single_par, single_seq);
+        assert!(spread_par.iter().chain(&single_par).all(|(_, r)| r.is_ok()));
     }
 
     #[test]

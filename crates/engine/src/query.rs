@@ -10,8 +10,8 @@
 //! [`ReadTick`](crate::ReadTick) takes the same path:
 //! [`Engine::execute_read`](crate::Engine::execute_read) lowers its
 //! batches to query slots of one tick.  Whole ticks are partitioned by
-//! shard and answered through the same join-splitting `par_iter` surface
-//! as ingest, one piece per shard.
+//! shard and answered through the same per-shard `join` spine as ingest,
+//! one piece per shard with work.
 //!
 //! Every query has one semantics over the session-kind axis: the *dp
 //! value* of an element is its rank in an unweighted session and its

@@ -3,8 +3,8 @@
 //! identical per-op outcomes for every slot and identical final state
 //! (ranks and patience tails) for every session.  Also asserts, via
 //! `TickOutcome::worker_threads`, that the full-pool run really processes
-//! shards on more than one worker thread — i.e. the tick path goes through
-//! the join-splitting `par_iter` surface, not a sequential fallback.
+//! shards on more than one worker thread — i.e. the tick path forks one
+//! piece per busy shard through `rayon::join`, not a sequential fallback.
 
 use plis_engine::{Engine, EngineConfig, SessionId, Tick, TickOutcome};
 use plis_workloads::streaming::{round_robin_ticks, session_fleet};

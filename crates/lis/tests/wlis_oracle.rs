@@ -118,8 +118,8 @@ proptest! {
 
 /// A dominant-max backend that wraps the range tree and records which
 /// threads served frontier queries: proves the WLIS frontier loop really
-/// executes through the parallel path (acceptance criterion), not the old
-/// sequential `par_iter` fallback.
+/// forks through `rayon::join` under a multi-thread pool, not a sequential
+/// fallback.
 struct ThreadProbe {
     inner: plis_rangetree::RangeMaxTree,
     seen: std::sync::Mutex<std::collections::HashSet<std::thread::ThreadId>>,

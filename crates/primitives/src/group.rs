@@ -5,34 +5,17 @@
 //! `O(log n + k)`-ish span grouping the paper calls for, instead of a full
 //! comparison sort.
 
-use rayon::prelude::*;
-
 /// Histogram of key occurrences: `out[key]` = number of `i` with
 /// `keys[i] == key`.  `num_keys` must be strictly greater than every key.
+/// A plain sequential count; [`group_by_rank`] runs one per chunk of its
+/// input, in parallel over the chunks.
 pub fn histogram(keys: &[usize], num_keys: usize) -> Vec<usize> {
-    // Per-chunk local histograms, then a reduction.  Work O(n + num_keys·P′)
-    // where P′ is the number of chunks; with GRAIN-sized chunks the second
-    // term is O(n) as well whenever num_keys ≤ GRAIN, which holds for the
-    // rank distributions we care about (k ≤ n).
-    let chunk = crate::par::GRAIN.max(num_keys / 4 + 1);
-    keys.par_chunks(chunk)
-        .map(|part| {
-            let mut h = vec![0usize; num_keys];
-            for &k in part {
-                assert!(k < num_keys, "key {k} out of range (num_keys = {num_keys})");
-                h[k] += 1;
-            }
-            h
-        })
-        .reduce(
-            || vec![0usize; num_keys],
-            |mut a, b| {
-                for (x, y) in a.iter_mut().zip(b) {
-                    *x += y;
-                }
-                a
-            },
-        )
+    let mut h = vec![0usize; num_keys];
+    for &k in keys {
+        assert!(k < num_keys, "key {k} out of range (num_keys = {num_keys})");
+        h[k] += 1;
+    }
+    h
 }
 
 /// Group the indices `0..keys.len()` by key: returns `groups` where
@@ -57,8 +40,8 @@ pub fn group_by_rank(keys: &[usize], num_keys: usize) -> Vec<Vec<usize>> {
         return Vec::new();
     }
     let n = keys.len();
-    // Same chunking rule as `histogram`: per-chunk histograms stay O(n)
-    // total because chunks are at least num_keys/4 wide.
+    // Per-chunk histograms stay O(n) total because chunks are at least
+    // num_keys/4 wide.
     let chunk = crate::par::GRAIN.max(num_keys / 4 + 1);
     let nchunks = n.div_ceil(chunk);
     if rayon::current_num_threads() <= 1 || nchunks <= 1 {
@@ -72,21 +55,14 @@ pub fn group_by_rank(keys: &[usize], num_keys: usize) -> Vec<Vec<usize>> {
 
     // Pass 1: per-chunk histograms (each index is a coarse block ⇒ grain 1).
     let chunk_hists: Vec<Vec<usize>> = par_map_collect_with_grain(nchunks, 1, |c| {
-        let part = &keys[c * chunk..((c + 1) * chunk).min(n)];
-        let mut h = vec![0usize; num_keys];
-        for &k in part {
-            assert!(k < num_keys, "key {k} out of range (num_keys = {num_keys})");
-            h[k] += 1;
-        }
-        h
+        histogram(&keys[c * chunk..((c + 1) * chunk).min(n)], num_keys)
     });
     // Per-key totals, block offsets, and per-(key, chunk) write cursors.
     // Each key index costs O(nchunks) (and the final gather O(counts[k])),
     // i.e. far more than one element of an ordinary map — so use a small
     // explicit grain instead of the element-calibrated default floor, which
     // would serialize these stages whenever num_keys < 512.
-    let threads = rayon::current_num_threads();
-    let key_grain = num_keys.div_ceil(threads * 4).max(64);
+    let key_grain = crate::par::adaptive_grain(num_keys, 64);
     let counts: Vec<usize> =
         par_map_collect_with_grain(num_keys, key_grain, |k| chunk_hists.iter().map(|h| h[k]).sum());
     let mut offsets = counts.clone();

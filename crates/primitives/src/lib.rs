@@ -9,13 +9,12 @@
 //!
 //! * [`scan`] — exclusive scans (prefix sums) with an arbitrary
 //!   associative operation.
-//! * [`pack()`] — parallel filter / pack of the elements selected by a flag
-//!   vector or predicate.
 //! * [`merge`] — parallel merge of two sorted sequences.
-//! * [`sort`] — parallel (merge) sort and a stable sort-by-key.
+//! * [`sort`] — parallel (merge) sort, stable with a custom comparator.
 //! * [`group`] — grouping elements by small integer keys (used to split the
 //!   rank array into frontiers), i.e. a counting sort.
-//! * [`par`] — granularity-controlled parallel-for helpers and `maybe_join`.
+//! * [`par`] — granularity-controlled parallel loops and `maybe_join`: the
+//!   only fork surface of the workspace, all on [`rayon::join`].
 //! * [`dommax`] — the [`DominantMaxStore`] trait: the `RangeStruct`
 //!   interface of Algorithm 2, implemented by `plis-rangetree` and
 //!   `plis-rangeveb` and consumed generically by the WLIS drivers.
@@ -27,18 +26,16 @@
 pub mod dommax;
 pub mod group;
 pub mod merge;
-pub mod pack;
 pub mod par;
 pub mod scan;
 pub mod sort;
 
 pub use dommax::{DomMaxCounters, DomMaxStats, DominantMaxStore};
 pub use group::{group_by_rank, histogram};
-pub use merge::{merge_by, merge_by_key, parallel_merge};
-pub use pack::{pack, pack_index, pack_indices_where, partition_flags};
+pub use merge::{merge_by, parallel_merge};
 pub use par::{
     adaptive_grain, maybe_join, par_chunks_mut_for, par_for_each_chunk, par_map_collect,
-    par_map_collect_with_grain, parallel_for, GRAIN, MIN_ADAPTIVE_GRAIN,
+    par_map_collect_with_grain, par_map_mut, parallel_for, GRAIN, MIN_ADAPTIVE_GRAIN,
 };
 pub use scan::{exclusive_scan, scan_inplace};
-pub use sort::{par_sort, par_sort_by, par_sort_by_key, par_sort_unstable};
+pub use sort::{par_sort_by, par_sort_unstable};

@@ -21,16 +21,6 @@ where
     out.into_iter().map(|x| x.expect("merge filled every slot")).collect()
 }
 
-/// Merge two sorted slices comparing by a key extraction function.
-pub fn merge_by_key<T, K, F>(a: &[T], b: &[T], key: F) -> Vec<T>
-where
-    T: Clone + Send + Sync,
-    K: Ord,
-    F: Fn(&T) -> K + Sync + Copy,
-{
-    merge_by(a, b, move |x, y| key(x).cmp(&key(y)))
-}
-
 /// Merge two sorted slices of `Ord` elements.
 pub fn parallel_merge<T: Ord + Clone + Send + Sync>(a: &[T], b: &[T]) -> Vec<T> {
     merge_by(a, b, |x, y| x.cmp(y))
@@ -137,7 +127,7 @@ mod tests {
         // Tag elements with their origin; ties must keep a-before-b order.
         let a: Vec<(u32, char)> = vec![(1, 'a'), (2, 'a'), (2, 'a'), (5, 'a')];
         let b: Vec<(u32, char)> = vec![(2, 'b'), (3, 'b'), (5, 'b')];
-        let got = merge_by_key(&a, &b, |x| x.0);
+        let got = merge_by(&a, &b, |x, y| x.0.cmp(&y.0));
         assert_eq!(got, vec![(1, 'a'), (2, 'a'), (2, 'a'), (2, 'b'), (3, 'b'), (5, 'a'), (5, 'b')]);
     }
 
@@ -152,7 +142,7 @@ mod tests {
         asorted.sort_by_key(|p| p.0);
         let mut bsorted = b.clone();
         bsorted.sort_by_key(|p| p.0);
-        let got = merge_by_key(&asorted, &bsorted, |p| p.0);
+        let got = merge_by(&asorted, &bsorted, |x, y| x.0.cmp(&y.0));
         for w in got.windows(2) {
             if w[0].0 == w[1].0 {
                 // Within a tie run: all of a's elements (ids < 100_000) come

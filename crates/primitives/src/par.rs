@@ -1,10 +1,13 @@
 //! Granularity-controlled fork-join helpers.
 //!
-//! All parallel algorithms in this workspace switch to a sequential
-//! implementation below [`GRAIN`] elements.  This mirrors the block size used
-//! by ParlayLib in the paper's C++ implementation and keeps the constant
-//! factors of the work-efficient algorithms low — work-efficiency is the
-//! paper's central practical argument, so we never fork for tiny subproblems.
+//! Every parallel loop in this workspace forks through this module, and
+//! this module forks only through [`rayon::join`], the one parallel
+//! construct of the binary-forking model the paper assumes.  All parallel
+//! algorithms switch to a sequential implementation below [`GRAIN`]
+//! elements.  This mirrors the block size used by ParlayLib in the paper's
+//! C++ implementation and keeps the constant factors of the
+//! work-efficient algorithms low — work-efficiency is the paper's central
+//! practical argument, so we never fork for tiny subproblems.
 
 use rayon::join;
 use std::mem::MaybeUninit;
@@ -15,23 +18,25 @@ use std::mem::MaybeUninit;
 /// pool is such a task push, so the reasoning still holds.
 pub const GRAIN: usize = 2048;
 
-/// Smallest piece the adaptive helpers will fork for.  Sized when the
-/// vendored rayon's `join` spawned a scoped thread per fork and pieces had
-/// to amortize that spawn.  A fork is now a task push on a persistent pool,
-/// so a finer floor may pay; the value is kept until a measured retune.
+/// Smallest piece, in elements, that the element loops fork for.  Sized
+/// when the vendored rayon's `join` spawned a scoped thread per fork and
+/// pieces had to amortize that spawn.  A fork is now a task push on a
+/// persistent pool, so a finer floor may pay; the value is kept until a
+/// measured retune.
 pub const MIN_ADAPTIVE_GRAIN: usize = 512;
 
-/// Piece size for a parallel loop over `n` items: aim for a few pieces per
-/// worker thread (to absorb imbalance) but never below
-/// [`MIN_ADAPTIVE_GRAIN`].  Returns `usize::MAX` (never fork) when the
-/// current rayon pool has a single thread, so `num_threads(1)` keeps every
-/// helper in this module exactly sequential.
-pub fn adaptive_grain(n: usize) -> usize {
+/// Piece size for a parallel loop over `n` items: aim for four pieces per
+/// worker thread (to absorb imbalance) but never below `floor` items.
+/// Element loops pass [`MIN_ADAPTIVE_GRAIN`]; loops whose items are
+/// already coarse blocks pass a smaller floor.  Returns `usize::MAX`
+/// (never fork) when the current rayon pool has a single thread, so
+/// `num_threads(1)` keeps every helper in this module exactly sequential.
+pub fn adaptive_grain(n: usize, floor: usize) -> usize {
     let threads = rayon::current_num_threads();
     if threads <= 1 {
         return usize::MAX;
     }
-    n.div_ceil(threads * 4).max(MIN_ADAPTIVE_GRAIN)
+    n.div_ceil(threads * 4).max(floor)
 }
 
 /// Run `left` and `right` in parallel if `size` is at least `grain`,
@@ -78,15 +83,55 @@ where
 }
 
 /// Apply `f(chunk_index, chunk)` to disjoint mutable chunks of `data` of size
-/// `chunk_size`, in parallel.  The last chunk may be shorter.
+/// `chunk_size`, in parallel.  The last chunk may be shorter.  A chunk is
+/// already a coarse block, so a piece may be a single chunk
+/// ([`adaptive_grain`] with a floor of 1).
 pub fn par_chunks_mut_for<T, F>(data: &mut [T], chunk_size: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
+    fn go<T: Send, F: Fn(usize, &mut [T]) + Sync>(
+        first: usize,
+        data: &mut [T],
+        size: usize,
+        grain: usize,
+        f: &F,
+    ) {
+        let chunks = data.len().div_ceil(size);
+        if chunks <= grain {
+            for (i, chunk) in data.chunks_mut(size).enumerate() {
+                f(first + i, chunk);
+            }
+            return;
+        }
+        let half = chunks / 2;
+        let (lo, hi) = data.split_at_mut(half * size);
+        join(|| go(first, lo, size, grain, f), || go(first + half, hi, size, grain, f));
+    }
     assert!(chunk_size > 0, "chunk_size must be positive");
-    use rayon::prelude::*;
-    data.par_chunks_mut(chunk_size).enumerate().for_each(|(i, chunk)| f(i, chunk));
+    go(0, data, chunk_size, adaptive_grain(data.len().div_ceil(chunk_size), 1), &f);
+}
+
+/// `items.iter_mut().map(f).collect()`, in parallel with every item its
+/// own piece: for a few items of heavy, uneven work, such as the engine's
+/// shards, which an element-count grain would not split at all.
+pub fn par_map_mut<T, R, F>(items: &mut [T], f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(&mut T) -> R + Sync,
+{
+    fn go<T: Send, R: Send, F: Fn(&mut T) -> R + Sync>(items: &mut [T], f: &F) -> Vec<R> {
+        if items.len() <= 1 {
+            return items.iter_mut().map(f).collect();
+        }
+        let (lo, hi) = items.split_at_mut(items.len() / 2);
+        let (mut left, right) = join(|| go(lo, f), || go(hi, f));
+        left.extend(right);
+        left
+    }
+    go(items, &f)
 }
 
 /// Apply `f(offset, chunk)` to disjoint chunks of `data` of an
@@ -110,7 +155,7 @@ where
         let (lo, hi) = s.split_at(mid);
         join(|| go(offset, lo, grain, f), || go(offset + mid, hi, grain, f));
     }
-    go(0, data, adaptive_grain(data.len()), &f);
+    go(0, data, adaptive_grain(data.len(), MIN_ADAPTIVE_GRAIN), &f);
 }
 
 /// `Vec` of `f(0), f(1), …, f(n-1)`, computed in parallel with an adaptive
@@ -126,7 +171,7 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    par_map_collect_with_grain(n, adaptive_grain(n), f)
+    par_map_collect_with_grain(n, adaptive_grain(n, MIN_ADAPTIVE_GRAIN), f)
 }
 
 /// [`par_map_collect`] with an explicit grain (indices per sequential
@@ -199,16 +244,48 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_mut_labels_chunks() {
-        let mut v = vec![0usize; 10_000];
-        par_chunks_mut_for(&mut v, 128, |ci, chunk| {
-            for x in chunk.iter_mut() {
-                *x = ci;
+    fn par_chunks_mut_for_labels_disjoint_chunks_in_order_on_any_pool() {
+        use std::collections::HashSet;
+        use std::sync::Mutex;
+        let run = |pool: &rayon::ThreadPool| {
+            let mut v = vec![usize::MAX; 100_000];
+            let workers = Mutex::new(HashSet::new());
+            pool.install(|| {
+                par_chunks_mut_for(&mut v, 777, |ci, chunk| {
+                    workers.lock().unwrap().insert(std::thread::current().id());
+                    for x in chunk.iter_mut() {
+                        assert_eq!(*x, usize::MAX, "chunks must be disjoint");
+                        *x = ci;
+                    }
+                })
+            });
+            (v, workers.into_inner().unwrap().len())
+        };
+        let (seq, _) = run(&rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap());
+        assert!(seq.iter().enumerate().all(|(i, &x)| x == i / 777), "chunks labelled in order");
+        let pool4 = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+        let mut best = 1usize;
+        for _attempt in 0..20 {
+            let (par, workers) = run(&pool4);
+            assert_eq!(par, seq, "the output must not depend on the pool");
+            best = best.max(workers);
+            if best > 1 {
+                break;
             }
-        });
-        for (i, x) in v.iter().enumerate() {
-            assert_eq!(*x, i / 128);
         }
+        assert!(best > 1, "par_chunks_mut_for must engage >1 thread under a 4-thread pool");
+    }
+
+    #[test]
+    fn par_map_mut_maps_every_item_in_order() {
+        let mut items: Vec<u64> = (0..37).collect();
+        let doubled = par_map_mut(&mut items, |x| {
+            *x += 1;
+            *x * 2
+        });
+        assert_eq!(items, (1..38).collect::<Vec<u64>>());
+        assert_eq!(doubled, (1..38).map(|x| x * 2).collect::<Vec<u64>>());
+        assert!(par_map_mut(&mut [] as &mut [u8], |_| 0).is_empty());
     }
 
     #[test]
@@ -272,9 +349,10 @@ mod tests {
     #[test]
     fn adaptive_grain_is_sequential_on_one_thread() {
         let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-        assert_eq!(pool.install(|| adaptive_grain(1 << 20)), usize::MAX);
+        assert_eq!(pool.install(|| adaptive_grain(1 << 20, 1)), usize::MAX);
         let pool4 = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-        let g = pool4.install(|| adaptive_grain(1 << 20));
-        assert!((MIN_ADAPTIVE_GRAIN..1 << 20).contains(&g));
+        assert_eq!(pool4.install(|| adaptive_grain(1 << 20, MIN_ADAPTIVE_GRAIN)), 1 << 16);
+        assert_eq!(pool4.install(|| adaptive_grain(1_000, MIN_ADAPTIVE_GRAIN)), MIN_ADAPTIVE_GRAIN);
+        assert_eq!(pool4.install(|| adaptive_grain(20, 1)), 2);
     }
 }

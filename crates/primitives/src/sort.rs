@@ -7,13 +7,12 @@
 //! [`crate::group::group_by_rank`] when the `O(n)`-work grouping matters).
 //! Batches handed to the vEB tree must also be sorted.
 //!
-//! These wrappers exist so the rest of the workspace never calls rayon's
-//! slice sorts directly; if the scheduling substrate changes, only this
-//! module does.  They are real join-based parallel merge sorts: the slice is
-//! split recursively, leaves are sorted with std's (stable) sorts, and
-//! siblings are combined with the parallel [`crate::merge`] machinery — the
-//! `T: Clone` bound pays for the merge buffer.  Under a 1-thread pool the
-//! recursion never forks and the result is exactly std's.
+//! These are the workspace's only parallel sorts: join-based parallel merge
+//! sorts, in which the slice is split recursively, leaves are sorted with
+//! std's (stable) sorts, and siblings are combined with the parallel
+//! [`crate::merge`] machinery — the `T: Clone` bound pays for the merge
+//! buffer.  Under a 1-thread pool the recursion never forks and the result
+//! is exactly std's.
 
 use crate::merge::merge_by;
 use crate::par::GRAIN;
@@ -50,15 +49,10 @@ where
     // a sequential copy-back would put an O(n) pass on the critical path of
     // every recursion level.
     let merged = merge_by(lo, hi, |x, y| cmp(x, y));
-    let chunk = crate::par::adaptive_grain(a.len()).max(GRAIN);
+    let chunk = crate::par::adaptive_grain(a.len(), GRAIN);
     crate::par::par_chunks_mut_for(a, chunk, |ci, piece| {
         piece.clone_from_slice(&merged[ci * chunk..ci * chunk + piece.len()]);
     });
-}
-
-/// Stable parallel sort of a slice of `Ord` elements (parallel merge sort).
-pub fn par_sort<T: Ord + Clone + Send + Sync>(a: &mut [T]) {
-    par_sort_by(a, T::cmp);
 }
 
 /// Unstable parallel sort (same merge sort with unstable leaves).
@@ -73,16 +67,6 @@ where
     F: Fn(&T, &T) -> Ordering + Sync,
 {
     merge_sort_by(a, &cmp, sort_grain(a.len()), true);
-}
-
-/// Stable parallel sort by key.
-pub fn par_sort_by_key<T, K, F>(a: &mut [T], key: F)
-where
-    T: Clone + Send + Sync,
-    K: Ord,
-    F: Fn(&T) -> K + Sync,
-{
-    par_sort_by(a, |x, y| key(x).cmp(&key(y)));
 }
 
 /// Returns true if the slice is sorted in non-decreasing order.  Handy for
@@ -106,7 +90,7 @@ mod tests {
         let mut a: Vec<u64> = (0..100_000u64).map(|i| (i * 2654435761) % 1_000_003).collect();
         let mut want = a.clone();
         want.sort();
-        par_sort(&mut a);
+        par_sort_by(&mut a, u64::cmp);
         assert_eq!(a, want);
     }
 
@@ -123,7 +107,7 @@ mod tests {
     fn sort_by_key_is_stable() {
         // Pairs with equal keys must preserve insertion order.
         let mut a: Vec<(u32, usize)> = (0..10_000).map(|i| ((i % 10) as u32, i)).collect();
-        par_sort_by_key(&mut a, |p| p.0);
+        par_sort_by(&mut a, |x, y| x.0.cmp(&y.0));
         for w in a.windows(2) {
             if w[0].0 == w[1].0 {
                 assert!(w[0].1 < w[1].1, "stability violated");
@@ -154,7 +138,7 @@ mod tests {
         let run = |threads: usize| {
             let mut v = base.clone();
             let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-            pool.install(|| par_sort_by_key(&mut v, |p| p.0));
+            pool.install(|| par_sort_by(&mut v, |x, y| x.0.cmp(&y.0)));
             v
         };
         let seq = run(1);

@@ -20,8 +20,7 @@
 
 use crate::batch::POINT_OP_CUTOFF;
 use crate::tree::VebTree;
-use plis_primitives::par::GRAIN;
-use rayon::prelude::*;
+use plis_primitives::par::{adaptive_grain, par_map_collect_with_grain, GRAIN};
 
 /// A `(key, score)` pair; the key is the paper's `y` coordinate (an input
 /// index) and the score its `dp` value.
@@ -144,42 +143,37 @@ impl MonoVeb {
         // Each batch point is responsible for the stored keys between itself
         // and the next batch point (Lines 4–8); the per-point ranges are
         // disjoint so they can be collected in parallel and concatenated.
-        let pieces: Vec<Vec<u64>> = (0..b)
-            .into_par_iter()
-            .with_min_len(GRAIN / 64 + 1)
-            .map(|i| {
-                let upper = if i + 1 < b { batch[i + 1].key } else { universe };
-                let start = match self.veb.succ(batch[i].key) {
-                    Some(s) => s,
-                    None => return Vec::new(),
-                };
-                if start >= upper {
-                    return Vec::new();
+        // A point costs a few vEB searches, so pieces go down to
+        // `GRAIN / 64 + 1` points rather than the element floor.
+        let grain = adaptive_grain(b, GRAIN / 64 + 1);
+        let pieces: Vec<Vec<u64>> = par_map_collect_with_grain(b, grain, |i| {
+            let upper = if i + 1 < b { batch[i + 1].key } else { universe };
+            let start = match self.veb.succ(batch[i].key) {
+                Some(s) => s,
+                None => return Vec::new(),
+            };
+            if start >= upper {
+                return Vec::new();
+            }
+            let end = if i + 1 < b {
+                match self.veb.pred(upper) {
+                    Some(e) if e >= start => e,
+                    _ => return Vec::new(),
                 }
-                let end = if i + 1 < b {
-                    match self.veb.pred(upper) {
-                        Some(e) if e >= start => e,
-                        _ => return Vec::new(),
-                    }
-                } else {
-                    self.veb.max().expect("non-empty tree")
-                };
-                if start > end {
-                    return Vec::new();
-                }
-                // Tight upper bound: last key in [start, end] whose score is
-                // <= the covering point's score (FindIndex).
-                match self.find_last_at_most(batch[i].score, start, end) {
-                    Some(e2) => self.veb.range(start, e2),
-                    None => Vec::new(),
-                }
-            })
-            .collect();
-        let mut out = Vec::with_capacity(pieces.iter().map(Vec::len).sum());
-        for mut piece in pieces {
-            out.append(&mut piece);
-        }
-        out
+            } else {
+                self.veb.max().expect("non-empty tree")
+            };
+            if start > end {
+                return Vec::new();
+            }
+            // Tight upper bound: last key in [start, end] whose score is
+            // <= the covering point's score (FindIndex).
+            match self.find_last_at_most(batch[i].score, start, end) {
+                Some(e2) => self.veb.range(start, e2),
+                None => Vec::new(),
+            }
+        });
+        pieces.concat()
     }
 
     /// `FindIndex` (Alg. 7 lines 11–18): the last stored key in `[s, e]`

@@ -16,7 +16,8 @@
 //!   reference oracles from the evaluation section.
 //! * [`workloads`] — the line-pattern / range-pattern input generators of
 //!   the evaluation, plus batched streaming arrivals.
-//! * [`primitives`] — the fork-join scan/pack/merge/sort substrate.
+//! * [`primitives`] — the fork-join scan/merge/sort/group substrate, and
+//!   the `join`-based parallel loops that every other crate forks through.
 //! * [`engine`] — the streaming-LIS engine: incremental per-session LIS
 //!   state over batched arrivals, multiplexed and sharded across sessions
 //!   and driven through one typed command plane (`Op` ticks executed by
