@@ -214,8 +214,8 @@ pub struct MetricsSnapshot {
     /// Always 0, for the same reason as
     /// [`MetricsSnapshot::tailset_veb_picks`].
     pub tailset_sorted_picks: u64,
-    /// Ticks light enough to run inline on the calling thread, skipping
-    /// the per-shard parallel spine.
+    /// Ticks with work for at most one shard, which run inline on the
+    /// calling thread without a fork.
     pub inline_ticks: u64,
     /// Tick wall-time histogram (nanoseconds), reads included.
     pub tick_latency: HistogramSnapshot,

@@ -246,13 +246,31 @@ mod tests {
     #[test]
     fn par_chunks_mut_for_labels_disjoint_chunks_in_order_on_any_pool() {
         use std::collections::HashSet;
+        use std::sync::atomic::AtomicBool;
         use std::sync::Mutex;
-        let run = |pool: &rayon::ThreadPool| {
-            let mut v = vec![usize::MAX; 100_000];
+        use std::time::{Duration, Instant};
+        let run = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            let caller = std::thread::current().id();
+            let stolen = AtomicBool::new(false);
             let workers = Mutex::new(HashSet::new());
+            let mut v = vec![usize::MAX; 100_000];
             pool.install(|| {
                 par_chunks_mut_for(&mut v, 777, |ci, chunk| {
-                    workers.lock().unwrap().insert(std::thread::current().id());
+                    let me = std::thread::current().id();
+                    workers.lock().unwrap().insert(me);
+                    stolen.fetch_or(me != caller, Ordering::Relaxed);
+                    // The caller always runs chunk 0 (the leftmost piece).
+                    // Holding it until another thread has run a chunk makes
+                    // a split visible without depending on wake-up timing;
+                    // a loop that never split gives up after the deadline.
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while ci == 0 && threads > 1 && !stolen.load(Ordering::Relaxed) {
+                        if Instant::now() > deadline {
+                            break;
+                        }
+                        std::thread::yield_now();
+                    }
                     for x in chunk.iter_mut() {
                         assert_eq!(*x, usize::MAX, "chunks must be disjoint");
                         *x = ci;
@@ -261,19 +279,11 @@ mod tests {
             });
             (v, workers.into_inner().unwrap().len())
         };
-        let (seq, _) = run(&rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap());
+        let (seq, _) = run(1);
         assert!(seq.iter().enumerate().all(|(i, &x)| x == i / 777), "chunks labelled in order");
-        let pool4 = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-        let mut best = 1usize;
-        for _attempt in 0..20 {
-            let (par, workers) = run(&pool4);
-            assert_eq!(par, seq, "the output must not depend on the pool");
-            best = best.max(workers);
-            if best > 1 {
-                break;
-            }
-        }
-        assert!(best > 1, "par_chunks_mut_for must engage >1 thread under a 4-thread pool");
+        let (par, workers) = run(4);
+        assert_eq!(par, seq, "the output must not depend on the pool");
+        assert!(workers > 1, "par_chunks_mut_for must engage >1 thread under a 4-thread pool");
     }
 
     #[test]

@@ -62,7 +62,8 @@ where
 }
 
 /// In-place exclusive scan specialised for `usize` sums.  Returns the total.
-/// This is the common case for computing output offsets of a pack.
+/// This is the common case for computing output offsets, such as
+/// [`group_by_rank`](crate::group_by_rank)'s group starts.
 pub fn scan_inplace(a: &mut [usize]) -> usize {
     let copy: Vec<usize> = a.to_vec();
     let (ex, total) = exclusive_scan(&copy, 0usize, |x, y| x + y);
