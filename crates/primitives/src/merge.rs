@@ -21,11 +21,6 @@ where
     out.into_iter().map(|x| x.expect("merge filled every slot")).collect()
 }
 
-/// Merge two sorted slices of `Ord` elements.
-pub fn parallel_merge<T: Ord + Clone + Send + Sync>(a: &[T], b: &[T]) -> Vec<T> {
-    merge_by(a, b, |x, y| x.cmp(y))
-}
-
 fn merge_into<T, F>(a: &[T], b: &[T], out: &mut [Option<T>], cmp: F)
 where
     T: Clone + Send + Sync,
@@ -100,23 +95,23 @@ mod tests {
     fn merge_empty_sides() {
         let a: Vec<u32> = vec![];
         let b = vec![1, 2, 3];
-        assert_eq!(parallel_merge(&a, &b), b);
-        assert_eq!(parallel_merge(&b, &a), b);
-        assert!(parallel_merge::<u32>(&[], &[]).is_empty());
+        assert_eq!(merge_by(&a, &b, Ord::cmp), b);
+        assert_eq!(merge_by(&b, &a, Ord::cmp), b);
+        assert!(merge_by::<u32, _>(&[], &[], u32::cmp).is_empty());
     }
 
     #[test]
     fn merge_small() {
         let a = vec![1, 4, 7];
         let b = vec![2, 3, 8, 9];
-        assert_eq!(parallel_merge(&a, &b), vec![1, 2, 3, 4, 7, 8, 9]);
+        assert_eq!(merge_by(&a, &b, Ord::cmp), vec![1, 2, 3, 4, 7, 8, 9]);
     }
 
     #[test]
     fn merge_large_matches_std() {
         let a: Vec<u64> = (0..80_000u64).map(|i| i * 3).collect();
         let b: Vec<u64> = (0..50_000u64).map(|i| i * 5 + 1).collect();
-        let got = parallel_merge(&a, &b);
+        let got = merge_by(&a, &b, Ord::cmp);
         let mut want = [a.clone(), b.clone()].concat();
         want.sort();
         assert_eq!(got, want);
@@ -169,7 +164,7 @@ mod tests {
         asorted.sort();
         let mut bsorted = b.clone();
         bsorted.sort();
-        let got = parallel_merge(&asorted, &bsorted);
+        let got = merge_by(&asorted, &bsorted, Ord::cmp);
         let mut want = [asorted, bsorted].concat();
         want.sort();
         assert_eq!(got, want);

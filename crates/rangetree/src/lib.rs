@@ -14,50 +14,22 @@
 //!
 //! # Layout
 //!
-//! Points are sorted by `(x, y)`; a point's index in that order is its
-//! *position*.  The outer tree is a merge-sort tree over power-of-two-aligned
-//! blocks of positions, stored level by level rather than node by node.
-//! Level `j` cuts the positions into blocks of `2^j` (the last one may be
-//! short), so level 0 holds single points and the top level one block of
-//! all `n`.  Each level is one array of `n` *slots*: a block's slots are the
-//! block's own positions, filled with its points in `(y, position)` order.
-//! Three arrays describe the levels:
-//!
-//! * the `y` values in the top level's order, stored once;
-//! * per level `j ≥ 1`, for every slot, how many of the block's slots before
-//!   it hold points of the left child block (`[bs, bs + 2^(j−1))`) — the
-//!   prefix count of the from-left flags of the merge that built the block;
-//! * per level, one max-Fenwick array, holding each block's Fenwick tree
-//!   over its slots.
-//!
-//! The prefix counts cascade a slot or a count from a block to a child in
-//! `O(1)` (fractional cascading, Chazelle & Guibas 1986).  A child's order
-//! is its parent's order with the other child's points removed, so the first
-//! `c` slots of a block hold the first `left_before(c)` slots of its left
-//! child and the first `c − left_before(c)` slots of its right child.
-//!
-//! # Operations
-//!
-//! A dominant-max query finds the `x < qx` prefix of positions with one
-//! binary search over the `x` order and the `y < qy` count at the top with
-//! one over the top order, then walks down toward the prefix's end.  Where
-//! the walk goes right, the left child lies inside the prefix, and its first
-//! `c` slots (the points with `y < qy`) are one Fenwick prefix query.  An
-//! update starts at the point's top-level slot and cascades the slot down
-//! the same way, raising one Fenwick slot chain per level.  Both cost `O(1)`
-//! cascading plus one `O(log n)` Fenwick walk per level, `O(log² n)` in all
-//! — the bound of Theorem 4.1 — and the arrays take `O(n log n)` space.  The
-//! build is a bottom-up merge sort whose merges split by merge path, so its
-//! span stays polylogarithmic.
+//! The outer tree is `plis_primitives::OuterTree`, whose blocks list their
+//! points in `y` order and cascade a slot or a count to a child in `O(1)`.
+//! Each level keeps one max-Fenwick array, holding every block's Fenwick
+//! tree over its slots.  A query takes one Fenwick prefix maximum in every
+//! block of its prefix that the walk passes, and an update raises one
+//! Fenwick chain per level: `O(log² n)` each (Theorem 4.1), in
+//! `O(n log n)` space.
 //!
 //! The Fenwick slots are atomics raised with `fetch_max`, so a whole batch
 //! of updates runs in parallel through `&self` without locks (scores only
 //! grow, and `max` is commutative and associative, so the result is
 //! identical to any sequential order).
 
-use plis_primitives::par::{maybe_join, par_for_each_chunk, par_map_collect, parallel_for, GRAIN};
-use plis_primitives::{DomMaxCounters, DomMaxStats};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use plis_primitives::par::{par_for_each_chunk, par_map_collect};
+use plis_primitives::{DomMaxCounters, DomMaxStats, OuterTree};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A 2D point; `x` and `y` are the coordinates used by dominance queries
 /// (for WLIS: `x` is the rank of the input value, `y` the input index).
@@ -81,21 +53,7 @@ pub struct ScoreUpdate {
 
 /// The dominant-max range tree (the `RangeStruct` of Algorithm 2).
 pub struct RangeMaxTree {
-    n: usize,
-    /// Index of the top level: blocks of level `height` cover all points.
-    height: usize,
-    /// The points as `(x, y)` in position order, i.e. sorted.
-    points: Vec<(u64, u64)>,
-    /// y coordinates of the top level's slots, i.e. sorted by (y, position).
-    top_ys: Vec<u64>,
-    /// The top-level slot of every position.  Atomic only so the build can
-    /// scatter this inverse permutation in parallel without `unsafe`;
-    /// `Relaxed` suffices because the scatter's join orders every store
-    /// before `new` returns, and the values publish no other data.
-    top_slot: Vec<AtomicU32>,
-    /// `left_before[(j − 1)·n + s]`: the slots of level-`j` slot `s`'s block
-    /// before `s` that hold points of the block's left child.
-    left_before: Vec<u32>,
+    outer: OuterTree,
     /// `fenwick[j·n + s]`: level `j`'s max-Fenwick slots; the tree of the
     /// block starting at `bs` occupies `bs..bs + len` (1-based index
     /// `s − bs + 1`).
@@ -113,90 +71,38 @@ impl RangeMaxTree {
     /// Panics if two points are identical, or if there are more than
     /// `u32::MAX` points.
     pub fn new(points: &[Point2]) -> Self {
-        let n = points.len();
-        assert!(u32::try_from(n).is_ok(), "at most u32::MAX points are supported");
-        let mut sorted: Vec<(u64, u64)> = points.iter().map(|p| (p.x, p.y)).collect();
-        plis_primitives::par_sort_unstable(&mut sorted);
-        assert!(sorted.windows(2).all(|w| w[0] != w[1]), "duplicate points are not supported");
-        let height = n.next_power_of_two().trailing_zeros() as usize;
-
-        // Bottom-up merge sort by (y, position): level 0 is position order.
-        let mut cur: Vec<(u64, u32)> = par_map_collect(n, |p| (sorted[p].1, p as u32));
-        let mut next = vec![(0, 0); n];
-        let mut left_before = vec![0u32; height * n];
-        if n > 0 {
-            for (j, counts) in (1..=height).zip(left_before.chunks_mut(n)) {
-                merge_level(&cur, &mut next, counts, 1 << (j - 1));
-                std::mem::swap(&mut cur, &mut next);
-            }
-        }
-        let top_ys = par_map_collect(n, |s| cur[s].0);
-        let top_slot: Vec<AtomicU32> = par_map_collect(n, |_| AtomicU32::new(0));
-        parallel_for(n, |s| top_slot[cur[s].1 as usize].store(s as u32, Ordering::Relaxed));
-        let fenwick = par_map_collect((height + 1) * n, |_| AtomicU64::new(0));
-        RangeMaxTree {
-            n,
-            height,
-            points: sorted,
-            top_ys,
-            top_slot,
-            left_before,
-            fenwick,
-            counters: DomMaxCounters::new(),
-        }
+        let outer = OuterTree::new(points.iter().map(|p| (p.x, p.y)).collect());
+        let fenwick = par_map_collect((outer.height() + 1) * outer.len(), |_| AtomicU64::new(0));
+        RangeMaxTree { outer, fenwick, counters: DomMaxCounters::new() }
     }
 
     /// Number of points.
     pub fn len(&self) -> usize {
-        self.n
+        self.outer.len()
     }
 
     /// True when the tree holds no points.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.outer.is_empty()
     }
 
     /// `DominantMax(qx, qy)`: maximum score among points with `x < qx` and
     /// `y < qy`; `0` if there is none (matching the WLIS convention that a
     /// missing predecessor contributes `max(0, ·)`).  `O(log² n)`.
     pub fn dominant_max(&self, qx: u64, qy: u64) -> u64 {
-        // Points with x < qx form the position prefix [0, prefix).
-        let prefix = self.points.partition_point(|&(x, _)| x < qx);
-        if prefix == 0 {
-            return 0;
-        }
-        // The walk's block starts at `bs` on `level`; its first `count`
-        // slots hold its points with y < qy, and `prefix` ends inside it.
-        let mut count = self.top_ys.partition_point(|&y| y < qy);
-        let (mut level, mut bs, mut best) = (self.height, 0usize, 0u64);
-        while count > 0 {
-            let len = (1usize << level).min(self.n - bs);
-            if prefix - bs >= len {
-                return best.max(self.prefix_max(level, bs, count));
-            }
-            // Only part of the block is inside the prefix, so it has two
-            // children (a level-0 block is a single point).
-            let half = 1usize << (level - 1);
-            let left = if count < len {
-                self.left_before[(level - 1) * self.n + bs + count] as usize
-            } else {
-                half.min(len)
-            };
-            level -= 1;
-            if prefix - bs > half {
-                best = best.max(self.prefix_max(level, bs, left));
-                count -= left;
-                bs += half;
-            } else {
-                count = left;
-            }
-        }
-        best
+        // A level-0 block is one point, whose one Fenwick slot is its score.
+        self.outer.walk(
+            qx,
+            qy,
+            0,
+            |level, bs, count| self.prefix_max(level, bs, count),
+            |pos| self.fenwick[pos].load(Ordering::Relaxed),
+        )
     }
 
     /// Maximum of the first `count` slots of the level-`level` block at `bs`.
     fn prefix_max(&self, level: usize, bs: usize, count: usize) -> u64 {
-        let fenwick = &self.fenwick[level * self.n + bs..];
+        let fenwick = &self.fenwick[level * self.outer.len() + bs..];
         let mut best = 0u64;
         let mut i = count;
         while i > 0 {
@@ -227,23 +133,11 @@ impl RangeMaxTree {
         let pos = self.position_of(update.point).unwrap_or_else(|| {
             panic!("point ({}, {}) is not in the tree", update.point.x, update.point.y)
         });
-        let n = self.n;
-        let mut slot = self.top_slot[pos].load(Ordering::Relaxed) as usize;
-        let mut level = self.height;
-        loop {
-            let bs = pos >> level << level;
-            let len = (1usize << level).min(n - bs);
-            raise(&self.fenwick[level * n + bs..level * n + bs + len], slot - bs, update.score);
-            if level == 0 {
-                debug_assert_eq!(slot, pos);
-                return;
-            }
-            // Cascade the slot into the child block holding the point.
-            let half = 1usize << (level - 1);
-            let left = self.left_before[(level - 1) * n + slot] as usize;
-            slot = if pos < bs + half { bs + left } else { slot + half - left };
-            level -= 1;
-        }
+        let n = self.outer.len();
+        self.outer.path(pos, 0, |level, bs, key| {
+            let len = self.outer.block_len(level, bs);
+            raise(&self.fenwick[level * n + bs..level * n + bs + len], key, update.score);
+        });
     }
 
     /// The current score of a point (0 if never raised), or `None` if the
@@ -256,7 +150,7 @@ impl RangeMaxTree {
 
     /// Position of a point in the (x, y)-sorted order, if present.
     fn position_of(&self, point: Point2) -> Option<usize> {
-        self.points.binary_search(&(point.x, point.y)).ok()
+        self.outer.position_of(point.x, point.y)
     }
 }
 
@@ -274,75 +168,6 @@ fn raise(fenwick: &[AtomicU64], i: usize, score: u64) {
             return;
         }
         i += i & i.wrapping_neg();
-    }
-}
-
-/// One bottom-up merge-sort pass: merge every pair of sibling blocks of
-/// `half` slots in `src` into their parent block in `dst`, and record in
-/// `left_before` how many left-child points precede each parent slot.
-fn merge_level(src: &[(u64, u32)], dst: &mut [(u64, u32)], left_before: &mut [u32], half: usize) {
-    let blocks = dst.len().div_ceil(2 * half);
-    if blocks > 1 {
-        // Split between blocks; the slices start on block boundaries.
-        let mid = blocks / 2 * 2 * half;
-        let (src_l, src_r) = src.split_at(mid);
-        let (dst_l, dst_r) = dst.split_at_mut(mid);
-        let (lb_l, lb_r) = left_before.split_at_mut(mid);
-        maybe_join(
-            src.len(),
-            GRAIN,
-            || merge_level(src_l, dst_l, lb_l, half),
-            || merge_level(src_r, dst_r, lb_r, half),
-        );
-    } else {
-        let (left, right) = src.split_at(half.min(src.len()));
-        merge_block(left, right, dst, left_before, 0);
-    }
-}
-
-/// Merge the sorted, disjoint runs `a` (from the left child) and `b` into
-/// `dst`, writing `before + (a-points among the earlier slots)` into
-/// `left_before` for every slot.  Large merges split by merge path.
-fn merge_block(
-    a: &[(u64, u32)],
-    b: &[(u64, u32)],
-    dst: &mut [(u64, u32)],
-    left_before: &mut [u32],
-    before: usize,
-) {
-    let len = dst.len();
-    if len > GRAIN {
-        // The first `t` outputs are a[..i] and b[..t − i], for the i that
-        // the binary search below finds (keys are distinct).
-        let t = len / 2;
-        let (mut lo, mut hi) = (t.saturating_sub(b.len()), t.min(a.len()));
-        while lo < hi {
-            let i = (lo + hi) / 2;
-            if a[i] < b[t - i - 1] {
-                lo = i + 1;
-            } else {
-                hi = i;
-            }
-        }
-        let i = lo;
-        let (dst_l, dst_r) = dst.split_at_mut(t);
-        let (lb_l, lb_r) = left_before.split_at_mut(t);
-        rayon::join(
-            || merge_block(&a[..i], &b[..t - i], dst_l, lb_l, before),
-            || merge_block(&a[i..], &b[t - i..], dst_r, lb_r, before + i),
-        );
-        return;
-    }
-    let (mut i, mut k) = (0, 0);
-    for (out, count) in dst.iter_mut().zip(left_before.iter_mut()) {
-        *count = (before + i) as u32;
-        if k == b.len() || (i < a.len() && a[i] < b[k]) {
-            *out = a[i];
-            i += 1;
-        } else {
-            *out = b[k];
-            k += 1;
-        }
     }
 }
 

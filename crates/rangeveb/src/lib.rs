@@ -1,38 +1,44 @@
 //! The Range-vEB tree (Section 4.2, Algorithm 3, Appendix E).
 //!
-//! Like the range tree of `plis-rangetree`, this structure answers 2D
-//! dominant-max queries over a static point set, but the inner structures
-//! are **Mono-vEB trees**: vEB trees over the points' `y` coordinates that
-//! only retain the *staircase* of the scores seen so far.  Because the
-//! staircase is monotone, the per-node part of a dominant-max query is a
-//! single vEB predecessor lookup (`O(log log n)`), and updates use the
-//! parallel batch insertion / deletion and `CoveredBy` operations of the
-//! parallel vEB tree (Theorems 5.1, 5.2, D.1).
+//! Like the range tree of `plis-rangetree`, it answers 2D dominant-max
+//! queries over a static point set on `plis_primitives::OuterTree`, but its
+//! inner structures are **Mono-vEB trees**, which keep only the *staircase*
+//! of the scores seen so far: a block's part of a query is one vEB
+//! predecessor lookup (`O(log log n)`), and updates use the vEB tree's
+//! batch insertion / deletion and `CoveredBy` (Theorems 5.1, 5.2, D.1).
 //!
-//! Space efficiency follows Appendix E: the outer tree is a static,
-//! perfectly balanced segment tree over the x-sorted order, and each inner
-//! Mono-vEB tree is built over a universe equal to the number of points in
-//! its outer node, addressed by *relabelled* keys (the rank of the point's
-//! `y` among the node's points).  The relabelling tables are the nodes'
-//! sorted `y` arrays; translating a query or update point costs one binary
-//! search per touched node, which adds an `O(log n)` factor to the query
-//! constant but keeps the structure `O(n log n)` space overall.
+//! A block of more than 32 points keeps one Mono-vEB tree over its slots.
+//! A point's key there is its slot offset, the rank of its `(y, position)`
+//! in the block: Appendix E's relabelling, `O(n log n)` space in all, which
+//! the outer tree cascades to a child in `O(1)`.  Smaller blocks keep no
+//! inner structure; queries scan one array of every position's best score.
+//! So a query asks each block of its prefix above them for
+//! `prefix_best(count)` and scans the rest, fewer than 64 positions.
+//! `Update(B)` sorts the batch by position once, cascades every point's key
+//! down the levels, and makes one staircase update per touched block of
+//! every level, in parallel across blocks and levels.
 //!
 //! The paper proposes this structure to improve the *theoretical* work bound
 //! of WLIS from `O(n log² n)` to `O(n log n log log n)`; the benchmark
 //! harness compares both structures head-to-head (experiment E9 in
 //! `DESIGN.md`).
 
-use plis_primitives::par::{maybe_join, GRAIN};
-use plis_primitives::{DomMaxCounters, DomMaxStats};
+use plis_primitives::par::{par_chunks_mut_for, par_map_collect};
+use plis_primitives::{DomMaxCounters, DomMaxStats, OuterTree};
 use plis_veb::{MonoVeb, ScoredPoint};
 use std::cmp::Reverse;
 
-/// `distribute` forks only on at least this many routed updates.  Every
-/// `offline-lis` write-back counted has at most 22, so it never forks (the
-/// old grain, 2, forked at every outer node and was slower); 64 keeps
-/// Algorithm 3's parallel span for larger frontiers, a side no benchmark
-/// workload measures (DESIGN.md, "Granularity in the vEB family").
+/// Blocks of at most `2^SCAN_LEVEL` points keep no Mono-vEB tree, and
+/// queries scan their positions instead.  32 points, the tournament tree's
+/// leaf block, was the fastest of 16, 32, 64 and 128 on `offline-lis` and
+/// E9 (DESIGN.md, "Offline tree layouts").
+const SCAN_LEVEL: usize = 5;
+
+/// An update batch forks across blocks and levels only once it holds at
+/// least this many points.  Every `offline-lis` write-back counted has at
+/// most 23, so it never forks; 64 keeps Algorithm 3's parallel span for
+/// larger frontiers, a side no benchmark workload measures (DESIGN.md,
+/// "Granularity in the vEB family").
 const DISTRIBUTE_GRAIN: usize = 64;
 
 /// A 2D point (same convention as `plis_rangetree::Point2`).
@@ -53,28 +59,29 @@ pub struct ScoreUpdate {
     pub score: u64,
 }
 
-/// One outer node: a contiguous range of the x-sorted order, the sorted `y`
-/// values of its points (the Appendix-E relabelling table), and a Mono-vEB
-/// staircase over the relabelled keys.
-struct VNode {
-    lo: usize,
-    hi: usize,
-    /// Sorted original `y` values of the points in `[lo, hi)`; position in
-    /// this array is the relabelled key used in `inner`.
-    ys: Vec<u64>,
-    /// Staircase of (relabelled key, score).
-    inner: MonoVeb,
-}
-
 /// The Range-vEB dominant-max structure (`RangeStruct` of Algorithm 3).
 pub struct RangeVeb {
-    n: usize,
-    xs: Vec<u64>,
-    ys_by_pos: Vec<u64>,
-    nodes: Vec<VNode>,
+    outer: OuterTree,
+    /// The Mono-vEB trees of the blocks above `SCAN_LEVEL`, level by level
+    /// from the top: the level-`j` block at `bs` owns
+    /// `monos[first_mono[j] + (bs >> j)]`.
+    monos: Vec<MonoVeb>,
+    first_mono: Vec<usize>,
+    /// Every position's best score, which the blocks at or below
+    /// `SCAN_LEVEL` answer with.
+    best: Vec<u64>,
     /// Telemetry totals (observational only; counted at the
     /// [`DominantMaxStore`](plis_primitives::DominantMaxStore) boundary).
     counters: DomMaxCounters,
+}
+
+/// One staircase update: Mono-vEB `mono` gets the points `lo..hi` of the
+/// batch, whose keys sit at `row` of their key chains.
+struct Task {
+    mono: usize,
+    row: usize,
+    lo: usize,
+    hi: usize,
 }
 
 impl RangeVeb {
@@ -84,116 +91,134 @@ impl RangeVeb {
     /// # Panics
     /// Panics if two points are identical.
     pub fn new(points: &[Point2]) -> Self {
-        let n = points.len();
-        if n == 0 {
-            return RangeVeb {
-                n,
-                xs: Vec::new(),
-                ys_by_pos: Vec::new(),
-                nodes: Vec::new(),
-                counters: DomMaxCounters::new(),
-            };
+        let outer = OuterTree::new(points.iter().map(|p| (p.x, p.y)).collect());
+        let (n, height) = (outer.len(), outer.height());
+        let (mut monos, mut first_mono) = (Vec::new(), vec![0; height + 1]);
+        for level in (SCAN_LEVEL + 1..=height).rev() {
+            first_mono[level] = monos.len();
+            let block = |b: usize| MonoVeb::new(outer.block_len(level, b << level) as u64);
+            monos.extend(par_map_collect(n.div_ceil(1 << level), block));
         }
-        let mut order: Vec<(u64, u64)> = points.iter().map(|p| (p.x, p.y)).collect();
-        plis_primitives::par_sort_unstable(&mut order);
-        assert!(order.windows(2).all(|w| w[0] != w[1]), "duplicate points are not supported");
-        // The `y` coordinates must be pairwise distinct: they are the keys of
-        // the inner Mono-vEB trees (in WLIS they are the input indices, which
-        // are unique by construction).
-        {
-            let mut ys: Vec<u64> = order.iter().map(|p| p.1).collect();
-            plis_primitives::par_sort_unstable(&mut ys);
-            assert!(ys.windows(2).all(|w| w[0] != w[1]), "y coordinates must be pairwise distinct");
-        }
-        let xs: Vec<u64> = order.iter().map(|p| p.0).collect();
-        let ys_by_pos: Vec<u64> = order.iter().map(|p| p.1).collect();
-        let mut nodes: Vec<Option<VNode>> = Vec::new();
-        nodes.resize_with(2 * n - 1, || None);
-        build(&mut nodes, &ys_by_pos, 0, n);
-        let nodes = nodes.into_iter().map(|v| v.expect("build fills every node")).collect();
-        RangeVeb { n, xs, ys_by_pos, nodes, counters: DomMaxCounters::new() }
+        RangeVeb { outer, monos, first_mono, best: vec![0; n], counters: DomMaxCounters::new() }
     }
 
     /// Number of points.
     pub fn len(&self) -> usize {
-        self.n
+        self.outer.len()
     }
 
     /// True when the structure holds no points.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.outer.is_empty()
     }
 
     /// `DominantMax(qx, qy)` (Algorithm 3): the maximum score among points
     /// with `x < qx`, `y < qy` whose score has been set; 0 if none.
     pub fn dominant_max(&self, qx: u64, qy: u64) -> u64 {
-        if self.n == 0 {
-            return 0;
-        }
-        let prefix = self.xs.partition_point(|&x| x < qx);
-        if prefix == 0 {
-            return 0;
-        }
-        self.query_node(0, prefix, qy)
-    }
-
-    fn query_node(&self, node_idx: usize, prefix: usize, qy: u64) -> u64 {
-        let node = &self.nodes[node_idx];
-        if prefix >= node.hi - node.lo {
-            // In-range inner tree: relabel qy and take the predecessor's
-            // score — the staircase makes it the prefix maximum (Line 5).
-            let label_bound = node.ys.partition_point(|&y| y < qy) as u64;
-            return node.inner.prefix_best(label_bound).unwrap_or(0);
-        }
-        let left_idx = node_idx + 1;
-        let left_size = self.nodes[left_idx].hi - self.nodes[left_idx].lo;
-        let right_idx = node_idx + 2 * left_size;
-        if prefix <= left_size {
-            self.query_node(left_idx, prefix, qy)
-        } else {
-            let l = self.query_node(left_idx, left_size, qy);
-            let r = self.query_node(right_idx, prefix - left_size, qy);
-            l.max(r)
-        }
+        // The staircase makes the predecessor's score the prefix maximum
+        // (Line 5).
+        let mono = |level: usize, bs: usize| &self.monos[self.first_mono[level] + (bs >> level)];
+        self.outer.walk(
+            qx,
+            qy,
+            SCAN_LEVEL,
+            |level, bs, count| mono(level, bs).prefix_best(count as u64).unwrap_or(0),
+            |pos| self.best[pos],
+        )
     }
 
     /// `Update(B)` (Algorithm 3 lines 9–20): set the scores of a batch of
-    /// points.  Every point is routed to the `O(log n)` outer nodes that
-    /// contain it; each affected inner Mono-vEB tree then performs one
-    /// staircase update (refine → `CoveredBy` → batch delete → batch
-    /// insert), with different inner trees processed in parallel.  A point
-    /// named more than once keeps its highest score.
+    /// points.  Every point's key is cascaded down the `O(log n)` blocks
+    /// that hold it; each touched Mono-vEB tree then performs one staircase
+    /// update (refine → `CoveredBy` → batch delete → batch insert), with
+    /// different trees processed in parallel.  A point named more than once
+    /// keeps its highest score.
     ///
     /// # Panics
     /// Panics if an update refers to a point not present in the structure.
     pub fn update_batch(&mut self, updates: &[ScoreUpdate]) {
-        if updates.is_empty() || self.n == 0 {
+        if updates.is_empty() || self.outer.is_empty() {
             return;
         }
-        // Route updates by their x-sorted position so the recursion can
-        // split them contiguously at every outer node.
-        let mut routed: Vec<(usize, u64, u64)> =
-            plis_primitives::par_map_collect(updates.len(), |i| {
-                let u = &updates[i];
-                let pos = self.position_of(u.point).unwrap_or_else(|| {
-                    panic!("point ({}, {}) is not in the structure", u.point.x, u.point.y)
-                });
-                (pos, u.point.y, u.score)
+        let mut points: Vec<(usize, Reverse<u64>)> = par_map_collect(updates.len(), |i| {
+            let u = &updates[i];
+            let pos = self.outer.position_of(u.point.x, u.point.y).unwrap_or_else(|| {
+                panic!("point ({}, {}) is not in the structure", u.point.x, u.point.y)
             });
-        plis_primitives::par_sort_unstable(&mut routed);
-        let nodes = &mut self.nodes[..];
-        distribute(nodes, &routed);
+            (pos, Reverse(u.score))
+        });
+        plis_primitives::par_sort_unstable(&mut points);
+        points.dedup_by_key(|p| p.0);
+        for &(pos, Reverse(score)) in &points {
+            self.best[pos] = self.best[pos].max(score);
+        }
+        let (m, height) = (points.len(), self.outer.height());
+        if height <= SCAN_LEVEL {
+            return;
+        }
+        // Every point's key on every Mono-vEB level, top level first,
+        // cascaded in parallel pieces of `group` points.
+        let levels = height - SCAN_LEVEL;
+        let group = m.min(DISTRIBUTE_GRAIN);
+        let mut chains = vec![ScoredPoint { key: 0, score: 0 }; m * levels];
+        par_chunks_mut_for(&mut chains, group * levels, |piece, chunk| {
+            let piece_points = &points[piece * group..];
+            for (chain, &(pos, Reverse(score))) in chunk.chunks_mut(levels).zip(piece_points) {
+                self.outer.path(pos, SCAN_LEVEL + 1, |level, _, key| {
+                    chain[height - level] = ScoredPoint { key: key as u64, score };
+                });
+            }
+        });
+        // The points of one block are contiguous in position order.
+        let mut tasks = Vec::new();
+        for level in (SCAN_LEVEL + 1..=height).rev() {
+            let mut lo = 0;
+            while lo < m {
+                let block = points[lo].0 >> level;
+                let hi = lo + points[lo..].partition_point(|p| p.0 >> level == block);
+                let mono = self.first_mono[level] + block;
+                tasks.push(Task { mono, row: height - level, lo, hi });
+                lo = hi;
+            }
+        }
+        let grain = if m < DISTRIBUTE_GRAIN { usize::MAX } else { DISTRIBUTE_GRAIN };
+        apply(&mut self.monos, 0, &tasks, &chains, levels, grain);
     }
 
     /// Convenience for a single update (wraps [`update_batch`](Self::update_batch)).
     pub fn update_one(&mut self, update: ScoreUpdate) {
         self.update_batch(std::slice::from_ref(&update));
     }
+}
 
-    fn position_of(&self, point: Point2) -> Option<usize> {
-        let lo = self.xs.partition_point(|&x| x < point.x);
-        let hi = self.xs.partition_point(|&x| x <= point.x);
-        self.ys_by_pos[lo..hi].binary_search(&point.y).ok().map(|i| lo + i)
+/// Run `tasks` (in Mono-vEB order) on `monos`, which starts at Mono-vEB
+/// `first`, halving the task list in parallel while it holds at least
+/// `grain` points.  `chains` holds every point's `levels` keys.
+fn apply(
+    monos: &mut [MonoVeb],
+    first: usize,
+    tasks: &[Task],
+    chains: &[ScoredPoint],
+    levels: usize,
+    grain: usize,
+) {
+    let m = chains.len() / levels;
+    let (head, tail) = (&tasks[0], &tasks[tasks.len() - 1]);
+    if tasks.len() > 1 && (tail.row * m + tail.hi) - (head.row * m + head.lo) >= grain {
+        let (left, right) = tasks.split_at(tasks.len() / 2);
+        let (left_monos, right_monos) = monos.split_at_mut(right[0].mono - first);
+        rayon::join(
+            || apply(left_monos, first, left, chains, levels, grain),
+            || apply(right_monos, right[0].mono, right, chains, levels, grain),
+        );
+        return;
+    }
+    let mut batch = Vec::new();
+    for task in tasks {
+        batch.clear();
+        batch.extend((task.lo..task.hi).map(|i| chains[i * levels + task.row]));
+        batch.sort_unstable_by_key(|p| p.key);
+        monos[task.mono - first].insert_staircase(&batch);
     }
 }
 
@@ -225,81 +250,6 @@ impl plis_primitives::DominantMaxStore for RangeVeb {
     }
 }
 
-/// Build the contiguous-layout outer tree; every node gets its sorted `y`
-/// table (by merging children) and an empty Mono-vEB over `[0, size)`.
-fn build(nodes: &mut [Option<VNode>], ys_by_pos: &[u64], lo: usize, hi: usize) {
-    let m = hi - lo;
-    debug_assert_eq!(nodes.len(), 2 * m - 1);
-    if m == 1 {
-        nodes[0] = Some(VNode { lo, hi, ys: vec![ys_by_pos[lo]], inner: MonoVeb::new(1) });
-        return;
-    }
-    let half = m.div_ceil(2);
-    let (this, rest) = nodes.split_first_mut().expect("non-empty");
-    let (left, right) = rest.split_at_mut(2 * half - 1);
-    maybe_join(
-        m,
-        GRAIN,
-        || build(left, ys_by_pos, lo, lo + half),
-        || build(right, ys_by_pos, lo + half, hi),
-    );
-    let lys = &left[0].as_ref().expect("left built").ys;
-    let rys = &right[0].as_ref().expect("right built").ys;
-    let merged = plis_primitives::parallel_merge(lys, rys);
-    let inner = MonoVeb::new(merged.len() as u64);
-    *this = Some(VNode { lo, hi, ys: merged, inner });
-}
-
-/// Push the routed updates `(position, y, score)` (sorted by position) down
-/// the outer tree: every node on a point's root-to-leaf path receives it.
-/// The node's own staircase update and the two child recursions are all
-/// independent, so they run under a fork-join.
-fn distribute(nodes: &mut [VNode], updates: &[(usize, u64, u64)]) {
-    if updates.is_empty() {
-        return;
-    }
-    let m = nodes[0].hi - nodes[0].lo;
-    if m == 1 {
-        apply_to_node(&mut nodes[0], updates);
-        return;
-    }
-    let half = m.div_ceil(2);
-    let (this, rest) = nodes.split_first_mut().expect("non-empty");
-    let split_pos = this.lo + half;
-    let cut = updates.partition_point(|&(pos, _, _)| pos < split_pos);
-    let (upd_l, upd_r) = updates.split_at(cut);
-    let (left, right) = rest.split_at_mut(2 * half - 1);
-    maybe_join(
-        updates.len(),
-        DISTRIBUTE_GRAIN,
-        || apply_to_node(this, updates),
-        || {
-            maybe_join(
-                updates.len(),
-                DISTRIBUTE_GRAIN,
-                || distribute(left, upd_l),
-                || distribute(right, upd_r),
-            );
-        },
-    );
-}
-
-/// Relabel the updates into the node's local key space and perform one
-/// staircase update on its inner Mono-vEB tree.  A point named more than
-/// once keeps its highest score.
-fn apply_to_node(node: &mut VNode, updates: &[(usize, u64, u64)]) {
-    let mut batch: Vec<ScoredPoint> = updates
-        .iter()
-        .map(|&(_, y, score)| {
-            let label = node.ys.binary_search(&y).expect("point belongs to this node") as u64;
-            ScoredPoint { key: label, score }
-        })
-        .collect();
-    batch.sort_unstable_by_key(|p| (p.key, Reverse(p.score)));
-    batch.dedup_by_key(|p| p.key);
-    node.inner.insert_staircase(&batch);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,83 +277,135 @@ mod tests {
         assert_eq!(r.dominant_max(10, 10), 0);
         r.update_one(ScoreUpdate { point: p, score: 6 });
         assert_eq!(r.dominant_max(4, 5), 6);
+        // A lower score later must not lower the point's.
+        r.update_one(ScoreUpdate { point: p, score: 2 });
+        assert_eq!(r.dominant_max(4, 5), 6);
         assert_eq!(r.dominant_max(3, 5), 0);
         assert_eq!(r.dominant_max(4, 4), 0);
     }
 
     #[test]
     fn paper_figure_9_example() {
-        // The Figure-9 point set, restricted to one point per y coordinate
-        // (the Range-vEB keys its inner trees by y, which in WLIS is the
-        // unique input index).
+        // The full Figure-9 point set, as in the range tree's test (y = 1,
+        // 2 and 7 repeat); query (10, 6) must return 8, achieved by
+        // (6, 1, 8).
         let raw = [
             (3u64, 8u64, 4u64),
             (16, 1, 7),
             (17, 2, 2),
+            (12, 2, 5),
+            (6, 7, 8),
             (13, 4, 3),
             (14, 7, 3),
             (1, 5, 7),
+            (3, 2, 5),
+            (6, 1, 8),
+            (7, 4, 3),
             (16, 10, 12),
-            (9, 3, 6),
-            (5, 0, 2),
-            (11, 6, 9),
         ];
         let points: Vec<Point2> = raw.iter().map(|&(x, y, _)| Point2 { x, y }).collect();
         let mut r = RangeVeb::new(&points);
         let updates: Vec<ScoreUpdate> =
             raw.iter().map(|&(x, y, s)| ScoreUpdate { point: Point2 { x, y }, score: s }).collect();
         r.update_batch(&updates);
-        assert_eq!(r.dominant_max(10, 6), 7);
+        assert_eq!(r.dominant_max(10, 6), 8);
         let scored: Vec<(Point2, Option<u64>)> =
             raw.iter().map(|&(x, y, s)| (Point2 { x, y }, Some(s))).collect();
-        for qx in 0..20 {
-            for qy in 0..12 {
-                assert_eq!(r.dominant_max(qx, qy), brute(&scored, qx, qy), "query ({qx},{qy})");
+        check_every_query(&r, &scored, "Figure 9");
+    }
+
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// Every query whose coordinates sit on or just above a point's, or at
+    /// 0 or `u64::MAX`, checked against brute force.
+    fn check_every_query(r: &RangeVeb, scored: &[(Point2, Option<u64>)], label: &str) {
+        let edges = |coord: fn(&Point2) -> u64| {
+            let mut qs: Vec<u64> = scored
+                .iter()
+                .flat_map(|(p, _)| [coord(p), coord(p).saturating_add(1)])
+                .chain([0, u64::MAX])
+                .collect();
+            qs.sort_unstable();
+            qs.dedup();
+            qs
+        };
+        for qx in edges(|p| p.x) {
+            for qy in edges(|p| p.y) {
+                let want = brute(scored, qx, qy);
+                assert_eq!(r.dominant_max(qx, qy), want, "{label}: query ({qx}, {qy})");
             }
         }
     }
 
     #[test]
     fn incremental_rounds_match_brute_force() {
-        // Every round updates about a third of the points, more than
-        // `distribute`'s grain, on one thread and on a 2-thread pool.
-        let mut state = 0xA24BAED4963EE407u64;
-        let mut rng = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let n = 400usize;
-        // Distinct y coordinates (as in WLIS, where y is the input index).
-        let mut ys: Vec<u64> = (0..n as u64).collect();
-        for i in (1..n).rev() {
-            ys.swap(i, (rng() as usize) % (i + 1));
-        }
-        let points: Vec<Point2> = (0..n).map(|i| Point2 { x: rng() % 150, y: ys[i] }).collect();
+        // Sizes on both sides of the scanned 32-point blocks and of the
+        // first Mono-vEB level, on a grid so that x and y repeat, plus one
+        // shared y and the ends of the u64 range.  Each round raises about
+        // a third of the points, some named twice with two scores, on a
+        // 1-thread pool and on the PLIS_BENCH_THREADS pool (default 2).  At
+        // n = 1000 every batch exceeds DISTRIBUTE_GRAIN, so the update forks,
+        // and the top blocks get more than POINT_OP_CUTOFF points, so their
+        // Mono-vEB trees take the refine / CoveredBy / batch path.
+        let threads = std::env::var("PLIS_BENCH_THREADS")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .filter(|&t: &usize| t > 0)
+            .unwrap_or(2);
         let one = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-        let two = rayon::ThreadPoolBuilder::new().num_threads(2).build().unwrap();
-        let mut seq = RangeVeb::new(&points);
-        let mut par = RangeVeb::new(&points);
-        let mut scored: Vec<(Point2, Option<u64>)> = points.iter().map(|&p| (p, None)).collect();
-        for round in 0..8 {
-            let mut updates = Vec::new();
-            for entry in scored.iter_mut() {
-                if rng() % 3 == 0 {
-                    let new_score = entry.1.unwrap_or(0) + 1 + rng() % 40;
-                    entry.1 = Some(new_score);
-                    updates.push(ScoreUpdate { point: entry.0, score: new_score });
+        let full = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+        let mut state = 0xA24BAED4963EE407u64;
+        let mut shapes: Vec<(String, Vec<Point2>)> = Vec::new();
+        for n in [1usize, 31, 32, 33, 63, 64, 65, 129, 1000] {
+            let side = (n as f64).sqrt() as u64 + 2;
+            let mut seen = std::collections::HashSet::new();
+            let mut points = Vec::new();
+            while points.len() < n {
+                let p = Point2 { x: xorshift(&mut state) % side, y: xorshift(&mut state) % side };
+                if seen.insert(p) {
+                    points.push(p);
                 }
             }
-            assert!(updates.len() > DISTRIBUTE_GRAIN, "round {round}: frontier below the grain");
-            one.install(|| seq.update_batch(&updates));
-            two.install(|| par.update_batch(&updates));
-            for _ in 0..60 {
-                let qx = rng() % 160;
-                let qy = rng() % (n as u64 + 10);
-                let want = brute(&scored, qx, qy);
-                assert_eq!(seq.dominant_max(qx, qy), want, "round {round}, 1 thread ({qx},{qy})");
-                assert_eq!(par.dominant_max(qx, qy), want, "round {round}, 2 threads ({qx},{qy})");
+            shapes.push((format!("n = {n}"), points));
+        }
+        shapes.push(("one shared y".into(), (0..70).map(|i| Point2 { x: 3 * i, y: 5 }).collect()));
+        let extremes = [0, 1, u64::MAX - 1, u64::MAX]
+            .into_iter()
+            .flat_map(|x| [0, 7, u64::MAX].map(|y| Point2 { x, y }))
+            .collect();
+        shapes.push(("extremes".into(), extremes));
+        for (label, points) in shapes {
+            let mut seq = RangeVeb::new(&points);
+            let mut par = RangeVeb::new(&points);
+            let mut scored: Vec<(Point2, Option<u64>)> =
+                points.iter().map(|&p| (p, None)).collect();
+            for round in 0..4 {
+                let mut updates = Vec::new();
+                for entry in scored.iter_mut() {
+                    if !xorshift(&mut state).is_multiple_of(3) {
+                        continue;
+                    }
+                    let low = entry.1.unwrap_or(0) + 1 + xorshift(&mut state) % 40;
+                    let high = low + xorshift(&mut state) % 20;
+                    entry.1 = Some(high);
+                    if xorshift(&mut state).is_multiple_of(4) {
+                        updates.push(ScoreUpdate { point: entry.0, score: low });
+                    }
+                    updates.push(ScoreUpdate { point: entry.0, score: high });
+                }
+                if points.len() == 1000 {
+                    assert!(updates.len() > DISTRIBUTE_GRAIN.max(plis_veb::POINT_OP_CUTOFF));
+                }
+                one.install(|| seq.update_batch(&updates));
+                full.install(|| par.update_batch(&updates));
+                check_every_query(&seq, &scored, &format!("{label}, round {round}, 1 thread"));
+                let label = format!("{label}, round {round}, {threads} threads");
+                check_every_query(&par, &scored, &label);
             }
         }
     }

@@ -86,9 +86,19 @@ pub fn thread_alloc_tally() -> AllocTally {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Held by both tests: the process-wide tally counts the allocation
+    /// the second test records on its spawned thread.
+    static TALLY: Mutex<()> = Mutex::new(());
+
+    fn serialise() -> MutexGuard<'static, ()> {
+        TALLY.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     #[test]
     fn tally_moves_with_records_and_since_saturates() {
+        let _tally = serialise();
         let before = alloc_tally();
         record_alloc(128);
         record_alloc(64);
@@ -101,6 +111,7 @@ mod tests {
 
     #[test]
     fn thread_tally_counts_only_the_calling_thread() {
+        let _tally = serialise();
         let before = thread_alloc_tally();
         record_alloc(16);
         std::thread::spawn(|| record_alloc(1 << 20)).join().unwrap();

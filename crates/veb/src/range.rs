@@ -59,6 +59,10 @@ impl VebTree {
         let first = if root.contains(lo) { Some(lo) } else { root.succ(lo) };
         let Some(first) = first.filter(|&k| k <= hi) else { return Vec::new() };
         let tree = build_tree(root, first, hi);
+        if tree.rest.is_none() {
+            // The walk covered the whole range without forking.
+            return tree.run;
+        }
         let mut out = vec![0u64; tree.size];
         tree.flatten_into(&mut out);
         out

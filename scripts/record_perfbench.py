@@ -11,8 +11,10 @@ a clone of the parent commit to record the parent side of a pair) for
 BENCHMARK.json's run_seconds, and appends its result to FILE (default
 BENCH_perfbench.json here) as one JSON line carrying workload, seed, commit,
 host_threads, side, traced and seconds next to the result's attempted,
-failed, correct and metric values.  A run that fails or answers wrong
-appends nothing and exits non-zero.
+failed, correct and metric values, plus the summary's per-job times under
+"stages" (offline-lis: lis_k1e2_s … veb_batch_s; engine-bulk: snapshot_s,
+restore_s, snapshot_bytes).  A run that fails or answers wrong appends
+nothing and exits non-zero.
 
 "seconds" is the --seconds value run.py was given, which is run_seconds.  A
 traced run spends the first half of it untraced and the second half traced,
@@ -38,6 +40,8 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 REQUIRED = ["workload", "seed", "commit", "host_threads", "side", "traced", "seconds", "correct", "metrics"]
+JOB_STAGES = ["lis_k1e2_s", "lis_k1e4_s", "wlis_rangetree_s", "wlis_rangeveb_s", "veb_batch_s",
+              "snapshot_s", "restore_s", "snapshot_bytes"]
 
 
 def benchmark():
@@ -104,6 +108,11 @@ def record(a):
         "metrics": {name: m["value"] for name, m in last["metrics"].items()},
         "setup_once_s": summary["setup_once_s"],
     }
+    # Not metrics: an unchanged job's time is the host-speed reference of a
+    # parent/change pair.
+    stages = {k: v for k, v in summary.items() if k in JOB_STAGES}
+    if stages:
+        line["stages"] = stages
     with open(a.out, "a") as out:
         out.write(json.dumps(line) + "\n")
     print(json.dumps(line))
