@@ -1,9 +1,6 @@
 //! The outer tree of the two dominant-max stores (Section 4): a level-major
-//! merge-sort tree with fractionally cascaded slots.
-//!
-//! `plis-rangetree` (Theorem 4.1) and `plis-rangeveb` (Theorem 1.2) differ
-//! only in the inner structures of their outer tree over the `x` order
-//! (max-Fenwick or Mono-vEB trees), so that tree lives here.
+//! merge-sort tree with fractionally cascaded slots, shared by
+//! `plis-rangetree` (Fenwick inner trees) and `plis-rangeveb` (Mono-vEB).
 //!
 //! Points are sorted by `(x, y)`; a point's index in that order is its
 //! *position*.  Level `j` cuts the positions into power-of-two-aligned
@@ -11,20 +8,15 @@
 //! points and the top level one block of all `n`.  Each level has `n`
 //! *slots*: a block's slots are its own positions, filled with its points
 //! in `(y, position)` order, so a slot's offset in its block is the point's
-//! relabelled key there (Appendix E).  The tree stores the top level's `y`
-//! values and, per level `j ≥ 1` and slot, how many of the block's earlier
-//! slots hold points of its left child: the prefix counts of the merge that
-//! built the block.  A child's order is its parent's with the other child's
-//! points removed, so the first `c` slots of a block hold the first
-//! `left_before(c)` slots of its left child and the first
-//! `c − left_before(c)` of its right child: a slot or a count cascades to a
-//! child in `O(1)` (fractional cascading, Chazelle & Guibas 1986).
-//!
-//! So [`OuterTree::walk`] (queries) and [`OuterTree::path`] (updates) do
-//! `O(1)` work per level besides the store's own, after one binary search
-//! at the top.  The build is a bottom-up merge sort whose merges split by
-//! merge path, so its span stays polylogarithmic, and the arrays take
-//! `O(n log n)` space.
+//! relabelled key there (Appendix E).  Per level `j ≥ 1` and slot, the tree
+//! stores how many of the block's earlier slots hold points of its left
+//! child.  A child's order is its parent's with the other child's points
+//! removed, so these counts cascade a slot or a count to a child in `O(1)`
+//! (fractional cascading, Chazelle & Guibas 1986): [`OuterTree::walk`] and
+//! [`OuterTree::path`] do `O(1)` work per level besides the store's own,
+//! after one binary search at the top.  The build is a bottom-up merge
+//! sort whose merges split by merge path, so its span stays
+//! polylogarithmic; the arrays take `O(n log n)` space.
 
 use crate::par::{maybe_join, par_map_collect, parallel_for, GRAIN};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -103,13 +95,11 @@ impl OuterTree {
         self.points.binary_search(&(x, y)).ok()
     }
 
-    /// `DominantMax(qx, qy)` over the stores' inner structures.  Every
-    /// block above `scan_level` that lies inside the `x < qx` prefix is
-    /// asked `full(level, bs, count)`: the best score among its first
-    /// `count` slots, its points with `y < qy`.  The part of the prefix in
-    /// blocks at or below `scan_level` is scanned position by position,
-    /// taking `score(pos)` of every point with `y < qy`.  Returns the
-    /// maximum, 0 if no point qualifies.
+    /// `DominantMax(qx, qy)`: the maximum of `full(level, bs, count)`, the
+    /// best score among the first `count` slots (the points with `y < qy`),
+    /// over the blocks above `scan_level` inside the `x < qx` prefix, and of
+    /// `score(pos)` over the rest of the prefix's points with `y < qy`,
+    /// which it scans; 0 if no point qualifies.
     pub fn walk(
         &self,
         qx: u64,

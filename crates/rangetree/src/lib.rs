@@ -14,13 +14,11 @@
 //!
 //! # Layout
 //!
-//! The outer tree is `plis_primitives::OuterTree`, whose blocks list their
-//! points in `y` order and cascade a slot or a count to a child in `O(1)`.
-//! Each level keeps one max-Fenwick array, holding every block's Fenwick
-//! tree over its slots.  A query takes one Fenwick prefix maximum in every
-//! block of its prefix that the walk passes, and an update raises one
-//! Fenwick chain per level: `O(log² n)` each (Theorem 4.1), in
-//! `O(n log n)` space.
+//! The outer tree is `plis_primitives::OuterTree`; each of its levels keeps
+//! one max-Fenwick array, holding every block's Fenwick tree over its slots.
+//! A query takes a Fenwick prefix maximum in each block of its prefix that
+//! the walk passes, and an update raises one Fenwick chain per level:
+//! `O(log² n)` each (Theorem 4.1), in `O(n log n)` space.
 //!
 //! The Fenwick slots are atomics raised with `fetch_max`, so a whole batch
 //! of updates runs in parallel through `&self` without locks (scores only
@@ -130,9 +128,9 @@ impl RangeMaxTree {
 
     /// Raise the score of a single point.
     pub fn update_one(&self, update: &ScoreUpdate) {
-        let pos = self.position_of(update.point).unwrap_or_else(|| {
-            panic!("point ({}, {}) is not in the tree", update.point.x, update.point.y)
-        });
+        let Point2 { x, y } = update.point;
+        let pos = self.outer.position_of(x, y);
+        let pos = pos.unwrap_or_else(|| panic!("point ({x}, {y}) is not in the tree"));
         let n = self.outer.len();
         self.outer.path(pos, 0, |level, bs, key| {
             let len = self.outer.block_len(level, bs);
@@ -145,12 +143,8 @@ impl RangeMaxTree {
     pub fn score_of(&self, point: Point2) -> Option<u64> {
         // A level-0 block is the point alone, so its one Fenwick slot is
         // the point's score.
-        self.position_of(point).map(|pos| self.fenwick[pos].load(Ordering::Relaxed))
-    }
-
-    /// Position of a point in the (x, y)-sorted order, if present.
-    fn position_of(&self, point: Point2) -> Option<usize> {
-        self.outer.position_of(point.x, point.y)
+        let pos = self.outer.position_of(point.x, point.y)?;
+        Some(self.fenwick[pos].load(Ordering::Relaxed))
     }
 }
 

@@ -1,21 +1,14 @@
 //! The Range-vEB tree (Section 4.2, Algorithm 3, Appendix E).
 //!
-//! Like the range tree of `plis-rangetree`, it answers 2D dominant-max
-//! queries over a static point set on `plis_primitives::OuterTree`, but its
-//! inner structures are **Mono-vEB trees**, which keep only the *staircase*
-//! of the scores seen so far: a block's part of a query is one vEB
-//! predecessor lookup (`O(log log n)`), and updates use the vEB tree's
-//! batch insertion / deletion and `CoveredBy` (Theorems 5.1, 5.2, D.1).
-//!
-//! A block of more than 32 points keeps one Mono-vEB tree over its slots.
-//! A point's key there is its slot offset, the rank of its `(y, position)`
-//! in the block: Appendix E's relabelling, `O(n log n)` space in all, which
-//! the outer tree cascades to a child in `O(1)`.  Smaller blocks keep no
-//! inner structure; queries scan one array of every position's best score.
-//! So a query asks each block of its prefix above them for
-//! `prefix_best(count)` and scans the rest, fewer than 64 positions.
-//! `Update(B)` sorts the batch by position once, cascades every point's key
-//! down the levels, and makes one staircase update per touched block of
+//! The range tree of `plis-rangetree` with **Mono-vEB** inner trees, on the
+//! same outer tree, `plis_primitives::OuterTree`.  A Mono-vEB tree keeps
+//! only the *staircase* of the scores seen so far, so a block's part of a
+//! query is one vEB predecessor lookup (`O(log log n)`), and updates use the
+//! vEB tree's batch insertion / deletion and `CoveredBy` (Theorems 5.1, 5.2,
+//! D.1).  A block of more than 32 points keeps one, keyed by slot offset:
+//! Appendix E's relabelling, which the outer tree cascades in `O(1)` per
+//! level.  Smaller blocks keep only each position's best score, which
+//! queries scan.  An update makes one staircase update per touched block of
 //! every level, in parallel across blocks and levels.
 //!
 //! The paper proposes this structure to improve the *theoretical* work bound
@@ -34,11 +27,10 @@ use std::cmp::Reverse;
 /// E9 (DESIGN.md, "Offline tree layouts").
 const SCAN_LEVEL: usize = 5;
 
-/// An update batch forks across blocks and levels only once it holds at
-/// least this many points.  Every `offline-lis` write-back counted has at
-/// most 23, so it never forks; 64 keeps Algorithm 3's parallel span for
-/// larger frontiers, a side no benchmark workload measures (DESIGN.md,
-/// "Granularity in the vEB family").
+/// An update batch forks across blocks and levels only once it holds this
+/// many points.  Every `offline-lis` write-back counted holds at most 23, so
+/// it never forks; 64 keeps Algorithm 3's parallel span for larger
+/// frontiers (DESIGN.md, "Granularity in the vEB family").
 const DISTRIBUTE_GRAIN: usize = 64;
 
 /// A 2D point (same convention as `plis_rangetree::Point2`).

@@ -242,10 +242,10 @@ impl MonoVeb {
     ///
     /// `batch` must be sorted by key with unique keys.
     pub fn insert_staircase(&mut self, batch: &[ScoredPoint]) -> usize {
-        // Every `offline-lis` write-back batch counted is below the cutoff
-        // (at most 22 points), so no benchmark workload times the batch
-        // path below; it is kept for Algorithm 3's parallel span on large
-        // frontiers.
+        // Every `offline-lis` per-block batch counted is below the cutoff
+        // (at most 23 points), so no `perfbench` workload times the batch
+        // path below; E9 runs it at k ≤ 100, and it is kept for Algorithm
+        // 3's parallel span on large frontiers.
         if batch.len() < POINT_OP_CUTOFF {
             assert_sorted(batch);
             return batch.iter().filter(|p| self.insert_point(**p)).count();
