@@ -157,7 +157,7 @@ fn run(values: &[u64], weights: Option<&[u64]>) -> ((Vec<u32>, u32), Vec<u64>) {
 
     // Dominant-max structure for the weighted variant.
     let xranks = weights.map(|_| compress(values));
-    let dominant = xranks.as_ref().map(|xr| {
+    let mut dominant = xranks.as_ref().map(|xr| {
         let pts: Vec<Point2> = (0..n).map(|i| Point2 { x: xr[i], y: i as u64 }).collect();
         RangeMaxTree::new(&pts)
     });
@@ -200,7 +200,7 @@ fn run(values: &[u64], weights: Option<&[u64]>) -> ((Vec<u32>, u32), Vec<u64>) {
         ready.sort_unstable();
 
         // Weighted dp values via dominant-max queries (all independent).
-        if let (Some(structure), Some(xr), Some(w)) = (&dominant, &xranks, weights) {
+        if let (Some(structure), Some(xr), Some(w)) = (&mut dominant, &xranks, weights) {
             let updates: Vec<(usize, u64)> = par_map_collect(ready.len(), |r| {
                 let i = ready[r];
                 (i, structure.dominant_max(xr[i], i as u64) + w[i])

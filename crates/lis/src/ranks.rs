@@ -175,6 +175,16 @@ mod tests {
         assert_eq!(stats.frontier_sizes.len(), k as usize);
         assert_eq!(stats.frontier_sizes.iter().sum::<usize>(), a.len());
         assert!(stats.nodes_visited >= a.len());
+        // Pinned on wide, mostly distinct values: sparse frontiers, so
+        // most visits are pruned children.
+        assert_eq!(stats.nodes_visited, 59_832);
+        assert_eq!(
+            stats.frontier_sizes,
+            [
+                1, 27, 53, 78, 102, 126, 150, 173, 196, 219, 243, 266, 283, 282, 281, 261, 236,
+                212, 188, 162, 138, 114, 89, 65, 40, 15
+            ]
+        );
         let (plain, pk) = lis_ranks_u64(&a);
         assert_eq!(ranks, plain);
         assert_eq!(k, pk);

@@ -2,12 +2,15 @@
 //!
 //! The dp recurrence (Equation 2) is
 //! `dp[i] = w_i + max(0, max_{j<i, A_j<A_i} dp[j])`.
-//! The phase-parallel driver first computes every object's rank with
-//! Algorithm 1, groups the objects into frontiers by rank, and then
-//! processes the frontiers in order: all dp values inside one frontier are
-//! independent (their predecessors all have strictly smaller ranks), so they
-//! are computed by parallel *dominant-max* queries and then written back to
-//! the structure as a batch.
+//! The phase-parallel driver first compresses the values to their dense
+//! ranks, the points' `x` coordinates, and computes every object's rank
+//! with Algorithm 1 on those `u64` keys
+//! ([`lis_ranks_u64`](crate::lis_ranks_u64)): they keep strict order and
+//! ties, so the ranks are those of the values.  It groups the objects into
+//! frontiers by rank and processes the frontiers in order: all dp values
+//! inside one frontier are independent (their predecessors all have
+//! strictly smaller ranks), so they are computed by parallel *dominant-max*
+//! queries and then written back to the structure as a batch.
 //!
 //! There is exactly **one** driver, [`wlis_with`], generic over the
 //! [`DominantMaxStore`] trait of `plis-primitives`; the concrete structures
@@ -75,13 +78,15 @@ pub fn wlis_with_stats<T: Ord + Sync, S: DominantMaxStore>(
     if n == 0 {
         return (Vec::new(), DomMaxStats::default());
     }
+    // Lines 12–13's x coordinate: the value ranks keep strict order and
+    // ties, so Alg. 1 ranks them exactly as it ranks `values`.
+    let xranks = compress_to_ranks(values);
     // Line 11 of Alg. 2: ranks via Alg. 1, then group indices into frontiers.
-    let (ranks, k) = crate::lis_ranks(values);
+    let (ranks, k) = crate::lis_ranks_u64(&xranks);
     let rank_keys: Vec<usize> = ranks.iter().map(|&r| (r - 1) as usize).collect();
     let frontiers = group_by_rank(&rank_keys, k as usize);
 
     // Lines 12–13: one 2D point per object, x = value rank, y = index.
-    let xranks = compress_to_ranks(values);
     let points: Vec<(u64, u64)> = (0..n).map(|i| (xranks[i], i as u64)).collect();
     let mut structure = S::build(&points);
 
@@ -131,7 +136,7 @@ mod tests {
     use super::*;
 
     /// O(n²) oracle for the weighted dp recurrence.
-    fn oracle_wdp(a: &[u64], w: &[u64]) -> Vec<u64> {
+    fn oracle_wdp<T: Ord>(a: &[T], w: &[u64]) -> Vec<u64> {
         let n = a.len();
         let mut dp = vec![0u64; n];
         for i in 0..n {
@@ -196,6 +201,21 @@ mod tests {
             assert_eq!(wlis_rangetree(&a, &w), want, "range tree, trial {trial}");
             assert_eq!(wlis_rangeveb(&a, &w), want, "range vEB, trial {trial}");
         }
+        // Signed values, negatives and repeats included: the driver ranks
+        // their compressed keys, not the values themselves.
+        for trial in 0..4 {
+            let n = 200 + trial * 90;
+            let a: Vec<i64> = (0..n).map(|_| (xorshift(&mut state) % 101) as i64 - 50).collect();
+            let w: Vec<u64> = (0..n).map(|_| 1 + xorshift(&mut state) % 50).collect();
+            let want = oracle_wdp(&a, &w);
+            assert_eq!(wlis_rangetree(&a, &w), want, "range tree, i64 trial {trial}");
+            assert_eq!(wlis_rangeveb(&a, &w), want, "range vEB, i64 trial {trial}");
+        }
+        let extremes = [i64::MIN, 3, -1, i64::MAX, -1, i64::MIN, 0, i64::MAX, 2, -7];
+        let w: Vec<u64> = (1..=extremes.len() as u64).collect();
+        let want = oracle_wdp(&extremes, &w);
+        assert_eq!(wlis_rangetree(&extremes, &w), want, "range tree, i64 extremes");
+        assert_eq!(wlis_rangeveb(&extremes, &w), want, "range vEB, i64 extremes");
     }
 
     #[test]

@@ -20,13 +20,19 @@
 //! the walk passes, and an update raises one Fenwick chain per level:
 //! `O(log² n)` each (Theorem 4.1), in `O(n log n)` space.
 //!
-//! The Fenwick slots are atomics raised with `fetch_max`, so a whole batch
-//! of updates runs in parallel through `&self` without locks (scores only
-//! grow, and `max` is commutative and associative, so the result is
-//! identical to any sequential order).
+//! The Fenwick slots are atomics, read with relaxed loads by a frontier's
+//! parallel queries.  `update_batch` takes `&mut self`.  A batch small
+//! enough to run as one piece raises its chains with plain writes through
+//! `AtomicU64::get_mut`; a larger one splits into pieces that raise theirs
+//! with `fetch_max` at once, without locks (scores only grow, and `max` is
+//! commutative and associative, so the result is identical to any
+//! sequential order).
 
-use plis_primitives::par::{par_for_each_chunk, par_map_collect};
+use plis_primitives::par::{
+    adaptive_grain, par_for_each_chunk, par_map_collect, MIN_ADAPTIVE_GRAIN,
+};
 use plis_primitives::{DomMaxCounters, DomMaxStats, OuterTree};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A 2D point; `x` and `y` are the coordinates used by dominance queries
@@ -110,32 +116,41 @@ impl RangeMaxTree {
         best
     }
 
-    /// `Update(B)`: raise the scores of a batch of points, in parallel.
-    /// Each point must exist in the tree; each update costs `O(log² n)`
-    /// (an `O(log n)` Fenwick update on each of the `O(log n)` levels).
+    /// `Update(B)`: raise the scores of a batch of points.  Each point must
+    /// exist in the tree; each update costs `O(log² n)` (an `O(log n)`
+    /// Fenwick update on each of the `O(log n)` levels).  A batch that
+    /// [`par_for_each_chunk`] would run as one piece — at most
+    /// `adaptive_grain(len, MIN_ADAPTIVE_GRAIN)` updates, so every batch on
+    /// a one-thread pool — raises its Fenwick chains with plain writes.  A
+    /// larger batch splits into pieces that raise theirs in parallel with
+    /// `fetch_max`, which keeps Theorem 4.1's span.
     ///
     /// # Panics
     /// Panics if an update refers to a point that is not in the tree.
-    pub fn update_batch(&self, updates: &[ScoreUpdate]) {
+    pub fn update_batch(&mut self, updates: &[ScoreUpdate]) {
+        if updates.len() <= adaptive_grain(updates.len(), MIN_ADAPTIVE_GRAIN) {
+            for u in updates {
+                self.update_one(u);
+            }
+            return;
+        }
         // Atomic fetch_max makes per-point updates commutative, so chunks
         // can run in any interleaving with identical results.
+        let RangeMaxTree { outer, fenwick, .. } = &*self;
         par_for_each_chunk(updates, |_, chunk| {
             for u in chunk {
-                self.update_one(u);
+                chains(outer, u.point, |slots, key| raise_shared(&fenwick[slots], key, u.score));
             }
         });
     }
 
     /// Raise the score of a single point.
-    pub fn update_one(&self, update: &ScoreUpdate) {
-        let Point2 { x, y } = update.point;
-        let pos = self.outer.position_of(x, y);
-        let pos = pos.unwrap_or_else(|| panic!("point ({x}, {y}) is not in the tree"));
-        let n = self.outer.len();
-        self.outer.path(pos, 0, |level, bs, key| {
-            let len = self.outer.block_len(level, bs);
-            raise(&self.fenwick[level * n + bs..level * n + bs + len], key, update.score);
-        });
+    ///
+    /// # Panics
+    /// Panics if the point is not in the tree.
+    pub fn update_one(&mut self, update: &ScoreUpdate) {
+        let RangeMaxTree { outer, fenwick, .. } = self;
+        chains(outer, update.point, |slots, key| raise(&mut fenwick[slots], key, update.score));
     }
 
     /// The current score of a point (0 if never raised), or `None` if the
@@ -148,11 +163,39 @@ impl RangeMaxTree {
     }
 }
 
+/// Visit the Fenwick tree of every block on `point`'s update path, top
+/// level first, as its range of slots in the `fenwick` array and the
+/// point's slot offset in it.
+fn chains(outer: &OuterTree, point: Point2, mut visit: impl FnMut(Range<usize>, usize)) {
+    let Point2 { x, y } = point;
+    let pos = outer.position_of(x, y);
+    let pos = pos.unwrap_or_else(|| panic!("point ({x}, {y}) is not in the tree"));
+    let n = outer.len();
+    outer.path(pos, 0, |level, bs, key| {
+        let start = level * n + bs;
+        visit(start..start + outer.block_len(level, bs), key);
+    });
+}
+
 /// Raise slot `i` (0-based) of the max-Fenwick tree `fenwick` to at least
-/// `score`.  The slots on an update path cover nested ranges, so once a slot
-/// already holds `score` every later one does or will: whoever raised it
-/// is raising the rest of the same path.
-fn raise(fenwick: &[AtomicU64], i: usize, score: u64) {
+/// `score`.  The slots on an update path cover nested ranges, so once a
+/// slot already holds `score` every later one does.
+fn raise(fenwick: &mut [AtomicU64], i: usize, score: u64) {
+    let mut i = i + 1;
+    while i <= fenwick.len() {
+        let slot = fenwick[i - 1].get_mut();
+        if *slot >= score {
+            return;
+        }
+        *slot = score;
+        i += i & i.wrapping_neg();
+    }
+}
+
+/// [`raise`] through a shared reference, for a batch split across threads.
+/// Once a slot already holds `score` every later one does or will: whoever
+/// raised it is raising the rest of the same path.
+fn raise_shared(fenwick: &[AtomicU64], i: usize, score: u64) {
     let mut i = i + 1;
     while i <= fenwick.len() {
         let slot = &fenwick[i - 1];
@@ -212,7 +255,7 @@ mod tests {
     #[test]
     fn single_point() {
         let p = Point2 { x: 5, y: 7 };
-        let t = RangeMaxTree::new(&[p]);
+        let mut t = RangeMaxTree::new(&[p]);
         assert_eq!(t.dominant_max(6, 8), 0); // score still 0
         t.update_one(&ScoreUpdate { point: p, score: 42 });
         assert_eq!(t.dominant_max(6, 8), 42);
@@ -241,7 +284,7 @@ mod tests {
             (16, 10, 12),
         ];
         let points: Vec<Point2> = raw.iter().map(|&(x, y, _)| Point2 { x, y }).collect();
-        let t = RangeMaxTree::new(&points);
+        let mut t = RangeMaxTree::new(&points);
         let updates: Vec<ScoreUpdate> =
             raw.iter().map(|&(x, y, s)| ScoreUpdate { point: Point2 { x, y }, score: s }).collect();
         t.update_batch(&updates);
@@ -276,7 +319,7 @@ mod tests {
                     points.push(p);
                 }
             }
-            let tree = RangeMaxTree::new(&points);
+            let mut tree = RangeMaxTree::new(&points);
             let mut scored: Vec<(Point2, u64)> = points.iter().map(|&p| (p, 0)).collect();
             for round in 0..10 {
                 // Raise the scores of a pseudo-random subset.
@@ -351,7 +394,7 @@ mod tests {
                     points.push(p);
                 }
             }
-            let tree = RangeMaxTree::new(&points);
+            let mut tree = RangeMaxTree::new(&points);
             let mut scored: Vec<(Point2, u64)> = points.iter().map(|&p| (p, 0)).collect();
             for round in 0..2 {
                 let mut updates = Vec::new();
@@ -384,7 +427,7 @@ mod tests {
             ),
         ];
         for (label, points) in shapes {
-            let tree = RangeMaxTree::new(&points);
+            let mut tree = RangeMaxTree::new(&points);
             let scored: Vec<(Point2, u64)> =
                 points.iter().enumerate().map(|(i, &p)| (p, 1 + (i as u64 * 37) % 101)).collect();
             let updates: Vec<ScoreUpdate> =
@@ -398,39 +441,54 @@ mod tests {
     fn parallel_update_batch_matches_sequential_replay() {
         // 600 points in a 30 × 60 box, so the update paths of neighbours
         // share Fenwick slots on every level; each point is raised several
-        // times with different scores, in one batch large enough to split
-        // across a 2-thread pool.
+        // times with different scores.  Batches of 512 and 513 updates sit
+        // on both sides of MIN_ADAPTIVE_GRAIN, where a batch on a
+        // multi-thread pool stops being written as one exclusive piece and
+        // forks into pieces raised with `fetch_max`; 8000 forks further.
+        // Each runs on the PLIS_BENCH_THREADS pool (default 2) and must
+        // equal a one-thread replay and brute force.
+        let threads = std::env::var("PLIS_BENCH_THREADS")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .filter(|&t: &usize| t > 0)
+            .unwrap_or(2);
+        let one = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+        let full = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
         let points: Vec<Point2> =
             (0..600).map(|i| Point2 { x: i % 30, y: (i / 30) * 7 % 20 + 20 * (i % 3) }).collect();
         let mut state = 0xC4A12u64;
-        let updates: Vec<ScoreUpdate> = (0..8000)
-            .map(|_| ScoreUpdate {
-                point: points[(xorshift(&mut state) % 600) as usize],
-                score: xorshift(&mut state) % 5000,
-            })
-            .collect();
-        let parallel = RangeMaxTree::new(&points);
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(2)
-            .build()
-            .unwrap()
-            .install(|| parallel.update_batch(&updates));
-        let sequential = RangeMaxTree::new(&points);
-        for u in &updates {
-            sequential.update_one(u);
+        for len in [MIN_ADAPTIVE_GRAIN, MIN_ADAPTIVE_GRAIN + 1, 8000] {
+            if threads > 1 {
+                let forks = len > full.install(|| adaptive_grain(len, MIN_ADAPTIVE_GRAIN));
+                assert_eq!(forks, len > MIN_ADAPTIVE_GRAIN, "{len} updates");
+            }
+            let updates: Vec<ScoreUpdate> = (0..len)
+                .map(|_| ScoreUpdate {
+                    point: points[(xorshift(&mut state) % 600) as usize],
+                    score: xorshift(&mut state) % 5000,
+                })
+                .collect();
+            let mut parallel = RangeMaxTree::new(&points);
+            full.install(|| parallel.update_batch(&updates));
+            let mut sequential = RangeMaxTree::new(&points);
+            one.install(|| {
+                for u in &updates {
+                    sequential.update_one(u);
+                }
+            });
+            let slots = |t: &RangeMaxTree| -> Vec<u64> {
+                t.fenwick.iter().map(|s| s.load(Ordering::Relaxed)).collect()
+            };
+            assert!(slots(&parallel) == slots(&sequential), "Fenwick slots differ ({len} updates)");
+            let mut best = std::collections::HashMap::new();
+            for u in &updates {
+                let e = best.entry(u.point).or_insert(0);
+                *e = u.score.max(*e);
+            }
+            let scored: Vec<(Point2, u64)> =
+                points.iter().map(|p| (*p, best.get(p).copied().unwrap_or(0))).collect();
+            check_every_query(&parallel, &scored, &format!("{len} updates, {threads} threads"));
         }
-        let slots = |t: &RangeMaxTree| -> Vec<u64> {
-            t.fenwick.iter().map(|s| s.load(Ordering::Relaxed)).collect()
-        };
-        assert!(slots(&parallel) == slots(&sequential), "Fenwick slots differ");
-        let mut best = std::collections::HashMap::new();
-        for u in &updates {
-            let e = best.entry(u.point).or_insert(0);
-            *e = u.score.max(*e);
-        }
-        let scored: Vec<(Point2, u64)> =
-            points.iter().map(|p| (*p, best.get(p).copied().unwrap_or(0))).collect();
-        check_every_query(&parallel, &scored, "parallel batch");
     }
 
     #[test]
@@ -442,14 +500,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "not in the tree")]
     fn update_of_unknown_point_panics() {
-        let t = RangeMaxTree::new(&[Point2 { x: 1, y: 1 }]);
+        let mut t = RangeMaxTree::new(&[Point2 { x: 1, y: 1 }]);
         t.update_one(&ScoreUpdate { point: Point2 { x: 2, y: 2 }, score: 1 });
     }
 
     #[test]
     fn scores_only_grow_under_fetch_max() {
         let p = Point2 { x: 3, y: 3 };
-        let t = RangeMaxTree::new(&[p, Point2 { x: 1, y: 1 }]);
+        let mut t = RangeMaxTree::new(&[p, Point2 { x: 1, y: 1 }]);
         t.update_one(&ScoreUpdate { point: p, score: 10 });
         // A lower update must not lower the observable score.
         t.update_one(&ScoreUpdate { point: p, score: 4 });
@@ -460,7 +518,7 @@ mod tests {
     fn query_boundaries_are_strict() {
         // Dominance is strict in both coordinates.
         let pts = [Point2 { x: 2, y: 2 }, Point2 { x: 4, y: 4 }];
-        let t = RangeMaxTree::new(&pts);
+        let mut t = RangeMaxTree::new(&pts);
         t.update_batch(&[
             ScoreUpdate { point: pts[0], score: 5 },
             ScoreUpdate { point: pts[1], score: 9 },

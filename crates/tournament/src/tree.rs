@@ -136,6 +136,7 @@ impl<T: Ord + Copy + Send + Sync> TournamentTree<T> {
         if self.is_empty() {
             return FrontierStats::default();
         }
+        // The root is live: the tree is not empty, and its LMin is +∞.
         let inf = self.inf;
         let stats = prefix_min(&mut self.tree, &mut self.leaves, rank, 0, inf, round, inf, out);
         self.remaining -= stats.frontier_size;
@@ -213,7 +214,9 @@ fn build<T: Ord + Copy + Send + Sync>(tree: &mut [T], leaves: &[T]) {
     *root = left[0].min(right[0]);
 }
 
-/// `PrefixMin` (Alg. 1 lines 12–21) over the blocked layout.
+/// `PrefixMin` (Alg. 1 lines 12–21) over the blocked layout, called only on
+/// a subtree that is not pruned: its minimum is at most `lmin` and is not
+/// the `+∞` sentinel.
 ///
 /// `tree` is the subtree's slice of the min-tree, `leaves` and `rank` the
 /// matching slices of the leaf and rank arrays, and `base` the original
@@ -234,37 +237,8 @@ where
     T: Ord + Copy + Send + Sync,
     S: Sink,
 {
-    // Line 13: if the subtree minimum exceeds LMin, nothing here can be a
-    // prefix-min object; skip the subtree (still counts as one visited node).
-    // A subtree whose minimum is the +∞ sentinel is empty (all removed) and
-    // is skipped as well — this covers the corner case LMin = +∞ where the
-    // paper's `>` comparison alone would revisit removed leaves.
-    if tree[0] > lmin || tree[0] == inf {
-        return FrontierStats { frontier_size: 0, nodes_visited: 1 };
-    }
     if tree.len() == 1 {
-        // Lines 14–16 for every leaf of the block, in order: a leaf no
-        // larger than LMin and every earlier leaf of the block is a
-        // prefix-min object.  Only an extraction can lower that running
-        // minimum, since a kept leaf is larger than it.
-        let mut cur = lmin;
-        let mut kept_min = inf;
-        let mut extracted = 0;
-        for (i, (leaf, r)) in leaves.iter_mut().zip(rank.iter_mut()).enumerate() {
-            let v = *leaf;
-            if v <= cur && v != inf {
-                cur = v;
-                *r = round;
-                *leaf = inf;
-                out.push(base + i);
-                extracted += 1;
-            } else {
-                kept_min = kept_min.min(v);
-            }
-        }
-        // Line 21 for the block.
-        tree[0] = kept_min;
-        return FrontierStats { frontier_size: extracted, nodes_visited: 1 + leaves.len() };
+        return scan_block(&mut tree[0], leaves, rank, base, inf, round, lmin, out);
     }
     let half = tree.len().div_ceil(2).div_ceil(2);
     let size = leaves.len();
@@ -272,35 +246,98 @@ where
     let (left, right) = rest.split_at_mut(2 * half - 1);
     let (leaves_l, leaves_r) = leaves.split_at_mut(half * BLOCK);
     let (rank_l, rank_r) = rank.split_at_mut(half * BLOCK);
+    let base_r = base + half * BLOCK;
     // Line 20: the right child's LMin additionally accounts for the minimum
     // of the left subtree *before* this round's removals.
     let rmin = lmin.min(left[0]);
 
-    let mut out_l = out.split();
-    let mut out_r = out.split();
-    // Fork only when a fork can pay off: the subtree is above the grain size
-    // *and* both children will actually be descended into.  When the frontier
-    // is sparse most relevant nodes have a single relevant child (the
-    // traversal degenerates to a path), and forking for a child that is
-    // immediately pruned would just burn scheduler overhead — this matters for
-    // large-k inputs where Algorithm 1 runs thousands of tiny rounds.
+    // Line 13: if a child's minimum exceeds its LMin, nothing there can be
+    // a prefix-min object, and the child is skipped without a call (it
+    // still counts as one visited node).  A child whose minimum is the +∞
+    // sentinel is empty (all removed) and is skipped as well — this covers
+    // the corner case LMin = +∞ where the paper's `>` comparison alone
+    // would revisit removed leaves.  The subtree's minimum is at most its
+    // LMin, so at least one child is live.
     let left_pruned = left[0] > lmin || left[0] == inf;
     let right_pruned = right[0] > rmin || right[0] == inf;
-    let fork_size = if left_pruned || right_pruned { 0 } else { size };
-    let (stats_l, stats_r) = maybe_join(
-        fork_size,
-        ROUND_GRAIN,
-        || prefix_min(left, leaves_l, rank_l, base, inf, round, lmin, &mut out_l),
-        || prefix_min(right, leaves_r, rank_r, base + half * BLOCK, inf, round, rmin, &mut out_r),
-    );
-    out.absorb(out_l);
-    out.absorb(out_r);
+    const PRUNED: FrontierStats = FrontierStats { frontier_size: 0, nodes_visited: 1 };
+    let (stats_l, stats_r) = match (left_pruned, right_pruned) {
+        // Fork only when both children are descended into: when the
+        // frontier is sparse most relevant nodes have a single live child
+        // (the traversal degenerates to a path), and large-k inputs run
+        // thousands of such tiny rounds.
+        (false, false) => {
+            let (mut out_l, mut out_r) = (out.split(), out.split());
+            let stats = maybe_join(
+                size,
+                ROUND_GRAIN,
+                || prefix_min(left, leaves_l, rank_l, base, inf, round, lmin, &mut out_l),
+                || prefix_min(right, leaves_r, rank_r, base_r, inf, round, rmin, &mut out_r),
+            );
+            out.absorb(out_l);
+            out.absorb(out_r);
+            stats
+        }
+        (false, true) => (prefix_min(left, leaves_l, rank_l, base, inf, round, lmin, out), PRUNED),
+        (true, false) => {
+            (PRUNED, prefix_min(right, leaves_r, rank_r, base_r, inf, round, rmin, out))
+        }
+        (true, true) => (PRUNED, PRUNED),
+    };
     // Line 21: refresh the subtree minimum after removals.
     *root = left[0].min(right[0]);
     FrontierStats {
         frontier_size: stats_l.frontier_size + stats_r.frontier_size,
         nodes_visited: 1 + stats_l.nodes_visited + stats_r.nodes_visited,
     }
+}
+
+/// Lines 14–16 of `PrefixMin` for every leaf of a reached block, in order,
+/// and line 21 for its minimum `node`: a leaf no larger than LMin and every
+/// earlier leaf of the block is a prefix-min object.  Only an extraction
+/// can lower that running minimum, since a kept leaf is larger than it.
+#[allow(clippy::too_many_arguments)]
+fn scan_block<T, S>(
+    node: &mut T,
+    leaves: &mut [T],
+    rank: &mut [u32],
+    base: usize,
+    inf: T,
+    round: u32,
+    lmin: T,
+    out: &mut S,
+) -> FrontierStats
+where
+    T: Ord + Copy,
+    S: Sink,
+{
+    let (mut cur, mut first, mut extracted) = (lmin, 0, 0);
+    if lmin == inf {
+        // Only the first block a round reaches has LMin = +∞.  Its first
+        // live leaf is a prefix-min object; after it `cur < inf`, so a
+        // removed leaf never passes the test below.
+        first = leaves.iter().position(|&v| v != inf).expect("a reached block has a live leaf");
+        cur = leaves[first];
+        rank[first] = round;
+        leaves[first] = inf;
+        out.push(base + first);
+        (first, extracted) = (first + 1, 1);
+    }
+    let mut kept_min = inf;
+    for (i, (leaf, r)) in leaves[first..].iter_mut().zip(&mut rank[first..]).enumerate() {
+        let v = *leaf;
+        if v <= cur {
+            cur = v;
+            *r = round;
+            *leaf = inf;
+            out.push(base + first + i);
+            extracted += 1;
+        } else {
+            kept_min = kept_min.min(v);
+        }
+    }
+    *node = kept_min;
+    FrontierStats { frontier_size: extracted, nodes_visited: 1 + leaves.len() }
 }
 
 #[cfg(test)]
@@ -498,6 +535,20 @@ mod tests {
         assert_eq!(rank1, oracle_ranks(&a));
         assert_eq!(rank1, rank2);
         assert_eq!(rounds1, rounds2, "per-round stats and frontiers differ across pools");
+        // The work count E7 reads, pinned: a pruned child counts one visit
+        // whether or not the traversal calls into it.
+        let visited: usize = rounds1.iter().map(|(stats, _)| stats.nodes_visited).sum();
+        assert_eq!(visited, 1_393_400);
+        let sizes: Vec<usize> = rounds1.iter().map(|(stats, _)| stats.frontier_size).collect();
+        assert_eq!(
+            sizes,
+            [
+                754, 813, 752, 779, 754, 803, 799, 761, 757, 712, 799, 796, 752, 791, 783, 820,
+                818, 768, 824, 760, 766, 802, 770, 747, 782, 788, 840, 789, 772, 792, 771, 781,
+                731, 774, 702, 823, 780, 784, 764, 772, 796, 748, 779, 800, 746, 739, 773, 789,
+                779, 700, 791, 742, 745, 766, 810, 746, 765, 733, 707, 728, 709, 721, 709, 722
+            ]
+        );
     }
 
     #[test]
