@@ -238,7 +238,38 @@ where
     S: Sink,
 {
     if tree.len() == 1 {
-        return scan_block(&mut tree[0], leaves, rank, base, inf, round, lmin, out);
+        // Lines 14–16 for every leaf of the block, in order: a leaf no
+        // larger than LMin and every earlier leaf of the block is a
+        // prefix-min object.  Only an extraction can lower that running
+        // minimum, since a kept leaf is larger than it.
+        let (mut cur, mut first, mut extracted) = (lmin, 0, 0);
+        if lmin == inf {
+            // Only the first block a round reaches has LMin = +∞.  Its
+            // first live leaf is a prefix-min object; after it
+            // `cur < inf`, so a removed leaf never passes the test below.
+            first = leaves.iter().position(|&v| v != inf).expect("a reached block has a live leaf");
+            cur = leaves[first];
+            rank[first] = round;
+            leaves[first] = inf;
+            out.push(base + first);
+            (first, extracted) = (first + 1, 1);
+        }
+        let mut kept_min = inf;
+        for (i, (leaf, r)) in leaves[first..].iter_mut().zip(&mut rank[first..]).enumerate() {
+            let v = *leaf;
+            if v <= cur {
+                cur = v;
+                *r = round;
+                *leaf = inf;
+                out.push(base + first + i);
+                extracted += 1;
+            } else {
+                kept_min = kept_min.min(v);
+            }
+        }
+        // Line 21 for the block.
+        tree[0] = kept_min;
+        return FrontierStats { frontier_size: extracted, nodes_visited: 1 + leaves.len() };
     }
     let half = tree.len().div_ceil(2).div_ceil(2);
     let size = leaves.len();
@@ -290,54 +321,6 @@ where
         frontier_size: stats_l.frontier_size + stats_r.frontier_size,
         nodes_visited: 1 + stats_l.nodes_visited + stats_r.nodes_visited,
     }
-}
-
-/// Lines 14–16 of `PrefixMin` for every leaf of a reached block, in order,
-/// and line 21 for its minimum `node`: a leaf no larger than LMin and every
-/// earlier leaf of the block is a prefix-min object.  Only an extraction
-/// can lower that running minimum, since a kept leaf is larger than it.
-#[allow(clippy::too_many_arguments)]
-fn scan_block<T, S>(
-    node: &mut T,
-    leaves: &mut [T],
-    rank: &mut [u32],
-    base: usize,
-    inf: T,
-    round: u32,
-    lmin: T,
-    out: &mut S,
-) -> FrontierStats
-where
-    T: Ord + Copy,
-    S: Sink,
-{
-    let (mut cur, mut first, mut extracted) = (lmin, 0, 0);
-    if lmin == inf {
-        // Only the first block a round reaches has LMin = +∞.  Its first
-        // live leaf is a prefix-min object; after it `cur < inf`, so a
-        // removed leaf never passes the test below.
-        first = leaves.iter().position(|&v| v != inf).expect("a reached block has a live leaf");
-        cur = leaves[first];
-        rank[first] = round;
-        leaves[first] = inf;
-        out.push(base + first);
-        (first, extracted) = (first + 1, 1);
-    }
-    let mut kept_min = inf;
-    for (i, (leaf, r)) in leaves[first..].iter_mut().zip(&mut rank[first..]).enumerate() {
-        let v = *leaf;
-        if v <= cur {
-            cur = v;
-            *r = round;
-            *leaf = inf;
-            out.push(base + first + i);
-            extracted += 1;
-        } else {
-            kept_min = kept_min.min(v);
-        }
-    }
-    *node = kept_min;
-    FrontierStats { frontier_size: extracted, nodes_visited: 1 + leaves.len() }
 }
 
 #[cfg(test)]
