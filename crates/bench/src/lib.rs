@@ -10,7 +10,8 @@
 //! * `PLIS_BENCH_N` — input size for the Figure-7 sweeps and elements per
 //!   session for the streaming sweep (default 1,000,000 / 100,000).
 //! * `PLIS_BENCH_REPEATS` — timed repetitions per cell; the minimum is
-//!   reported (default 3).
+//!   reported (default 3), except by `ablation_wlis` (E9), which reports
+//!   the median.
 //! * `PLIS_BENCH_THREADS` — pin the rayon pool for the whole run (`0` or
 //!   unset: the hardware default).  Sweeps record the effective count.
 //! * `PLIS_BENCH_SESSIONS` / `PLIS_BENCH_BATCH` — comma-separated sweep

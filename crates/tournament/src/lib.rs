@@ -41,9 +41,10 @@
 //! Every extraction reports its work as the number of tree nodes it visited
 //! plus the number of object slots it scanned in the blocks it reached
 //! ([`FrontierStats::nodes_visited`]), so the count stays an upper bound on
-//! the traversal's work.  The benchmark harness uses it to validate the
-//! `O(n log k)` work bound of Theorem 3.2 empirically (experiment E7 in
-//! `DESIGN.md`).
+//! the traversal's work.  A pruned child counts as one visited node,
+//! although the traversal tests it from its parent and never calls into
+//! it.  The benchmark harness uses the count to validate the `O(n log k)`
+//! work bound of Theorem 3.2 empirically (experiment E7 in `DESIGN.md`).
 //!
 //! # Example
 //!
