@@ -156,7 +156,7 @@ fn run(values: &[u64], weights: Option<&[u64]>) -> ((Vec<u32>, u32), Vec<u64>) {
     let mut seg = SegMinTree::new(values);
 
     // Dominant-max structure for the weighted variant.
-    let xranks = weights.map(|_| compress(values));
+    let xranks = weights.map(|_| crate::oracle::compress_ranks_for_seq(values));
     let mut dominant = xranks.as_ref().map(|xr| {
         let pts: Vec<Point2> = (0..n).map(|i| Point2 { x: xr[i], y: i as u64 }).collect();
         RangeMaxTree::new(&pts)
@@ -232,22 +232,6 @@ fn run(values: &[u64], weights: Option<&[u64]>) -> ((Vec<u32>, u32), Vec<u64>) {
         candidates = next;
     }
     ((rank, round), dp)
-}
-
-/// Sequential coordinate compression (ties share ranks).
-fn compress(values: &[u64]) -> Vec<u64> {
-    let n = values.len();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&i| values[i]);
-    let mut ranks = vec![0u64; n];
-    let mut current = 0u64;
-    for w in 0..n {
-        if w > 0 && values[order[w]] > values[order[w - 1]] {
-            current += 1;
-        }
-        ranks[order[w]] = current;
-    }
-    ranks
 }
 
 #[cfg(test)]

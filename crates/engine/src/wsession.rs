@@ -34,8 +34,9 @@
 //! entry with a smaller value), and the frontier is repaired in place.  The
 //! session uses no dominant-max store: the frontier answers every probe
 //! itself.  This is the only ingest path; the oracle suites check every
-//! ingest against the offline Algorithm 2 ([`plis_lis::wlis_kind`]) on
-//! both of its stores, the range tree and the Range-vEB tree.
+//! ingest against the offline Algorithm 2 on both of its stores, the range
+//! tree ([`plis_lis::wlis_rangetree`]) and the Range-vEB tree
+//! ([`plis_lis::wlis_rangeveb`]).
 //!
 //! # Queries
 //!
@@ -393,14 +394,14 @@ fn pareto_staircase(mut pairs: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
 mod tests {
     use super::*;
     use crate::testutil::random_pairs;
-    use plis_lis::{wlis_kind, DominantMaxKind};
+    use plis_lis::{wlis_rangetree, wlis_rangeveb};
 
     /// Stream `pairs` through a session in chunks, checking scores against
-    /// the offline oracle on `kind` after every batch.
+    /// the offline `oracle` (Algorithm 2 on one store) after every batch.
     fn check_against_offline(
         pairs: &[(u64, u64)],
         universe: u64,
-        kind: DominantMaxKind,
+        oracle: fn(&[u64], &[u64]) -> Vec<u64>,
         chunk: usize,
     ) {
         let mut session = WeightedStreamingLis::new(universe);
@@ -410,7 +411,7 @@ mod tests {
             prefix.extend_from_slice(batch);
             let values: Vec<u64> = prefix.iter().map(|&(v, _)| v).collect();
             let weights: Vec<u64> = prefix.iter().map(|&(_, w)| w).collect();
-            let want = wlis_kind(kind, &values, &weights);
+            let want = oracle(&values, &weights);
             assert_eq!(session.scores(), want.as_slice(), "scores diverged from offline oracle");
             session.check_invariants();
         }
@@ -459,9 +460,9 @@ mod tests {
     #[test]
     fn streaming_matches_offline_oracle_on_both_backends() {
         let pairs = random_pairs(900, 400, 30, 0xABCD);
-        for kind in [DominantMaxKind::RangeTree, DominantMaxKind::RangeVeb] {
-            check_against_offline(&pairs, 400, kind, 111);
-            check_against_offline(&pairs, 400, kind, 37);
+        for oracle in [wlis_rangetree::<u64>, wlis_rangeveb::<u64>] {
+            check_against_offline(&pairs, 400, oracle, 111);
+            check_against_offline(&pairs, 400, oracle, 37);
         }
     }
 

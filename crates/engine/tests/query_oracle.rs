@@ -2,7 +2,7 @@
 //! session serves — rank-of-element, count-at-dp, top-k, and full
 //! certificate reconstruction — must be *bit-identical* to the offline
 //! oracles (`lis_ranks_u64` + `lis_indices_from_ranks` for plain
-//! sessions, `wlis_kind` + `wlis_indices_from_scores` for weighted ones)
+//! sessions, Algorithm 2 + `wlis_indices_from_scores` for weighted ones)
 //! run on the exact prefix the query observed, including queries that land
 //! *between* writes inside one mixed tick.  Weighted answers are checked
 //! against the oracle on both of its dominant-max stores.  Every schedule
@@ -15,7 +15,7 @@ use plis_engine::{
     TickOutcome,
 };
 use plis_lis::{
-    lis_indices_from_ranks, lis_ranks_u64, wlis_indices_from_scores, wlis_kind, DominantMaxKind,
+    lis_indices_from_ranks, lis_ranks_u64, wlis_indices_from_scores, wlis_rangetree, wlis_rangeveb,
 };
 use plis_workloads::streaming::{
     mixed_session_fleet, read_write_mix, round_robin_ticks, weighted_session_fleet, QuerySpec,
@@ -62,15 +62,20 @@ fn plain_oracle(prefix: &[u64], specs: &[QuerySpec]) -> Vec<QueryAnswer> {
         .collect()
 }
 
-/// Offline expected answers for one query batch over a *weighted* prefix.
-fn weighted_oracle(
-    prefix: &[(u64, u64)],
-    specs: &[QuerySpec],
-    kind: DominantMaxKind,
-) -> Vec<QueryAnswer> {
+/// Offline Algorithm 2 on one dominant-max store: dp scores from values and
+/// weights.
+type Wlis = fn(&[u64], &[u64]) -> Vec<u64>;
+
+/// Offline Algorithm 2 on each dominant-max store.
+const STORES: [(&str, Wlis); 2] =
+    [("range tree", wlis_rangetree::<u64>), ("Range-vEB", wlis_rangeveb::<u64>)];
+
+/// Offline expected answers for one query batch over a *weighted* prefix,
+/// scored by `wlis` (one of [`STORES`]).
+fn weighted_oracle(prefix: &[(u64, u64)], specs: &[QuerySpec], wlis: Wlis) -> Vec<QueryAnswer> {
     let values: Vec<u64> = prefix.iter().map(|&(v, _)| v).collect();
     let weights: Vec<u64> = prefix.iter().map(|&(_, w)| w).collect();
-    let scores = wlis_kind(kind, &values, &weights);
+    let scores = wlis(&values, &weights);
     let best = scores.iter().copied().max().unwrap_or(0);
     specs
         .iter()
@@ -183,11 +188,11 @@ fn run_weighted_checked(
                     ReadWriteOp::Read(specs) => {
                         let answered = got.as_answered().expect("read slot must report answers");
                         assert_eq!(answered.kind, SessionKind::Weighted);
-                        for dommax in [DominantMaxKind::RangeTree, DominantMaxKind::RangeVeb] {
-                            let want = weighted_oracle(prefix, specs, dommax);
+                        for (store, wlis) in STORES {
+                            let want = weighted_oracle(prefix, specs, wlis);
                             assert_eq!(
                                 answered.answers, want,
-                                "session {id} diverged from the offline oracle on {dommax:?} \
+                                "session {id} diverged from the offline oracle on the {store} \
                                  ({threads} threads)"
                             );
                         }

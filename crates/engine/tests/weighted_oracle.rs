@@ -1,15 +1,16 @@
 //! The acceptance property of the *weighted* engine path: after every
 //! executed tick, a weighted session's dp scores must equal the offline
-//! Algorithm-2 oracle (`plis_lis::wlis_kind`, itself differentially tested
-//! against the quadratic dp in `crates/lis/tests/wlis_oracle.rs`) run on
-//! the concatenated `(value, weight)` prefix, on both of its dominant-max
-//! stores — at 1 thread and at the full pool, with the two runs
-//! bit-identical to each other.
+//! Algorithm-2 oracle (`plis_lis::wlis_rangetree` and `wlis_rangeveb`,
+//! themselves differentially tested against the quadratic dp in
+//! `crates/lis/tests/wlis_oracle.rs`) run on the concatenated
+//! `(value, weight)` prefix, on both of its dominant-max stores — at 1
+//! thread and at the full pool, with the two runs bit-identical to each
+//! other.
 
 use plis_engine::{
     BatchReport, Engine, EngineConfig, OpOutput, SessionId, SessionKind, Tick, TickOutcome,
 };
-use plis_lis::{wlis_kind, DominantMaxKind};
+use plis_lis::{wlis_rangetree, wlis_rangeveb};
 use plis_workloads::streaming::{round_robin_ticks, weighted_session_fleet};
 use std::collections::HashMap;
 
@@ -66,12 +67,14 @@ fn run_checked(ticks: &[WeightedTick], universe: u64, threads: usize) -> RunOutc
                 let session = engine.weighted_session(name).expect("session exists");
                 let values: Vec<u64> = prefix.iter().map(|&(v, _)| v).collect();
                 let weights: Vec<u64> = prefix.iter().map(|&(_, w)| w).collect();
-                for dommax in [DominantMaxKind::RangeTree, DominantMaxKind::RangeVeb] {
-                    let want = wlis_kind(dommax, &values, &weights);
+                for (store, want) in [
+                    ("range tree", wlis_rangetree(&values, &weights)),
+                    ("Range-vEB", wlis_rangeveb(&values, &weights)),
+                ] {
                     assert_eq!(
                         session.scores(),
                         want.as_slice(),
-                        "session {name} diverged from the offline WLIS oracle on {dommax:?} \
+                        "session {name} diverged from the offline WLIS oracle on the {store} \
                          ({threads} threads)"
                     );
                 }
@@ -156,7 +159,7 @@ fn mixed_ticks_serve_both_kinds_against_their_oracles() {
         let pairs: Vec<(u64, u64)> = batches.iter().flatten().copied().collect();
         let values: Vec<u64> = pairs.iter().map(|&(v, _)| v).collect();
         let weights: Vec<u64> = pairs.iter().map(|&(_, w)| w).collect();
-        let want = wlis_kind(DominantMaxKind::RangeTree, &values, &weights);
+        let want = wlis_rangetree(&values, &weights);
         let session = engine.weighted_session(name).expect("weighted session");
         assert_eq!(session.scores(), want.as_slice(), "session {name}");
     }

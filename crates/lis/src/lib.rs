@@ -8,15 +8,14 @@
 //!   `O(n)` space (Theorem 1.1).
 //! * [`lis_length`] — just the LIS length `k`.
 //! * [`lis_indices`] — an actual longest increasing subsequence, recovered
-//!   from the ranks as in Appendix A; [`lis_indices_from_ranks`] starts
-//!   from computed ranks.  [`wlis_indices_from_scores`] is the
+//!   from Algorithm 1's frontiers as in Appendix A; [`lis_indices_from_ranks`]
+//!   starts from computed ranks.  [`wlis_indices_from_scores`] is the
 //!   weighted reconstruction from dp scores, which is how the
 //!   `plis-engine` query plane serves weighted certificates; unweighted
 //!   sessions follow per-element parent pointers instead and are checked
 //!   against [`lis_indices_from_ranks`].
 //! * [`wlis_with`] — Algorithm 2: the single generic weighted-LIS driver
-//!   over the [`DominantMaxStore`] trait; [`wlis_kind`] dispatches it
-//!   through the [`DominantMaxKind`] factory, and [`wlis_rangetree`] /
+//!   over the [`DominantMaxStore`] trait; [`wlis_rangetree`] /
 //!   [`wlis_rangeveb`] pin the practical (Theorem 4.1, `O(n log² n)` work)
 //!   and theoretical (Theorem 1.2) stores respectively.
 //!
@@ -51,6 +50,4 @@ pub use compress::compress_to_ranks;
 pub use plis_primitives::DominantMaxStore;
 pub use ranks::{lis_length, lis_ranks, lis_ranks_u64, lis_ranks_u64_with_stats, LisStats};
 pub use reconstruct::{lis_indices, lis_indices_from_ranks, wlis_indices_from_scores};
-pub use wlis::{
-    wlis_kind, wlis_rangetree, wlis_rangeveb, wlis_with, wlis_with_stats, DominantMaxKind,
-};
+pub use wlis::{wlis_rangetree, wlis_rangeveb, wlis_with, wlis_with_stats};

@@ -44,46 +44,68 @@ pub fn lis_ranks_u64_with_stats(values: &[u64]) -> (Vec<u32>, u32, LisStats) {
     (rank, round, stats)
 }
 
+/// A leaf of the generic tournament tree: a reference to an object, or
+/// `Inf`, the removed marker.
+enum Slot<'a, T> {
+    Finite(&'a T),
+    Inf,
+}
+
+// Manual Clone/Copy: the enum only holds a reference, so it is copyable
+// regardless of whether `T` itself is.
+impl<'a, T> Clone for Slot<'a, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+impl<'a, T> Copy for Slot<'a, T> {}
+impl<'a, T: Ord> PartialEq for Slot<'a, T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == std::cmp::Ordering::Equal
+    }
+}
+impl<'a, T: Ord> Eq for Slot<'a, T> {}
+impl<'a, T: Ord> PartialOrd for Slot<'a, T> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<'a, T: Ord> Ord for Slot<'a, T> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        match (self, other) {
+            (Slot::Inf, Slot::Inf) => std::cmp::Ordering::Equal,
+            (Slot::Inf, Slot::Finite(_)) => std::cmp::Ordering::Greater,
+            (Slot::Finite(_), Slot::Inf) => std::cmp::Ordering::Less,
+            (Slot::Finite(a), Slot::Finite(b)) => a.cmp(b),
+        }
+    }
+}
+
+fn slot_tree<T: Ord + Sync>(values: &[T]) -> TournamentTree<Slot<'_, T>> {
+    let slots: Vec<Slot<'_, T>> = values.iter().map(Slot::Finite).collect();
+    TournamentTree::new(&slots, Slot::Inf)
+}
+
 /// Comparison-based variant of [`lis_ranks_u64`] for any `Ord` element type.
 /// The tournament tree holds references wrapped so that "removed" compares
 /// greater than every real value, exactly like the paper's `+∞`.
 pub fn lis_ranks<T: Ord + Sync>(values: &[T]) -> (Vec<u32>, u32) {
-    enum Slot<'a, T> {
-        Finite(&'a T),
-        Inf,
+    slot_tree(values).extract_all_ranks()
+}
+
+/// Every frontier of Algorithm 1 on `values`, as the tournament tree
+/// extracts them: `frontiers[r - 1]` lists, in increasing index order, the
+/// objects of rank `r` (Appendix A walks these).
+pub(crate) fn lis_frontiers<T: Ord + Sync>(values: &[T]) -> Vec<Vec<usize>> {
+    let mut tree = slot_tree(values);
+    // Scratch: the extraction writes each object's rank here as well.
+    let mut rank = vec![0u32; values.len()];
+    let mut frontiers = Vec::new();
+    while !tree.is_empty() {
+        let round = frontiers.len() as u32 + 1;
+        frontiers.push(tree.process_frontier_collect(round, &mut rank).1);
     }
-    // Manual Clone/Copy: the enum only holds a reference, so it is copyable
-    // regardless of whether `T` itself is.
-    impl<'a, T> Clone for Slot<'a, T> {
-        fn clone(&self) -> Self {
-            *self
-        }
-    }
-    impl<'a, T> Copy for Slot<'a, T> {}
-    impl<'a, T: Ord> PartialEq for Slot<'a, T> {
-        fn eq(&self, other: &Self) -> bool {
-            self.cmp(other) == std::cmp::Ordering::Equal
-        }
-    }
-    impl<'a, T: Ord> Eq for Slot<'a, T> {}
-    impl<'a, T: Ord> PartialOrd for Slot<'a, T> {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl<'a, T: Ord> Ord for Slot<'a, T> {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            match (self, other) {
-                (Slot::Inf, Slot::Inf) => std::cmp::Ordering::Equal,
-                (Slot::Inf, Slot::Finite(_)) => std::cmp::Ordering::Greater,
-                (Slot::Finite(_), Slot::Inf) => std::cmp::Ordering::Less,
-                (Slot::Finite(a), Slot::Finite(b)) => a.cmp(b),
-            }
-        }
-    }
-    let slots: Vec<Slot<'_, T>> = values.iter().map(Slot::Finite).collect();
-    let tree = TournamentTree::new(&slots, Slot::Inf);
-    tree.extract_all_ranks()
+    frontiers
 }
 
 /// The LIS length of `values` (`k` in the paper's notation).

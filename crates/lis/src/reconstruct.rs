@@ -10,10 +10,12 @@
 //!
 //! The entry points come in two layers:
 //!
-//! * [`lis_indices`] — offline convenience: computes ranks, then walks.
-//! * [`lis_indices_from_ranks`] — reuses a rank array (offline or the
-//!   exact ranks a streaming session maintains), groups it into per-rank
-//!   frontiers and walks them.
+//! * [`lis_indices`] — offline: runs Algorithm 1, keeps every frontier as
+//!   the tournament tree extracts it (already in increasing index order),
+//!   then walks them.
+//! * [`lis_indices_from_ranks`] — the oracle: groups a rank array (offline,
+//!   or the exact ranks a streaming session maintains) into per-rank
+//!   frontiers in one sequential pass and walks them.
 //!
 //! The streaming sessions of `plis-engine` call neither: they keep
 //! each element's step of this walk (the last element of the previous
@@ -25,35 +27,33 @@
 //! maximum-weight increasing subsequence from the dp scores of Algorithm 2
 //! (Equation 2) with one backward scan — see its docs for the argument.
 
-use plis_primitives::group_by_rank;
-
 /// Return the indices (increasing) of one longest increasing subsequence of
-/// `values`, using the ranks produced by Algorithm 1.
+/// `values`, walking the frontiers that Algorithm 1 extracts.
 pub fn lis_indices<T: Ord + Sync>(values: &[T]) -> Vec<usize> {
-    let (ranks, k) = crate::lis_ranks(values);
-    lis_indices_from_ranks(values, &ranks, k)
+    lis_indices_from_frontiers(values, &crate::ranks::lis_frontiers(values))
 }
 
-/// As [`lis_indices`], but reusing ranks that were already computed.
+/// As [`lis_indices`], but starting from ranks that were already computed.
+/// It returns the same subsequence as [`lis_indices`] on the ranks of
+/// [`crate::lis_ranks`].
 ///
 /// # Panics
 /// Panics if `ranks`/`k` are inconsistent with `values` (e.g. not produced
-/// by [`crate::lis_ranks`]).
+/// by [`crate::lis_ranks`]), naming any rank outside `1..=k`.
 pub fn lis_indices_from_ranks<T: Ord>(values: &[T], ranks: &[u32], k: u32) -> Vec<usize> {
     assert_eq!(values.len(), ranks.len(), "ranks must cover every value");
-    if k == 0 {
-        assert!(values.is_empty(), "k = 0 requires an empty input");
-        return Vec::new();
-    }
     // frontiers[r - 1] lists, in increasing index order, the objects of rank r.
-    let rank_keys: Vec<usize> = ranks.iter().map(|&r| (r - 1) as usize).collect();
-    let frontiers = group_by_rank(&rank_keys, k as usize);
+    let mut frontiers = vec![Vec::new(); k as usize];
+    for (i, &r) in ranks.iter().enumerate() {
+        assert!((1..=k).contains(&r), "rank {r} of index {i} out of range 1..={k}");
+        frontiers[r as usize - 1].push(i);
+    }
     lis_indices_from_frontiers(values, &frontiers)
 }
 
-/// The Appendix-A walk of [`lis_indices_from_ranks`]: recover one LIS from
-/// per-rank *frontiers* — `frontiers[r - 1]` lists, in increasing index
-/// order, every object of rank `r` — in `O(k log n)`.
+/// The Appendix-A walk of [`lis_indices`] and [`lis_indices_from_ranks`]:
+/// recover one LIS from per-rank *frontiers* — `frontiers[r - 1]` lists, in
+/// increasing index order, every object of rank `r` — in `O(k log n)`.
 ///
 /// The walk is deterministic — it always starts from the leftmost
 /// top-rank object and takes the last valid predecessor in each frontier.
@@ -61,7 +61,7 @@ pub fn lis_indices_from_ranks<T: Ord>(values: &[T], ranks: &[u32], k: u32) -> Ve
 /// # Panics
 /// Panics if the frontiers are inconsistent with `values` (empty rank
 /// class, or a rank class whose predecessor class is exhausted) — i.e. if
-/// they were not produced by grouping a valid rank array.
+/// they are not the frontiers of a valid rank array.
 fn lis_indices_from_frontiers<T: Ord>(values: &[T], frontiers: &[Vec<usize>]) -> Vec<usize> {
     let k = frontiers.len();
     if k == 0 {
@@ -217,14 +217,19 @@ mod tests {
     #[test]
     fn frontier_walk_matches_the_rank_entry_point() {
         let a = [52u64, 31, 45, 26, 61, 10, 39, 44];
+        // Figure 3: the extracted frontiers, each in increasing index order.
+        let frontiers = crate::ranks::lis_frontiers(&a);
+        assert_eq!(frontiers, [vec![0, 1, 3, 5], vec![2, 6], vec![4, 7]]);
         let (ranks, k) = crate::lis_ranks_u64(&a);
-        let rank_keys: Vec<usize> = ranks.iter().map(|&r| (r - 1) as usize).collect();
-        let frontiers = group_by_rank(&rank_keys, k as usize);
-        assert_eq!(
-            lis_indices_from_frontiers(&a, &frontiers),
-            lis_indices_from_ranks(&a, &ranks, k)
-        );
+        assert_eq!(lis_indices(&a), lis_indices_from_ranks(&a, &ranks, k));
         assert!(lis_indices_from_frontiers::<u64>(&[], &[]).is_empty());
+        assert!(lis_indices_from_ranks::<u64>(&[], &[], 0).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 4 of index 1 out of range 1..=3")]
+    fn ranks_outside_one_to_k_are_rejected() {
+        lis_indices_from_ranks(&[1u64, 2, 3], &[1, 4, 3], 3);
     }
 
     #[test]

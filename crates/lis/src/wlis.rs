@@ -3,50 +3,25 @@
 //! The dp recurrence (Equation 2) is
 //! `dp[i] = w_i + max(0, max_{j<i, A_j<A_i} dp[j])`.
 //! The phase-parallel driver first compresses the values to their dense
-//! ranks, the points' `x` coordinates, and computes every object's rank
-//! with Algorithm 1 on those `u64` keys
-//! ([`lis_ranks_u64`](crate::lis_ranks_u64)): they keep strict order and
-//! ties, so the ranks are those of the values.  It groups the objects into
-//! frontiers by rank and processes the frontiers in order: all dp values
-//! inside one frontier are independent (their predecessors all have
-//! strictly smaller ranks), so they are computed by parallel *dominant-max*
-//! queries and then written back to the structure as a batch.
+//! ranks, the points' `x` coordinates, and runs Algorithm 1's tournament
+//! tree on those `u64` keys: they keep strict order and ties, so its
+//! frontiers are those of the values.  Each round's frontier comes out of
+//! the tree in increasing index order and is processed at once: all dp
+//! values inside one frontier are independent (their predecessors all have
+//! strictly smaller ranks, so they are in earlier frontiers), so they are
+//! computed by parallel *dominant-max* queries and then written back to the
+//! structure as a batch.
 //!
 //! There is exactly **one** driver, [`wlis_with`], generic over the
 //! [`DominantMaxStore`] trait of `plis-primitives`; the concrete structures
 //! implement that trait in their own crates (`plis-rangetree`, Theorem 4.1;
-//! `plis-rangeveb`, Theorem 1.2).  [`DominantMaxKind`] is the runtime
-//! selector — a zero-cost enum factory that monomorphizes the driver per
-//! backend — and [`wlis_kind`] dispatches through it; [`wlis_rangetree`] /
-//! [`wlis_rangeveb`] are the fixed-backend conveniences.
+//! `plis-rangeveb`, Theorem 1.2).  [`wlis_rangetree`] / [`wlis_rangeveb`]
+//! pin the store.
 
 use crate::compress::compress_to_ranks;
-use plis_primitives::{group_by_rank, par_map_collect, DomMaxStats, DominantMaxStore};
+use plis_primitives::{par_map_collect, DomMaxStats, DominantMaxStore};
+use plis_tournament::TournamentTree;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Which dominant-max store backs a weighted-LIS run — the runtime-facing
-/// factory over the open [`DominantMaxStore`] trait.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DominantMaxKind {
-    /// Parallel range tree (Theorem 4.1): `O(n log² n)` work — the
-    /// configuration the paper's own evaluation uses.
-    RangeTree,
-    /// Range-vEB tree (Theorem 1.2): the theoretically stronger
-    /// `O(n log n log log n)` work bound.
-    RangeVeb,
-}
-
-impl DominantMaxKind {
-    /// Short human-readable backend name.
-    pub fn name(self) -> &'static str {
-        match self {
-            DominantMaxKind::RangeTree => {
-                <plis_rangetree::RangeMaxTree as DominantMaxStore>::name()
-            }
-            DominantMaxKind::RangeVeb => <plis_rangeveb::RangeVeb as DominantMaxStore>::name(),
-        }
-    }
-}
 
 /// Weighted LIS over an arbitrary comparable element type using the chosen
 /// dominant-max store.  Returns the dp values of every object
@@ -79,20 +54,24 @@ pub fn wlis_with_stats<T: Ord + Sync, S: DominantMaxStore>(
         return (Vec::new(), DomMaxStats::default());
     }
     // Lines 12–13's x coordinate: the value ranks keep strict order and
-    // ties, so Alg. 1 ranks them exactly as it ranks `values`.
+    // ties, so Alg. 1 extracts the same frontiers from them as from
+    // `values`.
     let xranks = compress_to_ranks(values);
-    // Line 11 of Alg. 2: ranks via Alg. 1, then group indices into frontiers.
-    let (ranks, k) = crate::lis_ranks_u64(&xranks);
-    let rank_keys: Vec<usize> = ranks.iter().map(|&r| (r - 1) as usize).collect();
-    let frontiers = group_by_rank(&rank_keys, k as usize);
 
     // Lines 12–13: one 2D point per object, x = value rank, y = index.
     let points: Vec<(u64, u64)> = (0..n).map(|i| (xranks[i], i as u64)).collect();
     let mut structure = S::build(&points);
 
-    // Lines 14–18: process the frontiers in rank order.
+    // Line 11 and lines 14–18: Alg. 1 extracts the frontiers in rank order,
+    // and each one is processed as soon as it is extracted.
+    let mut tree = TournamentTree::new(&xranks, u64::MAX);
+    // Scratch: the extraction writes each object's rank here as well.
+    let mut rank = vec![0u32; n];
     let dp: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-    for frontier in &frontiers {
+    let mut round = 0u32;
+    while !tree.is_empty() {
+        round += 1;
+        let (_, frontier) = tree.process_frontier_collect(round, &mut rank);
         // Queries of one frontier are independent: all dependencies have
         // strictly smaller ranks and are already in the structure.  The
         // join-splitting parallel map keeps the update list in frontier
@@ -108,15 +87,6 @@ pub fn wlis_with_stats<T: Ord + Sync, S: DominantMaxStore>(
     }
     let stats = structure.stats();
     (dp.into_iter().map(AtomicU64::into_inner).collect(), stats)
-}
-
-/// Weighted LIS with the backend chosen at runtime by [`DominantMaxKind`]
-/// (enum-dispatch into the generic driver, one monomorphization per store).
-pub fn wlis_kind<T: Ord + Sync>(kind: DominantMaxKind, values: &[T], weights: &[u64]) -> Vec<u64> {
-    match kind {
-        DominantMaxKind::RangeTree => wlis_with::<T, plis_rangetree::RangeMaxTree>(values, weights),
-        DominantMaxKind::RangeVeb => wlis_with::<T, plis_rangeveb::RangeVeb>(values, weights),
-    }
 }
 
 /// Weighted LIS using the parallel range tree (the practical configuration,
@@ -223,7 +193,7 @@ mod tests {
         let a = [9u64, 2, 7, 4, 8, 1, 6];
         let w = [3u64, 5, 2, 9, 1, 4, 7];
         let (dp, stats) = wlis_with_stats::<_, plis_rangetree::RangeMaxTree>(&a, &w);
-        assert_eq!(dp, wlis_kind(DominantMaxKind::RangeTree, &a, &w));
+        assert_eq!(dp, wlis_rangetree(&a, &w));
         // One dominant_max per object, one write-back entry per object.
         assert_eq!(stats.queries, a.len() as u64);
         assert_eq!(stats.writeback_elems, a.len() as u64);
@@ -233,18 +203,6 @@ mod tests {
         // The other backend reports the same trait-level totals.
         let (_, veb_stats) = wlis_with_stats::<_, plis_rangeveb::RangeVeb>(&a, &w);
         assert_eq!(stats, veb_stats);
-    }
-
-    #[test]
-    fn kind_dispatch_resolves_and_agrees() {
-        let a = [9u64, 2, 7, 4, 8, 1, 6];
-        let w = [3u64, 5, 2, 9, 1, 4, 7];
-        let want = oracle_wdp(&a, &w);
-        for kind in [DominantMaxKind::RangeTree, DominantMaxKind::RangeVeb] {
-            assert_eq!(wlis_kind(kind, &a, &w), want, "{:?}", kind);
-        }
-        assert_eq!(DominantMaxKind::RangeTree.name(), "range-tree");
-        assert_eq!(DominantMaxKind::RangeVeb.name(), "range-veb");
     }
 
     #[test]

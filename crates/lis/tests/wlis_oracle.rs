@@ -11,8 +11,11 @@
 //! least 2 so single-core machines still exercise the splitting scheduler
 //! (a vendored rayon pool spawns its workers independently of core count).
 
-use plis_baselines::wlis_dp_quadratic;
-use plis_lis::{wlis_rangetree, wlis_rangeveb, wlis_with, DominantMaxStore};
+use plis_baselines::{seq_avl, wlis_dp_quadratic};
+use plis_lis::{
+    lis_indices, lis_indices_from_ranks, lis_ranks, wlis_rangetree, wlis_rangeveb, wlis_with,
+    wlis_with_stats, DominantMaxStore,
+};
 use plis_workloads::{
     adversarial, line_pattern, random_permutation, range_pattern, uniform_weights,
 };
@@ -92,6 +95,41 @@ fn adversarial_patterns_match_oracle() {
         let unit = vec![1u64; values.len()];
         check_against_oracle(&values, &unit, &format!("{label} (unit weights)"));
     }
+}
+
+/// Algorithm 2's rounds and Appendix A's walk take their frontiers
+/// straight from the tournament tree.  Values below 64 give about 64
+/// frontiers, each spread over the whole input, so in every round each
+/// subtree above the tree's round grain (8,192 leaves) has two live
+/// children, and the pool forks there and joins the two halves of the
+/// frontier.
+#[test]
+fn forked_frontiers_match_the_sequential_references() {
+    let n = 3 * 8192 + 17;
+    let values = range_pattern(n, 64, 0xF0C5);
+    let weights = uniform_weights(n, 1000, 0xF0C6);
+    let want = seq_avl(&values, &weights);
+    let (ranks, k) = lis_ranks(&values);
+    let walk = lis_indices_from_ranks(&values, &ranks, k);
+    let mut stats = Vec::new();
+    for threads in [1, parallel_threads()] {
+        let ((tree, tree_stats), (veb, veb_stats), lis) = on_pool(threads, || {
+            (
+                wlis_with_stats::<_, plis_rangetree::RangeMaxTree>(&values, &weights),
+                wlis_with_stats::<_, plis_rangeveb::RangeVeb>(&values, &weights),
+                lis_indices(&values),
+            )
+        });
+        assert_eq!(tree, want, "range-tree backend, {threads} thread(s)");
+        assert_eq!(veb, want, "range-vEB backend, {threads} thread(s)");
+        assert_eq!(lis, walk, "lis_indices, {threads} thread(s)");
+        for s in [tree_stats, veb_stats] {
+            assert_eq!(s.queries, n as u64, "one query per object, {threads} thread(s)");
+            assert_eq!(s.writeback_batches, u64::from(k), "one batch per frontier");
+        }
+        stats.push((tree_stats, veb_stats));
+    }
+    assert_eq!(stats[0], stats[1], "store counts differ between the two pools");
 }
 
 proptest! {

@@ -1,11 +1,10 @@
 //! Parallel sorting.
 //!
-//! Algorithm 2 of the paper sorts all objects by rank to obtain the frontiers
-//! `F_1..k` ("this can be done by any parallel sorting with `O(n)` work and
-//! `O(log² n)` span" — in our comparison setting we use a parallel merge sort
-//! with `O(n log n)` work, and a counting sort by rank in
-//! [`crate::group::group_by_rank`] when the `O(n)`-work grouping matters).
-//! Batches handed to the vEB tree must also be sorted.
+//! Algorithm 2 of the paper sorts the values to compress them to dense ranks
+//! (the points' `x` coordinates), and the dominant-max stores sort their
+//! points by `x` when they build.  Its frontiers `F_1..k` need no sort: the
+//! tournament tree of Algorithm 1 extracts each one in increasing index
+//! order.  Batches handed to the vEB tree must also be sorted.
 //!
 //! These are the workspace's only parallel sorts: join-based parallel merge
 //! sorts, in which the slice is split recursively, leaves are sorted with

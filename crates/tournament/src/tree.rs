@@ -119,8 +119,9 @@ impl<T: Ord + Copy + Send + Sync> TournamentTree<T> {
 
     /// Like [`process_frontier`](Self::process_frontier) but also returns the
     /// extracted frontier as the original indices in increasing order
-    /// (Appendix A uses this to reconstruct an actual LIS).  The values at
-    /// those indices are non-increasing (Lemma A.2).
+    /// (Algorithm 2 processes it at once, and Appendix A walks every
+    /// frontier to reconstruct an actual LIS).  The values at those indices
+    /// are non-increasing (Lemma A.2).
     pub fn process_frontier_collect(
         &mut self,
         round: u32,
@@ -189,11 +190,7 @@ impl Sink for Collect {
         Collect(Vec::new())
     }
     fn absorb(&mut self, mut other: Self) {
-        if self.0.is_empty() {
-            self.0 = std::mem::take(&mut other.0);
-        } else {
-            self.0.append(&mut other.0);
-        }
+        self.0.append(&mut other.0);
     }
 }
 
@@ -296,16 +293,22 @@ where
         // Fork only when both children are descended into: when the
         // frontier is sparse most relevant nodes have a single live child
         // (the traversal degenerates to a path), and large-k inputs run
-        // thousands of such tiny rounds.
+        // thousands of such tiny rounds.  Below the gate both children push
+        // into the caller's sink in order, so a collected index is written
+        // once; a forked right child collects into a sink of its own,
+        // appended after the left child's indices.
+        (false, false) if size < ROUND_GRAIN => (
+            prefix_min(left, leaves_l, rank_l, base, inf, round, lmin, out),
+            prefix_min(right, leaves_r, rank_r, base_r, inf, round, rmin, out),
+        ),
         (false, false) => {
-            let (mut out_l, mut out_r) = (out.split(), out.split());
+            let mut out_r = out.split();
             let stats = maybe_join(
                 size,
                 ROUND_GRAIN,
-                || prefix_min(left, leaves_l, rank_l, base, inf, round, lmin, &mut out_l),
+                || prefix_min(left, leaves_l, rank_l, base, inf, round, lmin, out),
                 || prefix_min(right, leaves_r, rank_r, base_r, inf, round, rmin, &mut out_r),
             );
-            out.absorb(out_l);
             out.absorb(out_r);
             stats
         }

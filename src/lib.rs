@@ -69,8 +69,8 @@ pub mod prelude {
     };
     pub use plis_engine::{HistogramSnapshot, MemorySink, Metrics, MetricsSnapshot, TraceSink};
     pub use plis_lis::{
-        lis_indices, lis_length, lis_ranks, lis_ranks_u64, wlis_indices_from_scores, wlis_kind,
-        wlis_rangetree, wlis_rangeveb, wlis_with, DominantMaxKind, DominantMaxStore,
+        lis_indices, lis_length, lis_ranks, lis_ranks_u64, wlis_indices_from_scores,
+        wlis_rangetree, wlis_rangeveb, wlis_with, DominantMaxStore,
     };
     pub use plis_rangetree::RangeMaxTree;
     pub use plis_rangeveb::RangeVeb;
