@@ -206,6 +206,12 @@ mod tests {
     }
 
     #[test]
+    fn stores_report_their_names() {
+        assert_eq!(<plis_rangetree::RangeMaxTree as DominantMaxStore>::name(), "range-tree");
+        assert_eq!(<plis_rangeveb::RangeVeb as DominantMaxStore>::name(), "range-veb");
+    }
+
+    #[test]
     #[should_panic(expected = "one weight per value")]
     fn mismatched_lengths_panic() {
         wlis_rangetree(&[1u64, 2], &[1u64]);

@@ -98,8 +98,8 @@ fn adversarial_patterns_match_oracle() {
 }
 
 /// Algorithm 2's rounds and Appendix A's walk take their frontiers
-/// straight from the tournament tree.  Values below 64 give about 64
-/// frontiers, each spread over the whole input, so in every round each
+/// straight from the tournament tree.  Values in `1..=64` give 64
+/// frontiers here, each spread over the whole input, so in every round each
 /// subtree above the tree's round grain (8,192 leaves) has two live
 /// children, and the pool forks there and joins the two halves of the
 /// frontier.

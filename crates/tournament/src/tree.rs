@@ -521,6 +521,11 @@ mod tests {
         assert_eq!(rank1, oracle_ranks(&a));
         assert_eq!(rank1, rank2);
         assert_eq!(rounds1, rounds2, "per-round stats and frontiers differ across pools");
+        // Forked rounds join both halves of a frontier, in index order.
+        for (stats, frontier) in &rounds1 {
+            assert_eq!(frontier.len(), stats.frontier_size);
+            assert!(frontier.windows(2).all(|w| w[0] < w[1]), "frontier out of index order");
+        }
         // The work count E7 reads, pinned: a pruned child counts one visit
         // whether or not the traversal calls into it.
         let visited: usize = rounds1.iter().map(|(stats, _)| stats.nodes_visited).sum();

@@ -9,8 +9,8 @@
 //! threads share one heap.  Today's users are the Mono-vEB staircases
 //! inside Range-vEB (Algorithm 2's `RangeVeb` store), whose small updates
 //! run as point operations; the offline vEB batch jobs (`perfbench`'s
-//! `offline-lis`, the `veb_scaling` binary and the `veb_ops` bench); and
-//! `plis-engine`'s `tail_probes` test oracle.  An `offline-lis` A/B
+//! `offline-lis` and the `veb_scaling` binary); and `plis-engine`'s
+//! `tail_probes` test oracle.  An `offline-lis` A/B
 //! without the pool was inconclusive, so it stays.
 //!
 //! Instead of handing emptied nodes back to the allocator, every drop site
